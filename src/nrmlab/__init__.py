@@ -6,7 +6,6 @@ from .demand import (
     DemandModel,
     LogitDemand,
     LinearDemand,
-    LogitDemandParams,
     RegularityConstants,
     estimate_regularity,
     revenue_f,

@@ -52,27 +52,14 @@ class DemandModel(ABC):
         """(G, h) with image of [p_lo, p_hi]^N equal to {d : G d <= h}."""
 
 
-@dataclass(frozen=True)
-class LogitDemandParams:
-    intercepts: np.ndarray
-    slopes: np.ndarray
-
-    def __post_init__(self):
-        a = _as_vector(self.intercepts)
-        b = _as_vector(self.slopes, a.shape[0])
-        if np.any(b <= 0):
-            raise DomainError("logit slopes must be strictly positive")
-        object.__setattr__(self, "intercepts", a)
-        object.__setattr__(self, "slopes", b)
-
-
 class LogitDemand(DemandModel):
     """Multinomial-logit demand: D_i(p) = exp(a_i - b_i p_i) / (1 + sum_j exp(a_j - b_j p_j))."""
 
     def __init__(self, intercepts, slopes):
-        params = LogitDemandParams(np.asarray(intercepts, float), np.asarray(slopes, float))
-        self.a = params.intercepts
-        self.b = params.slopes
+        self.a = _as_vector(intercepts)
+        self.b = _as_vector(slopes, self.a.shape[0])
+        if np.any(self.b <= 0):
+            raise DomainError("logit slopes must be strictly positive")
         self.n_products = self.a.shape[0]
 
     def mean(self, p):
@@ -154,18 +141,6 @@ class LinearDemand(DemandModel):
         G = np.vstack([R, -R])
         h = np.concatenate([Ra - p_lo, p_hi - Ra])
         return G, h
-
-
-def logit_mean(params: LogitDemandParams, p):
-    return LogitDemand(params.intercepts, params.slopes).mean(p)
-
-
-def logit_jacobian(params: LogitDemandParams, p):
-    return LogitDemand(params.intercepts, params.slopes).jacobian(p)
-
-
-def logit_inverse(params: LogitDemandParams, d):
-    return LogitDemand(params.intercepts, params.slopes).inverse(d)
 
 
 def revenue_f(model: DemandModel, p) -> float:

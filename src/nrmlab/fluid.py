@@ -40,9 +40,6 @@ class DualSet:
         """An l2 bound on Lambda."""
         return float(np.linalg.norm(self.lambda_max))
 
-    def clip(self, lam: np.ndarray) -> np.ndarray:
-        return np.clip(lam, 0.0, self.lambda_max)
-
     def contains(self, lam: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.all(lam >= -tol) and np.all(lam <= self.lambda_max + tol))
 
@@ -192,18 +189,23 @@ def grad_Q(instance: Instance, lam, tol: float = 1e-9, start=None) -> np.ndarray
     return instance.gamma - instance.A @ d
 
 
-def default_dual_set(instance: Instance, grid_points: int = 25,
-                     scale: float = 10.0) -> DualSet:
-    """Lambda box from a crude dual estimate: scale * max over an image grid
-    of ||grad phi|| / sigma_min(A), identical per resource."""
-    axes = [np.linspace(instance.price_min, instance.price_max, grid_points)] * instance.N
-    mesh = np.meshgrid(*axes, indexing="ij")
-    prices = np.stack([m.ravel() for m in mesh], axis=1)
-    demands = instance.model.mean_batch(prices)
-    gmax = max(float(np.linalg.norm(grad_revenue_phi(instance.model, d))) for d in demands)
-    sigma_A = np.linalg.svd(instance.A, compute_uv=False)[-1]
-    bound = scale * gmax / sigma_A
-    return DualSet(np.full(instance.M, max(bound, 1.0)))
+def default_dual_set(instance: Instance) -> DualSet:
+    """The dual box Lambda with lambda_max_j = price_max / gamma_j.
+
+    It contains lambda* whenever no fluid price sits at price_max. KKT on the
+    demand image gives grad phi(d*) = A^T lambda* + G^T nu with nu >= 0 on the
+    active image faces; a dot product with d* and complementary slackness give
+    lambda*^T gamma = grad phi(d*)^T d* - nu^T h. For logit the price_min faces
+    have h = w_hi > 0, so with no price at price_max,
+    lambda*^T gamma <= grad phi(d*)^T d*. For logit,
+    grad phi_i(d) = p_i - 1/b_i - sum_k d_k / (b_k (1 - sum d)) < p_i, so
+    lambda*_j gamma_j <= lambda*^T gamma < phi* = <p*, d*> < price_max (the
+    d*_i sum to less than 1) and lambda*_j < price_max / gamma_j.
+    For linear demand grad phi(d)^T d = phi(d) - d^T B^{-1} d <= phi(d) too,
+    but the price_min faces' offsets have either sign, so the argument needs
+    p* strictly inside the box (and a mean in the probability simplex).
+    """
+    return DualSet(instance.price_max / instance.gamma)
 
 
 def solve_fluid(instance: Instance, tol: float = 1e-5, grad_tol: float = 1e-10,
@@ -211,7 +213,7 @@ def solve_fluid(instance: Instance, tol: float = 1e-5, grad_tol: float = 1e-10,
     """Solve the fluid program and its dual; populate a duality certificate.
 
     Primal: projected gradient ascent on phi over image /\\ {A d <= gamma}.
-    Dual: projected gradient descent on Q over a default box, warm-started from
+    Dual: projected gradient descent on Q over lambda >= 0, warm-started from
     the primal KKT multiplier. Raises FluidError when infeasible or stalled.
     """
     G_img, h_img = _image_system(instance)
@@ -236,10 +238,9 @@ def solve_fluid(instance: Instance, tol: float = 1e-5, grad_tol: float = 1e-10,
 
     # Dual: lambda solves grad phi(d*) ~ A^T lambda on the active set; polish
     # with projected gradient descent on Q to certify optimality.
-    dual_set = default_dual_set(instance)
     lam, *_ = np.linalg.lstsq(instance.A.T, grad_revenue_phi(instance.model, d_star),
                               rcond=None)
-    lam = dual_set.clip(lam)
+    lam = np.maximum(lam, 0.0)
     q_warm = d_star.copy()
     step = 0.5
     q_val = None
@@ -248,7 +249,7 @@ def solve_fluid(instance: Instance, tol: float = 1e-5, grad_tol: float = 1e-10,
         q_warm = d_lam
         g = instance.gamma - instance.A @ d_lam
         q_val = lagrangian_H(instance, lam, d_lam)
-        lam_new = dual_set.clip(lam - step * g)
+        lam_new = np.maximum(lam - step * g, 0.0)
         move = float(np.linalg.norm(lam_new - lam)) / step
         if move <= 1e-9 or q_val - value_star <= 0.2 * tol:
             lam = lam_new

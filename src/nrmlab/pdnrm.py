@@ -8,7 +8,6 @@ posting a balanced price chosen so the two-phase average resource use stays
 near the per-period inventory rate.
 """
 
-import json
 import math
 import numpy as np
 from dataclasses import dataclass, replace
@@ -32,7 +31,6 @@ class PdNrmConfig:
     kappa1: float
     kappa2: float
     kappa3: float
-    kappa4: float
     kappa5: float
     kappa6: float
     eta1: float
@@ -50,7 +48,7 @@ class PdNrmConfig:
             raise ValueError(f"mode must be one of {CONFIG_MODES}")
         if self.n0 < 4 * N:
             raise ValueError(f"n0 must be at least 4N = {4 * N}")
-        for name in ("kappa1", "kappa2", "kappa3", "kappa4", "kappa5", "kappa6",
+        for name in ("kappa1", "kappa2", "kappa3", "kappa5", "kappa6",
                      "eta1", "eta2", "mu"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -69,7 +67,6 @@ class PdNrmConfig:
             "kappa1": self.kappa1,
             "kappa2": self.kappa2,
             "kappa3": self.kappa3,
-            "kappa4": self.kappa4,
             "kappa5": self.kappa5,
             "kappa6": self.kappa6,
             "eta1": self.eta1,
@@ -88,7 +85,7 @@ class PdNrmConfig:
         return doc
 
 
-_OVERRIDE_KEYS = ("n0", "kappa1", "kappa2", "kappa3", "kappa4", "kappa5", "kappa6",
+_OVERRIDE_KEYS = ("n0", "kappa1", "kappa2", "kappa3", "kappa5", "kappa6",
                   "eta1", "eta2", "mu", "contraction", "warm_start", "p_margin",
                   "primal_init", "lambda_max", "lambda0")
 
@@ -120,16 +117,12 @@ def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
     n0 = max(int(math.ceil(0.1 * N**4 * ln_nt**2)), 4 * N)
     kappa1 = n0**0.25
     kappa5 = (2.0 / 3.0) * 1e-8 * (N**5.5 * ln_nt**3 + N**4 * ln_nt**6)
-    # kappa4 only feeds the theory-mode n0 formula; carried here with unit
-    # smoothness constants so the field stays populated.
-    kappa4 = 2.0 * (math.sqrt(N) + 1.0) * math.sqrt(N * ln_2nt)
     cfg = PdNrmConfig(
         mode="tuned",
         n0=n0,
         kappa1=kappa1,
         kappa2=math.sqrt(kappa5),
         kappa3=8.0 * kappa1 * math.sqrt(N**3 * ln_2nt) + 12.0 * kappa1**2,
-        kappa4=kappa4,
         kappa5=kappa5,
         kappa6=math.sqrt(N),
         eta1=1.0,
@@ -202,7 +195,6 @@ def constants_theory(instance: Instance, regularity, T: int, *,
         kappa1=kappa1,
         kappa2=math.sqrt(kappa5),
         kappa3=kappa3,
-        kappa4=kappa4,
         kappa5=kappa5,
         kappa6=kappa6,
         eta1=eta1,
@@ -249,7 +241,6 @@ def config_from_dict(doc: dict, instance: Optional[Instance] = None,
             kappa1=float(doc["kappa1"]),
             kappa2=float(doc["kappa2"]),
             kappa3=float(doc["kappa3"]),
-            kappa4=float(doc.get("kappa4", 1.0)),
             kappa5=float(doc["kappa5"]),
             kappa6=float(doc["kappa6"]),
             eta1=float(doc["eta1"]),
@@ -259,12 +250,6 @@ def config_from_dict(doc: dict, instance: Optional[Instance] = None,
         return _apply_overrides(base, {k: v for k, v in doc.items()
                                        if k not in ("mode",) and k in _OVERRIDE_KEYS})
     raise ValueError(f"unknown config mode {mode!r}")
-
-
-def load_config(path: str, instance: Optional[Instance] = None,
-                T: Optional[int] = None, regularity=None) -> PdNrmConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh), instance=instance, T=T, regularity=regularity)
 
 
 @dataclass
@@ -347,16 +332,9 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):
     N = instance.N
     p = np.asarray(p, float)
     m = n // (4 * N)
-    if m == 0:
-        avg = yield (p, n)
-        zeros = np.zeros((N, N))
-        return GradEstOutput(D_hat=np.asarray(avg, float), J_hat=zeros,
-                             grad_f=np.zeros(N), tilde_p=p.copy(),
-                             balancing_feasible=False, periods_consumed=n,
-                             u=0.0, degraded=True)
-    u = min(math.sqrt(N) / n**0.25,
-            float(np.min(p - instance.price_min)),
-            float(np.min(instance.price_max - p)))
+    u = 0.0 if m == 0 else min(math.sqrt(N) / n**0.25,
+                               float(np.min(p - instance.price_min)),
+                               float(np.min(instance.price_max - p)))
     if u <= 0:
         avg = yield (p, n)
         zeros = np.zeros((N, N))
@@ -438,7 +416,11 @@ def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOut
 
 def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
     """Exact minimizer over the box of
-    <grad_h, lam> + (mu/2)||lam||^2 + (1/(2 eta2))||lam - lam_s||^2."""
+    <grad_h, lam> + (mu/2)||lam||^2 + (1/(2 eta2))||lam - lam_s||^2.
+
+    With grad_h = grad_q - mu lam_s, as the policy passes it, the shrinkage
+    cancels and this is the projected step
+    clip(lam_s - eta2/(1 + mu eta2) grad_q, 0, lambda_max)."""
     lam_s = np.asarray(lam_s, float)
     raw = (lam_s - eta2 * np.asarray(grad_h, float)) / (1.0 + mu * eta2)
     return np.clip(raw, 0.0, np.asarray(lambda_max, float))
@@ -522,9 +504,9 @@ class PdNrmPolicy(CommitPolicy):
             lam_max = np.asarray(config.lambda_max, float)
             if lam_max.shape != (instance.M,):
                 raise ValueError("lambda_max must have one entry per resource")
+            self.dual_set = DualSet(lam_max)
         else:
-            lam_max = instance.price_max / instance.gamma
-        self.dual_set = DualSet(lam_max)
+            self.dual_set = default_dual_set(instance)
         if config.lambda0 is not None:
             lam0 = np.asarray(config.lambda0, float)
             if not self.dual_set.contains(lam0):

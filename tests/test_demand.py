@@ -4,10 +4,6 @@ from numpy.testing import assert_allclose
 
 from nrmlab import LogitDemand, LinearDemand, DomainError, estimate_regularity
 from nrmlab.demand import (
-    LogitDemandParams,
-    logit_mean,
-    logit_jacobian,
-    logit_inverse,
     revenue_f,
     revenue_phi,
     grad_revenue_f,
@@ -46,10 +42,9 @@ class TestLogitMean:
         with pytest.raises(DomainError):
             logit.mean(np.array([1.0, 2.0, 3.0]))
 
-    def test_params_wrapper(self):
-        params = LogitDemandParams(np.array([0.4, 0.8]), np.array([1.5, 2.0]))
-        assert_allclose(logit_mean(params, np.array([0.8, 0.8])),
-                        [0.23665609135556676] * 2, rtol=1e-12)
+    def test_nonpositive_slope_rejected(self):
+        with pytest.raises(DomainError):
+            LogitDemand([0.4], [0.0])
 
     def test_batch_matches_pointwise(self, logit, rng):
         P = random_prices(rng, 2, count=50)
@@ -86,11 +81,6 @@ class TestLogitJacobian:
             assert np.linalg.svd(J, compute_uv=False)[-1] > 0
             assert np.all(np.diag(J) < 0)
 
-    def test_params_wrapper(self):
-        params = LogitDemandParams(np.array([0.4, 0.8]), np.array([1.5, 2.0]))
-        J = logit_jacobian(params, np.array([0.8, 0.8]))
-        assert J[0, 0] == pytest.approx(-0.2709749786698086, rel=1e-12)
-
 
 class TestLogitInverse:
     def test_closed_form(self, logit):
@@ -111,11 +101,6 @@ class TestLogitInverse:
         for p in random_prices(rng, 2):
             back = logit.inverse(logit.mean(p))
             assert_allclose(back, p, rtol=1e-8)
-
-    def test_params_wrapper(self):
-        params = LogitDemandParams(np.array([0.4, 0.8]), np.array([1.5, 2.0]))
-        p = logit_inverse(params, np.array([0.2, 0.2]))
-        assert p[0] == pytest.approx(0.9990748591120729, rel=1e-12)
 
 
 class TestRevenue:

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nrmlab.fluid
 from nrmlab import (
+    Instance,
+    LogitDemand,
+    PdNrmPolicy,
     solve_fluid,
     solve_inner_max,
     dual_Q,
@@ -201,12 +205,52 @@ class TestSolveFluid:
         best, spacing = grid_oracle_argmax(big, 400, constrained=False)
         assert np.max(np.abs(sol.d_star - best)) <= 2 * spacing
 
+    def test_certifies_without_dual_box(self, instance, fluid_solution, monkeypatch):
+        # weak duality needs only lambda >= 0: solve_fluid never sizes a box
+        def no_box(_):
+            raise AssertionError("solve_fluid must not use the dual box")
+
+        monkeypatch.setattr(nrmlab.fluid, "default_dual_set", no_box)
+        sol = solve_fluid(instance)
+        assert abs(sol.duality_gap) <= 1e-5
+        assert_allclose(sol.lambda_star, fluid_solution.lambda_star, rtol=0, atol=0)
+
     def test_infeasible_instance_raises(self, instance):
         import dataclasses
         # demand image lower corner exceeds a tiny capacity: infeasible
         bad = dataclasses.replace(instance, gamma=np.array([1e-6, 1e-6]))
         with pytest.raises(FluidError):
             solve_fluid(bad)
+
+
+def random_logit_family(seed, sizes):
+    """Logit instances with one resource whose capacity is 1-2x its
+    consumption at the mid price, so that it binds at the fluid optimum."""
+    rng = np.random.default_rng(seed)
+    family = []
+    for N in sizes:
+        model = LogitDemand(rng.uniform(0.2, 1.0, N), rng.uniform(1.0, 2.5, N))
+        A = rng.integers(1, 3, size=(1, N)).astype(float)
+        gamma = rng.uniform(1.0, 2.0, 1) * (A @ model.mean(np.full(N, 2.9)))
+        family.append(Instance(model=model, A=A, gamma=gamma, T=100_000,
+                               price_min=0.8, price_max=5.0))
+    return family
+
+
+class TestDefaultDualSet:
+    def test_box_is_price_max_over_gamma_and_the_policy_default(self, instance):
+        box = default_dual_set(instance).lambda_max
+        assert_allclose(box, instance.price_max / instance.gamma, rtol=0, atol=0)
+        assert_allclose(PdNrmPolicy(instance).dual_set.lambda_max, box, rtol=0, atol=0)
+
+    def test_contains_lambda_star(self, instance, fluid_solution):
+        family = random_logit_family(20260, [3, 3, 3, 4])
+        sols = [fluid_solution] + [solve_fluid(inst) for inst in family]
+        for inst, sol in zip([instance] + family, sols):
+            # the documented condition of the bound: no price at price_max
+            assert np.max(sol.p_star) < inst.price_max
+            assert np.any(sol.lambda_star > 0)
+            assert default_dual_set(inst).contains(sol.lambda_star, tol=0.0)
 
 
 class TestFluidUpperBound:

@@ -77,7 +77,7 @@ class TestConstantsTuned:
 class TestConstantsTheory:
     def test_positive_on_example(self, instance, regularity):
         cfg = constants_theory(instance, regularity, instance.T)
-        for name in ("n0", "kappa1", "kappa2", "kappa3", "kappa4", "kappa5",
+        for name in ("n0", "kappa1", "kappa2", "kappa3", "kappa5",
                      "kappa6", "eta1", "eta2", "mu"):
             assert getattr(cfg, name) > 0
         assert cfg.kappa2**2 == pytest.approx(cfg.kappa5, rel=1e-9)
