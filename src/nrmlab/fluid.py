@@ -2,25 +2,29 @@
 
 Solves max phi(d) s.t. A d <= gamma over the demand image, evaluates the
 Lagrangians L(lam, p) / H(lam, d), the dual function Q(lam) with its
-derivatives, and certifies strong duality. Used by benchmarks and tests;
-never by the learning policy's data path.
+derivatives, and certifies strong duality. Every maximization is one SLSQP
+solve in price space with the price box as bounds: D maps the box one-to-one
+onto the demand image, where phi is concave, so the KKT point SLSQP returns
+is the global optimum. Used by benchmarks and tests; never by the learning
+policy's data path.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
+from scipy.optimize import linprog, minimize
+
 from .demand import (
     revenue_f,
     revenue_phi,
-    grad_revenue_phi,
+    grad_revenue_phi,  # no caller here; perfbench/tracer.py counts calls through this name
     grad_revenue_f,
 )
 from .instance import Instance
-from .projections import project_polytope, feasible_point
 
 
 class FluidError(RuntimeError):
-    """Oracle failure: infeasible instance or non-convergence (residual attached)."""
+    """Oracle failure: infeasible instance or a duality certificate out of tolerance."""
 
 
 @dataclass(frozen=True)
@@ -88,105 +92,90 @@ def grad_lagrangian_L(instance: Instance, lam, p) -> np.ndarray:
         instance.A.T @ np.asarray(lam, float))
 
 
-def _image_system(instance: Instance):
-    return instance.model.image_halfspaces(instance.price_min, instance.price_max)
+def _maximize(instance: Instance, lam, p0, capacity: bool = False):
+    """Maximize L(lam, .) over the price box by SLSQP in price space, subject
+    to A D(p) <= gamma when capacity is set.
+
+    Returns (p, multipliers of the capacity rows clipped at 0). The box is
+    passed as bounds, so D and D^{-1} are only evaluated where they are
+    defined. SLSQP's success flag is not read: at this ftol it often reports a
+    failed line search at a point that certifies, so solve_fluid gates on the
+    duality certificate instead.
+    """
+    model = instance.model
+    constraints = ()
+    if capacity:
+        constraints = ({"type": "ineq",
+                        "fun": lambda p: instance.gamma - instance.A @ model.mean(p),
+                        "jac": lambda p: -instance.A @ model.jacobian(p)},)
+    res = minimize(lambda p: -lagrangian_L(instance, lam, p),
+                   np.clip(p0, instance.price_min, instance.price_max),
+                   jac=lambda p: -grad_lagrangian_L(instance, lam, p), method="SLSQP",
+                   bounds=[instance.price_box] * instance.N, constraints=constraints,
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    p = np.clip(res.x, instance.price_min, instance.price_max)
+    return p, np.maximum(res.multipliers, 0.0)
 
 
-def _image_start(instance: Instance):
+def solve_inner_max(instance: Instance, lam, start=None):
+    """Maximize H(lam, .) over the demand image, as L(lam, .) over the price box.
+
+    Returns (p_star_lam, d_star_lam). start is a demand vector; by default the
+    solve starts at the mid price.
+    """
     mid = np.full(instance.N, 0.5 * (instance.price_min + instance.price_max))
-    return instance.model.mean(mid)
+    p, _ = _maximize(instance, np.asarray(lam, float),
+                     mid if start is None else instance.model.inverse(start))
+    return p, instance.model.mean(p)
 
 
-def _ascend(grad_fn, value_fn, G, h, d0, tol, max_iter):
-    """Projected gradient ascent; returns (d, gradient-map norm).
-
-    Phase 1 backtracks on the objective value; once value comparisons hit the
-    float64 noise floor, phase 2 polishes with a value-free fixed step, which
-    keeps contracting the iterates well below that floor.
-    """
-    d = project_polytope(G, h, np.asarray(d0, float))
-    val = value_fn(d)
-    step = 0.1
-    residual = np.inf
-    iters = 0
-    while iters < max_iter:
-        iters += 1
-        g = grad_fn(d)
-        d_new = project_polytope(G, h, d + step * g)
-        residual = float(np.linalg.norm(d_new - d)) / step
-        if residual <= tol:
-            return d, residual
-        val_new = value_fn(d_new)
-        if val_new < val - 1e-13 * max(1.0, abs(val)):
-            step *= 0.5
-            if step < 1e-12:
-                break
-            continue
-        if val_new <= val:
-            break  # below the value-resolution floor: polish without values
-        d, val = d_new, val_new
-        step = min(step * 1.25, 1.0)
-
-    best_res = residual
-    best_d = d
-    stale = 0
-    while iters < max_iter:
-        iters += 1
-        g = grad_fn(d)
-        d_new = project_polytope(G, h, d + step * g)
-        residual = float(np.linalg.norm(d_new - d)) / step
-        if residual <= tol:
-            return d_new, residual
-        if residual < best_res * (1.0 - 1e-6):
-            best_res, best_d, stale = residual, d_new, 0
-        else:
-            stale += 1
-            if stale >= 30:
-                # oscillating across an active face: damp and restart from best
-                step *= 0.5
-                stale = 0
-                d = best_d
-                if step < 1e-12:
-                    break
-                continue
-        d = d_new
-    return best_d, best_res
-
-
-def solve_inner_max(instance: Instance, lam, tol: float = 1e-9,
-                    max_iter: int = 100_000, start=None):
-    """Maximize the concave H(lam, .) over the demand image.
-
-    Returns (p_star_lam, d_star_lam). Projected gradient ascent with exact
-    gradients grad phi(d) - A^T lam and a backtracking step (the image corner
-    curvature makes a global fixed step impractically small).
-    """
-    lam = np.asarray(lam, float)
-    G, h = _image_system(instance)
-
-    def grad(d):
-        return grad_revenue_phi(instance.model, d) - instance.A.T @ lam
-
-    def value(d):
-        return lagrangian_H(instance, lam, d)
-
-    d0 = _image_start(instance) if start is None else start
-    d, residual = _ascend(grad, value, G, h, d0, tol, max_iter)
-    if residual > tol:
-        raise FluidError(f"inner maximization stalled at gradient-map norm {residual:.3e}")
-    return instance.model.inverse(d), d
-
-
-def dual_Q(instance: Instance, lam, tol: float = 1e-9, start=None) -> float:
+def dual_Q(instance: Instance, lam, start=None) -> float:
     """Q(lam) = max_p L(lam, p) = max_d H(lam, d)."""
-    _, d = solve_inner_max(instance, lam, tol=tol, start=start)
+    _, d = solve_inner_max(instance, lam, start=start)
     return lagrangian_H(instance, lam, d)
 
 
-def grad_Q(instance: Instance, lam, tol: float = 1e-9, start=None) -> np.ndarray:
+def grad_Q(instance: Instance, lam, start=None) -> np.ndarray:
     """grad Q(lam) = gamma - A d_star_lam."""
-    _, d = solve_inner_max(instance, lam, tol=tol, start=start)
+    _, d = solve_inner_max(instance, lam, start=start)
     return instance.gamma - instance.A @ d
+
+
+def _chebyshev_center(instance: Instance) -> np.ndarray:
+    """Center of the largest ball in {G d <= h, A d <= gamma}, the demand
+    vectors that the price box and the capacity allow (G, h from
+    image_halfspaces). Raises FluidError when that set has no interior."""
+    G_img, h_img = instance.model.image_halfspaces(instance.price_min, instance.price_max)
+    G = np.vstack([G_img, instance.A])
+    h = np.concatenate([h_img, instance.gamma])
+    # maximize r s.t. G_k d + r ||G_k|| <= h_k
+    res = linprog(np.r_[np.zeros(instance.N), -1.0],
+                  A_ub=np.hstack([G, np.linalg.norm(G, axis=1)[:, None]]), b_ub=h,
+                  bounds=[(None, None)] * (instance.N + 1), method="highs")
+    if res.status != 0 or res.x[-1] <= 0:
+        raise FluidError("no feasible demand vector: instance appears infeasible")
+    return res.x[:-1]
+
+
+def _inside_capacity(instance: Instance, p, center):
+    """(p, D(p)) with A D(p) <= gamma exactly.
+
+    SLSQP meets the capacity rows only to about 1e-11 gamma; a d* outside
+    them would make noiseless play at p* shut off in the last period. So d*
+    moves toward the interior point center in doubling steps from 1e-14 of
+    the way until the recomputed mean passes.
+    """
+    model = instance.model
+    d_opt = d = model.mean(p)
+    t = 1e-14
+    while np.any(instance.A @ d > instance.gamma):
+        if t > 1.0:
+            raise FluidError("could not place d* inside the capacity constraints")
+        p = np.clip(model.inverse(d_opt + t * (center - d_opt)),
+                    instance.price_min, instance.price_max)
+        d = model.mean(p)
+        t *= 2.0
+    return p, d
 
 
 def default_dual_set(instance: Instance) -> DualSet:
@@ -208,64 +197,25 @@ def default_dual_set(instance: Instance) -> DualSet:
     return DualSet(instance.price_max / instance.gamma)
 
 
-def solve_fluid(instance: Instance, tol: float = 1e-5, grad_tol: float = 1e-10,
-                max_iter: int = 100_000) -> FluidSolution:
+def solve_fluid(instance: Instance, tol: float = 1e-5) -> FluidSolution:
     """Solve the fluid program and its dual; populate a duality certificate.
 
-    Primal: projected gradient ascent on phi over image /\\ {A d <= gamma}.
-    Dual: projected gradient descent on Q over lambda >= 0, warm-started from
-    the primal KKT multiplier. Raises FluidError when infeasible or stalled.
+    Primal: one SLSQP solve of max f(p) s.t. A D(p) <= gamma over the price
+    box, started at the Chebyshev center of the feasible demand set, then
+    moved inside the capacity rows exactly. Dual: lambda* is SLSQP's
+    multiplier on the capacity rows; one dual_Q(lambda*) call certifies it.
+    Raises FluidError when infeasible or when the certificate fails.
     """
-    G_img, h_img = _image_system(instance)
-    G = np.vstack([G_img, instance.A])
-    h = np.concatenate([h_img, instance.gamma])
-
-    d0, ok = feasible_point(G, h, _image_start(instance), sweeps=1000, tol=1e-10)
-    if not ok:
-        raise FluidError("no feasible demand vector: instance appears infeasible")
-
-    def grad(d):
-        return grad_revenue_phi(instance.model, d)
-
-    def value(d):
-        return revenue_phi(instance.model, d)
-
-    d_star, residual = _ascend(grad, value, G, h, d0, grad_tol, max_iter)
-    if residual > grad_tol:
-        raise FluidError(f"primal solve stalled at gradient-map norm {residual:.3e}")
+    center = _chebyshev_center(instance)
+    p, lam = _maximize(instance, np.zeros(instance.M), instance.model.inverse(center),
+                       capacity=True)
+    p_star, d_star = _inside_capacity(instance, p, center)
     value_star = revenue_phi(instance.model, d_star)
-    p_star = instance.model.inverse(d_star)
 
-    # Dual: lambda solves grad phi(d*) ~ A^T lambda on the active set; polish
-    # with projected gradient descent on Q to certify optimality.
-    lam, *_ = np.linalg.lstsq(instance.A.T, grad_revenue_phi(instance.model, d_star),
-                              rcond=None)
-    lam = np.maximum(lam, 0.0)
-    q_warm = d_star.copy()
-    step = 0.5
-    q_val = None
-    for _ in range(200):
-        _, d_lam = solve_inner_max(instance, lam, tol=1e-10, start=q_warm)
-        q_warm = d_lam
-        g = instance.gamma - instance.A @ d_lam
-        q_val = lagrangian_H(instance, lam, d_lam)
-        lam_new = np.maximum(lam - step * g, 0.0)
-        move = float(np.linalg.norm(lam_new - lam)) / step
-        if move <= 1e-9 or q_val - value_star <= 0.2 * tol:
-            lam = lam_new
-            break
-        q_new = dual_Q(instance, lam_new, tol=1e-10, start=q_warm)
-        if q_new > q_val + 1e-14:
-            step *= 0.5
-            continue
-        lam = lam_new
-        step = min(step * 1.2, 2.0)
-
-    q_star = dual_Q(instance, lam, tol=1e-11, start=q_warm)
-    gap = q_star - value_star
+    gap = dual_Q(instance, lam, start=d_star) - value_star
     slack = instance.gamma - instance.A @ d_star
     binding = slack <= max(10 * tol, 1e-4) * np.maximum(instance.gamma, 1.0)
-    comp = abs(float(lam @ (instance.A @ d_star - instance.gamma)))
+    comp = abs(float(lam @ slack))
     if abs(gap) > tol or comp > tol:
         raise FluidError(
             f"dual certificate out of tolerance: gap={gap:.3e}, comp. slackness={comp:.3e}")

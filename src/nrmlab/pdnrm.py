@@ -16,6 +16,7 @@ from typing import Optional
 from .demand import sample_demand
 from .instance import Instance
 from .fluid import DualSet, default_dual_set
+from .projections import feasible_point
 from .sim import CommitPolicy
 
 CONFIG_MODES = ("theory", "tuned", "explicit")
@@ -274,8 +275,8 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
       |x_i| <= kappa1 n^{-1/4}, p + x in the price box,
       <a_j, D_hat + J_hat x / 2> <= gamma_j + kappa3/sqrt(n),
       <a_j, D_hat + J_hat x / 2> >= gamma_j - kappa2/((1 ^ lam_j) sqrt(n)) - kappa3/sqrt(n).
-    Solved by cyclic projections from x = 0; (p, False) when no point passes
-    the residual tolerance within the sweep cap.
+    Solved by projections.feasible_point from x = 0; (p, False) when no point
+    passes the residual tolerance within the sweep cap.
     """
     p = np.asarray(p, float)
     lam = np.asarray(lam, float)
@@ -289,41 +290,15 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     C = 0.5 * (np.asarray(J_hat).T @ np.asarray(A).T)  # column j: d<a_j, model>/dx
     base = np.asarray(A) @ np.asarray(D_hat)
     ub = np.asarray(gamma) + kappa3 / root_n - base
-    lb = np.empty(m_res)
-    for j in range(m_res):
-        if lam[j] > 0:
-            lb[j] = gamma[j] - kappa2 / (min(1.0, lam[j]) * root_n) - kappa3 / root_n - base[j]
-        else:
-            lb[j] = -np.inf
-
-    norms2 = np.einsum("ij,ij->i", C.T, C.T)
-
-    def violation(x):
-        vals = C.T @ x
-        v = float(np.max(vals - ub, initial=0.0))
-        finite = np.isfinite(lb)
-        if finite.any():
-            v = max(v, float(np.max(lb[finite] - vals[finite], initial=0.0)))
-        return v
-
-    x = np.zeros(n_products)
-    if violation(x) <= tol:
-        return p.copy(), True
-    for _ in range(max_sweeps):
-        for j in range(m_res):
-            if norms2[j] <= 1e-30:
-                if ub[j] < -tol or (np.isfinite(lb[j]) and lb[j] > tol):
-                    return p.copy(), False
-                continue
-            val = C[:, j] @ x
-            if val > ub[j]:
-                x = x - ((val - ub[j]) / norms2[j]) * C[:, j]
-            elif np.isfinite(lb[j]) and val < lb[j]:
-                x = x + ((lb[j] - val) / norms2[j]) * C[:, j]
-        x = np.clip(x, lo, hi)
-        if violation(x) <= tol:
-            return p + x, True
-    return p.copy(), False
+    lb = np.array([gamma[j] - kappa2 / (min(1.0, lam[j]) * root_n) - kappa3 / root_n - base[j]
+                   if lam[j] > 0 else -np.inf for j in range(m_res)])
+    # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j
+    G = np.empty((2 * m_res, n_products))
+    G[0::2], G[1::2] = C.T, -C.T
+    h = np.empty(2 * m_res)
+    h[0::2], h[1::2] = ub, -lb
+    x, ok = feasible_point(G, h, np.zeros(n_products), lo, hi, sweeps=max_sweeps, tol=tol)
+    return (p + x, True) if ok else (p.copy(), False)
 
 
 def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):

@@ -7,6 +7,7 @@ def max_violation(G, h, x) -> float:
     return float(np.max(G @ x - h, initial=0.0))
 
 
+# no caller in the package; perfbench/tracer.py wraps it by name
 def project_polytope(G, h, x, sweeps: int = 500, tol: float = 1e-12) -> np.ndarray:
     """Euclidean projection onto {x : G x <= h} by Dykstra's alternating method.
 
@@ -60,6 +61,8 @@ def feasible_point(G, h, x0, lo=None, hi=None, sweeps: int = 500,
         return v
 
     x = clip(x)
+    if max_violation(G, h, x) <= tol:
+        return x, True
     for _ in range(sweeps):
         for k in range(G.shape[0]):
             if norms2[k] <= 1e-30:

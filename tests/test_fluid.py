@@ -1,10 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 import nrmlab.fluid
 from nrmlab import (
     Instance,
+    LinearDemand,
     LogitDemand,
     PdNrmPolicy,
     solve_fluid,
@@ -19,6 +23,7 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f, revenue_phi, revenue_phi_batch, grad_revenue_phi
 from nrmlab.fluid import grad_lagrangian_L
+from nrmlab.instance import instance_from_dict
 
 # frozen from an exact KKT solve of the example instance (stationarity on the
 # binding face d_1 + d_2 = gamma_1, verified independently by the grid oracle)
@@ -251,6 +256,101 @@ class TestDefaultDualSet:
             assert np.max(sol.p_star) < inst.price_max
             assert np.any(sol.lambda_star > 0)
             assert default_dual_set(inst).contains(sol.lambda_star, tol=0.0)
+
+
+# Random draws on which the earlier projected-gradient oracle stalled, failed
+# or evaluated phi outside its domain (copies of the benchmark's exclusions).
+HARD_INSTANCES = [
+    {"N": 3, "M": 2, "A": [2.0, 0.0, 1.0, 2.0, 1.0, 0.0],
+     "gamma": [0.08788776560820892, 0.14437110354768132],
+     "demand": {"type": "logit",
+                "a": [0.40673940964143346, 0.3135757189601674, 0.8541708272884265],
+                "b": [1.225250506867614, 1.972724542878236, 2.293694067242374]}},
+    {"N": 3, "M": 3, "A": [2.0, 1.0, 0.0, 2.0, 2.0, 1.0, 2.0, 0.0, 2.0],
+     "gamma": [0.058249171439037364, 0.05867930228987212, 0.04227087882573374],
+     "demand": {"type": "logit",
+                "a": [0.6985769626464176, 0.6552916107526997, 0.611142563119069],
+                "b": [1.7871109379567938, 1.8566362341525515, 2.47330583218406]}},
+    {"N": 2, "M": 2, "A": [2.0, 0.0, 2.0, 1.0],
+     "gamma": [0.00548179288693101, 0.005180904475230045],
+     "demand": {"type": "logit", "a": [0.5394068114636255, 0.26553238031988147],
+                "b": [2.4402541508521813, 2.4897509793021864]}},
+    {"N": 2, "M": 2, "A": [2.0, 1.0, 1.0, 1.0],
+     "gamma": [0.038904096308279665, 0.03914760208966646],
+     "demand": {"type": "logit", "a": [0.34082531248893877, 0.8347375688226366],
+                "b": [1.9186569454987774, 1.5120639018830264]}},
+    {"N": 2, "M": 1, "A": [2.0, 2.0], "gamma": [0.07244039044098376],
+     "demand": {"type": "logit", "a": [0.683588068972786, 0.6061138172950012],
+                "b": [1.7906484704145877, 1.5859917481295271]}},
+]
+
+
+def random_network_family(seed, count, gamma_range):
+    """Logit instances with N in 2..16 and M <= N/2 resources whose capacities
+    are gamma_range times their consumption at the mid price."""
+    rng = np.random.default_rng(seed)
+    family = []
+    for _ in range(count):
+        N = int(rng.integers(2, 17))
+        M = int(rng.integers(1, N // 2 + 1))
+        model = LogitDemand(rng.uniform(0.2, 1.0, N), rng.uniform(1.0, 2.5, N))
+        A = rng.integers(0, 3, size=(M, N)).astype(float)
+        while np.linalg.matrix_rank(A) < M:
+            A = rng.integers(0, 3, size=(M, N)).astype(float)
+        gamma = rng.uniform(*gamma_range, M) * (A @ model.mean(np.full(N, 2.9)))
+        family.append(Instance(model=model, A=A, gamma=gamma, T=100_000,
+                               price_min=0.8, price_max=5.0))
+    return family
+
+
+def lp_feasible(instance):
+    """Exact feasibility of {G d <= h, A d <= gamma} by one LP."""
+    G, h = instance.model.image_halfspaces(instance.price_min, instance.price_max)
+    res = linprog(np.zeros(instance.N), A_ub=np.vstack([G, instance.A]),
+                  b_ub=np.concatenate([h, instance.gamma]),
+                  bounds=[(None, None)] * instance.N, method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def assert_certified(instance):
+    """Certified within 1e-9 in under 1 s, with A d* <= gamma exactly."""
+    t0 = time.perf_counter()
+    sol = solve_fluid(instance)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.all(instance.A @ sol.d_star <= instance.gamma)
+    assert np.all(instance.A @ instance.model.mean(sol.p_star) <= instance.gamma)
+    assert abs(sol.duality_gap) <= 1e-9
+    assert abs(float(sol.lambda_star @ (instance.A @ sol.d_star - instance.gamma))) <= 1e-9
+    assert np.all(sol.lambda_star >= 0)
+    return sol
+
+
+class TestCertifiesAtAnySize:
+    @pytest.mark.parametrize("doc", HARD_INSTANCES, ids=lambda d: f"N{d['N']}M{d['M']}")
+    def test_former_failures(self, doc):
+        assert_certified(instance_from_dict({**doc, "T": 100_000, "price_min": 0.8,
+                                             "price_max": 5.0}))
+
+    def test_random_families(self):
+        # the second family's tight capacities make some draws infeasible
+        family = (random_network_family(7, 40, (0.3, 2.0))
+                  + random_network_family(11, 30, (0.02, 0.2)))
+        verdicts = [lp_feasible(inst) for inst in family]
+        assert any(verdicts) and not all(verdicts)
+        for inst, feasible in zip(family, verdicts):
+            if feasible:
+                assert_certified(inst)
+            else:
+                with pytest.raises(FluidError):
+                    solve_fluid(inst)
+
+    def test_linear_demand_exact_multiplier(self):
+        inst = Instance(model=LinearDemand([0.5, 0.6], [[0.1, 0.02], [0.02, 0.1]]),
+                        A=np.array([[1.0, 1.0]]), gamma=np.array([0.2]), T=1000,
+                        price_min=0.5, price_max=4.0)
+        sol = assert_certified(inst)
+        assert sol.lambda_star[0] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestFluidUpperBound:
