@@ -10,7 +10,7 @@ from .demand import (
     estimate_regularity,
     revenue_f,
     revenue_phi,
-    sample_demand,
+    sample_purchases,
     DomainError,
 )
 from .instance import Instance, load_instance, save_instance, example_logit_instance
@@ -49,7 +49,6 @@ from .pdnrm import (
     demand_balance,
     primal_opt,
     prox_dual_step,
-    dual_opt_policy,
     DemandOracle,
     SamplingOracle,
 )
@@ -57,8 +56,6 @@ from .baselines import (
     EtcConfig,
     ClairvoyantPolicy,
     ExploreThenCommitPolicy,
-    clairvoyant_policy,
-    explore_then_commit_policy,
 )
 from .bench import (
     BenchPlan,

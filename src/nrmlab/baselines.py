@@ -44,10 +44,6 @@ class ClairvoyantPolicy(CommitPolicy):
             yield (self.p_star, _FOREVER)
 
 
-def clairvoyant_policy(instance: Instance, fluid: FluidSolution) -> ClairvoyantPolicy:
-    return ClairvoyantPolicy(instance, fluid)
-
-
 class ExploreThenCommitPolicy(CommitPolicy):
     """Phase 1 cycles a uniform price grid recording average demand per point;
     phase 2 plays the revenue-maximizing inventory-feasible mixture of grid
@@ -104,8 +100,3 @@ class ExploreThenCommitPolicy(CommitPolicy):
         if not schedule:
             schedule = [(self.grid[int(np.argmax(rev))], remaining)]
         return schedule
-
-
-def explore_then_commit_policy(instance: Instance,
-                               config: EtcConfig = None) -> ExploreThenCommitPolicy:
-    return ExploreThenCommitPolicy(instance, config)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: fluid, run, bench, check, constants. Malformed inputs exit 2;
-a failed invariant suite exits 1.
+a failed invariant suite, an oracle failure or a failed bench episode exits 1.
 """
 
 import sys
@@ -72,8 +72,13 @@ def _cmd_bench(args) -> int:
     print(json.dumps({
         "rows": summary.rows,
         "loglog_slopes": slopes,
+        "episodes_failed": len(summary.errors),
         "output_dir": plan.output_dir,
     }, indent=2))
+    if summary.errors:
+        print(f"error: {len(summary.errors)} episode(s) failed, first: "
+              f"{summary.errors[0]['error']}", file=sys.stderr)
+        return 1
     return 0
 
 

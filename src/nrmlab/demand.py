@@ -1,7 +1,6 @@
 """Demand curve models, revenue functions, and the stochastic purchase sampler.
 
 Price and demand vectors are plain float64 numpy arrays of length N.
-A shutoff price is represented by ``None``, never by +inf inside a vector.
 """
 
 import numpy as np
@@ -196,31 +195,12 @@ def hessian_revenue_f(model: DemandModel, p, h: float = 1e-6) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def sample_demand(model: DemandModel, p, rng: np.random.Generator,
-                  noise_mode: str, size: int = None):
-    """Realized demand at price p.
-
-    multinomial: one purchase event per period drawn from (D_1, ..., D_N, 1 - sum D);
-    the realization is a one-hot vector (or all zeros for no purchase).
-    none: the exact mean D(p).
-    A shutoff price (p is None) yields zero demand.
-    """
-    n = model.n_products
-    k = 1 if size is None else int(size)
-    if p is None:
-        out = np.zeros((k, n))
-        return out[0] if size is None else out
-    if noise_mode == "none":
-        out = np.tile(model.mean(p), (k, 1))
-        return out[0] if size is None else out
-    if noise_mode != "multinomial":
-        raise ValueError(f"unknown noise mode: {noise_mode!r}")
-    cum = np.cumsum(model.mean(p))
-    idx = np.searchsorted(cum, rng.random(k), side="right")
-    out = np.zeros((k, n))
-    rows = np.nonzero(idx < n)[0]
-    out[rows, idx[rows]] = 1.0
-    return out[0] if size is None else out
+def sample_purchases(model: DemandModel, p: np.ndarray, rng: np.random.Generator,
+                     k: int) -> np.ndarray:
+    """k independent purchase events at price p by inverse-CDF sampling: entry
+    i < N is the product bought, N means no purchase, with probabilities
+    (D_1(p), ..., D_N(p), 1 - sum D(p)). One uniform draw per event."""
+    return np.searchsorted(np.cumsum(model.mean(p)), rng.random(k), side="right")
 
 
 @dataclass(frozen=True)

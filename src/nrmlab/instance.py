@@ -48,6 +48,14 @@ class Instance:
             raise ValueError("price box must be non-degenerate")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}")
+        if self.noise == "multinomial" and isinstance(self.model, LinearDemand):
+            # D is affine, so its extremes over the box sit at the box corners.
+            a, B, lo, hi = self.model.a, self.model.B, self.price_min, self.price_max
+            c = B.sum(axis=0)
+            if (np.any(a - np.maximum(B * lo, B * hi).sum(axis=1) < 0)
+                    or a.sum() - np.minimum(c * lo, c * hi).sum() > 1):
+                raise ValueError("multinomial noise needs linear demand in the probability "
+                                 "simplex (D >= 0, sum D <= 1) on the whole price box")
         A.flags.writeable = False
         gamma.flags.writeable = False
 

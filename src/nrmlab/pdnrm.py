@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .demand import sample_demand
+from .demand import sample_purchases
 from .instance import Instance
 from .fluid import DualSet, default_dual_set
 from .projections import feasible_point
@@ -360,7 +360,8 @@ class DemandOracle:
 
 
 class SamplingOracle:
-    """Stochastic environment handle backed by the multinomial sampler."""
+    """Stochastic environment handle backed by the simulator's purchase sampler,
+    without inventory."""
 
     def __init__(self, instance: Instance, rng: np.random.Generator):
         self.instance = instance
@@ -369,8 +370,8 @@ class SamplingOracle:
 
     def commit(self, p, m):
         self.periods += m
-        draws = sample_demand(self.instance.model, p, self.rng, "multinomial", size=m)
-        return draws.mean(axis=0)
+        idx = sample_purchases(self.instance.model, p, self.rng, m)
+        return np.bincount(idx, minlength=self.instance.N + 1)[:self.instance.N] / m
 
 
 def _drive(gen, env):
@@ -522,11 +523,6 @@ class PdNrmPolicy(CommitPolicy):
             })
             lam = lam_next
             s += 1
-
-
-def dual_opt_policy(instance: Instance, config: Optional[PdNrmConfig] = None) -> PdNrmPolicy:
-    """Factory for the full policy (dual loop wrapping PrimalOpt and GradEst)."""
-    return PdNrmPolicy(instance, config)
 
 
 def epoch_count_bound(cfg: PdNrmConfig, T: int) -> float:

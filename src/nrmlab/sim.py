@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .demand import sample_purchases
 from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
@@ -157,6 +158,12 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     sample demand and attempt fulfillment. A realized purchase that any
     resource cannot fully serve is lost (y := 0) and triggers permanent
     shutoff. Deterministic given the seed.
+
+    A held price is served as one block of k periods. Each kind of block
+    (closed market, exact mean demand, sampled purchases) yields the periods
+    served before the first unservable purchase, their demand and
+    consumption, the per-period revenue and the bytes hashed into the
+    fingerprint; shutoff, inventory and recording are common to all three.
     """
     T = instance.T
     N, M = instance.N, instance.M
@@ -171,105 +178,71 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     min_inventory = float(remaining.min())
     shutoff_period: Optional[int] = None
     demand_after_shutoff = 0.0
-
-    rec = {"price": [], "demand": [], "revenue": [], "inventory": []} if record_periods else None
+    if record_periods:
+        # NaN prices mark the periods in which the market is shut.
+        periods = {"price": np.full((T, N), np.nan), "demand": np.zeros((T, N)),
+                   "revenue": np.zeros(T), "inventory": np.empty((T, M))}
 
     t = 0  # completed periods
     while t < T:
         p = policy.next_price(t + 1)
-        requested_shutoff = p is None
-        if not requested_shutoff:
+        if p is not None:
             p = np.asarray(p, dtype=float)
             if not _price_ok(instance, p):
                 raise PolicyError(
                     f"price {p} outside [{instance.price_min}, {instance.price_max}]")
         k = int(min(max(1, policy.hold()), T - t, _CHUNK))
+        is_open = p is not None and shutoff_period is None
 
-        inv_block = None
-        if shutoff_period is not None or requested_shutoff:
+        if not is_open:
             # Market closed: zero demand, no RNG consumption.
-            served = 0
-            y_sum = np.zeros(N)
-            block_rev = np.zeros(k)
-            y_block = None
-            if record_periods:
-                inv_block = np.tile(remaining, (k, 1))
-            hasher.update(b"z" + np.int64(k).tobytes())
-            if shutoff_period is not None:
-                demand_after_shutoff += float(np.sum(y_sum))
+            served, y_sum, used, rev = 0, np.zeros(N), 0.0, np.zeros(k)
+            outcome = b"z" + np.int64(k).tobytes()
         elif noiseless:
             y = instance.model.mean(p)
             cons = A @ y
-            n_fit = k
-            for j in range(M):
-                if cons[j] > 0:
-                    cap_j = int(math.floor(remaining[j] / cons[j] + 1e-12))
-                    while cap_j > 0 and cap_j * cons[j] > remaining[j]:
-                        cap_j -= 1
-                    n_fit = min(n_fit, max(cap_j, 0))
-            served = n_fit
-            if served < k and shutoff_period is None:
-                shutoff_period = t + served + 1
-            y_sum = y * served
-            rem_before = remaining
-            if served:
-                # served * cons <= remaining was verified componentwise above
-                remaining = remaining - served * cons
-            per_rev = float(p @ y)
-            block_rev = np.full(k, per_rev)
-            block_rev[served:] = 0.0
-            y_block = np.tile(y, (k, 1)) if record_periods else None
-            if y_block is not None:
-                y_block[served:] = 0.0
+            served = k
+            for j in np.nonzero(cons > 0)[0]:
+                cap = int(math.floor(remaining[j] / cons[j] + 1e-12))
+                while cap > 0 and cap * cons[j] > remaining[j]:
+                    cap -= 1
+                served = min(served, max(cap, 0))
+            y_sum, used = y * served, served * cons
+            rev = np.full(k, float(p @ y))
+            outcome = p.tobytes() + np.int64(served).tobytes()
             if record_periods:
-                steps = np.minimum(np.arange(1, k + 1), served)
-                inv_block = rem_before[None, :] - steps[:, None] * cons[None, :]
-                if served:
-                    inv_block[served - 1:] = remaining
-            hasher.update(p.tobytes() + np.int64(served).tobytes())
+                y_rows, cum = y, np.arange(1, served + 1)[:, None] * cons
         else:
-            probs = instance.model.mean(p)
-            cum = np.cumsum(probs)
-            idx = np.searchsorted(cum, rng.random(k), side="right")
-            cons = A_ext[:, idx]
-            cum_cons = np.cumsum(cons, axis=1)
+            idx = sample_purchases(instance.model, p, rng, k)
+            cum_cons = np.cumsum(A_ext[:, idx], axis=1)
             viol = (cum_cons > remaining[:, None]).any(axis=0)
             served = int(np.argmax(viol)) if viol.any() else k
-            if served < k and shutoff_period is None:
-                shutoff_period = t + served + 1
-            counts = np.bincount(idx[:served], minlength=N + 1)[:N].astype(float)
-            y_sum = counts
-            rem_before = remaining
-            if served:
-                # exactly the cumulative compared in the depletion scan
-                remaining = remaining - cum_cons[:, served - 1]
-            block_rev = np.append(p, 0.0)[idx]
-            block_rev[served:] = 0.0
+            y_sum = np.bincount(idx[:served], minlength=N + 1)[:N].astype(float)
+            used = cum_cons[:, served - 1] if served else 0.0
+            rev = np.append(p, 0.0)[idx]
+            outcome = p.tobytes() + idx[:served].tobytes() + np.int64(served).tobytes()
             if record_periods:
-                y_block = np.zeros((k, N))
-                rows = np.nonzero(idx[:served] < N)[0]
-                y_block[rows, idx[rows]] = 1.0
-                inv_block = np.empty((k, M))
-                inv_block[:served] = rem_before[None, :] - cum_cons[:, :served].T
-                inv_block[served:] = remaining
-            else:
-                y_block = None
-            hasher.update(p.tobytes() + idx[:served].tobytes() + np.int64(served).tobytes())
+                y_rows, cum = np.eye(N + 1)[idx[:served], :N], cum_cons[:, :served].T
 
+        rev[served:] = 0.0
+        if is_open and served < k:
+            shutoff_period = t + served + 1
+        elif shutoff_period is not None:
+            demand_after_shutoff += float(np.sum(y_sum))
+        start, remaining = remaining, remaining - used
+        hasher.update(outcome)
         min_inventory = min(min_inventory, float(remaining.min()))
-        revenue_parts.append(float(block_rev.sum()))
+        revenue_parts.append(float(rev.sum()))
 
         if record_periods:
-            prices_block = np.full((k, N), np.nan)
-            if not requested_shutoff and p is not None:
-                # NaN marks the shutoff sentinel for periods after shutoff_period.
-                last_open = T if shutoff_period is None else shutoff_period
-                n_open = int(np.clip(last_open - t, 0, k))
-                prices_block[:n_open] = p
-            rec["price"].append(prices_block)
-            rec["demand"].append(y_block if y_block is not None else np.zeros((k, N)))
-            rec["revenue"].append(block_rev.copy())
-            rec["inventory"].append(inv_block)
+            if is_open:
+                # the period whose purchase could not be served still posted p
+                periods["price"][t:t + min(served + 1, k)] = p
+            if served:
+                periods["demand"][t:t + served] = y_rows
+                periods["inventory"][t:t + served] = start - cum
+            periods["inventory"][t + max(served - 1, 0):t + k] = remaining
+            periods["revenue"][t:t + k] = rev
 
         if k == 1:
             policy.observe(t + 1, y_sum)
@@ -278,14 +251,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         t += k
 
     if record_periods:
-        per_period_rev = np.concatenate(rec["revenue"])
-        total = math.fsum(per_period_rev.tolist())
-        periods = {
-            "price": np.vstack(rec["price"]),
-            "demand": np.vstack(rec["demand"]),
-            "revenue": per_period_rev,
-            "inventory": np.vstack(rec["inventory"]),
-        }
+        total = math.fsum(periods["revenue"].tolist())
     else:
         total = math.fsum(revenue_parts)
         periods = None

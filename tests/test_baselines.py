@@ -4,8 +4,8 @@ import pytest
 
 from nrmlab import (
     EtcConfig,
-    clairvoyant_policy,
-    explore_then_commit_policy,
+    ClairvoyantPolicy,
+    ExploreThenCommitPolicy,
     run_episode,
     percentage_loss,
     solve_fluid,
@@ -16,7 +16,7 @@ from nrmlab.demand import revenue_f
 class TestClairvoyant:
     def test_posts_constant_price(self, instance, fluid_solution):
         short = instance.with_horizon(2000)
-        pol = clairvoyant_policy(short, fluid_solution)
+        pol = ClairvoyantPolicy(short, fluid_solution)
         trace = run_episode(short, pol, seed=3, record_periods=True)
         prices = trace.periods["price"]
         open_rows = np.all(np.isfinite(prices), axis=1)
@@ -28,7 +28,7 @@ class TestClairvoyant:
         inst = example_logit_instance(T=5000, noise="none")
         inst = dataclasses.replace(inst, gamma=np.array([0.12, 0.12]))
         sol = solve_fluid(inst)
-        pol = clairvoyant_policy(inst, sol)
+        pol = ClairvoyantPolicy(inst, sol)
         trace = run_episode(inst, pol, seed=4)
         assert trace.shutoff_period is None
         assert trace.total_revenue == pytest.approx(
@@ -38,7 +38,7 @@ class TestClairvoyant:
         short = instance.with_horizon(200_000)
         losses = []
         for rep in range(20):
-            pol = clairvoyant_policy(short, fluid_solution)
+            pol = ClairvoyantPolicy(short, fluid_solution)
             trace = run_episode(short, pol, seed=600 + rep)
             losses.append(percentage_loss(short, trace, fluid_solution.value))
         mean = np.mean(losses)
@@ -64,7 +64,7 @@ class TestExploreThenCommit:
     def test_noiseless_commit_matches_grid_restricted_fluid(self, fluid_solution):
         from nrmlab import example_logit_instance
         inst = example_logit_instance(T=40_000, noise="none")
-        pol = explore_then_commit_policy(inst, EtcConfig(grid_points_per_axis=6))
+        pol = ExploreThenCommitPolicy(inst, EtcConfig(grid_points_per_axis=6))
         trace = run_episode(inst, pol, seed=5)
         assert pol.mixture is not None
         # oracle: the LP over exact grid demands bounds the commit value
@@ -82,7 +82,7 @@ class TestExploreThenCommit:
 
     def test_exploration_fraction_one_edge(self, instance):
         short = instance.with_horizon(2000)
-        pol = explore_then_commit_policy(short, EtcConfig(exploration_fraction=0.999))
+        pol = ExploreThenCommitPolicy(short, EtcConfig(exploration_fraction=0.999))
         trace = run_episode(short, pol, seed=6)
         assert pol.n_explore >= 1998
         assert trace.total_revenue > 0
@@ -94,7 +94,7 @@ class TestExploreThenCommit:
         # no mixture is feasible; the schedule must fall back to the highest
         # grid price
         inst = dataclasses.replace(inst, gamma=np.array([2e-4, 2e-5]))
-        pol = explore_then_commit_policy(inst, EtcConfig(grid_points_per_axis=4))
+        pol = ExploreThenCommitPolicy(inst, EtcConfig(grid_points_per_axis=4))
         pol.D_hat = inst.model.mean_batch(pol.grid)
         schedule = pol._commit_schedule()
         assert pol.mixture is None
@@ -102,7 +102,7 @@ class TestExploreThenCommit:
 
     def test_admissible_periods_observed(self, instance):
         short = instance.with_horizon(3000)
-        pol = explore_then_commit_policy(short)
+        pol = ExploreThenCommitPolicy(short)
         run_episode(short, pol, seed=8)
         assert pol.periods_observed == short.T
 
@@ -110,8 +110,8 @@ class TestExploreThenCommit:
         short = instance.with_horizon(100_000)
         etc_losses, clair_losses = [], []
         for rep in range(10):
-            etc = explore_then_commit_policy(short)
-            clair = clairvoyant_policy(short, fluid_solution)
+            etc = ExploreThenCommitPolicy(short)
+            clair = ClairvoyantPolicy(short, fluid_solution)
             etc_losses.append(percentage_loss(
                 short, run_episode(short, etc, seed=700 + rep), fluid_solution.value))
             clair_losses.append(percentage_loss(

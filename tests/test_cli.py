@@ -73,6 +73,26 @@ class TestBenchCommand:
         assert (tmp_path / "out" / "episodes.csv").exists()
         doc = json.loads(out)
         assert len(doc["rows"]) == 3
+        assert doc["episodes_failed"] == 0
+
+    def test_failed_episodes_exit_1(self, capsys, instance_file, tmp_path):
+        # explicit mode without its constants fails every pdnrm episode
+        plan = {
+            "instance": instance_file,
+            "policies": ["pdnrm", "clairvoyant"],
+            "T_grid": [400],
+            "replications": 2,
+            "base_seed": 21,
+            "pdnrm_config": {"mode": "explicit"},
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "bench", str(plan_path))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["episodes_failed"] == 2
+        assert [row["policy"] for row in doc["rows"]] == ["clairvoyant"]
+        assert "2 episode(s) failed" in err and "explicit mode" in err
 
 
 class TestCheckCommand:
@@ -112,6 +132,16 @@ class TestErrorHandling:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "fluid", "/nonexistent/instance.json")
         assert code == 2
+
+    def test_linear_demand_outside_simplex_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "linear.json"
+        bad.write_text(json.dumps({
+            "N": 2, "M": 2, "A": [1, 0, 0, 1], "gamma": [0.1, 0.1], "T": 100,
+            "price_min": 0.5, "price_max": 5.0, "noise": "multinomial",
+            "demand": {"type": "linear", "a": [0.5, 0.6], "B": [[0.2, 0.05], [0.05, 0.2]]}}))
+        code, _, err = run_cli(capsys, "fluid", str(bad))
+        assert code == 2
+        assert "simplex" in err
 
     def test_invalid_instance_document_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad2.json"

@@ -9,7 +9,7 @@ from nrmlab.demand import (
     grad_revenue_f,
     grad_revenue_phi,
     hessian_revenue_phi,
-    sample_demand,
+    sample_purchases,
 )
 
 A_EXAMPLE = np.array([[1.0, 1.0], [0.0, 2.0]])
@@ -151,19 +151,11 @@ class TestRevenue:
 
 
 class TestSampler:
-    def test_noiseless_returns_mean(self, logit, rng):
-        p = np.array([0.8, 0.8])
-        y = sample_demand(logit, p, rng, "none")
-        assert_allclose(y, logit.mean(p), rtol=1e-15)
-
-    def test_shutoff_price_gives_zero(self, logit, rng):
-        assert_allclose(sample_demand(logit, None, rng, "multinomial"), [0.0, 0.0])
-
     def test_multinomial_is_one_hot_or_zero(self, logit, rng):
-        draws = sample_demand(logit, np.array([1.0, 1.0]), rng, "multinomial", size=1000)
-        sums = draws.sum(axis=1)
-        assert set(np.unique(draws)) <= {0.0, 1.0}
-        assert np.all((sums == 0) | (sums == 1))
+        # each period buys one product (index < N) or nothing (index N)
+        idx = sample_purchases(logit, np.array([1.0, 1.0]), rng, 1000)
+        assert idx.shape == (1000,)
+        assert set(np.unique(idx)) == {0, 1, 2}
 
     def test_category_probabilities_equal_mean_exactly(self, logit):
         # the inverse-CDF sampler's category masses are the cumsum increments
@@ -177,19 +169,15 @@ class TestSampler:
     def test_multinomial_mean_matches_demand(self, logit, rng):
         p = np.array([0.8, 0.8])
         n = 1_000_000
-        draws = sample_demand(logit, p, rng, "multinomial", size=n)
+        freq = np.bincount(sample_purchases(logit, p, rng, n), minlength=3)[:2] / n
         target = logit.mean(p)
         se = np.sqrt(target * (1 - target) / n)
-        assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * se)
-
-    def test_unknown_mode_rejected(self, logit, rng):
-        with pytest.raises(ValueError):
-            sample_demand(logit, np.array([1.0, 1.0]), rng, "gaussian")
+        assert np.all(np.abs(freq - target) <= 4 * se)
 
     def test_revenue_bounded_by_max_price(self, logit, rng):
         p = np.array([4.9, 5.0])
-        draws = sample_demand(logit, p, rng, "multinomial", size=2000)
-        assert np.max(draws @ p) <= 5.0
+        idx = sample_purchases(logit, p, rng, 2000)
+        assert np.max(np.append(p, 0.0)[idx]) <= 5.0
 
 
 class TestLinearDemand:

@@ -37,6 +37,29 @@ class TestValidation:
             Instance(model=logit(), A=np.eye(2), gamma=np.ones(2), T=10,
                      price_min=0.8, price_max=5.0, noise="poisson")
 
+    def test_linear_demand_outside_simplex_rejected_under_multinomial_noise(self):
+        # D(5, 5) = (-0.75, -0.65): not a distribution over purchase events
+        kwargs = dict(model=LinearDemand([0.5, 0.6], [[0.2, 0.05], [0.05, 0.2]]), A=np.eye(2),
+                      gamma=np.array([0.1, 0.1]), T=100, price_min=0.5, price_max=5.0)
+        with pytest.raises(ValueError, match="simplex"):
+            Instance(**kwargs)
+        Instance(noise="none", **kwargs)
+
+    def test_linear_demand_total_above_one_rejected(self):
+        # min D = 0.2 at p = (4, 4), but D(0.5, 0.5) sums to 1.1
+        with pytest.raises(ValueError, match="simplex"):
+            Instance(model=LinearDemand([0.6, 0.6], np.eye(2) * 0.1), A=np.eye(2),
+                     gamma=np.array([0.1, 0.1]), T=100, price_min=0.5, price_max=4.0)
+
+    def test_linear_demand_inside_simplex_accepted(self):
+        # min D = (0.02, 0.12) at p = (4, 4), max sum D = 0.98 at p = (0.5, 0.5)
+        Instance(model=LinearDemand([0.5, 0.6], [[0.1, 0.02], [0.02, 0.1]]),
+                 A=np.array([[1.0, 1.0]]), gamma=np.array([0.2]), T=100,
+                 price_min=0.5, price_max=4.0)
+        # the bound is closed: D(4, 4) = (0, 0) exactly
+        Instance(model=LinearDemand([0.4, 0.4], np.eye(2) * 0.1), A=np.eye(2),
+                 gamma=np.array([0.1, 0.1]), T=100, price_min=0.0, price_max=4.0)
+
     def test_horizon_override(self, instance):
         other = instance.with_horizon(77)
         assert other.T == 77

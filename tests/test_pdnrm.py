@@ -13,7 +13,6 @@ from nrmlab import (
     constants_theory,
     config_from_dict,
     PdNrmPolicy,
-    dual_opt_policy,
     grad_est,
     demand_balance,
     primal_opt,
@@ -361,7 +360,7 @@ class TestProxDualStep:
 @pytest.fixture(scope="module")
 def episode(instance):
     inst = instance.with_horizon(50_000)
-    policy = dual_opt_policy(inst, constants_tuned(2, inst.T))
+    policy = PdNrmPolicy(inst, constants_tuned(2, inst.T))
     trace = run_episode(inst, policy, seed=77)
     return inst, policy, trace
 

@@ -167,6 +167,59 @@ class TestRunEpisode:
         assert t1.shutoff_period == t2.shutoff_period
 
 
+def reference_episode(instance, policy, seed):
+    """Per-period simulator: one uniform draw per open period, inventory checked
+    purchase by purchase. Returns (shutoff_period, price, demand, inventory rows)."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    N, M, T = instance.N, instance.M, instance.T
+    A = instance.A
+    remaining = instance.capacity.astype(float).copy()
+    price, demand = np.full((T, N), np.nan), np.zeros((T, N))
+    inventory = np.empty((T, M))
+    shutoff = None
+    for t in range(T):
+        p = policy.next_price(t + 1)
+        y = np.zeros(N)
+        if p is not None and shutoff is None:
+            price[t] = p
+            cum = np.cumsum(instance.model.mean(np.asarray(p, float)))
+            i = int(np.searchsorted(cum, rng.random(), side="right"))
+            if i < N and np.any(A[:, i] > remaining):
+                shutoff = t + 1
+            elif i < N:
+                y[i] = 1.0
+                remaining = remaining - A[:, i]
+        demand[t] = y
+        inventory[t] = remaining
+        policy.observe(t + 1, y)
+    return shutoff, price, demand, inventory
+
+
+class TestReferenceSimulator:
+    """The block simulator against the per-period reference, on an instance
+    whose inventory is tight enough that most episodes shut off. Capacities
+    and consumptions are integers, so both inventory paths are exact."""
+
+    @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
+    def test_matches_per_period_reference(self, policy, instance, fluid_solution):
+        from nrmlab import build_policy
+        tight = dataclasses.replace(instance.with_horizon(10_000), gamma=np.array([0.04, 0.04]))
+        assert np.all(tight.capacity == np.round(tight.capacity))
+        shutoffs = 0
+        for seed in range(1, 11):
+            # the clairvoyant policy posts the loose instance's p*, which overspends
+            trace = run_episode(tight, build_policy(policy, tight, fluid_solution), seed,
+                                record_periods=True)
+            shutoff, price, demand, inventory = reference_episode(
+                tight, build_policy(policy, tight, fluid_solution), seed)
+            assert trace.shutoff_period == shutoff
+            np.testing.assert_array_equal(trace.periods["price"], price)
+            np.testing.assert_array_equal(trace.periods["demand"], demand)
+            np.testing.assert_array_equal(trace.periods["inventory"], inventory)
+            shutoffs += shutoff is not None
+        assert shutoffs >= 5
+
+
 class TestPercentageLoss:
     def test_limits(self, instance, fluid_solution):
         bound = instance.T * fluid_solution.value
