@@ -25,7 +25,7 @@ from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy, EtcConfig
 
 POLICY_NAMES = ("pdnrm", "clairvoyant", "etc")
 SUMMARY_HEADER = ["policy", "T", "mean_loss", "stderr", "mean_revenue",
-                  "mean_shutoff", "wall_ms"]
+                  "mean_shutoff", "episodes_failed", "wall_ms"]
 EPISODES_HEADER = ["policy", "T", "replicate", "seed", "revenue", "loss", "shutoff"]
 
 
@@ -209,25 +209,20 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
     for policy in plan.policies:
         for T in plan.T_grid:
             cell = [e for e in episodes if e.policy == policy and e.T == T]
+            # a cell whose episodes all failed keeps its row, with empty statistics
+            row = dict.fromkeys(SUMMARY_HEADER)
+            row.update(policy=policy, T=int(T), episodes_failed=sum(
+                1 for r in errors if r["policy"] == policy and r["T"] == T))
+            rows.append(row)
             if not cell:
                 continue
-            losses = [e.loss for e in cell]
             n = len(cell)
-            mean_loss = math.fsum(losses) / n
-            if n > 1:
-                var = math.fsum((x - mean_loss) ** 2 for x in losses) / (n - 1)
-                stderr = math.sqrt(var / n)
-            else:
-                stderr = 0.0
-            rows.append({
-                "policy": policy,
-                "T": int(T),
-                "mean_loss": mean_loss,
-                "stderr": stderr,
-                "mean_revenue": math.fsum(e.revenue for e in cell) / n,
-                "mean_shutoff": math.fsum(e.shutoff for e in cell) / n,
-                "wall_ms": math.fsum(e.wall_ms for e in cell),
-            })
+            mean_loss = math.fsum(e.loss for e in cell) / n
+            var = math.fsum((e.loss - mean_loss) ** 2 for e in cell) / (n - 1) if n > 1 else 0.0
+            row.update(mean_loss=mean_loss, stderr=math.sqrt(var / n),
+                       mean_revenue=math.fsum(e.revenue for e in cell) / n,
+                       mean_shutoff=math.fsum(e.shutoff for e in cell) / n,
+                       wall_ms=math.fsum(e.wall_ms for e in cell))
     summary = BenchSummary(plan=plan, fluid=fluid, rows=rows, episodes=episodes,
                            errors=errors)
 
@@ -259,10 +254,11 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
 
 
 def loglog_slope(summary: BenchSummary, policy: str) -> float:
-    """Least-squares slope of ln(mean regret) against ln(T)."""
+    """Least-squares slope of ln(mean regret) against ln(T), over the rows
+    with at least one completed episode."""
     points = []
     for row in summary.rows:
-        if row["policy"] != policy:
+        if row["policy"] != policy or row["mean_revenue"] is None:
             continue
         bound = row["T"] * summary.fluid.value
         regret = bound - row["mean_revenue"]
@@ -280,14 +276,9 @@ def write_summary_csv(summary: BenchSummary, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
         for row in summary.rows:
-            writer.writerow([
-                row["policy"], row["T"],
-                format(row["mean_loss"], ".17g"),
-                format(row["stderr"], ".17g"),
-                format(row["mean_revenue"], ".17g"),
-                format(row["mean_shutoff"], ".17g"),
-                format(row["wall_ms"], ".3f"),
-            ])
+            stats = ["" if row[k] is None else format(row[k], ".17g") for k in SUMMARY_HEADER[2:6]]
+            wall = "" if row["wall_ms"] is None else format(row["wall_ms"], ".3f")
+            writer.writerow([row["policy"], row["T"], *stats, row["episodes_failed"], wall])
 
 
 def write_episodes_csv(summary: BenchSummary, path: str) -> None:

@@ -43,6 +43,10 @@ class DemandModel(ABC):
         """Vectorized mean over rows of P, shape (K, N) -> (K, N)."""
 
     @abstractmethod
+    def jacobian_batch(self, P: np.ndarray) -> np.ndarray:
+        """Vectorized jacobian over rows of P, shape (K, N) -> (K, N, N)."""
+
+    @abstractmethod
     def inverse_batch(self, D: np.ndarray) -> np.ndarray:
         """Vectorized inverse over rows of D."""
 
@@ -75,6 +79,13 @@ class LogitDemand(DemandModel):
         d = self.mean(p)
         J = self.b[None, :] * d[:, None] * d[None, :]
         np.fill_diagonal(J, -self.b * d * (1.0 - d))
+        return J
+
+    def jacobian_batch(self, P):
+        d = self.mean_batch(P)
+        J = self.b[None, None, :] * d[:, :, None] * d[:, None, :]
+        i = np.arange(self.n_products)
+        J[:, i, i] = -self.b * d * (1.0 - d)
         return J
 
     def inverse(self, d):
@@ -122,16 +133,20 @@ class LinearDemand(DemandModel):
         return self.a - self.B @ _as_vector(p, self.n_products)
 
     def mean_batch(self, P):
-        return self.a[None, :] - np.asarray(P, float) @ self.B.T
+        # a stacked matvec rounds like mean's B @ p; one gemm would not
+        return self.a[None, :] - (self.B @ np.asarray(P, float)[..., None])[..., 0]
 
     def jacobian(self, p):
         return -self.B.copy()
+
+    def jacobian_batch(self, P):
+        return np.broadcast_to(-self.B, (len(P),) + self.B.shape)
 
     def inverse(self, d):
         return self._B_inv @ (self.a - _as_vector(d, self.n_products))
 
     def inverse_batch(self, D):
-        return (self.a[None, :] - np.asarray(D, float)) @ self._B_inv.T
+        return (self._B_inv @ (self.a[None, :] - np.asarray(D, float))[..., None])[..., 0]
 
     def image_halfspaces(self, p_lo, p_hi):
         # p(d) = B^{-1}(a - d) within the price box, linear in d.
@@ -172,27 +187,29 @@ def grad_revenue_phi(model: DemandModel, d) -> np.ndarray:
     return p + np.linalg.solve(model.jacobian(p).T, d)
 
 
-def hessian_revenue_phi(model: DemandModel, d, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Hessian of phi (symmetrized)."""
-    d = _as_vector(d, model.n_products)
-    n = d.shape[0]
-    H = np.empty((n, n))
+def grad_revenue_f_batch(model: DemandModel, P) -> np.ndarray:
+    """grad f over the rows of P, shape (K, N) -> (K, N)."""
+    J_T = np.swapaxes(model.jacobian_batch(P), 1, 2)
+    return model.mean_batch(P) + (J_T @ P[..., None])[..., 0]
+
+
+def grad_revenue_phi_batch(model: DemandModel, D) -> np.ndarray:
+    """grad phi over the rows of D, shape (K, N) -> (K, N)."""
+    P = model.inverse_batch(D)
+    J_T = np.swapaxes(model.jacobian_batch(P), 1, 2)
+    return P + np.linalg.solve(J_T, D[..., None])[..., 0]
+
+
+def hessian_fd_batch(grad_batch, model: DemandModel, X, h: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Hessians (symmetrized) at the rows of X of the
+    revenue function whose gradient over rows is grad_batch(model, X)."""
+    n = X.shape[1]
+    H = np.empty((X.shape[0], n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        H[i] = (grad_revenue_phi(model, d + e) - grad_revenue_phi(model, d - e)) / (2 * h)
-    return 0.5 * (H + H.T)
-
-
-def hessian_revenue_f(model: DemandModel, p, h: float = 1e-6) -> np.ndarray:
-    p = _as_vector(p, model.n_products)
-    n = p.shape[0]
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        H[i] = (grad_revenue_f(model, p + e) - grad_revenue_f(model, p - e)) / (2 * h)
-    return 0.5 * (H + H.T)
+        H[:, i] = (grad_batch(model, X + e) - grad_batch(model, X - e)) / (2 * h)
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
 def sample_purchases(model: DemandModel, p: np.ndarray, rng: np.random.Generator,
@@ -201,6 +218,9 @@ def sample_purchases(model: DemandModel, p: np.ndarray, rng: np.random.Generator
     i < N is the product bought, N means no purchase, with probabilities
     (D_1(p), ..., D_N(p), 1 - sum D(p)). One uniform draw per event."""
     return np.searchsorted(np.cumsum(model.mean(p)), rng.random(k), side="right")
+
+
+_SCAN_BLOCK = 2 ** 14   # grid points per batched pass of estimate_regularity
 
 
 @dataclass(frozen=True)
@@ -248,29 +268,25 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
     p_lo, p_hi = float(price_box[0]), float(price_box[1])
     n = model.n_products
     axes = [np.linspace(p_lo, p_hi, grid_points)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
     jacs = np.empty((len(points), n, n))
-    B_D = 0.0
-    sigma_D = np.inf
-    B_f = 0.0
-    B_phi = 0.0
-    sigma_phi = np.inf
-    for k, p in enumerate(points):
-        J = model.jacobian(p)
-        jacs[k] = J
+    B_D = B_f = B_phi = 0.0
+    sigma_D = sigma_phi = np.inf
+    for s in range(0, len(points), _SCAN_BLOCK):
+        P = points[s:s + _SCAN_BLOCK]
+        J = jacs[s:s + _SCAN_BLOCK] = model.jacobian_batch(P)
         sv = np.linalg.svd(J, compute_uv=False)
-        B_D = max(B_D, sv[0])
-        sigma_D = min(sigma_D, sv[-1])
-        B_f = max(B_f, float(np.linalg.norm(grad_revenue_f(model, p))))
-        B_f = max(B_f, float(np.linalg.norm(hessian_revenue_f(model, p), 2)))
-        d = model.mean(p)
-        B_phi = max(B_phi, float(np.linalg.norm(grad_revenue_phi(model, d))))
-        H = hessian_revenue_phi(model, d)
-        eig = np.linalg.eigvalsh(-H)
-        B_phi = max(B_phi, float(np.max(np.abs(eig))))
-        sigma_phi = min(sigma_phi, float(eig.min()))
+        B_D = max(B_D, sv[:, 0].max())
+        sigma_D = min(sigma_D, sv[:, -1].min())
+        H_f = hessian_fd_batch(grad_revenue_f_batch, model, P)
+        B_f = max(B_f, np.linalg.norm(grad_revenue_f_batch(model, P), axis=1).max(),
+                  np.linalg.norm(H_f, 2, axis=(1, 2)).max())
+        D = model.mean_batch(P)
+        eig = np.linalg.eigvalsh(-hessian_fd_batch(grad_revenue_phi_batch, model, D))
+        B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi_batch(model, D), axis=1).max(),
+                    np.abs(eig).max())
+        sigma_phi = min(sigma_phi, eig[:, 0].min())
 
     spacing = (p_hi - p_lo) / (grid_points - 1)
     L_D = 0.0

@@ -119,16 +119,25 @@ class TestRunBench:
         assert s != episode_seed(42, "etc", 1000, 3)
         assert s != episode_seed(43, "pdnrm", 1000, 3)
 
-    def test_episode_errors_recorded_not_fatal(self, instance):
+    def test_episode_errors_recorded_not_fatal(self, instance, tmp_path):
         # an invalid explicit config fails inside each pdnrm episode; the
-        # sweep completes and the failures are recorded
-        plan = small_plan(instance, policies=("pdnrm", "clairvoyant"),
+        # sweep completes, the failures are recorded and the all-failed cell
+        # keeps its row with empty statistics
+        plan = small_plan(instance, tmp_path=tmp_path, policies=("pdnrm", "clairvoyant"),
                           T_grid=(600,), replications=2,
                           pdnrm_config={"mode": "explicit"})
         summary = run_bench(plan)
         assert len(summary.errors) == 2
         assert all("missing" in e["error"] for e in summary.errors)
-        assert {r["policy"] for r in summary.rows} == {"clairvoyant"}
+        failed = summary.row("pdnrm", 600)
+        assert failed["episodes_failed"] == 2
+        assert all(failed[k] is None for k in SUMMARY_HEADER if k not in
+                   ("policy", "T", "episodes_failed"))
+        assert summary.row("clairvoyant", 600)["episodes_failed"] == 0
+        lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
+        assert lines[1] == "pdnrm,600,,,,,2,"
+        assert lines[2].split(",")[:2] == ["clairvoyant", "600"]
+        assert lines[2].split(",")[6] == "0"
 
 
 class TestLogLogSlope:
@@ -150,6 +159,12 @@ class TestLogLogSlope:
     def test_exact_linear_law(self, instance):
         summary = self._synthetic_summary(instance, lambda T: 0.25 * T)
         assert loglog_slope(summary, "pdnrm") == pytest.approx(1.0, abs=1e-12)
+
+    def test_skips_all_failed_rows(self, instance):
+        summary = self._synthetic_summary(instance, lambda T: 3.0 * math.sqrt(T))
+        summary.rows.append(dict.fromkeys(SUMMARY_HEADER, None)
+                            | {"policy": "pdnrm", "T": 100_000, "episodes_failed": 1})
+        assert loglog_slope(summary, "pdnrm") == pytest.approx(0.5, abs=1e-12)
 
     def test_needs_three_points(self, instance):
         summary = self._synthetic_summary(instance, lambda T: math.sqrt(T))

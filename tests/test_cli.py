@@ -1,7 +1,8 @@
 import json
+import numpy as np
 import pytest
 
-from nrmlab import save_instance, example_logit_instance
+from nrmlab import Instance, LogitDemand, save_instance, example_logit_instance
 from nrmlab.cli import cli_main
 
 
@@ -91,7 +92,9 @@ class TestBenchCommand:
         assert code == 1
         doc = json.loads(out)
         assert doc["episodes_failed"] == 2
-        assert [row["policy"] for row in doc["rows"]] == ["clairvoyant"]
+        assert [(row["policy"], row["episodes_failed"]) for row in doc["rows"]] == [
+            ("pdnrm", 2), ("clairvoyant", 0)]
+        assert doc["rows"][0]["mean_loss"] is None
         assert "2 episode(s) failed" in err and "explicit mode" in err
 
 
@@ -119,6 +122,21 @@ class TestConstantsCommand:
         doc = json.loads(out)
         assert doc["n0"] > 0
         assert doc["kappa5"] >= 1.0
+
+    def test_theory_constants_three_products(self, capsys, tmp_path):
+        rng = np.random.default_rng(303)
+        model = LogitDemand(rng.uniform(0.2, 1.0, 3), rng.uniform(1.0, 2.5, 3))
+        A = np.array([[1.0, 1.0, 2.0]])
+        instance = Instance(model=model, A=A, gamma=0.6 * (A @ model.mean(np.full(3, 2.9))),
+                            T=10_000, price_min=0.8, price_max=5.0)
+        path = tmp_path / "instance3.json"
+        save_instance(instance, str(path))
+        code, out, _ = run_cli(capsys, "constants", str(path), "--mode", "theory",
+                               "--grid-points", "15")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n0"] > 0
+        assert all(v > 0 for v in doc.values() if isinstance(v, (int, float)))
 
 
 class TestErrorHandling:

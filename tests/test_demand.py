@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nrmlab.demand
 from nrmlab import LogitDemand, LinearDemand, DomainError, estimate_regularity
 from nrmlab.demand import (
+    RegularityConstants,
     revenue_f,
     revenue_phi,
     grad_revenue_f,
     grad_revenue_phi,
-    hessian_revenue_phi,
+    grad_revenue_phi_batch,
+    hessian_fd_batch,
     sample_purchases,
 )
 
@@ -75,6 +78,11 @@ class TestLogitJacobian:
         assert_allclose(J, J.T, rtol=1e-14)
         assert J[0, 0] == pytest.approx(J[1, 1], rel=1e-14)
 
+    def test_batch_matches_pointwise(self, logit, rng):
+        P = random_prices(rng, 2, count=50)
+        for row, p in zip(logit.jacobian_batch(P), P):
+            assert np.array_equal(row, logit.jacobian(p))
+
     def test_nonsingular_and_monotone_on_box(self, logit, rng):
         for p in random_prices(rng, 2, count=50):
             J = logit.jacobian(p)
@@ -133,9 +141,9 @@ class TestRevenue:
 
     def test_phi_strongly_concave_on_image(self, logit, rng):
         # numeric Hessians of phi are negative definite over the demand image
-        for p in random_prices(rng, 2, count=25):
-            H = hessian_revenue_phi(logit, logit.mean(p))
-            assert np.all(np.linalg.eigvalsh(H) < 0)
+        D = logit.mean_batch(random_prices(rng, 2, count=25))
+        H = hessian_fd_batch(grad_revenue_phi_batch, logit, D)
+        assert np.all(np.linalg.eigvalsh(H) < 0)
 
     def test_grad_phi_matches_finite_differences(self, logit, rng):
         h = 1e-7
@@ -191,12 +199,107 @@ class TestLinearDemand:
         model = LinearDemand([2.0, 2.0], B)
         assert_allclose(model.jacobian(np.array([0.3, 0.4])), -B)
 
+    def test_batch_matches_pointwise(self, rng):
+        model = LinearDemand([2.0, 2.0], [[1.0, 0.2], [0.1, 0.8]])
+        P = random_prices(rng, 2, lo=0.0, hi=1.5, count=10)
+        D = model.mean_batch(P)
+        for p, d, J, back in zip(P, D, model.jacobian_batch(P), model.inverse_batch(D)):
+            assert np.array_equal(d, model.mean(p))
+            assert np.array_equal(J, model.jacobian(p))
+            assert np.array_equal(back, model.inverse(d))
+
     def test_requires_positive_definite_slope(self):
         with pytest.raises(DomainError):
             LinearDemand([1.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
 
 
+def fd_hessian(grad, x, h=1e-6):
+    n = x.shape[0]
+    H = np.empty((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        H[i] = (grad(x + e) - grad(x - e)) / (2 * h)
+    return 0.5 * (H + H.T)
+
+
+def reference_regularity(model, price_box, grid_points, A, gamma):
+    """Per-point grid scan: the Jacobian, gradients and finite-difference
+    Hessians of f and phi evaluated one price at a time with the pointwise
+    model and revenue functions."""
+    p_lo, p_hi = float(price_box[0]), float(price_box[1])
+    n = model.n_products
+    mesh = np.meshgrid(*[np.linspace(p_lo, p_hi, grid_points)] * n, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    jacs = np.empty((len(points), n, n))
+    B_D = B_f = B_phi = 0.0
+    sigma_D = sigma_phi = np.inf
+    for k, p in enumerate(points):
+        J = model.jacobian(p)
+        jacs[k] = J
+        sv = np.linalg.svd(J, compute_uv=False)
+        B_D = max(B_D, sv[0])
+        sigma_D = min(sigma_D, sv[-1])
+        B_f = max(B_f, float(np.linalg.norm(grad_revenue_f(model, p))))
+        H = fd_hessian(lambda x: grad_revenue_f(model, x), p)
+        B_f = max(B_f, float(np.linalg.norm(H, 2)))
+        d = model.mean(p)
+        B_phi = max(B_phi, float(np.linalg.norm(grad_revenue_phi(model, d))))
+        eig = np.linalg.eigvalsh(-fd_hessian(lambda x: grad_revenue_phi(model, x), d))
+        B_phi = max(B_phi, float(np.max(np.abs(eig))))
+        sigma_phi = min(sigma_phi, float(eig.min()))
+    spacing = (p_hi - p_lo) / (grid_points - 1)
+    L_D = 0.0
+    jacs = jacs.reshape((grid_points,) * n + (n, n))
+    for axis in range(n):
+        lo = [slice(None)] * n
+        hi = [slice(None)] * n
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        norms = np.linalg.norm(jacs[tuple(hi)] - jacs[tuple(lo)], ord=2, axis=(-2, -1))
+        L_D = max(L_D, float(norms.max()) / spacing)
+    sv_A = np.linalg.svd(np.asarray(A, float), compute_uv=False)
+    gamma = np.asarray(gamma, dtype=float)
+    return RegularityConstants(
+        B_D=float(B_D), sigma_D=float(sigma_D), L_D=float(max(L_D, 1e-12)),
+        B_f=float(B_f), B_phi=float(B_phi), sigma_phi=float(sigma_phi),
+        B_A=float(sv_A[0]), sigma_A=float(sv_A[-1]), B_r=float(p_hi),
+        gamma_min=float(gamma.min()), gamma_max=float(gamma.max()))
+
+
+def regularity_cases():
+    """(model, price_box, grid_points, A, gamma): seeded random logit models
+    at N = 3 and 4, and linear models with the identity and a non-symmetric
+    slope matrix."""
+    rng = np.random.default_rng(5150)
+    cases = []
+    for N, grid in ((3, 9), (4, 5)):
+        model = LogitDemand(rng.uniform(0.2, 1.0, N), rng.uniform(1.0, 2.5, N))
+        A = rng.integers(1, 3, size=(2, N)).astype(float)
+        cases.append((model, (0.8, 5.0), grid, A, rng.uniform(0.1, 0.3, 2)))
+    for B in (np.eye(2), [[1.0, 0.2], [0.1, 0.8]]):
+        cases.append((LinearDemand([3.0, 3.0], B), (0.5, 1.5), 9, np.eye(2), np.array([0.4, 0.4])))
+    return cases
+
+
 class TestEstimateRegularity:
+    def test_bundled_equals_per_point_scan(self, instance, regularity):
+        ref = reference_regularity(instance.model, instance.price_box, 41,
+                                   instance.A, instance.gamma)
+        assert regularity == ref
+
+    @pytest.mark.parametrize("case", range(4),
+                             ids=["logit-n3", "logit-n4", "linear-identity", "linear"])
+    def test_equals_per_point_scan(self, case):
+        args = regularity_cases()[case]
+        assert estimate_regularity(*args) == reference_regularity(*args)
+
+    def test_blocks_do_not_change_constants(self, instance, regularity, monkeypatch):
+        # 41^2 points in blocks of 7 leave a ragged last block
+        monkeypatch.setattr(nrmlab.demand, "_SCAN_BLOCK", 7)
+        assert estimate_regularity(instance.model, instance.price_box, 41,
+                                   instance.A, instance.gamma) == regularity
+
     def test_identity_demand(self):
         # D(p) = c - p: constant Jacobian -I
         model = LinearDemand([3.0, 3.0], np.eye(2))
