@@ -10,7 +10,6 @@ from .demand import (
     estimate_regularity,
     revenue_f,
     revenue_phi,
-    sample_purchases,
     DomainError,
 )
 from .instance import Instance, load_instance, save_instance, example_logit_instance

@@ -4,10 +4,10 @@ Each check returns (name, ok, detail); the suite is a smoke screen over the
 module contracts, sized to run in seconds. The pytest suite is the full gate.
 """
 
+import dataclasses
 import math
 import numpy as np
 
-from .demand import sample_purchases
 from .instance import Instance
 from .fluid import (
     solve_fluid,
@@ -17,7 +17,7 @@ from .fluid import (
     lagrangian_H,
     default_dual_set,
 )
-from .sim import run_episode, Policy
+from .sim import run_episode, Policy, _serve_block
 from .pdnrm import PdNrmPolicy, constants_tuned, prox_dual_step
 
 
@@ -76,13 +76,15 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     P = p_lo + (p_hi - p_lo) * rng.random((50, instance.N))
     check("demand.monotone", np.all(np.diagonal(model.jacobian_batch(P), axis1=1, axis2=2) < 0))
 
-    # demand: sampler unbiasedness (exact category probabilities + MC smoke)
+    # demand: the market kernel's counts are unbiased (valid category
+    # probabilities + MC smoke)
     p = p_lo + (p_hi - p_lo) * rng.random(instance.N)
     probs = model.mean(p)
     ok = bool(np.all(probs >= 0) and probs.sum() <= 1.0)
     n = 200_000
-    idx = sample_purchases(model, p, rng, n)
-    freq = np.bincount(idx, minlength=instance.N + 1)[:instance.N] / n
+    served, counts = _serve_block(model, instance.A, p, n, np.inf, rng)
+    ok = ok and served == n and counts.sum() == n
+    freq = counts[:-1] / n
     se = np.sqrt(probs * (1 - probs) / n)
     ok = ok and bool(np.all(np.abs(freq - probs) <= 6 * se + 1e-12))
     check("demand.sampler_unbiased", ok)
@@ -130,7 +132,17 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
           and tr_a.total_revenue == tr_b.total_revenue)
     check("sim.inventory_nonnegative", tr_a.inventory_ok,
           f"min inventory {tr_a.min_inventory:.3e}")
-    check("sim.shutoff_permanent", tr_a.shutoff_ok)
+    # Starve the resource the fewest products use: the first purchase of one
+    # that uses it shuts the market while the others could still sell.
+    j = int(np.argmin((instance.A > 0).sum(axis=1)))
+    gamma = np.full(instance.M, float(instance.A.sum()))
+    gamma[j] = 0.5 * instance.A[j][instance.A[j] > 0].min() / small.T
+    tr_s = run_episode(dataclasses.replace(small, gamma=gamma),
+                       _RecordingPolicy(np.full(instance.N, p_lo)), seed=7, record_periods=True)
+    check("sim.shutoff_permanent", tr_a.shutoff_ok and tr_s.shutoff_ok
+          and tr_s.shutoff_period is not None
+          and not tr_s.periods["demand"][tr_s.shutoff_period:].any(),
+          f"shutoff at {tr_s.shutoff_period}, demand after {tr_s.demand_after_shutoff}")
     per = tr_a.periods
     terms = []
     for t in range(per["price"].shape[0]):

@@ -1,4 +1,4 @@
-"""Demand curve models, revenue functions, and the stochastic purchase sampler.
+"""Demand curve models, revenue functions, and the regularity scan.
 
 Price and demand vectors are plain float64 numpy arrays of length N.
 """
@@ -210,14 +210,6 @@ def hessian_fd_batch(grad_batch, model: DemandModel, X, h: float = 1e-6) -> np.n
         e[i] = h
         H[:, i] = (grad_batch(model, X + e) - grad_batch(model, X - e)) / (2 * h)
     return 0.5 * (H + np.swapaxes(H, 1, 2))
-
-
-def sample_purchases(model: DemandModel, p: np.ndarray, rng: np.random.Generator,
-                     k: int) -> np.ndarray:
-    """k independent purchase events at price p by inverse-CDF sampling: entry
-    i < N is the product bought, N means no purchase, with probabilities
-    (D_1(p), ..., D_N(p), 1 - sum D(p)). One uniform draw per event."""
-    return np.searchsorted(np.cumsum(model.mean(p)), rng.random(k), side="right")
 
 
 _SCAN_BLOCK = 2 ** 14   # grid points per batched pass of estimate_regularity

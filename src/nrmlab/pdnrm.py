@@ -13,11 +13,10 @@ import numpy as np
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .demand import sample_purchases
 from .instance import Instance
 from .fluid import DualSet, default_dual_set
 from .projections import feasible_point
-from .sim import CommitPolicy
+from .sim import CommitPolicy, _serve_block
 
 CONFIG_MODES = ("theory", "tuned", "explicit")
 
@@ -360,8 +359,8 @@ class DemandOracle:
 
 
 class SamplingOracle:
-    """Stochastic environment handle backed by the simulator's purchase sampler,
-    without inventory."""
+    """Stochastic environment handle backed by the simulator's market kernel,
+    without inventory: a commitment of m periods costs one count draw."""
 
     def __init__(self, instance: Instance, rng: np.random.Generator):
         self.instance = instance
@@ -370,8 +369,8 @@ class SamplingOracle:
 
     def commit(self, p, m):
         self.periods += m
-        idx = sample_purchases(self.instance.model, p, self.rng, m)
-        return np.bincount(idx, minlength=self.instance.N + 1)[:self.instance.N] / m
+        _, counts = _serve_block(self.instance.model, self.instance.A, p, m, np.inf, self.rng)
+        return counts[:-1] / m
 
 
 def _drive(gen, env):

@@ -1,8 +1,10 @@
 """Discrete-time market simulator: inventory dynamics, hard shutoff, trace recording.
 
 One episode is strictly sequential; distinct episodes may run concurrently,
-each owning its RNG. Policies that hold a price for many periods are served
-in vectorized blocks; the per-period semantics are unchanged.
+each owning its RNG. A price held for k periods is served as one block whose
+outcome counts are drawn at once (`_serve_block`: O(log k) draws, exact in
+distribution); per-period rows are made only when recording. The per-period
+semantics are unchanged.
 """
 
 import csv
@@ -15,11 +17,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .demand import sample_purchases
 from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 1 << 20
+_NO_PURCHASE = np.zeros(1)  # multinomial's last category takes 1 - sum D(p)
 
 
 def mix64(*parts) -> int:
@@ -140,14 +141,31 @@ class PolicyError(RuntimeError):
     """Policy emitted an out-of-box, non-shutoff price."""
 
 
-def _price_ok(instance: Instance, p: np.ndarray) -> bool:
-    eps = 1e-9 * max(1.0, abs(instance.price_max))
-    return bool(
-        p.shape == (instance.N,)
-        and np.all(np.isfinite(p))
-        and np.all(p >= instance.price_min - eps)
-        and np.all(p <= instance.price_max + eps)
-    )
+def _serve_block(model, A, p, k, remaining, rng):
+    """The purchases of k periods at price p, served until the first one that
+    `remaining` cannot cover. Returns (served, counts): the periods before
+    that purchase (k if there is none) and their outcome counts, counts[i]
+    for product i < N and counts[N] for no purchase.
+
+    One multinomial draw gives the block's counts. If they do not fit, halving
+    finds the first unservable period: given a segment's counts, the counts of
+    its first h periods are multivariate hypergeometric, so every split is
+    exact in distribution and a block costs O(log k) draws."""
+    pvals = np.concatenate((model.mean(p), _NO_PURCHASE))
+    # a linear demand that is 0 at a box corner can evaluate to -1e-17 there
+    counts = rng.multinomial(k, np.maximum(pvals, 0.0, out=pvals))
+    if min((remaining - A.dot(counts[:-1])).tolist()) >= 0.0:
+        return k, counts
+    served, kept, seg = 0, np.zeros_like(counts), counts
+    while k > 1:
+        h = k // 2
+        head = rng.multivariate_hypergeometric(seg, h)
+        trial = kept + head
+        if min((remaining - A.dot(trial[:-1])).tolist()) >= 0.0:
+            served, kept, seg, k = served + h, trial, seg - head, k - h
+        else:
+            seg, k = head, h
+    return served, kept
 
 
 def run_episode(instance: Instance, policy: Policy, seed: int,
@@ -159,19 +177,24 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     resource cannot fully serve is lost (y := 0) and triggers permanent
     shutoff. Deterministic given the seed.
 
-    A held price is served as one block of k periods. Each kind of block
-    (closed market, exact mean demand, sampled purchases) yields the periods
-    served before the first unservable purchase, their demand and
-    consumption, the per-period revenue and the bytes hashed into the
-    fingerprint; shutoff, inventory and recording are common to all three.
+    A held price is served as one block of k periods. A closed block sells
+    nothing, a noiseless block sells the exact mean demand each period, and a
+    sampled block draws its outcome counts with `_serve_block` in O(log k)
+    draws. Each yields the periods served before the first unservable
+    purchase and their demand; shutoff, inventory, the fingerprint (price,
+    counts, served) and recording are common to all three. Recorded rows
+    order a sampled block's served outcomes by a uniform random permutation
+    from a second generator derived from the seed, so a recorded and an
+    unrecorded run of one seed are the same episode.
     """
     T = instance.T
     N, M = instance.N, instance.M
+    model, A = instance.model, instance.A
     rng = np.random.default_rng(np.random.PCG64(seed))
     remaining = instance.capacity.astype(float).copy()
-    A = instance.A
-    A_ext = np.hstack([A, np.zeros((M, 1))])
     noiseless = instance.noise == "none"
+    eps = 1e-9 * max(1.0, abs(instance.price_max))
+    p_lo, p_hi = instance.price_min - eps, instance.price_max + eps
 
     hasher = hashlib.blake2b(digest_size=16)
     revenue_parts: list = []
@@ -179,6 +202,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     shutoff_period: Optional[int] = None
     demand_after_shutoff = 0.0
     if record_periods:
+        order_rng = np.random.default_rng(np.random.PCG64(fold_name(seed, "record")))
+        A_ext = np.hstack([A, np.zeros((M, 1))])
         # NaN prices mark the periods in which the market is shut.
         periods = {"price": np.full((T, N), np.nan), "demand": np.zeros((T, N)),
                    "revenue": np.zeros(T), "inventory": np.empty((T, M))}
@@ -188,18 +213,19 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         p = policy.next_price(t + 1)
         if p is not None:
             p = np.asarray(p, dtype=float)
-            if not _price_ok(instance, p):
+            if p.shape != (N,) or not all(p_lo <= x <= p_hi for x in p.tolist()):
                 raise PolicyError(
                     f"price {p} outside [{instance.price_min}, {instance.price_max}]")
-        k = int(min(max(1, policy.hold()), T - t, _CHUNK))
-        is_open = p is not None and shutoff_period is None
+        k = min(max(1, int(policy.hold())), T - t)
+        was_shut = shutoff_period is not None
+        is_open = p is not None and not was_shut
 
         if not is_open:
             # Market closed: zero demand, no RNG consumption.
-            served, y_sum, used, rev = 0, np.zeros(N), 0.0, np.zeros(k)
-            outcome = b"z" + np.int64(k).tobytes()
+            served, y_sum, used = 0, np.zeros(N), 0.0
+            outcome = b"z" + k.to_bytes(8, "little")
         elif noiseless:
-            y = instance.model.mean(p)
+            y = model.mean(p)
             cons = A @ y
             served = k
             for j in np.nonzero(cons > 0)[0]:
@@ -208,31 +234,26 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                     cap -= 1
                 served = min(served, max(cap, 0))
             y_sum, used = y * served, served * cons
-            rev = np.full(k, float(p @ y))
-            outcome = p.tobytes() + np.int64(served).tobytes()
+            outcome = p.tobytes() + served.to_bytes(8, "little")
             if record_periods:
                 y_rows, cum = y, np.arange(1, served + 1)[:, None] * cons
         else:
-            idx = sample_purchases(instance.model, p, rng, k)
-            cum_cons = np.cumsum(A_ext[:, idx], axis=1)
-            viol = (cum_cons > remaining[:, None]).any(axis=0)
-            served = int(np.argmax(viol)) if viol.any() else k
-            y_sum = np.bincount(idx[:served], minlength=N + 1)[:N].astype(float)
-            used = cum_cons[:, served - 1] if served else 0.0
-            rev = np.append(p, 0.0)[idx]
-            outcome = p.tobytes() + idx[:served].tobytes() + np.int64(served).tobytes()
+            served, counts = _serve_block(model, A, p, k, remaining, rng)
+            y_sum, used = counts[:N].astype(float), A.dot(counts[:N])
+            outcome = p.tobytes() + counts.tobytes() + served.to_bytes(8, "little")
             if record_periods:
-                y_rows, cum = np.eye(N + 1)[idx[:served], :N], cum_cons[:, :served].T
+                idx = order_rng.permutation(np.repeat(np.arange(N + 1), counts))
+                y_rows, cum = np.eye(N + 1)[idx, :N], np.cumsum(A_ext[:, idx], axis=1).T
 
-        rev[served:] = 0.0
-        if is_open and served < k:
+        if was_shut:
+            demand_after_shutoff += float(y_sum.sum())
+        elif is_open and served < k:
             shutoff_period = t + served + 1
-        elif shutoff_period is not None:
-            demand_after_shutoff += float(np.sum(y_sum))
         start, remaining = remaining, remaining - used
         hasher.update(outcome)
-        min_inventory = min(min_inventory, float(remaining.min()))
-        revenue_parts.append(float(rev.sum()))
+        min_inventory = min(min_inventory, min(remaining.tolist()))
+        if served:
+            revenue_parts.append(float(p.dot(y_sum)))
 
         if record_periods:
             if is_open:
@@ -241,8 +262,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             if served:
                 periods["demand"][t:t + served] = y_rows
                 periods["inventory"][t:t + served] = start - cum
+                periods["revenue"][t:t + served] = y_rows @ p
             periods["inventory"][t + max(served - 1, 0):t + k] = remaining
-            periods["revenue"][t:t + k] = rev
 
         if k == 1:
             policy.observe(t + 1, y_sum)

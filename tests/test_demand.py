@@ -12,8 +12,8 @@ from nrmlab.demand import (
     grad_revenue_phi,
     grad_revenue_phi_batch,
     hessian_fd_batch,
-    sample_purchases,
 )
+from nrmlab.sim import _serve_block
 
 A_EXAMPLE = np.array([[1.0, 1.0], [0.0, 2.0]])
 
@@ -159,33 +159,50 @@ class TestRevenue:
 
 
 class TestSampler:
+    """The market kernel's count draw, without inventory (remaining = inf)."""
+
     def test_multinomial_is_one_hot_or_zero(self, logit, rng):
         # each period buys one product (index < N) or nothing (index N)
-        idx = sample_purchases(logit, np.array([1.0, 1.0]), rng, 1000)
-        assert idx.shape == (1000,)
-        assert set(np.unique(idx)) == {0, 1, 2}
+        draws = [_serve_block(logit, A_EXAMPLE, np.array([1.0, 1.0]), 1, np.inf, rng)
+                 for _ in range(1000)]
+        counts = np.array([c for _, c in draws])
+        assert all(served == 1 for served, _ in draws)
+        assert counts.shape == (1000, 3)
+        assert np.all(counts.sum(axis=1) == 1) and np.all((counts == 0) | (counts == 1))
+        assert np.all(counts.sum(axis=0) > 0)
+        served, block = _serve_block(logit, A_EXAMPLE, np.array([1.0, 1.0]), 1000, np.inf, rng)
+        assert served == 1000 and block.sum() == 1000
 
     def test_category_probabilities_equal_mean_exactly(self, logit):
-        # the inverse-CDF sampler's category masses are the cumsum increments
+        # the draw's category probabilities are D(p) itself; the last category
+        # (no purchase) takes the remainder 1 - sum D(p)
+        class Spy:
+            def multinomial(self, k, pvals):
+                self.pvals = np.array(pvals)
+                return np.random.default_rng(0).multinomial(k, pvals)
+
         p = np.array([1.7, 2.4])
+        spy = Spy()
+        _serve_block(logit, A_EXAMPLE, p, 10, np.inf, spy)
         target = logit.mean(p)
-        cum = np.cumsum(target)
-        masses = np.diff(cum, prepend=0.0)
-        assert_allclose(masses, target, rtol=1e-15, atol=1e-18)
-        assert 1.0 - cum[-1] > 0
+        np.testing.assert_array_equal(spy.pvals[:2], target)
+        assert 1.0 - spy.pvals[:2].sum() > 0
 
     def test_multinomial_mean_matches_demand(self, logit, rng):
         p = np.array([0.8, 0.8])
         n = 1_000_000
-        freq = np.bincount(sample_purchases(logit, p, rng, n), minlength=3)[:2] / n
+        served, counts = _serve_block(logit, A_EXAMPLE, p, n, np.inf, rng)
+        freq = counts[:2] / n
         target = logit.mean(p)
         se = np.sqrt(target * (1 - target) / n)
+        assert served == n
         assert np.all(np.abs(freq - target) <= 4 * se)
 
     def test_revenue_bounded_by_max_price(self, logit, rng):
         p = np.array([4.9, 5.0])
-        idx = sample_purchases(logit, p, rng, 2000)
-        assert np.max(np.append(p, 0.0)[idx]) <= 5.0
+        served, counts = _serve_block(logit, A_EXAMPLE, p, 2000, np.inf, rng)
+        assert counts.sum() == served == 2000
+        assert p @ counts[:2] <= 5.0 * served
 
 
 class TestLinearDemand:

@@ -1,7 +1,9 @@
+import itertools
 import math
 import dataclasses
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, chisquare
 
 from nrmlab import (
     example_logit_instance,
@@ -15,6 +17,7 @@ from nrmlab import (
     mix64,
 )
 from nrmlab.demand import revenue_f
+from nrmlab.sim import _serve_block
 
 
 class FixedPricePolicy(Policy):
@@ -33,13 +36,14 @@ class FixedPricePolicy(Policy):
 class FixedCommitPolicy(CommitPolicy):
     name = "fixed-commit"
 
-    def __init__(self, price, n_products=2):
+    def __init__(self, price, n_products=2, length=1 << 40):
         self.price = np.asarray(price, float)
+        self.length = length
         super().__init__(n_products)
 
     def _driver(self):
         while True:
-            yield (self.price, 1 << 40)
+            yield (self.price, self.length)
 
 
 class RecordingPolicy(Policy):
@@ -121,10 +125,14 @@ class TestRunEpisode:
             assert np.all(trace.final_inventory >= 0)
 
     def test_shutoff_permanence(self, instance):
+        # At this price resource 2 runs out first, so product 1 could still sell
+        # in the blocks that follow the shutoff.
         short = instance.with_horizon(30_000)
-        trace = run_episode(short, FixedCommitPolicy(np.array([0.8, 0.8])), seed=9,
-                            record_periods=True)
+        trace = run_episode(short, FixedCommitPolicy(np.array([1.5, 0.8]), length=1_000),
+                            seed=9, record_periods=True)
         assert trace.shutoff_period is not None
+        assert trace.shutoff_period < short.T - 1_000
+        assert trace.final_inventory[0] >= 1
         after = trace.periods["demand"][trace.shutoff_period:]
         assert np.all(after == 0)
         assert trace.shutoff_ok
@@ -158,13 +166,15 @@ class TestRunEpisode:
             assert obs[0] == "obs" and obs[1] == t + 1
 
     def test_blocked_and_stepwise_policies_agree_on_aggregate(self, instance):
-        # same underlying price stream; block sizes must not change semantics
-        short = instance.with_horizon(4_000)
+        # block sizes must not change the outcome distribution (see
+        # TestReferenceSimulator for the test and its threshold)
+        tight = tight_instance(instance)
         p = np.array([1.0, 1.1])
-        t1 = run_episode(short, FixedCommitPolicy(p), seed=11)
-        t2 = run_episode(short, FixedPricePolicy(p), seed=11)
-        assert t1.total_revenue == pytest.approx(t2.total_revenue, rel=1e-12)
-        assert t1.shutoff_period == t2.shutoff_period
+        blocked = [episode_stats(run_episode(tight, FixedCommitPolicy(p), seed,
+                                             record_periods=True)) for seed in GATE_SEEDS]
+        stepwise = [episode_stats(run_episode(tight, FixedPricePolicy(p), seed,
+                                              record_periods=True)) for seed in REFERENCE_SEEDS]
+        assert_same_distributions(blocked, stepwise)
 
 
 def reference_episode(instance, policy, seed):
@@ -195,29 +205,178 @@ def reference_episode(instance, policy, seed):
     return shutoff, price, demand, inventory
 
 
+# The distributional gate. Fixed in advance: 2,000 seeds per side (disjoint
+# ranges), the tight instance below, and per statistic a chi-square test of
+# homogeneity over consecutive values binned to at least 20 pooled episodes
+# per bin, which must give p >= 1e-4 (12 such tests over the three policies:
+# a familywise false alarm rate of at most 0.12%).
+GATE_SEEDS = range(1, 2_001)
+REFERENCE_SEEDS = range(1_000_001, 1_002_001)
+GATE_MIN_BIN = 20
+GATE_P_MIN = 1e-4
+
+
+def tight_instance(instance):
+    """T = 100 with two units of each resource, so nearly every episode shuts
+    off within a few dozen periods. Capacities and consumptions are integers,
+    so both inventory paths are exact."""
+    tight = dataclasses.replace(instance.with_horizon(100), gamma=np.array([0.02, 0.02]))
+    assert np.all(tight.capacity == np.round(tight.capacity))
+    return tight
+
+
+def episode_stats(trace=None, shutoff=None, demand=None):
+    """Per-product units sold, the shutoff period (T + 1 if none) and the gap
+    from the last sale to the shutoff (-1 if none). The gap is exact for
+    recorded rows too: given a block's served counts, their order is uniform."""
+    if trace is not None:
+        shutoff, demand = trace.shutoff_period, trace.periods["demand"]
+    T = demand.shape[0]
+    sales = np.nonzero(demand.any(axis=1))[0] + 1
+    gap = -1 if shutoff is None else shutoff - (sales[-1] if sales.size else 0)
+    return tuple(demand.sum(axis=0).astype(int)) + (shutoff or T + 1, gap)
+
+
+def homogeneity_pvalue(a, b, min_bin=GATE_MIN_BIN):
+    """Chi-square test that two integer samples share one distribution, over
+    bins of consecutive values holding at least min_bin pooled samples."""
+    values, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    edges, acc = [], 0
+    for value, count in zip(values, counts):
+        acc += count
+        if acc >= min_bin:
+            edges.append(value)
+            acc = 0
+    edges = edges[:-1]   # the last bin takes whatever is left over
+    if not edges:
+        return 1.0
+    table = [np.bincount(np.searchsorted(edges, x), minlength=len(edges) + 1) for x in (a, b)]
+    return chi2_contingency(table, correction=False).pvalue
+
+
+def assert_same_distributions(stats_a, stats_b):
+    a, b = np.array(stats_a), np.array(stats_b)
+    names = [f"sold_{i + 1}" for i in range(a.shape[1] - 2)] + ["shutoff_period", "gap"]
+    pvalues = {name: homogeneity_pvalue(a[:, j], b[:, j]) for j, name in enumerate(names)}
+    assert min(pvalues.values()) >= GATE_P_MIN, pvalues
+
+
 class TestReferenceSimulator:
-    """The block simulator against the per-period reference, on an instance
-    whose inventory is tight enough that most episodes shut off. Capacities
-    and consumptions are integers, so both inventory paths are exact."""
+    """The count kernel against the per-period reference, in distribution: the
+    random streams differ, so episodes are compared as samples."""
 
     @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
     def test_matches_per_period_reference(self, policy, instance, fluid_solution):
         from nrmlab import build_policy
-        tight = dataclasses.replace(instance.with_horizon(10_000), gamma=np.array([0.04, 0.04]))
-        assert np.all(tight.capacity == np.round(tight.capacity))
-        shutoffs = 0
-        for seed in range(1, 11):
-            # the clairvoyant policy posts the loose instance's p*, which overspends
-            trace = run_episode(tight, build_policy(policy, tight, fluid_solution), seed,
-                                record_periods=True)
-            shutoff, price, demand, inventory = reference_episode(
+        tight = tight_instance(instance)
+        # the clairvoyant policy posts the loose instance's p*, which overspends
+        kernel = [episode_stats(run_episode(tight, build_policy(policy, tight, fluid_solution),
+                                            seed, record_periods=True)) for seed in GATE_SEEDS]
+        reference = []
+        for seed in REFERENCE_SEEDS:
+            shutoff, _, demand, _ = reference_episode(
                 tight, build_policy(policy, tight, fluid_solution), seed)
-            assert trace.shutoff_period == shutoff
-            np.testing.assert_array_equal(trace.periods["price"], price)
-            np.testing.assert_array_equal(trace.periods["demand"], demand)
-            np.testing.assert_array_equal(trace.periods["inventory"], inventory)
-            shutoffs += shutoff is not None
-        assert shutoffs >= 5
+            reference.append(episode_stats(shutoff=shutoff, demand=demand))
+        assert np.mean([s[-2] <= tight.T for s in kernel]) >= 0.9
+        assert_same_distributions(kernel, reference)
+
+
+class FixedCounts:
+    """Generator stand-in: the block's multinomial draw returns fixed counts,
+    and the kernel's splits come from a real generator."""
+
+    def __init__(self, counts, seed):
+        self.counts = np.asarray(counts)
+        self.rng = np.random.default_rng(seed)
+
+    def multinomial(self, k, pvals):
+        assert k == self.counts.sum()
+        return self.counts.copy()
+
+    def multivariate_hypergeometric(self, colors, n):
+        return self.rng.multivariate_hypergeometric(colors, n)
+
+
+class TestServeBlock:
+    A = np.array([[1.0, 1.0], [0.0, 2.0]])
+
+    def test_first_infeasible_period_matches_orderings(self, instance):
+        # Every distinct ordering of the counts is equally likely; the halving
+        # search must find the same (served, served counts) law. Chi-square
+        # goodness of fit over 20,000 draws, p >= 1e-4.
+        counts, remaining = (2, 3, 3), np.array([3.0, 3.0])
+        outcomes = np.repeat(np.arange(3), counts)
+        exact = {}
+        orderings = set(itertools.permutations(outcomes.tolist()))
+        for order in orderings:
+            used, kept, served = np.zeros(2), np.zeros(3, int), len(order)
+            for period, i in enumerate(order):
+                if i < 2 and np.any(used + self.A[:, i] > remaining):
+                    served = period
+                    break
+                used += self.A[:, i] if i < 2 else 0.0
+                kept[i] += 1
+            key = (served,) + tuple(kept)
+            exact[key] = exact.get(key, 0) + 1 / len(orderings)
+        assert len(orderings) == 560 and min(k[0] for k in exact) < 8
+        rng = FixedCounts(counts, seed=2024)
+        n = 20_000
+        seen = {}
+        for _ in range(n):
+            served, kept = _serve_block(instance.model, self.A, np.array([1.0, 1.0]), 8,
+                                        remaining, rng)
+            key = (served,) + tuple(kept.tolist())
+            seen[key] = seen.get(key, 0) + 1
+        assert set(seen) <= set(exact)
+        keys = sorted(exact)
+        result = chisquare([seen.get(k, 0) for k in keys], [n * exact[k] for k in keys])
+        assert result.pvalue >= 1e-4, (result, seen, exact)
+
+    def test_block_that_exactly_exhausts_a_resource_is_fully_served(self, instance):
+        p = np.array([1.0, 1.0])
+        served, counts = _serve_block(instance.model, self.A, p, 8, np.array([3.0, 0.0]),
+                                      FixedCounts((3, 0, 5), seed=1))
+        assert served == 8 and counts.tolist() == [3, 0, 5]
+        served, counts = _serve_block(instance.model, self.A, p, 8, np.array([2.0, 0.0]),
+                                      FixedCounts((3, 0, 5), seed=1))
+        assert served < 8 and counts.tolist()[:2] == [2, 0]
+
+    def test_demand_rounded_below_zero_at_a_corner_is_no_sale(self):
+        # D_1 is exactly 0 at the corner (5, 0.8) but evaluates to -5.6e-17;
+        # ETC posts every corner of its grid
+        from nrmlab import Instance, LinearDemand, ExploreThenCommitPolicy
+        B = np.array([[0.1, -0.01], [-0.01, 0.1]])
+        model = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
+        corner = np.array([5.0, 0.8])
+        assert model.mean(corner)[0] < 0
+        served, counts = _serve_block(model, np.eye(2), corner, 1_000, np.inf,
+                                      np.random.default_rng(3))
+        assert served == 1_000 and counts[0] == 0
+        inst = Instance(model=model, A=np.eye(2), gamma=np.array([0.1, 0.1]), T=10_000,
+                        price_min=0.8, price_max=5.0)
+        assert run_episode(inst, ExploreThenCommitPolicy(inst), seed=1).inventory_ok
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
+    def test_recording_and_reruns_do_not_change_the_episode(self, policy, noise, instance,
+                                                            fluid_solution):
+        from nrmlab import build_policy
+        inst = dataclasses.replace(instance.with_horizon(20_000), gamma=np.array([0.03, 0.03]),
+                                   noise=noise)
+
+        def run(record):
+            return run_episode(inst, build_policy(policy, inst, fluid_solution), 31,
+                               record_periods=record)
+
+        plain, recorded, again = run(False), run(True), run(False)
+        assert plain.shutoff_period is not None
+        assert recorded.fingerprint == plain.fingerprint
+        assert recorded.shutoff_period == plain.shutoff_period
+        np.testing.assert_array_equal(recorded.final_inventory, plain.final_inventory)
+        assert math.isclose(recorded.total_revenue, plain.total_revenue, rel_tol=1e-12)
+        assert again.fingerprint == plain.fingerprint
+        assert again.total_revenue == plain.total_revenue
+        assert again.shutoff_period == plain.shutoff_period
 
 
 class TestPercentageLoss:
