@@ -2,8 +2,9 @@
 CSV/JSON outputs, and regret-scaling slopes.
 
 Episodes are the unit of parallelism; the reduction is order-independent
-(records are sorted by (policy, T, replicate) before stable summation), so
-parallel and serial runs of the same plan produce identical aggregates.
+(tasks are sorted by (policy, T, replicate) and results keep that order
+before stable summation), so parallel and serial runs of the same plan
+produce identical aggregates.
 """
 
 import os
@@ -11,6 +12,8 @@ import csv
 import json
 import math
 import time
+import dataclasses
+import functools
 import subprocess
 import numpy as np
 from dataclasses import dataclass, field
@@ -120,90 +123,52 @@ def _count_events(events):
     return epochs, max_loops
 
 
-def _run_task(task: dict) -> dict:
+def _run_task(plan: BenchPlan, fluid: FluidSolution, task: tuple):
+    """Run one (policy, T, replicate, seed) episode of the plan. Returns its
+    EpisodeResult, or an error record when the episode fails."""
+    policy_name, T, replicate, seed = task
     try:
-        return _run_task_inner(task)
+        instance = plan.instance.with_horizon(T)
+        policy = build_policy(policy_name, instance, fluid,
+                              pdnrm_config=plan.pdnrm_config, etc_config=plan.etc_config)
+        t0 = time.perf_counter()
+        trace = run_episode(instance, policy, seed)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        epochs, max_loops = _count_events(trace.events)
+        return EpisodeResult(
+            policy=policy_name, T=T, replicate=replicate, seed=seed,
+            revenue=trace.total_revenue,
+            loss=percentage_loss(instance, trace, fluid.value),
+            shutoff=trace.shutoff_period if trace.shutoff_period is not None else T,
+            fingerprint=trace.fingerprint,
+            inventory_ok=trace.inventory_ok,
+            shutoff_ok=trace.shutoff_ok,
+            dual_updates=epochs,
+            max_loops_per_epoch=max_loops,
+            wall_ms=wall_ms,
+        )
     except Exception as exc:  # recorded per episode, not fatal to the sweep
-        return {
-            "policy": task["policy"],
-            "T": task["T"],
-            "replicate": task["replicate"],
-            "seed": task["seed"],
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-
-
-def _run_task_inner(task: dict) -> dict:
-    instance = instance_from_dict(task["instance"]).with_horizon(task["T"])
-    fluid = FluidSolution(
-        d_star=np.asarray(task["fluid"]["d_star"]),
-        p_star=np.asarray(task["fluid"]["p_star"]),
-        lambda_star=np.asarray(task["fluid"]["lambda_star"]),
-        value=task["fluid"]["value"],
-        binding_mask=np.asarray(task["fluid"]["binding_mask"]),
-        duality_gap=task["fluid"]["duality_gap"],
-    )
-    policy = build_policy(task["policy"], instance, fluid,
-                          pdnrm_config=task["pdnrm_config"],
-                          etc_config=EtcConfig(**task["etc_config"])
-                          if task["etc_config"] else None)
-    t0 = time.perf_counter()
-    trace = run_episode(instance, policy, task["seed"])
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    epochs, max_loops = _count_events(trace.events)
-    return {
-        "policy": task["policy"],
-        "T": task["T"],
-        "replicate": task["replicate"],
-        "seed": task["seed"],
-        "revenue": trace.total_revenue,
-        "loss": percentage_loss(instance, trace, fluid.value),
-        "shutoff": trace.shutoff_period if trace.shutoff_period is not None else task["T"],
-        "fingerprint": trace.fingerprint,
-        "inventory_ok": trace.inventory_ok,
-        "shutoff_ok": trace.shutoff_ok,
-        "dual_updates": epochs,
-        "max_loops_per_epoch": max_loops,
-        "wall_ms": wall_ms,
-    }
+        return {"policy": policy_name, "T": T, "replicate": replicate, "seed": seed,
+                "error": f"{type(exc).__name__}: {exc}"}
 
 
 def run_bench(plan: BenchPlan) -> BenchSummary:
     """Execute the plan, aggregate, and (when output_dir is set) write
     summary.csv, episodes.csv, and run-metadata JSON."""
     fluid = solve_fluid(plan.instance)
-    inst_doc = plan.instance.to_dict()
-    fluid_doc = fluid.to_dict()
-    etc_doc = None
-    if plan.etc_config is not None:
-        etc_doc = {
-            "grid_points_per_axis": plan.etc_config.grid_points_per_axis,
-            "exploration_fraction": plan.etc_config.exploration_fraction,
-        }
-    tasks = []
-    for policy in plan.policies:
-        for T in plan.T_grid:
-            for rep in range(plan.replications):
-                tasks.append({
-                    "instance": inst_doc,
-                    "fluid": fluid_doc,
-                    "policy": policy,
-                    "T": int(T),
-                    "replicate": rep,
-                    "seed": episode_seed(plan.base_seed, policy, int(T), rep),
-                    "pdnrm_config": plan.pdnrm_config,
-                    "etc_config": etc_doc,
-                })
+    tasks = sorted((policy, T, rep, episode_seed(plan.base_seed, policy, T, rep))
+                   for policy in plan.policies for T in plan.T_grid
+                   for rep in range(plan.replications))
+    run_task = functools.partial(_run_task, plan, fluid)
 
     wall_start = time.perf_counter()
     if plan.workers > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            raw = list(pool.map(_run_task, tasks, chunksize=1))
+            raw = list(pool.map(run_task, tasks, chunksize=1))
     else:
-        raw = [_run_task(t) for t in tasks]
-    raw.sort(key=lambda r: (r["policy"], r["T"], r["replicate"]))
-    errors = [r for r in raw if "error" in r]
-    episodes = [EpisodeResult(**r) for r in raw if "error" not in r]
+        raw = [run_task(t) for t in tasks]
+    errors = [r for r in raw if isinstance(r, dict)]
+    episodes = [r for r in raw if isinstance(r, EpisodeResult)]
 
     rows = []
     for policy in plan.policies:
@@ -234,15 +199,16 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
             "git_hash": _git_hash(),
             "wall_seconds": time.perf_counter() - wall_start,
             "episode_errors": errors,
-            "fluid": fluid_doc,
+            "fluid": fluid.to_dict(),
             "plan": {
-                "instance": inst_doc,
+                "instance": plan.instance.to_dict(),
                 "policies": list(plan.policies),
                 "T_grid": list(plan.T_grid),
                 "replications": plan.replications,
                 "base_seed": plan.base_seed,
                 "pdnrm_config": plan.pdnrm_config,
-                "etc_config": etc_doc,
+                "etc_config": (dataclasses.asdict(plan.etc_config)
+                               if plan.etc_config is not None else None),
                 "workers": plan.workers,
             },
             "loss_denominator": "fluid upper bound T * phi(d*)",

@@ -10,7 +10,7 @@ near the per-period inventory rate.
 
 import math
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .instance import Instance
@@ -18,18 +18,13 @@ from .fluid import DualSet, default_dual_set
 from .projections import feasible_point
 from .sim import CommitPolicy, _serve_block
 
-CONFIG_MODES = ("theory", "tuned", "explicit")
-
-
 @dataclass
 class PdNrmConfig:
-    """Learning constants; built by constants_tuned / constants_theory or given
-    explicitly. kappa2 = sqrt(kappa5) is mandatory outside explicit mode."""
+    """Learning constants, built by constants_tuned or constants_theory.
+    kappa2 = sqrt(kappa5) is derived, not stored."""
 
-    mode: str
     n0: int
     kappa1: float
-    kappa2: float
     kappa3: float
     kappa5: float
     kappa6: float
@@ -43,65 +38,46 @@ class PdNrmConfig:
     lambda_max: Optional[np.ndarray] = None
     lambda0: Optional[np.ndarray] = None
 
+    @property
+    def kappa2(self) -> float:
+        return math.sqrt(self.kappa5)
+
     def validate(self, N: int, T: int) -> None:
-        if self.mode not in CONFIG_MODES:
-            raise ValueError(f"mode must be one of {CONFIG_MODES}")
         if self.n0 < 4 * N:
             raise ValueError(f"n0 must be at least 4N = {4 * N}")
-        for name in ("kappa1", "kappa2", "kappa3", "kappa5", "kappa6",
-                     "eta1", "eta2", "mu"):
+        for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1", "eta2", "mu"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.contraction < 1:
             raise ValueError("contraction must lie in (0, 1)")
         if not 0 <= self.p_margin < 0.5:
             raise ValueError("p_margin must lie in [0, 0.5)")
-        if self.mode != "explicit":
-            if abs(self.kappa2 - math.sqrt(self.kappa5)) > 1e-9 * max(self.kappa2, 1.0):
-                raise ValueError("kappa2 must equal sqrt(kappa5)")
 
     def to_dict(self) -> dict:
-        doc = {
-            "mode": self.mode,
-            "n0": self.n0,
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "kappa3": self.kappa3,
-            "kappa5": self.kappa5,
-            "kappa6": self.kappa6,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "mu": self.mu,
-            "contraction": self.contraction,
-            "warm_start": self.warm_start,
-            "p_margin": self.p_margin,
-            "primal_init": (self.primal_init.tolist()
-                            if isinstance(self.primal_init, np.ndarray) else self.primal_init),
-        }
-        if self.lambda_max is not None:
-            doc["lambda_max"] = np.asarray(self.lambda_max).tolist()
-        if self.lambda0 is not None:
-            doc["lambda0"] = np.asarray(self.lambda0).tolist()
+        doc = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is not None:
+                doc[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
         return doc
 
 
-_OVERRIDE_KEYS = ("n0", "kappa1", "kappa2", "kappa3", "kappa5", "kappa6",
-                  "eta1", "eta2", "mu", "contraction", "warm_start", "p_margin",
-                  "primal_init", "lambda_max", "lambda0")
+_FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
 
 
 def _apply_overrides(cfg: PdNrmConfig, doc: dict) -> PdNrmConfig:
-    patch = {}
-    for key in _OVERRIDE_KEYS:
-        if key in doc:
-            val = doc[key]
-            if key in ("lambda_max", "lambda0") and val is not None:
-                val = np.asarray(val, dtype=float)
-            if key == "primal_init" and isinstance(val, (list, tuple)):
-                val = np.asarray(val, dtype=float)
-            if key == "n0":
-                val = int(val)
-            patch[key] = val
+    unknown = sorted(set(doc) - _FIELD_NAMES)
+    if unknown:
+        hint = "; kappa2 is sqrt(kappa5); set kappa5" if "kappa2" in unknown else ""
+        raise ValueError(f"unknown pdnrm config keys {unknown}{hint}")
+    patch = dict(doc)
+    for key in ("lambda_max", "lambda0"):
+        if patch.get(key) is not None:
+            patch[key] = np.asarray(patch[key], dtype=float)
+    if isinstance(patch.get("primal_init"), (list, tuple)):
+        patch["primal_init"] = np.asarray(patch["primal_init"], dtype=float)
+    if "n0" in patch:
+        patch["n0"] = int(patch["n0"])
     return replace(cfg, **patch) if patch else cfg
 
 
@@ -109,21 +85,18 @@ def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
     """Hand-tuned constants: n0 = ceil(0.1 N^4 ln^2(NT)); kappa1 = n0^.25;
     kappa5 = (2/3)e-8 (N^5.5 ln^3(NT) + N^4 ln^6(NT)); kappa2 = sqrt(kappa5);
     kappa3 = 8 kappa1 sqrt(N^3 ln(2NT)) + 12 kappa1^2; kappa6 = sqrt(N);
-    eta1 = eta2 = mu = 1."""
+    eta1 = eta2 = mu = 1. Each keyword overrides the field of its name."""
     if N < 1 or T < 2:
         raise ValueError("need N >= 1 and T >= 2")
     ln_nt = math.log(N * T)
     ln_2nt = math.log(2 * N * T)
     n0 = max(int(math.ceil(0.1 * N**4 * ln_nt**2)), 4 * N)
     kappa1 = n0**0.25
-    kappa5 = (2.0 / 3.0) * 1e-8 * (N**5.5 * ln_nt**3 + N**4 * ln_nt**6)
     cfg = PdNrmConfig(
-        mode="tuned",
         n0=n0,
         kappa1=kappa1,
-        kappa2=math.sqrt(kappa5),
         kappa3=8.0 * kappa1 * math.sqrt(N**3 * ln_2nt) + 12.0 * kappa1**2,
-        kappa5=kappa5,
+        kappa5=(2.0 / 3.0) * 1e-8 * (N**5.5 * ln_nt**3 + N**4 * ln_nt**6),
         kappa6=math.sqrt(N),
         eta1=1.0,
         eta2=1.0,
@@ -136,9 +109,7 @@ def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
 
 def constants_theory(instance: Instance, regularity, T: int, *,
                      dual_set: Optional[DualSet] = None,
-                     B_J: Optional[float] = None,
                      p_margin: float = 0.05,
-                     d_bar: float = 1.0,
                      rho_bar: Optional[float] = None,
                      rho_lo: Optional[float] = None,
                      **overrides) -> PdNrmConfig:
@@ -151,8 +122,10 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     if dual_set is None:
         dual_set = default_dual_set(instance)
     lam_bar = dual_set.lambda_bar
-    if B_J is None:
-        B_J = reg.B_D  # bound on ||J_D||; the analysis never defines it separately
+    # the analysis never bounds ||J_D|| separately, and one purchase per
+    # period bounds the demand: B_J = B_D and d_bar = 1
+    B_J = reg.B_D
+    d_bar = 1.0
     N = instance.N
     width = instance.price_max - instance.price_min
     if rho_lo is None:
@@ -190,10 +163,8 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     )
     contraction = 1.0 - eta1 * reg.sigma_D**2 * reg.sigma_phi / 2.0
     cfg = PdNrmConfig(
-        mode="theory",
         n0=n0,
         kappa1=kappa1,
-        kappa2=math.sqrt(kappa5),
         kappa3=kappa3,
         kappa5=kappa5,
         kappa6=kappa6,
@@ -209,47 +180,19 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     return cfg
 
 
-def config_from_dict(doc: dict, instance: Optional[Instance] = None,
-                     T: Optional[int] = None, regularity=None) -> PdNrmConfig:
-    """Resolve a JSON config document. tuned/theory modes recompute formula
-    constants (any explicitly present key overrides); explicit mode requires
-    every constant."""
-    mode = doc.get("mode", "tuned")
-    if mode == "tuned":
-        if instance is None and "N" not in doc:
-            raise ValueError("tuned mode needs an instance or an N entry")
-        if instance is None and T is None and "T" not in doc:
-            raise ValueError("tuned mode needs a horizon")
-        N = instance.N if instance is not None else int(doc["N"])
-        horizon = int(T if T is not None else (instance.T if instance is not None else doc["T"]))
-        return constants_tuned(N, horizon, **{k: doc[k] for k in _OVERRIDE_KEYS if k in doc})
-    if mode == "theory":
-        if instance is None or regularity is None:
-            raise ValueError("theory mode needs an instance and regularity constants")
-        horizon = int(T if T is not None else instance.T)
-        return constants_theory(instance, regularity, horizon,
-                                **{k: doc[k] for k in _OVERRIDE_KEYS if k in doc})
-    if mode == "explicit":
-        required = ("n0", "kappa1", "kappa2", "kappa3", "kappa5", "kappa6",
-                    "eta1", "eta2", "mu")
-        missing = [k for k in required if k not in doc]
-        if missing:
-            raise ValueError(f"explicit mode missing constants: {missing}")
-        base = PdNrmConfig(
-            mode="explicit",
-            n0=int(doc["n0"]),
-            kappa1=float(doc["kappa1"]),
-            kappa2=float(doc["kappa2"]),
-            kappa3=float(doc["kappa3"]),
-            kappa5=float(doc["kappa5"]),
-            kappa6=float(doc["kappa6"]),
-            eta1=float(doc["eta1"]),
-            eta2=float(doc["eta2"]),
-            mu=float(doc["mu"]),
-        )
-        return _apply_overrides(base, {k: v for k, v in doc.items()
-                                       if k not in ("mode",) and k in _OVERRIDE_KEYS})
-    raise ValueError(f"unknown config mode {mode!r}")
+def config_from_dict(doc: dict, instance: Instance,
+                     T: Optional[int] = None) -> PdNrmConfig:
+    """Resolve a JSON config document: the tuned formulas at (instance.N, T or
+    instance.T), then every other key overrides the field of its name. The
+    optional "mode" key must be "tuned"; a theory document, as printed by
+    `nrmlab constants --mode theory`, sets every field."""
+    rest = dict(doc)
+    mode = rest.pop("mode", "tuned")
+    if mode != "tuned":
+        raise ValueError(f"config mode {mode!r} is not supported: a config is the tuned "
+                         "formulas plus field overrides; for the theory constants pass the "
+                         "output of `nrmlab constants --mode theory`")
+    return constants_tuned(instance.N, instance.T if T is None else T, **rest)
 
 
 @dataclass
@@ -265,8 +208,7 @@ class GradEstOutput:
 
 
 def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
-                   kappa1, kappa2, kappa3, price_box,
-                   max_sweeps: int = 500, tol: float = 1e-9):
+                   kappa1, kappa2, kappa3, price_box):
     """Find a balanced price near p whose model-predicted two-phase average
     consumption sits in the target band around gamma.
 
@@ -296,7 +238,7 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     G[0::2], G[1::2] = C.T, -C.T
     h = np.empty(2 * m_res)
     h[0::2], h[1::2] = ub, -lb
-    x, ok = feasible_point(G, h, np.zeros(n_products), lo, hi, sweeps=max_sweeps, tol=tol)
+    x, ok = feasible_point(G, h, np.zeros(n_products), lo, hi)
     return (p + x, True) if ok else (p.copy(), False)
 
 

@@ -38,8 +38,7 @@ def project_polytope(G, h, x, sweeps: int = 500, tol: float = 1e-12) -> np.ndarr
     return x
 
 
-def feasible_point(G, h, x0, lo=None, hi=None, sweeps: int = 500,
-                   tol: float = 1e-9):
+def feasible_point(G, h, x0, lo, hi, sweeps: int = 500, tol: float = 1e-9):
     """Cyclic projections from x0 toward {G x <= h} intersected with box [lo, hi].
 
     Returns (x, ok). ok is False when the residual stays above tol after the
@@ -54,11 +53,7 @@ def feasible_point(G, h, x0, lo=None, hi=None, sweeps: int = 500,
             return x, False
 
     def clip(v):
-        if lo is not None:
-            v = np.maximum(v, lo)
-        if hi is not None:
-            v = np.minimum(v, hi)
-        return v
+        return np.minimum(np.maximum(v, lo), hi)
 
     x = clip(x)
     if max_violation(G, h, x) <= tol:

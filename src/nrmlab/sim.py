@@ -7,7 +7,6 @@ distribution); per-period rows are made only when recording. The per-period
 semantics are unchanged.
 """
 
-import csv
 import json
 import math
 import hashlib
@@ -311,16 +310,9 @@ def export_trace_csv(trace: EpisodeTrace, path: str) -> None:
     m = inventory.shape[1]
     header = (["period"] + [f"p_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
               + ["revenue"] + [f"inv_{j+1}" for j in range(m)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(price.shape[0]):
-            row = [t + 1]
-            row += [format(v, ".17g") for v in price[t]]
-            row += [format(v, ".17g") for v in demand[t]]
-            row.append(format(revenue[t], ".17g"))
-            row += [format(v, ".17g") for v in inventory[t]]
-            writer.writerow(row)
+    rows = np.column_stack([np.arange(1, price.shape[0] + 1), price, demand, revenue, inventory])
+    np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * (rows.shape[1] - 1), delimiter=",",
+               header=",".join(header), comments="", newline="\r\n")
 
 
 def export_events_jsonl(trace: EpisodeTrace, path: str) -> None:

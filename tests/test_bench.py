@@ -120,15 +120,15 @@ class TestRunBench:
         assert s != episode_seed(43, "pdnrm", 1000, 3)
 
     def test_episode_errors_recorded_not_fatal(self, instance, tmp_path):
-        # an invalid explicit config fails inside each pdnrm episode; the
+        # a config with an unknown key fails inside each pdnrm episode; the
         # sweep completes, the failures are recorded and the all-failed cell
         # keeps its row with empty statistics
         plan = small_plan(instance, tmp_path=tmp_path, policies=("pdnrm", "clairvoyant"),
                           T_grid=(600,), replications=2,
-                          pdnrm_config={"mode": "explicit"})
+                          pdnrm_config={"mode": "tuned", "eta_2": 5.0})
         summary = run_bench(plan)
         assert len(summary.errors) == 2
-        assert all("missing" in e["error"] for e in summary.errors)
+        assert all("eta_2" in e["error"] for e in summary.errors)
         failed = summary.row("pdnrm", 600)
         assert failed["episodes_failed"] == 2
         assert all(failed[k] is None for k in SUMMARY_HEADER if k not in

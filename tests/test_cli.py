@@ -49,6 +49,26 @@ class TestRunCommand:
         lines = [json.loads(x) for x in ev.read_text().strip().split("\n")]
         assert any(e["kind"] == "dual" for e in lines)
 
+    def test_theory_constants_document_runs(self, capsys, instance_file, tmp_path):
+        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory",
+                               "--grid-points", "9")
+        assert code == 0
+        assert not {"mode", "kappa2"} & json.loads(out).keys()
+        config = tmp_path / "theory.json"
+        config.write_text(out)
+        code, out, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
+                                 "--config", str(config))
+        assert code == 0, err
+        assert json.loads(out)["T"] == 5000
+
+    def test_unknown_config_key_exits_2(self, capsys, instance_file, tmp_path):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"mode": "tuned", "eta_2": 5.0}))
+        code, _, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
+                               "--config", str(config))
+        assert code == 2
+        assert "eta_2" in err
+
     def test_t_override(self, capsys, instance_file):
         code, out, _ = run_cli(capsys, "run", instance_file, "clairvoyant",
                                "--seed", "1", "--T", "700")
@@ -77,14 +97,14 @@ class TestBenchCommand:
         assert doc["episodes_failed"] == 0
 
     def test_failed_episodes_exit_1(self, capsys, instance_file, tmp_path):
-        # explicit mode without its constants fails every pdnrm episode
+        # a config with an unknown key fails every pdnrm episode
         plan = {
             "instance": instance_file,
             "policies": ["pdnrm", "clairvoyant"],
             "T_grid": [400],
             "replications": 2,
             "base_seed": 21,
-            "pdnrm_config": {"mode": "explicit"},
+            "pdnrm_config": {"mode": "tuned", "eta_2": 5.0},
         }
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
@@ -95,7 +115,7 @@ class TestBenchCommand:
         assert [(row["policy"], row["episodes_failed"]) for row in doc["rows"]] == [
             ("pdnrm", 2), ("clairvoyant", 0)]
         assert doc["rows"][0]["mean_loss"] is None
-        assert "2 episode(s) failed" in err and "explicit mode" in err
+        assert "2 episode(s) failed" in err and "eta_2" in err
 
 
 class TestCheckCommand:

@@ -126,19 +126,30 @@ class TestConfigValidation:
 
     def test_kappa2_consistency_enforced(self):
         cfg = constants_tuned(2, 10**4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"kappa2 is sqrt\(kappa5\); set kappa5"):
             config_from_dict({"mode": "tuned", "kappa2": cfg.kappa2 * 2},
                              instance=synthetic_instance(2), T=10**4)
 
-    def test_explicit_mode_requires_all_constants(self):
-        with pytest.raises(ValueError, match="missing"):
-            config_from_dict({"mode": "explicit", "n0": 100})
+    def test_kappa5_override_derives_kappa2(self):
+        cfg = constants_tuned(2, 10**4, kappa5=100.0)
+        assert cfg.kappa5 == 100.0
+        assert cfg.kappa2 == 10.0
+
+    @pytest.mark.parametrize("mode", ["theory", "explicit"])
+    def test_only_tuned_mode_accepted(self, mode):
+        with pytest.raises(ValueError, match="nrmlab constants --mode theory"):
+            config_from_dict({"mode": mode}, synthetic_instance(2))
+
+    def test_theory_document_resolves_to_theory_config(self, instance, regularity):
+        cfg = constants_theory(instance, regularity, instance.T)
+        back = config_from_dict(json.loads(json.dumps(cfg.to_dict())), instance)
+        assert back.to_dict() == cfg.to_dict()
+        assert back.kappa2 == cfg.kappa2
 
     def test_json_round_trip(self):
         cfg = constants_tuned(2, 10**5, warm_start=False, contraction=0.4)
         doc = json.loads(json.dumps(cfg.to_dict()))
-        doc["mode"] = "explicit"
-        back = config_from_dict(doc)
+        back = config_from_dict(doc, synthetic_instance(2))
         assert back.n0 == cfg.n0
         assert back.kappa5 == pytest.approx(cfg.kappa5, rel=1e-12)
         assert back.contraction == 0.4
@@ -287,7 +298,7 @@ class TestDemandBalance:
 class TestPrimalOpt:
     def test_stopping_rule(self, noiseless_instance):
         inst = noiseless_instance
-        cfg = constants_tuned(2, inst.T, kappa5=100.0, kappa2=10.0)
+        cfg = constants_tuned(2, inst.T, kappa5=100.0)
         events = []
         primal_opt(DemandOracle(inst), inst, cfg, np.zeros(2), eps_bar=1.0,
                    events=events)

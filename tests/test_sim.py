@@ -6,6 +6,8 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 from nrmlab import (
+    Instance,
+    LogitDemand,
     example_logit_instance,
     run_episode,
     percentage_loss,
@@ -401,7 +403,43 @@ class TestPercentageLoss:
         assert 0 < np.mean(losses) < 0.05
 
 
+def reference_trace_csv(trace, path):
+    """The csv-module trace writer that export_trace_csv replaced: the byte
+    reference for its output."""
+    import csv
+    price, demand = trace.periods["price"], trace.periods["demand"]
+    revenue, inventory = trace.periods["revenue"], trace.periods["inventory"]
+    n, m = price.shape[1], inventory.shape[1]
+    header = (["period"] + [f"p_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
+              + ["revenue"] + [f"inv_{j+1}" for j in range(m)])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(price.shape[0]):
+            writer.writerow([t + 1] + [format(v, ".17g") for v in price[t]]
+                            + [format(v, ".17g") for v in demand[t]]
+                            + [format(revenue[t], ".17g")]
+                            + [format(v, ".17g") for v in inventory[t]])
+
+
 class TestExports:
+    def test_csv_matches_reference_writer(self, instance, tmp_path):
+        shutoff = run_episode(instance.with_horizon(30_000),
+                              FixedCommitPolicy(np.array([1.5, 0.8]), length=1_000),
+                              seed=9, record_periods=True)
+        assert shutoff.shutoff_period is not None
+        assert np.isnan(shutoff.periods["price"][-1]).all()
+        single = Instance(model=LogitDemand(np.array([0.5]), np.array([1.5])),
+                          A=np.array([[1.0]]), gamma=np.array([0.05]), T=2_000,
+                          price_min=0.8, price_max=5.0)
+        one_product = run_episode(single, FixedCommitPolicy(np.array([1.3]), n_products=1,
+                                                            length=300),
+                                  seed=5, record_periods=True)
+        for trace in (shutoff, one_product):
+            export_trace_csv(trace, str(tmp_path / "new.csv"))
+            reference_trace_csv(trace, str(tmp_path / "ref.csv"))
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_csv_round_trip(self, instance, tmp_path):
         short = instance.with_horizon(300)
         trace = run_episode(short, FixedCommitPolicy(np.array([1.0, 1.2])), seed=8,
