@@ -9,6 +9,7 @@ near the per-period inventory rate.
 """
 
 import math
+import numbers
 import numpy as np
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -63,6 +64,11 @@ class PdNrmConfig:
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
+_NUMBER_FIELDS = frozenset(f.name for f in fields(PdNrmConfig) if f.type is float)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _apply_overrides(cfg: PdNrmConfig, doc: dict) -> PdNrmConfig:
@@ -71,13 +77,24 @@ def _apply_overrides(cfg: PdNrmConfig, doc: dict) -> PdNrmConfig:
         hint = "; kappa2 is sqrt(kappa5); set kappa5" if "kappa2" in unknown else ""
         raise ValueError(f"unknown pdnrm config keys {unknown}{hint}")
     patch = dict(doc)
+    for key in sorted(_NUMBER_FIELDS & patch.keys()):
+        if not _is_number(patch[key]):
+            raise ValueError(f"pdnrm config key {key!r} must be a number, not {patch[key]!r}")
     for key in ("lambda_max", "lambda0"):
-        if patch.get(key) is not None:
-            patch[key] = np.asarray(patch[key], dtype=float)
+        val = patch.get(key)
+        if val is not None:
+            listed = isinstance(val, (list, tuple)) or isinstance(val, np.ndarray) and val.ndim == 1
+            if not listed or not all(map(_is_number, val)):
+                raise ValueError(f"pdnrm config key {key!r} must be a list of numbers, not {val!r}")
+            patch[key] = np.asarray(val, dtype=float)
     if isinstance(patch.get("primal_init"), (list, tuple)):
         patch["primal_init"] = np.asarray(patch["primal_init"], dtype=float)
     if "n0" in patch:
-        patch["n0"] = int(patch["n0"])
+        n0 = patch["n0"]
+        integral = isinstance(n0, numbers.Integral) or isinstance(n0, float) and n0.is_integer()
+        if isinstance(n0, bool) or not integral:
+            raise ValueError(f"pdnrm config key 'n0' must be an integer, not {n0!r}")
+        patch["n0"] = int(n0)
     return replace(cfg, **patch) if patch else cfg
 
 
@@ -186,6 +203,8 @@ def config_from_dict(doc: dict, instance: Instance,
     instance.T), then every other key overrides the field of its name. The
     optional "mode" key must be "tuned"; a theory document, as printed by
     `nrmlab constants --mode theory`, sets every field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a pdnrm config must be a JSON object, not {type(doc).__name__}")
     rest = dict(doc)
     mode = rest.pop("mode", "tuned")
     if mode != "tuned":

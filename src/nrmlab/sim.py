@@ -20,6 +20,7 @@ from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
 _NO_PURCHASE = np.zeros(1)  # multinomial's last category takes 1 - sum D(p)
+_EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
 
 
 def mix64(*parts) -> int:
@@ -298,24 +299,37 @@ def percentage_loss(instance: Instance, trace: EpisodeTrace, fluid_value: float)
     return (bound - trace.total_revenue) / bound
 
 
+def _format_runs(col: np.ndarray) -> list:
+    """'%.17g' strings of a float column, one format call per run of equal
+    bits (so -0.0 stays apart from 0.0 and NaN rows are kept)."""
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    lengths = np.diff(np.append(starts, len(col)))
+    strs = np.array(["%.17g" % x for x in col[starts].tolist()], dtype=object)
+    return np.repeat(strs, lengths).tolist()
+
+
 def export_trace_csv(trace: EpisodeTrace, path: str) -> None:
-    """Per-period CSV: period, p_1..p_N, y_1..y_N, revenue, inv_1..inv_M."""
+    """Per-period CSV: period, p_1..p_N, y_1..y_N, revenue, inv_1..inv_M.
+    Values are '%.17g', rows end in CRLF, and rows are formatted and written
+    _EXPORT_BLOCK at a time, so export memory is bounded by the block."""
     if trace.periods is None:
         raise ValueError("trace was recorded without per-period data")
     price = trace.periods["price"]
-    demand = trace.periods["demand"]
-    revenue = trace.periods["revenue"]
     inventory = trace.periods["inventory"]
     n = price.shape[1]
     m = inventory.shape[1]
     header = (["period"] + [f"p_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
               + ["revenue"] + [f"inv_{j+1}" for j in range(m)])
-    rows = np.column_stack([np.arange(1, price.shape[0] + 1), price, demand, revenue, inventory])
-    np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * (rows.shape[1] - 1), delimiter=",",
-               header=",".join(header), comments="", newline="\r\n")
+    columns = [*price.T, *trace.periods["demand"].T, trace.periods["revenue"], *inventory.T]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for s in range(0, len(price), _EXPORT_BLOCK):
+            e = min(s + _EXPORT_BLOCK, len(price))
+            cols = [map(str, range(s + 1, e + 1))] + [_format_runs(c[s:e]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def export_events_jsonl(trace: EpisodeTrace, path: str) -> None:
     with open(path, "w") as fh:
-        for event in trace.events:
-            fh.write(json.dumps(event) + "\n")
+        fh.write("".join(json.dumps(event) + "\n" for event in trace.events))

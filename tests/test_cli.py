@@ -69,6 +69,21 @@ class TestRunCommand:
         assert code == 2
         assert "eta_2" in err
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"eta2": "5"}, "eta2"),
+        ({"eta2": True}, "eta2"),
+        ({"n0": 1000.5}, "n0"),
+        ({"lambda_max": "4"}, "lambda_max"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_wrong_typed_config_exits_2(self, capsys, instance_file, tmp_path, doc, key):
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
+                               "--config", str(config))
+        assert code == 2
+        assert key in err
+
     def test_t_override(self, capsys, instance_file):
         code, out, _ = run_cli(capsys, "run", instance_file, "clairvoyant",
                                "--seed", "1", "--T", "700")

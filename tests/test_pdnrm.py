@@ -161,6 +161,41 @@ class TestConfigValidation:
         assert cfg.contraction == 0.3
         assert_allclose(cfg.lambda_max, [4.0, 4.0])
 
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="must be a JSON object, not list"):
+            config_from_dict([1, 2], synthetic_instance(2))
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"eta2": "5"}, "eta2"),
+        ({"eta2": True}, "eta2"),
+        ({"kappa5": [1.0]}, "kappa5"),
+        ({"contraction": None}, "contraction"),
+        ({"n0": 1000.5}, "n0"),
+        ({"n0": "1000"}, "n0"),
+        ({"n0": False}, "n0"),
+        ({"n0": float("inf")}, "n0"),
+        ({"lambda_max": 4.0}, "lambda_max"),
+        ({"lambda_max": ["4", "4"]}, "lambda_max"),
+        ({"lambda0": [[0.0, 0.0]]}, "lambda0"),
+        ({"lambda0": [True, False]}, "lambda0"),
+    ])
+    def test_wrong_typed_override_names_its_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"pdnrm config key '{key}' must be"):
+            config_from_dict(doc, synthetic_instance(2), T=10**4)
+
+    def test_well_typed_overrides_resolve_as_before(self):
+        cfg = config_from_dict({"n0": 1000.0, "eta2": 5, "mu": 0.5, "lambda0": [0, 0.1],
+                                "lambda_max": [4, 4.5]}, synthetic_instance(2), T=10**4)
+        assert cfg.n0 == 1000 and isinstance(cfg.n0, int)
+        assert cfg.eta2 == 5 and cfg.mu == 0.5
+        assert cfg.lambda0.dtype == float and cfg.lambda_max.dtype == float
+        assert_allclose(cfg.lambda0, [0.0, 0.1])
+        assert_allclose(cfg.lambda_max, [4.0, 4.5])
+        kw = constants_tuned(2, 10**4, n0=np.int64(1000), eta2=np.float64(5.0),
+                             lambda_max=np.array([4.0, 4.5]))
+        assert (kw.n0, kw.eta2) == (1000, 5.0)
+        assert_allclose(kw.lambda_max, [4.0, 4.5])
+
 
 class TestGradEst:
     def test_noiseless_bias_bounds(self, noiseless_instance, regularity, rng):

@@ -19,6 +19,7 @@ from nrmlab import (
     mix64,
 )
 from nrmlab.demand import revenue_f
+from nrmlab import sim
 from nrmlab.sim import _serve_block
 
 
@@ -423,7 +424,15 @@ def reference_trace_csv(trace, path):
 
 
 class TestExports:
-    def test_csv_matches_reference_writer(self, instance, tmp_path):
+    @staticmethod
+    def assert_matches_reference(trace, tmp_path):
+        export_trace_csv(trace, str(tmp_path / "new.csv"))
+        reference_trace_csv(trace, str(tmp_path / "ref.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_matches_reference_writer(self, instance, noiseless_instance, monkeypatch,
+                                          tmp_path):
+        from nrmlab import PdNrmPolicy
         shutoff = run_episode(instance.with_horizon(30_000),
                               FixedCommitPolicy(np.array([1.5, 0.8]), length=1_000),
                               seed=9, record_periods=True)
@@ -435,10 +444,53 @@ class TestExports:
         one_product = run_episode(single, FixedCommitPolicy(np.array([1.3]), n_products=1,
                                                             length=300),
                                   seed=5, record_periods=True)
-        for trace in (shutoff, one_product):
-            export_trace_csv(trace, str(tmp_path / "new.csv"))
-            reference_trace_csv(trace, str(tmp_path / "ref.csv"))
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # Instance rejects M > N, so a copy of the one-product trace gets
+        # three resource columns
+        wide = dataclasses.replace(one_product, periods=dict(one_product.periods))
+        inv = one_product.periods["inventory"]
+        wide.periods["inventory"] = np.hstack([inv, 0.5 * inv, inv - 1 / 3])
+        short = instance.with_horizon(5_000)
+        pdnrm = run_episode(short, PdNrmPolicy(short), seed=3, record_periods=True)
+        assert pdnrm.shutoff_period is not None
+        # a commitment's price is one run that spans several 7-row blocks
+        assert (pdnrm.periods["price"][:14] == pdnrm.periods["price"][0]).all()
+        quiet = noiseless_instance.with_horizon(5_000)
+        noiseless = run_episode(quiet, PdNrmPolicy(quiet), seed=1, record_periods=True)
+        for block in (sim._EXPORT_BLOCK, 7):
+            monkeypatch.setattr(sim, "_EXPORT_BLOCK", block)
+            for trace in (shutoff, one_product, wide, pdnrm, noiseless):
+                self.assert_matches_reference(trace, tmp_path)
+        export_trace_csv(wide, str(tmp_path / "wide.csv"))
+        assert (tmp_path / "wide.csv").read_bytes().startswith(
+            b"period,p_1,y_1,revenue,inv_1,inv_2,inv_3\r\n")
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
+    def test_csv_keeps_values_that_compare_equal_apart(self, block, monkeypatch, tmp_path):
+        # runs are split by bit pattern: -0.0 and 0.0 format differently, and
+        # NaNs (which compare unequal) still form runs
+        neg_nan = -np.float64(np.nan)
+        col = np.array([-0.0, 0.0, 0.0, -0.0, np.nan, np.nan, neg_nan, np.inf, -np.inf,
+                        5e-324, 2.2e-310, 1 / 3, 1 / 3, 0.1 + 0.2, 0.3])
+        T = len(col)
+        trace = sim.EpisodeTrace(
+            T=T, seed=0, policy_name="hand-built", total_revenue=0.0, shutoff_period=None,
+            final_inventory=np.zeros(1), fingerprint="", min_inventory=0.0,
+            demand_after_shutoff=0.0,
+            periods={"price": np.column_stack([col, col[::-1]]),
+                     "demand": np.column_stack([np.roll(col, 3), np.zeros(T)]),
+                     "revenue": np.roll(col, 7), "inventory": col[:, None] * -1.0})
+        monkeypatch.setattr(sim, "_EXPORT_BLOCK", block)
+        self.assert_matches_reference(trace, tmp_path)
+        text = (tmp_path / "new.csv").read_text()
+        assert text.splitlines()[1].startswith("1,-0,")
+        assert ",inf," in text and ",nan," in text and ",4.9406564584124654e-324," in text
+
+    def test_csv_needs_recorded_periods(self, instance, tmp_path):
+        trace = run_episode(instance.with_horizon(100), FixedCommitPolicy(np.array([1.0, 1.2])),
+                            seed=1)
+        with pytest.raises(ValueError, match="without per-period data"):
+            export_trace_csv(trace, str(tmp_path / "t.csv"))
+        assert not (tmp_path / "t.csv").exists()
 
     def test_csv_round_trip(self, instance, tmp_path):
         short = instance.with_horizon(300)
@@ -463,6 +515,10 @@ class TestExports:
         lines = [json.loads(line) for line in path.read_text().strip().split("\n")]
         kinds = {e["kind"] for e in lines}
         assert {"epoch", "loop", "dual"} <= kinds
+        with open(tmp_path / "per_event.jsonl", "w") as fh:
+            for event in trace.events:
+                fh.write(json.dumps(event) + "\n")
+        assert path.read_bytes() == (tmp_path / "per_event.jsonl").read_bytes()
 
 
 class TestSeedMixing:
