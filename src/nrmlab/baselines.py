@@ -2,6 +2,7 @@
 grid policy (a transparent stand-in for the blind-pricing benchmark of the
 earlier literature, not a reimplementation of it)."""
 
+import numbers
 import numpy as np
 from dataclasses import dataclass
 from scipy.optimize import linprog
@@ -19,10 +20,14 @@ class EtcConfig:
     exploration_fraction: float = None  # None: clamp(5 T^{-1/3}, .05, .5)
 
     def __post_init__(self):
-        if self.grid_points_per_axis < 2:
-            raise ValueError("need at least 2 grid points per axis")
-        if self.exploration_fraction is not None and not 0 < self.exploration_fraction < 1:
-            raise ValueError("exploration_fraction must lie in (0, 1)")
+        n, frac = self.grid_points_per_axis, self.exploration_fraction
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"etc_config key 'grid_points_per_axis' must be an integer "
+                             f">= 2, not {n!r}")
+        if frac is not None and (isinstance(frac, bool) or not isinstance(frac, numbers.Real)
+                                 or not 0 < frac < 1):
+            raise ValueError(f"etc_config key 'exploration_fraction' must be a number "
+                             f"in (0, 1), not {frac!r}")
 
     def resolve_fraction(self, T: int) -> float:
         if self.exploration_fraction is not None:

@@ -55,6 +55,10 @@ class BenchPlan:
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+        if self.pdnrm_config is not None:
+            # each episode resolves the document again; a malformed one fails here
+            for T in grid:
+                config_from_dict(self.pdnrm_config, self.instance, T)
 
 
 @dataclass
@@ -277,9 +281,13 @@ def plan_from_dict(doc: dict, base_dir: str = ".") -> BenchPlan:
             instance = load_instance(path)
         else:
             instance = instance_from_dict(inst)
-        etc_cfg = None
-        if doc.get("etc_config"):
-            etc_cfg = EtcConfig(**doc["etc_config"])
+        etc_cfg = doc.get("etc_config") or None
+        if etc_cfg is not None:
+            names = sorted(f.name for f in dataclasses.fields(EtcConfig))
+            if not isinstance(etc_cfg, dict) or not set(names).issuperset(etc_cfg):
+                raise ValueError(f"etc_config must be an object with keys from {names}, "
+                                 f"not {etc_cfg!r}")
+            etc_cfg = EtcConfig(**etc_cfg)
         return BenchPlan(
             instance=instance,
             policies=tuple(doc.get("policies", ["pdnrm"])),

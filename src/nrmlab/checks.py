@@ -55,26 +55,26 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
 
     # demand: inverse round trip
     P = p_lo + (p_hi - p_lo) * rng.random((100, instance.N))
-    back = model.inverse_batch(model.mean_batch(P))
+    back = model.inverse(model.mean(P))
     worst = float(np.max(np.abs(back - P) / np.maximum(np.abs(P), 1e-12)))
     check("demand.round_trip", worst <= 1e-8, f"max rel err {worst:.2e}")
 
     # demand: analytic Jacobian vs central differences
     h = 1e-5
     P = (p_lo + h) + (p_hi - p_lo - 2 * h) * rng.random((100, instance.N))
-    J = model.jacobian_batch(P)
+    J = model.jacobian(P)
     J_fd = np.empty_like(J)
     for i in range(instance.N):
         e = np.zeros(instance.N)
         e[i] = h
-        J_fd[:, :, i] = (model.mean_batch(P + e) - model.mean_batch(P - e)) / (2 * h)
+        J_fd[:, :, i] = (model.mean(P + e) - model.mean(P - e)) / (2 * h)
     worst = float(np.max(np.abs(J - J_fd).max(axis=(1, 2))
                          / np.maximum(np.abs(J).max(axis=(1, 2)), 1e-12)))
     check("demand.jacobian_fd", worst <= 1e-5, f"max rel err {worst:.2e}")
 
     # demand: own-price monotonicity
     P = p_lo + (p_hi - p_lo) * rng.random((50, instance.N))
-    check("demand.monotone", np.all(np.diagonal(model.jacobian_batch(P), axis1=1, axis2=2) < 0))
+    check("demand.monotone", np.all(np.diagonal(model.jacobian(P), axis1=1, axis2=2) < 0))
 
     # demand: the market kernel's counts are unbiased (valid category
     # probabilities + MC smoke)

@@ -1,6 +1,8 @@
 """Demand curve models, revenue functions, and the regularity scan.
 
-Price and demand vectors are plain float64 numpy arrays of length N.
+Price and demand vectors are float64 numpy arrays of length N. Every model
+operation and revenue function also takes a stack of shape (..., N), and each
+row of the result equals the 1-D call on that row, bit for bit.
 """
 
 import numpy as np
@@ -12,43 +14,44 @@ class DomainError(ValueError):
     """Argument outside a model's admissible domain (e.g. demand not in the image)."""
 
 
-def _as_vector(x, n=None):
+def _as_vector(x, n=None, stack=True):
+    """x as a float64 array of shape (..., n), or (n,) when stack is false."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DomainError(f"expected 1-d vector, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise DomainError(f"dimension mismatch: expected {n}, got {v.shape[0]}")
+    if v.ndim == 0 or v.ndim > 1 and not stack:
+        raise DomainError(f"expected {'(..., N)' if stack else '(N,)'}, got shape {v.shape}")
+    if n is not None and v.shape[-1] != n:
+        raise DomainError(f"dimension mismatch: expected {n}, got {v.shape[-1]}")
     return v
 
 
+def _on_vectors(op, M, v):
+    """op(M, v) for matrices M and a vector or stack of vectors v; a stacked
+    call rounds like the 1-D one."""
+    return op(M, v) if v.ndim == 1 else op(M, v[..., None])[..., 0]
+
+
+def _dot(x, y):
+    """<x, y> over the last axis: a float for vectors, rounded like x @ y per row."""
+    return float(x @ y) if x.ndim == 1 else (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 class DemandModel(ABC):
-    """Smooth invertible demand curve D: prices -> expected per-period demand."""
+    """Smooth invertible demand curve D: prices -> expected per-period demand.
+    Each method maps a vector (N,) or a stack (..., N) row by row."""
 
     n_products: int
 
     @abstractmethod
     def mean(self, p: np.ndarray) -> np.ndarray:
-        """Expected demand D(p)."""
+        """Expected demand D(p), shape (..., N)."""
 
     @abstractmethod
     def jacobian(self, p: np.ndarray) -> np.ndarray:
-        """J_D(p) = dD/dp, shape (N, N)."""
+        """J_D(p) = dD/dp, shape (..., N, N)."""
 
     @abstractmethod
     def inverse(self, d: np.ndarray) -> np.ndarray:
-        """Price vector p with D(p) = d; raises DomainError outside the image."""
-
-    @abstractmethod
-    def mean_batch(self, P: np.ndarray) -> np.ndarray:
-        """Vectorized mean over rows of P, shape (K, N) -> (K, N)."""
-
-    @abstractmethod
-    def jacobian_batch(self, P: np.ndarray) -> np.ndarray:
-        """Vectorized jacobian over rows of P, shape (K, N) -> (K, N, N)."""
-
-    @abstractmethod
-    def inverse_batch(self, D: np.ndarray) -> np.ndarray:
-        """Vectorized inverse over rows of D."""
+        """Price p with D(p) = d, shape (..., N); raises DomainError outside the image."""
 
     @abstractmethod
     def image_halfspaces(self, p_lo: float, p_hi: float):
@@ -59,8 +62,8 @@ class LogitDemand(DemandModel):
     """Multinomial-logit demand: D_i(p) = exp(a_i - b_i p_i) / (1 + sum_j exp(a_j - b_j p_j))."""
 
     def __init__(self, intercepts, slopes):
-        self.a = _as_vector(intercepts)
-        self.b = _as_vector(slopes, self.a.shape[0])
+        self.a = _as_vector(intercepts, stack=False)
+        self.b = _as_vector(slopes, self.a.shape[0], stack=False)
         if np.any(self.b <= 0):
             raise DomainError("logit slopes must be strictly positive")
         self.n_products = self.a.shape[0]
@@ -68,39 +71,22 @@ class LogitDemand(DemandModel):
     def mean(self, p):
         p = _as_vector(p, self.n_products)
         w = np.exp(self.a - self.b * p)
-        return w / (1.0 + w.sum())
-
-    def mean_batch(self, P):
-        P = np.asarray(P, dtype=float)
-        w = np.exp(self.a[None, :] - self.b[None, :] * P)
-        return w / (1.0 + w.sum(axis=1, keepdims=True))
+        s = 1.0 + w.sum(-1)   # not keepdims: slower for the simulator's 1-D call
+        return w / (s if p.ndim == 1 else s[..., None])
 
     def jacobian(self, p):
         d = self.mean(p)
-        J = self.b[None, :] * d[:, None] * d[None, :]
-        np.fill_diagonal(J, -self.b * d * (1.0 - d))
-        return J
-
-    def jacobian_batch(self, P):
-        d = self.mean_batch(P)
-        J = self.b[None, None, :] * d[:, :, None] * d[:, None, :]
-        i = np.arange(self.n_products)
-        J[:, i, i] = -self.b * d * (1.0 - d)
+        J = self.b * d[..., :, None] * d[..., None, :]
+        # every (N+1)-th entry of a flat (N, N) block is on its diagonal
+        J.reshape(d.shape[:-1] + (-1,))[..., ::self.n_products + 1] = -self.b * d * (1.0 - d)
         return J
 
     def inverse(self, d):
         d = _as_vector(d, self.n_products)
-        s = d.sum()
-        if np.any(d <= 0) or s >= 1.0:
+        rest = 1.0 - d.sum(-1)
+        if (d <= 0).any() or (rest <= 0.0).any():
             raise DomainError("demand must be componentwise positive with sum < 1")
-        return (self.a - np.log(d / (1.0 - s))) / self.b
-
-    def inverse_batch(self, D):
-        D = np.asarray(D, dtype=float)
-        s = D.sum(axis=1, keepdims=True)
-        if np.any(D <= 0) or np.any(s >= 1.0):
-            raise DomainError("demand rows must be positive with sum < 1")
-        return (self.a[None, :] - np.log(D / (1.0 - s))) / self.b[None, :]
+        return (self.a - np.log(d / (rest if d.ndim == 1 else rest[..., None]))) / self.b
 
     def image_halfspaces(self, p_lo, p_hi):
         # d in image  <=>  w_lo_i <= d_i/(1-sum d) <= w_hi_i, which is linear in d:
@@ -119,7 +105,7 @@ class LinearDemand(DemandModel):
     """Linear demand D(p) = a - B p with positive-definite B; closed-form inverse."""
 
     def __init__(self, intercepts, slope_matrix):
-        self.a = _as_vector(intercepts)
+        self.a = _as_vector(intercepts, stack=False)
         self.B = np.asarray(slope_matrix, dtype=float)
         self.n_products = self.a.shape[0]
         if self.B.shape != (self.n_products, self.n_products):
@@ -130,23 +116,14 @@ class LinearDemand(DemandModel):
         self._B_inv = np.linalg.inv(self.B)
 
     def mean(self, p):
-        return self.a - self.B @ _as_vector(p, self.n_products)
-
-    def mean_batch(self, P):
-        # a stacked matvec rounds like mean's B @ p; one gemm would not
-        return self.a[None, :] - (self.B @ np.asarray(P, float)[..., None])[..., 0]
+        return self.a - _on_vectors(np.matmul, self.B, _as_vector(p, self.n_products))
 
     def jacobian(self, p):
-        return -self.B.copy()
-
-    def jacobian_batch(self, P):
-        return np.broadcast_to(-self.B, (len(P),) + self.B.shape)
+        shape = _as_vector(p, self.n_products).shape[:-1] + self.B.shape
+        return np.broadcast_to(-self.B, shape).copy()
 
     def inverse(self, d):
-        return self._B_inv @ (self.a - _as_vector(d, self.n_products))
-
-    def inverse_batch(self, D):
-        return (self._B_inv @ (self.a[None, :] - np.asarray(D, float))[..., None])[..., 0]
+        return _on_vectors(np.matmul, self._B_inv, self.a - _as_vector(d, self.n_products))
 
     def image_halfspaces(self, p_lo, p_hi):
         # p(d) = B^{-1}(a - d) within the price box, linear in d.
@@ -157,59 +134,41 @@ class LinearDemand(DemandModel):
         return G, h
 
 
-def revenue_f(model: DemandModel, p) -> float:
-    """Expected per-period revenue f(p) = <p, D(p)>."""
+def revenue_f(model: DemandModel, p):
+    """Expected per-period revenue f(p) = <p, D(p)>: a float, or one per row."""
     p = _as_vector(p, model.n_products)
-    return float(p @ model.mean(p))
+    return _dot(p, model.mean(p))
 
 
-def revenue_phi(model: DemandModel, d) -> float:
+def revenue_phi(model: DemandModel, d):
     """Expected revenue as a function of demand: phi(d) = <d, D^{-1}(d)>."""
     d = _as_vector(d, model.n_products)
-    return float(d @ model.inverse(d))
-
-
-def revenue_phi_batch(model: DemandModel, D) -> np.ndarray:
-    D = np.asarray(D, dtype=float)
-    return np.einsum("kn,kn->k", D, model.inverse_batch(D))
+    return _dot(d, model.inverse(d))
 
 
 def grad_revenue_f(model: DemandModel, p) -> np.ndarray:
     """grad f(p) = D(p) + J_D(p)^T p."""
     p = _as_vector(p, model.n_products)
-    return model.mean(p) + model.jacobian(p).T @ p
+    return model.mean(p) + _on_vectors(np.matmul, model.jacobian(p).swapaxes(-1, -2), p)
 
 
 def grad_revenue_phi(model: DemandModel, d) -> np.ndarray:
     """grad phi(d) = p + (J_D(p)^{-1})^T d  at p = D^{-1}(d)."""
     d = _as_vector(d, model.n_products)
     p = model.inverse(d)
-    return p + np.linalg.solve(model.jacobian(p).T, d)
+    return p + _on_vectors(np.linalg.solve, model.jacobian(p).swapaxes(-1, -2), d)
 
 
-def grad_revenue_f_batch(model: DemandModel, P) -> np.ndarray:
-    """grad f over the rows of P, shape (K, N) -> (K, N)."""
-    J_T = np.swapaxes(model.jacobian_batch(P), 1, 2)
-    return model.mean_batch(P) + (J_T @ P[..., None])[..., 0]
-
-
-def grad_revenue_phi_batch(model: DemandModel, D) -> np.ndarray:
-    """grad phi over the rows of D, shape (K, N) -> (K, N)."""
-    P = model.inverse_batch(D)
-    J_T = np.swapaxes(model.jacobian_batch(P), 1, 2)
-    return P + np.linalg.solve(J_T, D[..., None])[..., 0]
-
-
-def hessian_fd_batch(grad_batch, model: DemandModel, X, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Hessians (symmetrized) at the rows of X of the
-    revenue function whose gradient over rows is grad_batch(model, X)."""
-    n = X.shape[1]
-    H = np.empty((X.shape[0], n, n))
+def hessian_fd(grad, model: DemandModel, X, h: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Hessians (symmetrized), shape (..., N, N), at X
+    of shape (..., N), of the revenue function whose gradient is grad(model, X)."""
+    n = X.shape[-1]
+    H = np.empty(X.shape + (n,))
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        H[:, i] = (grad_batch(model, X + e) - grad_batch(model, X - e)) / (2 * h)
-    return 0.5 * (H + np.swapaxes(H, 1, 2))
+        H[..., i, :] = (grad(model, X + e) - grad(model, X - e)) / (2 * h)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 _SCAN_BLOCK = 2 ** 14   # grid points per batched pass of estimate_regularity
@@ -267,16 +226,16 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
     sigma_D = sigma_phi = np.inf
     for s in range(0, len(points), _SCAN_BLOCK):
         P = points[s:s + _SCAN_BLOCK]
-        J = jacs[s:s + _SCAN_BLOCK] = model.jacobian_batch(P)
+        J = jacs[s:s + _SCAN_BLOCK] = model.jacobian(P)
         sv = np.linalg.svd(J, compute_uv=False)
         B_D = max(B_D, sv[:, 0].max())
         sigma_D = min(sigma_D, sv[:, -1].min())
-        H_f = hessian_fd_batch(grad_revenue_f_batch, model, P)
-        B_f = max(B_f, np.linalg.norm(grad_revenue_f_batch(model, P), axis=1).max(),
+        H_f = hessian_fd(grad_revenue_f, model, P)
+        B_f = max(B_f, np.linalg.norm(grad_revenue_f(model, P), axis=1).max(),
                   np.linalg.norm(H_f, 2, axis=(1, 2)).max())
-        D = model.mean_batch(P)
-        eig = np.linalg.eigvalsh(-hessian_fd_batch(grad_revenue_phi_batch, model, D))
-        B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi_batch(model, D), axis=1).max(),
+        D = model.mean(P)
+        eig = np.linalg.eigvalsh(-hessian_fd(grad_revenue_phi, model, D))
+        B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi(model, D), axis=1).max(),
                     np.abs(eig).max())
         sigma_phi = min(sigma_phi, eig[:, 0].min())
 

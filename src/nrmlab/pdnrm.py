@@ -53,6 +53,13 @@ class PdNrmConfig:
             raise ValueError("contraction must lie in (0, 1)")
         if not 0 <= self.p_margin < 0.5:
             raise ValueError("p_margin must lie in [0, 0.5)")
+        if not isinstance(self.warm_start, (bool, np.bool_)):
+            raise ValueError(f"pdnrm config key 'warm_start' must be true or false, "
+                             f"not {self.warm_start!r}")
+        init = self.primal_init
+        if not (init in ("low", "center") if isinstance(init, str) else np.shape(init) == (N,)):
+            raise ValueError(f"pdnrm config key 'primal_init' must be 'low', 'center' or a "
+                             f"list of {N} numbers, not {init!r}")
 
     def to_dict(self) -> dict:
         doc = {}
@@ -80,15 +87,13 @@ def _apply_overrides(cfg: PdNrmConfig, doc: dict) -> PdNrmConfig:
     for key in sorted(_NUMBER_FIELDS & patch.keys()):
         if not _is_number(patch[key]):
             raise ValueError(f"pdnrm config key {key!r} must be a number, not {patch[key]!r}")
-    for key in ("lambda_max", "lambda0"):
+    for key in ("lambda_max", "lambda0", "primal_init"):
         val = patch.get(key)
-        if val is not None:
+        if val is not None and not (key == "primal_init" and isinstance(val, str)):
             listed = isinstance(val, (list, tuple)) or isinstance(val, np.ndarray) and val.ndim == 1
             if not listed or not all(map(_is_number, val)):
                 raise ValueError(f"pdnrm config key {key!r} must be a list of numbers, not {val!r}")
             patch[key] = np.asarray(val, dtype=float)
-    if isinstance(patch.get("primal_init"), (list, tuple)):
-        patch["primal_init"] = np.asarray(patch["primal_init"], dtype=float)
     if "n0" in patch:
         n0 = patch["n0"]
         integral = isinstance(n0, numbers.Integral) or isinstance(n0, float) and n0.is_integer()
@@ -414,14 +419,10 @@ def _inner_box(instance: Instance, cfg: PdNrmConfig):
 
 
 def _initial_price(instance: Instance, cfg: PdNrmConfig, P_lo, P_hi) -> np.ndarray:
-    init = cfg.primal_init
-    if isinstance(init, np.ndarray):
-        return np.clip(init.astype(float), P_lo, P_hi)
-    if init == "center":
-        return np.full(instance.N, 0.5 * (P_lo + P_hi))
-    if init == "low":
-        return np.full(instance.N, P_lo)
-    raise ValueError(f"unknown primal_init {init!r}")
+    init = cfg.primal_init   # checked by PdNrmConfig.validate
+    if not isinstance(init, str):
+        return np.clip(np.asarray(init, float), P_lo, P_hi)
+    return np.full(instance.N, 0.5 * (P_lo + P_hi) if init == "center" else P_lo)
 
 
 class PdNrmPolicy(CommitPolicy):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nrmlab import example_logit_instance, solve_fluid, estimate_regularity
+import nrmlab.bench
+from nrmlab import Policy, example_logit_instance, solve_fluid, estimate_regularity
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,26 @@ def regularity(instance):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240715)
+
+
+class OutOfBoxPolicy(Policy):
+    """Posts a price outside every price box, so its episode fails."""
+
+    name = "broken"
+
+    def next_price(self, period):
+        return np.full(2, 1e6)
+
+    def observe(self, period, y):
+        pass
+
+
+@pytest.fixture()
+def fail_pdnrm_episodes(monkeypatch):
+    """Every pdnrm episode of a bench sweep posts an out-of-box price."""
+    real = nrmlab.bench.build_policy
+
+    def build(name, *args, **kwargs):
+        return OutOfBoxPolicy() if name == "pdnrm" else real(name, *args, **kwargs)
+
+    monkeypatch.setattr(nrmlab.bench, "build_policy", build)

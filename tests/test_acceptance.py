@@ -114,9 +114,9 @@ def test_criterion_1_fluid_correctness(instance, fluid_solution):
     G, h = instance.model.image_halfspaces(instance.price_min, instance.price_max)
     ok_mask = np.all(pts @ G.T <= h[None, :] + 1e-12, axis=1)
     ok_mask &= np.all(pts @ instance.A.T <= instance.gamma[None, :] + 1e-12, axis=1)
-    from nrmlab.demand import revenue_phi_batch
+    from nrmlab.demand import revenue_phi
     vals = np.full(len(pts), -np.inf)
-    vals[ok_mask] = revenue_phi_batch(instance.model, pts[ok_mask])
+    vals[ok_mask] = revenue_phi(instance.model, pts[ok_mask])
     best = pts[int(np.argmax(vals))]
     spacing = g1[1] - g1[0]
     grid_ok = np.max(np.abs(sol.d_star - best)) <= 2 * spacing

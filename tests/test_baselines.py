@@ -68,7 +68,7 @@ class TestExploreThenCommit:
         trace = run_episode(inst, pol, seed=5)
         assert pol.mixture is not None
         # oracle: the LP over exact grid demands bounds the commit value
-        demands = inst.model.mean_batch(pol.grid)
+        demands = inst.model.mean(pol.grid)
         rev = np.einsum("kn,kn->k", pol.grid, demands)
         from scipy.optimize import linprog
         res = linprog(-rev, A_ub=inst.A @ demands.T, b_ub=inst.gamma,
@@ -95,7 +95,7 @@ class TestExploreThenCommit:
         # grid price
         inst = dataclasses.replace(inst, gamma=np.array([2e-4, 2e-5]))
         pol = ExploreThenCommitPolicy(inst, EtcConfig(grid_points_per_axis=4))
-        pol.D_hat = inst.model.mean_batch(pol.grid)
+        pol.D_hat = inst.model.mean(pol.grid)
         schedule = pol._commit_schedule()
         assert pol.mixture is None
         assert np.allclose(schedule[-1][0], pol.grid[-1])

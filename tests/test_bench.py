@@ -11,6 +11,7 @@ from nrmlab import (
     plan_from_dict,
     episode_seed,
 )
+from nrmlab.baselines import EtcConfig
 from nrmlab.bench import SUMMARY_HEADER, EPISODES_HEADER
 from nrmlab.fluid import FluidSolution
 
@@ -44,14 +45,45 @@ class TestBenchPlan:
             "T_grid": [1000, 2000],
             "replications": 2,
             "base_seed": 5,
+            "etc_config": {"grid_points_per_axis": 4, "exploration_fraction": 0.2},
         }
         plan = plan_from_dict(doc)
         assert plan.instance.N == 2
         assert plan.T_grid == (1000, 2000)
+        assert plan.etc_config == EtcConfig(grid_points_per_axis=4, exploration_fraction=0.2)
 
     def test_plan_missing_key_raises(self):
         with pytest.raises(ValueError, match="missing"):
             plan_from_dict({"policies": ["pdnrm"]})
+
+    @pytest.mark.parametrize("config, key", [
+        ({"mode": "tuned", "eta_2": 5.0}, "eta_2"),
+        ({"eta2": "5"}, "eta2"),
+        ({"warm_start": "false"}, "warm_start"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_malformed_pdnrm_config_rejected_at_build(self, instance, config, key):
+        with pytest.raises(ValueError, match=key):
+            small_plan(instance, policies=("pdnrm",), pdnrm_config=config)
+
+    def test_pdnrm_config_resolved_at_every_horizon(self, instance):
+        # the tuned formulas need T >= 2, so this document fails at T = 1 only
+        small_plan(instance, T_grid=(2, 500), pdnrm_config={"mode": "tuned"})
+        with pytest.raises(ValueError, match="T >= 2"):
+            small_plan(instance, T_grid=(1, 500), pdnrm_config={"mode": "tuned"})
+
+    @pytest.mark.parametrize("etc, key", [
+        ({"grid": 4}, "grid"),
+        ({"grid_points_per_axis": "8"}, "grid_points_per_axis"),
+        ({"grid_points_per_axis": 8.0}, "grid_points_per_axis"),
+        ({"exploration_fraction": "0.1"}, "exploration_fraction"),
+        ([8], "etc_config"),
+    ])
+    def test_malformed_etc_config_rejected(self, instance, etc, key):
+        doc = {"instance": instance.to_dict(), "policies": ["etc"], "T_grid": [1000],
+               "replications": 1, "base_seed": 5, "etc_config": etc}
+        with pytest.raises(ValueError, match=key):
+            plan_from_dict(doc)
 
 
 class TestRunBench:
@@ -119,16 +151,15 @@ class TestRunBench:
         assert s != episode_seed(42, "etc", 1000, 3)
         assert s != episode_seed(43, "pdnrm", 1000, 3)
 
-    def test_episode_errors_recorded_not_fatal(self, instance, tmp_path):
-        # a config with an unknown key fails inside each pdnrm episode; the
-        # sweep completes, the failures are recorded and the all-failed cell
-        # keeps its row with empty statistics
+    def test_episode_errors_recorded_not_fatal(self, instance, tmp_path, fail_pdnrm_episodes):
+        # each pdnrm episode fails on an out-of-box price; the sweep completes,
+        # the failures are recorded and the all-failed cell keeps its row with
+        # empty statistics
         plan = small_plan(instance, tmp_path=tmp_path, policies=("pdnrm", "clairvoyant"),
-                          T_grid=(600,), replications=2,
-                          pdnrm_config={"mode": "tuned", "eta_2": 5.0})
+                          T_grid=(600,), replications=2)
         summary = run_bench(plan)
         assert len(summary.errors) == 2
-        assert all("eta_2" in e["error"] for e in summary.errors)
+        assert all("PolicyError" in e["error"] for e in summary.errors)
         failed = summary.row("pdnrm", 600)
         assert failed["episodes_failed"] == 2
         assert all(failed[k] is None for k in SUMMARY_HEADER if k not in

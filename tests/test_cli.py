@@ -2,6 +2,7 @@ import json
 import numpy as np
 import pytest
 
+import nrmlab.bench
 from nrmlab import Instance, LogitDemand, save_instance, example_logit_instance
 from nrmlab.cli import cli_main
 
@@ -75,6 +76,9 @@ class TestRunCommand:
         ({"n0": 1000.5}, "n0"),
         ({"lambda_max": "4"}, "lambda_max"),
         ([1, 2], "JSON object"),
+        ({"warm_start": "false"}, "warm_start"),
+        ({"primal_init": "middle"}, "primal_init"),
+        ({"primal_init": [1.0, 2.0, 3.0]}, "primal_init"),
     ])
     def test_wrong_typed_config_exits_2(self, capsys, instance_file, tmp_path, doc, key):
         config = tmp_path / "typed.json"
@@ -111,15 +115,16 @@ class TestBenchCommand:
         assert len(doc["rows"]) == 3
         assert doc["episodes_failed"] == 0
 
-    def test_failed_episodes_exit_1(self, capsys, instance_file, tmp_path):
-        # a config with an unknown key fails every pdnrm episode
+    def test_failed_episodes_exit_1(self, capsys, instance_file, tmp_path,
+                                    fail_pdnrm_episodes):
+        # every pdnrm episode posts an out-of-box price
         plan = {
             "instance": instance_file,
             "policies": ["pdnrm", "clairvoyant"],
             "T_grid": [400],
             "replications": 2,
             "base_seed": 21,
-            "pdnrm_config": {"mode": "tuned", "eta_2": 5.0},
+            "pdnrm_config": {"mode": "tuned"},
         }
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
@@ -130,7 +135,28 @@ class TestBenchCommand:
         assert [(row["policy"], row["episodes_failed"]) for row in doc["rows"]] == [
             ("pdnrm", 2), ("clairvoyant", 0)]
         assert doc["rows"][0]["mean_loss"] is None
-        assert "2 episode(s) failed" in err and "eta_2" in err
+        assert "2 episode(s) failed" in err and "PolicyError" in err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"pdnrm_config": {"mode": "tuned", "eta_2": 5.0}}, "eta_2"),
+        ({"pdnrm_config": {"eta2": "5"}}, "eta2"),
+        ({"pdnrm_config": {"warm_start": "false"}}, "warm_start"),
+        ({"etc_config": {"grid": 4}}, "grid"),
+        ({"etc_config": {"grid_points_per_axis": "8"}}, "grid_points_per_axis"),
+    ])
+    def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
+                                           monkeypatch, config, key):
+        ran = []
+        monkeypatch.setattr(nrmlab.bench, "run_episode",
+                            lambda *args, **kwargs: ran.append(args))
+        plan = {"instance": instance_file, "policies": ["pdnrm", "etc"], "T_grid": [400],
+                "replications": 2, "base_seed": 21, **config}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "bench", str(plan_path))
+        assert code == 2
+        assert key in err and out == ""
+        assert ran == []
 
 
 class TestCheckCommand:

@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,9 +11,9 @@ from nrmlab.demand import (
     revenue_phi,
     grad_revenue_f,
     grad_revenue_phi,
-    grad_revenue_phi_batch,
-    hessian_fd_batch,
+    hessian_fd,
 )
+from nrmlab.fluid import solve_fluid
 from nrmlab.sim import _serve_block
 
 A_EXAMPLE = np.array([[1.0, 1.0], [0.0, 2.0]])
@@ -49,12 +50,6 @@ class TestLogitMean:
         with pytest.raises(DomainError):
             LogitDemand([0.4], [0.0])
 
-    def test_batch_matches_pointwise(self, logit, rng):
-        P = random_prices(rng, 2, count=50)
-        batch = logit.mean_batch(P)
-        for row, p in zip(batch, P):
-            assert_allclose(row, logit.mean(p), rtol=1e-14)
-
 
 class TestLogitJacobian:
     def test_closed_form_entry(self, logit):
@@ -77,11 +72,6 @@ class TestLogitJacobian:
         J = sym.jacobian(np.array([1.3, 1.3]))
         assert_allclose(J, J.T, rtol=1e-14)
         assert J[0, 0] == pytest.approx(J[1, 1], rel=1e-14)
-
-    def test_batch_matches_pointwise(self, logit, rng):
-        P = random_prices(rng, 2, count=50)
-        for row, p in zip(logit.jacobian_batch(P), P):
-            assert np.array_equal(row, logit.jacobian(p))
 
     def test_nonsingular_and_monotone_on_box(self, logit, rng):
         for p in random_prices(rng, 2, count=50):
@@ -141,8 +131,8 @@ class TestRevenue:
 
     def test_phi_strongly_concave_on_image(self, logit, rng):
         # numeric Hessians of phi are negative definite over the demand image
-        D = logit.mean_batch(random_prices(rng, 2, count=25))
-        H = hessian_fd_batch(grad_revenue_phi_batch, logit, D)
+        D = logit.mean(random_prices(rng, 2, count=25))
+        H = hessian_fd(grad_revenue_phi, logit, D)
         assert np.all(np.linalg.eigvalsh(H) < 0)
 
     def test_grad_phi_matches_finite_differences(self, logit, rng):
@@ -216,18 +206,62 @@ class TestLinearDemand:
         model = LinearDemand([2.0, 2.0], B)
         assert_allclose(model.jacobian(np.array([0.3, 0.4])), -B)
 
-    def test_batch_matches_pointwise(self, rng):
-        model = LinearDemand([2.0, 2.0], [[1.0, 0.2], [0.1, 0.8]])
-        P = random_prices(rng, 2, lo=0.0, hi=1.5, count=10)
-        D = model.mean_batch(P)
-        for p, d, J, back in zip(P, D, model.jacobian_batch(P), model.inverse_batch(D)):
-            assert np.array_equal(d, model.mean(p))
-            assert np.array_equal(J, model.jacobian(p))
-            assert np.array_equal(back, model.inverse(d))
-
     def test_requires_positive_definite_slope(self):
         with pytest.raises(DomainError):
             LinearDemand([1.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
+
+
+# operation name -> (call, whether it takes prices rather than demands)
+OPERATIONS = {
+    "mean": (lambda model, x: model.mean(x), True),
+    "jacobian": (lambda model, x: model.jacobian(x), True),
+    "inverse": (lambda model, x: model.inverse(x), False),
+    "revenue_f": (revenue_f, True),
+    "revenue_phi": (revenue_phi, False),
+    "grad_revenue_f": (grad_revenue_f, True),
+    "grad_revenue_phi": (grad_revenue_phi, False),
+}
+
+
+def broadcast_model(kind, N):
+    """A seeded model of each kind at N products, with a price box on which
+    its demand is positive."""
+    rng = np.random.default_rng(700 + N)
+    if kind == "logit":
+        return LogitDemand(rng.uniform(0.2, 1.0, N), rng.uniform(1.0, 2.5, N)), (0.8, 5.0)
+    B = N * np.eye(N) + 0.2 * rng.normal(size=(N, N))
+    return LinearDemand(np.full(N, 4.0 * N), B), (0.1, 1.0)
+
+
+class TestBroadcast:
+    """Each operation takes a vector (N,) or a stack (..., N), and every row of
+    a stacked call equals the 1-D call on that row, bit for bit."""
+
+    K = 40
+
+    @pytest.mark.parametrize("kind", ["logit", "linear"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 6])
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    def test_stack_rows_equal_vector_calls(self, op, N, kind):
+        model, (lo, hi) = broadcast_model(kind, N)
+        call, takes_prices = OPERATIONS[op]
+        P = lo + (hi - lo) * np.random.default_rng(N).random((self.K, N))
+        X = P if takes_prices else model.mean(P)
+        rows = [call(model, x) for x in X]
+        for stack in (X, X.reshape(2, self.K // 2, N)):
+            out = call(model, stack)
+            assert out.shape == stack.shape[:-1] + np.shape(rows[0])
+            for got, want in zip(out.reshape((self.K,) + np.shape(rows[0])), rows):
+                assert np.array_equal(got, want)
+        if op.startswith("revenue"):
+            assert all(type(r) is float for r in rows)
+        for bad in (np.ones((self.K, N + 1)), np.float64(X[0, 0])):
+            with pytest.raises(DomainError):
+                call(model, bad)
+
+    def test_fluid_solution_serializes(self, instance):
+        doc = json.loads(json.dumps(solve_fluid(instance).to_dict()))
+        assert type(doc["value"]) is float
 
 
 def fd_hessian(grad, x, h=1e-6):

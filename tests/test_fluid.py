@@ -21,7 +21,7 @@ from nrmlab import (
     default_dual_set,
     FluidError,
 )
-from nrmlab.demand import revenue_f, revenue_phi, revenue_phi_batch, grad_revenue_phi
+from nrmlab.demand import revenue_f, revenue_phi, grad_revenue_phi
 from nrmlab.fluid import grad_lagrangian_L
 from nrmlab.instance import instance_from_dict
 
@@ -44,7 +44,7 @@ def grid_oracle_argmax(instance, resolution, constrained=True):
     if constrained:
         ok &= np.all(pts @ instance.A.T <= instance.gamma[None, :] + 1e-12, axis=1)
     vals = np.full(len(pts), -np.inf)
-    vals[ok] = revenue_phi_batch(instance.model, pts[ok])
+    vals[ok] = revenue_phi(instance.model, pts[ok])
     best = pts[int(np.argmax(vals))]
     spacing = max(g1[1] - g1[0], g2[1] - g2[0])
     return best, spacing

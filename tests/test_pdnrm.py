@@ -1,5 +1,6 @@
 import math
 import json
+from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -178,6 +179,15 @@ class TestConfigValidation:
         ({"lambda_max": ["4", "4"]}, "lambda_max"),
         ({"lambda0": [[0.0, 0.0]]}, "lambda0"),
         ({"lambda0": [True, False]}, "lambda0"),
+        ({"warm_start": "false"}, "warm_start"),
+        ({"warm_start": 1}, "warm_start"),
+        ({"warm_start": None}, "warm_start"),
+        ({"primal_init": ["1.5", "2"]}, "primal_init"),
+        ({"primal_init": "middle"}, "primal_init"),
+        ({"primal_init": [1.0, 2.0, 3.0]}, "primal_init"),
+        ({"primal_init": [[1.0, 2.0]]}, "primal_init"),
+        ({"primal_init": None}, "primal_init"),
+        ({"primal_init": 1.5}, "primal_init"),
     ])
     def test_wrong_typed_override_names_its_key(self, doc, key):
         with pytest.raises(ValueError, match=f"pdnrm config key '{key}' must be"):
@@ -185,8 +195,13 @@ class TestConfigValidation:
 
     def test_well_typed_overrides_resolve_as_before(self):
         cfg = config_from_dict({"n0": 1000.0, "eta2": 5, "mu": 0.5, "lambda0": [0, 0.1],
-                                "lambda_max": [4, 4.5]}, synthetic_instance(2), T=10**4)
+                                "lambda_max": [4, 4.5], "warm_start": False,
+                                "primal_init": [0.5, 1]}, synthetic_instance(2), T=10**4)
         assert cfg.n0 == 1000 and isinstance(cfg.n0, int)
+        assert cfg.warm_start is False and cfg.primal_init.dtype == float
+        assert_allclose(cfg.primal_init, [0.5, 1.0])
+        center = config_from_dict({"primal_init": "center"}, synthetic_instance(2))
+        assert center.primal_init == "center"
         assert cfg.eta2 == 5 and cfg.mu == 0.5
         assert cfg.lambda0.dtype == float and cfg.lambda_max.dtype == float
         assert_allclose(cfg.lambda0, [0.0, 0.1])
@@ -195,6 +210,15 @@ class TestConfigValidation:
                              lambda_max=np.array([4.0, 4.5]))
         assert (kw.n0, kw.eta2) == (1000, 5.0)
         assert_allclose(kw.lambda_max, [4.0, 4.5])
+
+    @pytest.mark.parametrize("field, value", [("warm_start", "no"),
+                                              ("primal_init", "middle"),
+                                              ("primal_init", np.zeros(3))])
+    def test_policy_rejects_unchecked_field(self, field, value):
+        inst = synthetic_instance(2)
+        cfg = replace(constants_tuned(2, inst.T), **{field: value})
+        with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
+            PdNrmPolicy(inst, cfg)
 
 
 class TestGradEst:
@@ -351,7 +375,7 @@ class TestPrimalOpt:
         # grid-search oracle for the unconstrained revenue maximum
         grid = np.linspace(inst.price_min, inst.price_max, 400)
         P = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-        vals = np.einsum("kn,kn->k", P, inst.model.mean_batch(P))
+        vals = revenue_f(inst.model, P)
         f_best = vals.max()
         assert revenue_f(inst.model, p_hat) >= f_best - 1e-3
 
