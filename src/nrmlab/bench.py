@@ -23,7 +23,7 @@ from typing import Optional
 from .instance import Instance, instance_from_dict, load_instance
 from .fluid import solve_fluid, FluidSolution
 from .sim import run_episode, percentage_loss, mix64, fold_name
-from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict, constants_tuned
+from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict, _is_integral
 from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy, EtcConfig
 
 POLICY_NAMES = ("pdnrm", "clairvoyant", "etc")
@@ -45,9 +45,14 @@ class BenchPlan:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        grid = tuple(int(t) for t in self.T_grid)
+        for key in ("replications", "base_seed", "workers"):
+            object.__setattr__(self, key, _plan_int(key, getattr(self, key)))
+        for key in ("replications", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"plan key {key!r} must be at least 1")
+        if not isinstance(self.T_grid, (list, tuple, np.ndarray)):
+            raise ValueError(f"plan key 'T_grid' must be a list, not {self.T_grid!r}")
+        grid = tuple(_plan_int("T_grid", t) for t in self.T_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("T_grid must be strictly increasing")
         object.__setattr__(self, "T_grid", grid)
@@ -59,6 +64,13 @@ class BenchPlan:
             # each episode resolves the document again; a malformed one fails here
             for T in grid:
                 config_from_dict(self.pdnrm_config, self.instance, T)
+
+
+def _plan_int(key: str, val) -> int:
+    """An integer or an integral float as an int, like a config's n0."""
+    if not _is_integral(val):
+        raise ValueError(f"plan key {key!r} must be an integer, not {val!r}")
+    return int(val)
 
 
 @dataclass
@@ -101,13 +113,9 @@ def build_policy(name: str, instance: Instance, fluid: FluidSolution,
                  pdnrm_config: Optional[dict] = None,
                  etc_config: Optional[EtcConfig] = None):
     if name == "pdnrm":
-        if pdnrm_config is None:
-            cfg = constants_tuned(instance.N, instance.T)
-        elif isinstance(pdnrm_config, PdNrmConfig):
-            cfg = pdnrm_config
-        else:
-            cfg = config_from_dict(pdnrm_config, instance=instance, T=instance.T)
-        return PdNrmPolicy(instance, cfg)
+        if pdnrm_config is not None and not isinstance(pdnrm_config, PdNrmConfig):
+            pdnrm_config = config_from_dict(pdnrm_config, instance)
+        return PdNrmPolicy(instance, pdnrm_config)
     if name == "clairvoyant":
         return ClairvoyantPolicy(instance, fluid)
     if name == "etc":
@@ -291,13 +299,13 @@ def plan_from_dict(doc: dict, base_dir: str = ".") -> BenchPlan:
         return BenchPlan(
             instance=instance,
             policies=tuple(doc.get("policies", ["pdnrm"])),
-            T_grid=tuple(doc["T_grid"]),
-            replications=int(doc["replications"]),
-            base_seed=int(doc["base_seed"]),
+            T_grid=doc["T_grid"],
+            replications=doc["replications"],
+            base_seed=doc["base_seed"],
             output_dir=doc.get("output_dir"),
             pdnrm_config=doc.get("pdnrm_config"),
             etc_config=etc_cfg,
-            workers=int(doc.get("workers", 1)),
+            workers=doc.get("workers", 1),
         )
     except KeyError as exc:
         raise ValueError(f"plan document missing key {exc}") from exc

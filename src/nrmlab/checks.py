@@ -18,7 +18,7 @@ from .fluid import (
     default_dual_set,
 )
 from .sim import run_episode, Policy, _serve_block
-from .pdnrm import PdNrmPolicy, constants_tuned, prox_dual_step
+from .pdnrm import PdNrmPolicy, constants_tuned, epoch_count_bound, prox_dual_step
 
 
 class _RecordingPolicy(Policy):
@@ -160,7 +160,7 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     pol = PdNrmPolicy(instance.with_horizon(20_000), cfg)
     trace = run_episode(instance.with_horizon(20_000), pol, seed=11)
     epochs = sum(1 for e in trace.events if e.get("kind") == "epoch")
-    bound = 2 * np.log(20_000) / (cfg.mu * cfg.eta2) + 1
+    bound = epoch_count_bound(cfg, 20_000)
     check("pdnrm.epoch_bound", 0 < epochs <= bound, f"{epochs} epochs, bound {bound:.1f}")
     ok = True
     for ev in trace.events:

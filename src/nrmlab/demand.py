@@ -218,15 +218,18 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         raise ValueError("grid must have at least 2 points per axis")
     p_lo, p_hi = float(price_box[0]), float(price_box[1])
     n = model.n_products
-    axes = [np.linspace(p_lo, p_hi, grid_points)] * n
-    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-
-    jacs = np.empty((len(points), n, n))
-    B_D = B_f = B_phi = 0.0
+    axis = np.linspace(p_lo, p_hi, grid_points)
+    spacing = (p_hi - p_lo) / (grid_points - 1)
+    # a block is whole axis-0 slices of the grid; the last slice of a block is
+    # kept to difference against the first of the next one
+    width = max(1, _SCAN_BLOCK // grid_points ** (n - 1))
+    B_D = B_f = B_phi = L_D = 0.0
     sigma_D = sigma_phi = np.inf
-    for s in range(0, len(points), _SCAN_BLOCK):
-        P = points[s:s + _SCAN_BLOCK]
-        J = jacs[s:s + _SCAN_BLOCK] = model.jacobian(P)
+    prev = None
+    for s in range(0, grid_points, width):
+        mesh = np.meshgrid(axis[s:s + width], *[axis] * (n - 1), indexing="ij")
+        P = np.stack([m.ravel() for m in mesh], axis=1)
+        J = model.jacobian(P)
         sv = np.linalg.svd(J, compute_uv=False)
         B_D = max(B_D, sv[:, 0].max())
         sigma_D = min(sigma_D, sv[:, -1].min())
@@ -238,20 +241,12 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi(model, D), axis=1).max(),
                     np.abs(eig).max())
         sigma_phi = min(sigma_phi, eig[:, 0].min())
-
-    spacing = (p_hi - p_lo) / (grid_points - 1)
-    L_D = 0.0
-    shape = (grid_points,) * n
-    jacs = jacs.reshape(shape + (n, n))
-    for axis in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        diff = jacs[tuple(hi)] - jacs[tuple(lo)]
-        norms = np.linalg.norm(diff, ord=2, axis=(-2, -1))
-        if norms.size:
-            L_D = max(L_D, float(norms.max()) / spacing)
+        J = J.reshape(mesh[0].shape + (n, n))
+        for k in range(n):
+            diff = np.diff(J if k or prev is None else np.concatenate((prev, J)), axis=k)
+            if diff.size:
+                L_D = max(L_D, float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max()) / spacing)
+        prev = J[-1:]
 
     sv_A = np.linalg.svd(np.asarray(A, float), compute_uv=False)
     gamma = np.asarray(gamma, dtype=float)

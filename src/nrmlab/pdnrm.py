@@ -36,30 +36,33 @@ class PdNrmConfig:
     warm_start: bool = True
     p_margin: float = 0.05
     primal_init: str = "low"          # "low" | "center" | explicit vector
-    lambda_max: Optional[np.ndarray] = None
-    lambda0: Optional[np.ndarray] = None
+    lambda_max: Optional[np.ndarray] = None  # dual box [0, lambda_max]; None: default_dual_set
+    lambda0: Optional[np.ndarray] = None     # first dual iterate; None: zero
 
     @property
     def kappa2(self) -> float:
         return math.sqrt(self.kappa5)
 
-    def validate(self, N: int, T: int) -> None:
-        if self.n0 < 4 * N:
-            raise ValueError(f"n0 must be at least 4N = {4 * N}")
+    def validate(self, instance: Instance) -> None:
+        """The one check of every field, against the instance's N and M."""
+        N, M = instance.N, instance.M
+        _require("n0", _is_integral(self.n0) and self.n0 >= 4 * N,
+                 f"an integer of at least 4N = {4 * N}", self.n0)
         for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1", "eta2", "mu"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction must lie in (0, 1)")
-        if not 0 <= self.p_margin < 0.5:
-            raise ValueError("p_margin must lie in [0, 0.5)")
-        if not isinstance(self.warm_start, (bool, np.bool_)):
-            raise ValueError(f"pdnrm config key 'warm_start' must be true or false, "
-                             f"not {self.warm_start!r}")
+            val = getattr(self, name)
+            _require(name, _is_number(val) and val > 0, "a positive number", val)
+        c, m, warm = self.contraction, self.p_margin, self.warm_start
+        _require("contraction", _is_number(c) and 0 < c < 1, "a number in (0, 1)", c)
+        _require("p_margin", _is_number(m) and 0 <= m < 0.5, "a number in [0, 0.5)", m)
+        _require("warm_start", isinstance(warm, (bool, np.bool_)), "true or false", warm)
         init = self.primal_init
-        if not (init in ("low", "center") if isinstance(init, str) else np.shape(init) == (N,)):
-            raise ValueError(f"pdnrm config key 'primal_init' must be 'low', 'center' or a "
-                             f"list of {N} numbers, not {init!r}")
+        _require("primal_init", init in ("low", "center") if isinstance(init, str)
+                 else _is_vector(init, N), f"'low', 'center' or a list of {N} numbers", init)
+        if self.lambda_max is not None or self.lambda0 is not None:
+            lam0, box = self.lambda0, _dual_box(instance, self.lambda_max)
+            _require("lambda0", lam0 is None or _is_vector(lam0, M)
+                     and box.contains(np.asarray(lam0, float)),
+                     f"a list of {M} numbers inside the dual box [0, lambda_max]", lam0)
 
     def to_dict(self) -> dict:
         doc = {}
@@ -71,50 +74,65 @@ class PdNrmConfig:
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
-_NUMBER_FIELDS = frozenset(f.name for f in fields(PdNrmConfig) if f.type is float)
+
+
+def _require(key: str, ok: bool, what: str, val) -> None:
+    if not ok:
+        shown = val.tolist() if isinstance(val, np.ndarray) else val
+        raise ValueError(f"pdnrm config key {key!r} must be {what}, not {shown!r}")
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A real other than a bool; the type test spares floats and ints the ABC check."""
+    return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _apply_overrides(cfg: PdNrmConfig, doc: dict) -> PdNrmConfig:
+def _is_integral(x) -> bool:
+    return _is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
+
+
+def _is_vector(x, n: Optional[int] = None) -> bool:
+    listed = isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1
+    return listed and (n is None or len(x) == n) and all(map(_is_number, x))
+
+
+def _dual_box(instance: Instance, lambda_max) -> DualSet:
+    """The dual box [0, lambda_max] of the policy and the theory constants."""
+    if lambda_max is None:
+        return default_dual_set(instance)
+    _require("lambda_max", _is_vector(lambda_max, instance.M) and all(x > 0 for x in lambda_max),
+             f"a list of {instance.M} positive numbers, one per resource", lambda_max)
+    return DualSet(np.asarray(lambda_max, float))
+
+
+def _overrides(doc: dict) -> dict:
+    """A document's keys as field values: a list of numbers becomes a float array
+    and an integral n0 an int; any other value is left for validate to reject."""
     unknown = sorted(set(doc) - _FIELD_NAMES)
     if unknown:
         hint = "; kappa2 is sqrt(kappa5); set kappa5" if "kappa2" in unknown else ""
         raise ValueError(f"unknown pdnrm config keys {unknown}{hint}")
     patch = dict(doc)
-    for key in sorted(_NUMBER_FIELDS & patch.keys()):
-        if not _is_number(patch[key]):
-            raise ValueError(f"pdnrm config key {key!r} must be a number, not {patch[key]!r}")
     for key in ("lambda_max", "lambda0", "primal_init"):
-        val = patch.get(key)
-        if val is not None and not (key == "primal_init" and isinstance(val, str)):
-            listed = isinstance(val, (list, tuple)) or isinstance(val, np.ndarray) and val.ndim == 1
-            if not listed or not all(map(_is_number, val)):
-                raise ValueError(f"pdnrm config key {key!r} must be a list of numbers, not {val!r}")
-            patch[key] = np.asarray(val, dtype=float)
-    if "n0" in patch:
-        n0 = patch["n0"]
-        integral = isinstance(n0, numbers.Integral) or isinstance(n0, float) and n0.is_integer()
-        if isinstance(n0, bool) or not integral:
-            raise ValueError(f"pdnrm config key 'n0' must be an integer, not {n0!r}")
-        patch["n0"] = int(n0)
-    return replace(cfg, **patch) if patch else cfg
+        if _is_vector(patch.get(key)):
+            patch[key] = np.asarray(patch[key], dtype=float)
+    if _is_integral(patch.get("n0")):
+        patch["n0"] = int(patch["n0"])
+    return patch
 
 
 def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
     """Hand-tuned constants: n0 = ceil(0.1 N^4 ln^2(NT)); kappa1 = n0^.25;
     kappa5 = (2/3)e-8 (N^5.5 ln^3(NT) + N^4 ln^6(NT)); kappa2 = sqrt(kappa5);
     kappa3 = 8 kappa1 sqrt(N^3 ln(2NT)) + 12 kappa1^2; kappa6 = sqrt(N);
-    eta1 = eta2 = mu = 1. Each keyword overrides the field of its name."""
+    eta1 = eta2 = mu = 1. Each keyword overrides its field; validate checks them."""
     if N < 1 or T < 2:
         raise ValueError("need N >= 1 and T >= 2")
     ln_nt = math.log(N * T)
     ln_2nt = math.log(2 * N * T)
     n0 = max(int(math.ceil(0.1 * N**4 * ln_nt**2)), 4 * N)
     kappa1 = n0**0.25
-    cfg = PdNrmConfig(
+    tuned = dict(
         n0=n0,
         kappa1=kappa1,
         kappa3=8.0 * kappa1 * math.sqrt(N**3 * ln_2nt) + 12.0 * kappa1**2,
@@ -124,26 +142,23 @@ def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
         eta2=1.0,
         mu=1.0,
     )
-    cfg = _apply_overrides(cfg, overrides)
-    cfg.validate(N, T)
-    return cfg
+    return PdNrmConfig(**{**tuned, **_overrides(overrides)})
 
 
 def constants_theory(instance: Instance, regularity, T: int, *,
-                     dual_set: Optional[DualSet] = None,
                      p_margin: float = 0.05,
                      rho_bar: Optional[float] = None,
                      rho_lo: Optional[float] = None,
                      **overrides) -> PdNrmConfig:
-    """Constants from the convergence analysis, evaluated with grid-estimated
-    regularity bounds. Faithful but typically impractical (n0 may exceed T).
+    """Constants from the convergence analysis for the config's dual box, with
+    grid-estimated regularity bounds. Faithful but impractical (n0 may exceed T).
 
     rho_lo / rho_bar default to the inner-box margin and diameter; they are
     treated as given problem constants by the analysis and can be pinned."""
     reg = regularity
-    if dual_set is None:
-        dual_set = default_dual_set(instance)
-    lam_bar = dual_set.lambda_bar
+    patch = _overrides(overrides)
+    box = _dual_box(instance, patch.get("lambda_max"))
+    lam_bar = box.lambda_bar
     # the analysis never bounds ||J_D|| separately, and one purchase per
     # period bounds the demand: B_J = B_D and d_bar = 1
     B_J = reg.B_D
@@ -195,10 +210,10 @@ def constants_theory(instance: Instance, regularity, T: int, *,
         mu=mu,
         contraction=contraction,
         p_margin=p_margin,
-        lambda_max=dual_set.lambda_max.copy(),
+        lambda_max=box.lambda_max.copy(),
     )
-    cfg = _apply_overrides(cfg, overrides)
-    cfg.validate(N, T)
+    cfg = replace(cfg, **patch)
+    cfg.validate(instance)
     return cfg
 
 
@@ -216,7 +231,9 @@ def config_from_dict(doc: dict, instance: Instance,
         raise ValueError(f"config mode {mode!r} is not supported: a config is the tuned "
                          "formulas plus field overrides; for the theory constants pass the "
                          "output of `nrmlab constants --mode theory`")
-    return constants_tuned(instance.N, instance.T if T is None else T, **rest)
+    cfg = constants_tuned(instance.N, instance.T if T is None else T, **rest)
+    cfg.validate(instance)
+    return cfg
 
 
 @dataclass
@@ -368,13 +385,11 @@ def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
 
 
 def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
-                events: Optional[list] = None, epoch: int = 0,
-                P_lo=None, P_hi=None):
+                events: Optional[list] = None, epoch: int = 0):
     """One PrimalOpt run. Returns (p_hat, D_hat, p_next) where p_hat is the
     price of the final executed loop (whose estimate feeds the dual update)
     and p_next is the post-update iterate used for warm starts."""
-    if P_lo is None or P_hi is None:
-        P_lo, P_hi = _inner_box(instance, cfg)
+    P_lo, P_hi = _inner_box(instance, cfg)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
     p = np.asarray(p_start, float).copy()
@@ -406,8 +421,7 @@ def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
     """Standalone PrimalOpt against an environment handle; returns
     (p_hat, D_hat)."""
     if p_start is None:
-        P_lo, P_hi = _inner_box(instance, cfg)
-        p_start = _initial_price(instance, cfg, P_lo, P_hi)
+        p_start = _initial_price(instance, cfg)
     p_hat, D_hat, _ = _drive(
         _primal_gen(instance, cfg, lam, eps_bar, p_start, events=events), env)
     return p_hat, D_hat
@@ -418,7 +432,8 @@ def _inner_box(instance: Instance, cfg: PdNrmConfig):
     return instance.price_min + margin, instance.price_max - margin
 
 
-def _initial_price(instance: Instance, cfg: PdNrmConfig, P_lo, P_hi) -> np.ndarray:
+def _initial_price(instance: Instance, cfg: PdNrmConfig) -> np.ndarray:
+    P_lo, P_hi = _inner_box(instance, cfg)
     init = cfg.primal_init   # checked by PdNrmConfig.validate
     if not isinstance(init, str):
         return np.clip(np.asarray(init, float), P_lo, P_hi)
@@ -433,24 +448,10 @@ class PdNrmPolicy(CommitPolicy):
     def __init__(self, instance: Instance, config: Optional[PdNrmConfig] = None):
         if config is None:
             config = constants_tuned(instance.N, instance.T)
-        config.validate(instance.N, instance.T)
+        config.validate(instance)
         self.instance = instance
         self.config = config
-        self._P_lo, self._P_hi = _inner_box(instance, config)
-        if config.lambda_max is not None:
-            lam_max = np.asarray(config.lambda_max, float)
-            if lam_max.shape != (instance.M,):
-                raise ValueError("lambda_max must have one entry per resource")
-            self.dual_set = DualSet(lam_max)
-        else:
-            self.dual_set = default_dual_set(instance)
-        if config.lambda0 is not None:
-            lam0 = np.asarray(config.lambda0, float)
-            if not self.dual_set.contains(lam0):
-                raise ValueError("lambda0 must lie in the dual box")
-        else:
-            lam0 = np.zeros(instance.M)
-        self._lam0 = lam0
+        self.dual_set = _dual_box(instance, config.lambda_max)
         self._events: list = []
         super().__init__(instance.N)
 
@@ -460,19 +461,17 @@ class PdNrmPolicy(CommitPolicy):
 
     def _driver(self):
         instance, cfg = self.instance, self.config
-        lam = self._lam0.copy()
-        p_warm = _initial_price(instance, cfg, self._P_lo, self._P_hi)
+        lam = np.zeros(instance.M) if cfg.lambda0 is None else np.array(cfg.lambda0, float)
+        p_warm = _initial_price(instance, cfg)
         s = 0
         while True:
             eps_bar = cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
             self._events.append({
                 "kind": "epoch", "s": s, "lambda": lam.tolist(), "eps_bar": eps_bar,
             })
-            start = p_warm if cfg.warm_start else _initial_price(
-                instance, cfg, self._P_lo, self._P_hi)
+            start = p_warm if cfg.warm_start else _initial_price(instance, cfg)
             p_hat, D_hat, p_next = yield from _primal_gen(
-                instance, cfg, lam, eps_bar, start, events=self._events,
-                epoch=s, P_lo=self._P_lo, P_hi=self._P_hi)
+                instance, cfg, lam, eps_bar, start, events=self._events, epoch=s)
             p_warm = p_next
             grad_q = instance.gamma - instance.A @ D_hat
             grad_h = grad_q - cfg.mu * lam

@@ -21,6 +21,7 @@ from .instance import Instance
 _MASK64 = (1 << 64) - 1
 _NO_PURCHASE = np.zeros(1)  # multinomial's last category takes 1 - sum D(p)
 _EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 
 
 def mix64(*parts) -> int:
@@ -36,6 +37,19 @@ def mix64(*parts) -> int:
 
 def fold_name(seed: int, name: str) -> int:
     return mix64(seed, zlib.crc32(name.encode()))
+
+
+def _exact_product(a: float, b: float) -> tuple:
+    """(x, e) with x = fl(a b) and x + e = a b exactly (Dekker's product),
+    barring overflow and underflow."""
+    x = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
 class Policy(ABC):
@@ -185,7 +199,9 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     counts, served) and recording are common to all three. Recorded rows
     order a sampled block's served outcomes by a uniform random permutation
     from a second generator derived from the seed, so a recorded and an
-    unrecorded run of one seed are the same episode.
+    unrecorded run of one seed are the same episode. Block revenues enter the
+    total as exact products summed by one fsum, so in both modes it equals the
+    fsum of the recorded per-period revenues.
     """
     T = instance.T
     N, M = instance.N, instance.M
@@ -213,7 +229,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         p = policy.next_price(t + 1)
         if p is not None:
             p = np.asarray(p, dtype=float)
-            if p.shape != (N,) or not all(p_lo <= x <= p_hi for x in p.tolist()):
+            prices = p.tolist()
+            if p.shape != (N,) or not all(p_lo <= x <= p_hi for x in prices):
                 raise PolicyError(
                     f"price {p} outside [{instance.price_min}, {instance.price_max}]")
         k = min(max(1, int(policy.hold())), T - t)
@@ -234,12 +251,16 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                     cap -= 1
                 served = min(served, max(cap, 0))
             y_sum, used = y * served, served * cons
+            revenue_parts += _exact_product(served, float(y @ p))
             outcome = p.tobytes() + served.to_bytes(8, "little")
             if record_periods:
                 y_rows, cum = y, np.arange(1, served + 1)[:, None] * cons
         else:
             served, counts = _serve_block(model, A, p, k, remaining, rng)
             y_sum, used = counts[:N].astype(float), A.dot(counts[:N])
+            for count, price in zip(counts.tolist(), prices):
+                if count:
+                    revenue_parts += _exact_product(count, price)
             outcome = p.tobytes() + counts.tobytes() + served.to_bytes(8, "little")
             if record_periods:
                 idx = order_rng.permutation(np.repeat(np.arange(N + 1), counts))
@@ -252,8 +273,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         start, remaining = remaining, remaining - used
         hasher.update(outcome)
         min_inventory = min(min_inventory, min(remaining.tolist()))
-        if served:
-            revenue_parts.append(float(p.dot(y_sum)))
 
         if record_periods:
             if is_open:
@@ -271,17 +290,14 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             policy.observe_block(t + 1, y_sum, k)
         t += k
 
-    if record_periods:
-        total = math.fsum(periods["revenue"].tolist())
-    else:
-        total = math.fsum(revenue_parts)
+    if not record_periods:
         periods = None
 
     return EpisodeTrace(
         T=T,
         seed=seed,
         policy_name=getattr(policy, "name", type(policy).__name__),
-        total_revenue=total,
+        total_revenue=math.fsum(revenue_parts),
         shutoff_period=shutoff_period,
         final_inventory=remaining,
         fingerprint=hasher.hexdigest(),

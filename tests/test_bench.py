@@ -61,6 +61,8 @@ class TestBenchPlan:
         ({"eta2": "5"}, "eta2"),
         ({"warm_start": "false"}, "warm_start"),
         ([1, 2], "JSON object"),
+        ({"lambda_max": [4, 4, 4]}, "lambda_max"),
+        ({"lambda0": [0.1]}, "lambda0"),
     ])
     def test_malformed_pdnrm_config_rejected_at_build(self, instance, config, key):
         with pytest.raises(ValueError, match=key):
@@ -71,6 +73,37 @@ class TestBenchPlan:
         small_plan(instance, T_grid=(2, 500), pdnrm_config={"mode": "tuned"})
         with pytest.raises(ValueError, match="T >= 2"):
             small_plan(instance, T_grid=(1, 500), pdnrm_config={"mode": "tuned"})
+
+    @pytest.mark.parametrize("patch, key", [
+        ({"replications": 2.7}, "replications"),
+        ({"replications": [1]}, "replications"),
+        ({"replications": "2"}, "replications"),
+        ({"replications": True}, "replications"),
+        ({"replications": 0}, "replications"),
+        ({"base_seed": "7"}, "base_seed"),
+        ({"base_seed": 7.5}, "base_seed"),
+        ({"base_seed": None}, "base_seed"),
+        ({"workers": 1.5}, "workers"),
+        ({"workers": 0}, "workers"),
+        ({"workers": False}, "workers"),
+        ({"T_grid": [1000.5]}, "T_grid"),
+        ({"T_grid": ["1000"]}, "T_grid"),
+        ({"T_grid": 1000}, "T_grid"),
+    ])
+    def test_plan_numbers_checked(self, instance, patch, key):
+        doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"], "T_grid": [1000],
+               "replications": 1, "base_seed": 5, **patch}
+        with pytest.raises(ValueError, match=f"plan key '{key}' must be"):
+            plan_from_dict(doc)
+
+    def test_integral_float_plan_numbers_accepted(self, instance):
+        doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"],
+               "T_grid": [1000.0, 2000], "replications": 2.0, "base_seed": 7.0, "workers": 1.0}
+        plan = plan_from_dict(doc)
+        assert (plan.T_grid, plan.replications, plan.base_seed, plan.workers) == (
+            (1000, 2000), 2, 7, 1)
+        assert all(type(v) is int for v in (*plan.T_grid, plan.replications, plan.base_seed,
+                                             plan.workers))
 
     @pytest.mark.parametrize("etc, key", [
         ({"grid": 4}, "grid"),

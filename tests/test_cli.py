@@ -42,6 +42,13 @@ class TestRunCommand:
         assert t1.read_bytes() == t2.read_bytes()
         assert json.loads(out1)["revenue"] == json.loads(out2)["revenue"]
 
+    def test_revenue_same_with_and_without_trace(self, capsys, instance_file, tmp_path):
+        argv = ("run", instance_file, "clairvoyant", "--seed", "5", "--T", "200000")
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv, "--trace", str(tmp_path / "t.csv"))
+        assert code1 == code2 == 0
+        assert json.loads(out1)["revenue"] == json.loads(out2)["revenue"]
+
     def test_events_export(self, capsys, instance_file, tmp_path):
         ev = tmp_path / "events.jsonl"
         code, out, _ = run_cli(capsys, "run", instance_file, "pdnrm",
@@ -143,6 +150,11 @@ class TestBenchCommand:
         ({"pdnrm_config": {"warm_start": "false"}}, "warm_start"),
         ({"etc_config": {"grid": 4}}, "grid"),
         ({"etc_config": {"grid_points_per_axis": "8"}}, "grid_points_per_axis"),
+        ({"pdnrm_config": {"lambda_max": [4, 4, 4]}}, "'lambda_max'"),
+        ({"pdnrm_config": {"lambda0": [0.1]}}, "'lambda0'"),
+        ({"replications": [1]}, "'replications'"),
+        ({"replications": 2.7}, "'replications'"),
+        ({"workers": 1.5}, "'workers'"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):

@@ -351,6 +351,20 @@ class TestEstimateRegularity:
         assert estimate_regularity(instance.model, instance.price_box, 41,
                                    instance.A, instance.gamma) == regularity
 
+    @pytest.mark.parametrize("N, grid, block", [(2, 41, 50), (2, 41, 100), (3, 15, 1),
+                                                (3, 15, 500)])
+    def test_slice_blocks_equal_one_block(self, N, grid, block, monkeypatch):
+        # blocks of one or two axis-0 slices and a ragged last block; the
+        # steep first product puts the largest Jacobian change, L_D, on axis 0,
+        # whose differences cross the block boundaries
+        slopes = np.r_[2.5, np.full(N - 1, 1.0)]
+        args = (LogitDemand(np.full(N, 1.0), slopes), (0.8, 5.0), grid, np.ones((1, N)),
+                np.array([0.3]))
+        monkeypatch.setattr(nrmlab.demand, "_SCAN_BLOCK", grid ** N)
+        whole = estimate_regularity(*args)
+        monkeypatch.setattr(nrmlab.demand, "_SCAN_BLOCK", block)
+        assert estimate_regularity(*args) == whole
+
     def test_identity_demand(self):
         # D(p) = c - p: constant Jacobian -I
         model = LinearDemand([3.0, 3.0], np.eye(2))

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from nrmlab import (
     Instance,
     LinearDemand,
-    DualSet,
     RegularityConstants,
     constants_tuned,
     constants_theory,
@@ -91,7 +90,7 @@ class TestConstantsTheory:
         Ns = [4, 8, 16, 32]
         cfgs = [
             constants_theory(synthetic_instance(N), reg, 10**6,
-                             dual_set=DualSet(np.full(N, 1.0 / math.sqrt(N))),
+                             lambda_max=np.full(N, 1.0 / math.sqrt(N)),
                              rho_bar=1.0, rho_lo=1.0)
             for N in Ns
         ]
@@ -104,7 +103,7 @@ class TestConstantsTheory:
         big = [64, 256]
         cfg_big = [
             constants_theory(synthetic_instance(N), reg, 10**6,
-                             dual_set=DualSet(np.full(N, 1.0 / math.sqrt(N))),
+                             lambda_max=np.full(N, 1.0 / math.sqrt(N)),
                              rho_bar=1.0, rho_lo=1.0)
             for N in big
         ]
@@ -114,16 +113,32 @@ class TestConstantsTheory:
         reg = unit_regularity()
         inst = synthetic_instance(2)
         Ts = [10**6, 10**9, 10**12]
-        cfgs = [constants_theory(inst, reg, T, dual_set=DualSet(np.full(2, 0.7)),
+        cfgs = [constants_theory(inst, reg, T, lambda_max=np.full(2, 0.7),
                                  rho_bar=1.0, rho_lo=1.0) for T in Ts]
         assert log_slope(Ts, [c.n0 for c in cfgs]) <= 0.5
         assert log_slope(Ts, [c.kappa3 for c in cfgs]) <= 0.3
+
+    def test_sized_for_the_lambda_max_override(self, instance, regularity):
+        # the box the config runs in is the box its constants are sized for
+        lam = np.array([1.0, 1.5])
+        cfg = constants_theory(instance, regularity, instance.T, lambda_max=lam)
+        assert_allclose(cfg.lambda_max, lam)
+        lam_bar = float(np.linalg.norm(lam))
+        reg = regularity
+        assert cfg.eta1 == 1.0 / (8.0 * (reg.B_f + reg.B_A * reg.B_D * lam_bar))
+        default = constants_theory(instance, regularity, instance.T)
+        assert cfg.n0 < default.n0 and cfg.kappa5 < default.kappa5
+        same = constants_theory(instance, regularity, instance.T,
+                                lambda_max=default.lambda_max.tolist())
+        assert same.to_dict() == default.to_dict()
+        with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
+            constants_theory(instance, regularity, instance.T, lambda_max=[1.0, 1.0, 1.0])
 
 
 class TestConfigValidation:
     def test_n0_floor_enforced(self):
         with pytest.raises(ValueError):
-            constants_tuned(2, 10**4, n0=4).validate(2, 10**4)
+            constants_tuned(2, 10**4, n0=4).validate(synthetic_instance(2))
 
     def test_kappa2_consistency_enforced(self):
         cfg = constants_tuned(2, 10**4)
@@ -188,6 +203,10 @@ class TestConfigValidation:
         ({"primal_init": [[1.0, 2.0]]}, "primal_init"),
         ({"primal_init": None}, "primal_init"),
         ({"primal_init": 1.5}, "primal_init"),
+        ({"lambda_max": [4, 4, 4]}, "lambda_max"),
+        ({"lambda_max": [4, -1]}, "lambda_max"),
+        ({"lambda0": [0.1]}, "lambda0"),
+        ({"lambda0": [100.0, 0.0]}, "lambda0"),
     ])
     def test_wrong_typed_override_names_its_key(self, doc, key):
         with pytest.raises(ValueError, match=f"pdnrm config key '{key}' must be"):
@@ -219,6 +238,34 @@ class TestConfigValidation:
         cfg = replace(constants_tuned(2, inst.T), **{field: value})
         with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
             PdNrmPolicy(inst, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        *[(name, bad) for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1", "eta2", "mu")
+          for bad in ("5", None, True, 0.0, float("nan"))],
+        ("n0", "1000"), ("n0", 1000.5), ("n0", True), ("n0", 7),
+        ("contraction", "0.5"), ("contraction", 1.0), ("contraction", None),
+        ("p_margin", "0.1"), ("p_margin", 0.5), ("p_margin", -0.1),
+        ("warm_start", "false"), ("warm_start", 1), ("warm_start", None),
+        ("primal_init", "middle"), ("primal_init", ["1.5", "2"]), ("primal_init", [1.0]),
+        ("primal_init", None),
+        ("lambda_max", [4.0, 4.0, 4.0]), ("lambda_max", [4.0]), ("lambda_max", "4"),
+        ("lambda_max", [4.0, 0.0]), ("lambda_max", ["4", "4"]), ("lambda_max", np.ones((2, 1))),
+        ("lambda0", [0.1]), ("lambda0", [0.1, 0.1, 0.1]), ("lambda0", [1e6, 0.0]),
+        ("lambda0", [-0.1, 0.0]), ("lambda0", [True, False]), ("lambda0", 0.0),
+    ])
+    def test_validate_names_every_bad_field(self, instance, field, value):
+        # a directly built config is checked like a document, against N = M = 2
+        cfg = replace(constants_tuned(2, instance.T), **{field: value})
+        with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
+            cfg.validate(instance)
+        with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
+            PdNrmPolicy(instance, cfg)
+
+    def test_validate_checks_lambda0_against_the_configs_own_box(self, instance):
+        cfg = constants_tuned(2, instance.T, lambda_max=[1.0, 1.0], lambda0=[1.0, 0.5])
+        cfg.validate(instance)
+        with pytest.raises(ValueError, match="'lambda0'"):
+            replace(cfg, lambda0=np.array([1.5, 0.5])).validate(instance)
 
 
 class TestGradEst:

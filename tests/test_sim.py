@@ -376,10 +376,22 @@ class TestServeBlock:
         assert recorded.fingerprint == plain.fingerprint
         assert recorded.shutoff_period == plain.shutoff_period
         np.testing.assert_array_equal(recorded.final_inventory, plain.final_inventory)
-        assert math.isclose(recorded.total_revenue, plain.total_revenue, rel_tol=1e-12)
+        assert recorded.total_revenue == plain.total_revenue
+        assert plain.total_revenue == math.fsum(recorded.periods["revenue"].tolist())
         assert again.fingerprint == plain.fingerprint
         assert again.total_revenue == plain.total_revenue
         assert again.shutoff_period == plain.shutoff_period
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    def test_revenue_is_the_fsum_of_the_recorded_rows(self, noise, instance, fluid_solution):
+        # a horizon at which per-block subtotals, rounded and summed, used to
+        # miss the fsum of the per-period rows in the last bits
+        from nrmlab import build_policy
+        inst = dataclasses.replace(instance.with_horizon(200_000), noise=noise)
+        plain, recorded = (run_episode(inst, build_policy("clairvoyant", inst, fluid_solution),
+                                       5, record_periods=record) for record in (False, True))
+        assert plain.total_revenue == recorded.total_revenue
+        assert plain.total_revenue == math.fsum(recorded.periods["revenue"].tolist())
 
 
 class TestPercentageLoss:
