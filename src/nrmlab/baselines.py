@@ -9,9 +9,7 @@ from scipy.optimize import linprog
 
 from .instance import Instance
 from .fluid import FluidSolution
-from .sim import CommitPolicy
-
-_FOREVER = 1 << 62
+from .sim import CommitPolicy, _FOREVER
 
 
 @dataclass(frozen=True)
@@ -70,21 +68,17 @@ class ExploreThenCommitPolicy(CommitPolicy):
         super().__init__(instance.N)
 
     def _driver(self):
+        # Exploration reads no feedback until the grid ends, so the grid is one
+        # schedule, and so is the mixture, whose last price holds to the horizon.
         K = len(self.grid)
-        per = self.n_explore // K
-        extra = self.n_explore - per * K
-        for k in range(K):
-            length = per + (1 if k < extra else 0)
-            if length <= 0:
-                continue
-            self.D_hat[k] = yield (self.grid[k], length)
-        schedule = self._commit_schedule()
-        for price, length in schedule[:-1]:
-            yield (price, length)
-        while True:
-            yield (schedule[-1][0], _FOREVER)
+        per, extra = divmod(self.n_explore, K)
+        self.D_hat[:] = yield (self.grid, per + (np.arange(K) < extra))
+        prices, lengths = self._commit_schedule()
+        lengths[-1] = _FOREVER
+        yield (prices, lengths)
 
     def _commit_schedule(self):
+        """The mixture as (prices (K, N), lengths (K,)), heaviest weight first."""
         inst = self.instance
         K = len(self.grid)
         remaining = max(inst.T - self.n_explore, 1)
@@ -96,12 +90,12 @@ class ExploreThenCommitPolicy(CommitPolicy):
         if not res.success:
             # No feasible mixture: fall back to the highest-price grid point.
             self.mixture = None
-            return [(self.grid[-1], remaining)]
+            return self.grid[-1:], np.array([remaining])
         weights = np.maximum(res.x, 0.0)
         self.mixture = weights
-        lengths = np.floor(weights * remaining).astype(int)
+        lengths = np.floor(weights * remaining).astype(np.int64)
         order = np.argsort(-weights)
-        schedule = [(self.grid[k], int(lengths[k])) for k in order if lengths[k] > 0]
-        if not schedule:
-            schedule = [(self.grid[int(np.argmax(rev))], remaining)]
-        return schedule
+        order = order[lengths[order] > 0]
+        if not len(order):
+            return self.grid[[int(np.argmax(rev))]], np.array([remaining])
+        return self.grid[order], lengths[order]

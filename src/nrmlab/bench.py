@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .instance import Instance, instance_from_dict, load_instance
+from .instance import Instance, instance_from_dict, load_instance, _is_integral
 from .fluid import solve_fluid, FluidSolution
 from .sim import run_episode, percentage_loss, mix64, fold_name
-from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict, _is_integral
+from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict
 from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy, EtcConfig
 
 POLICY_NAMES = ("pdnrm", "clairvoyant", "etc")
@@ -61,7 +61,7 @@ class BenchPlan:
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
         if self.pdnrm_config is not None:
-            # each episode resolves the document again; a malformed one fails here
+            # run_bench resolves the document again, once per horizon; a malformed one fails here
             for T in grid:
                 config_from_dict(self.pdnrm_config, self.instance, T)
 
@@ -135,14 +135,15 @@ def _count_events(events):
     return epochs, max_loops
 
 
-def _run_task(plan: BenchPlan, fluid: FluidSolution, task: tuple):
-    """Run one (policy, T, replicate, seed) episode of the plan. Returns its
-    EpisodeResult, or an error record when the episode fails."""
+def _run_task(plan: BenchPlan, fluid: FluidSolution, configs: dict, task: tuple):
+    """Run one (policy, T, replicate, seed) episode of the plan, with the pdnrm
+    config resolved at T in configs. Returns its EpisodeResult, or an error
+    record when the episode fails."""
     policy_name, T, replicate, seed = task
     try:
         instance = plan.instance.with_horizon(T)
         policy = build_policy(policy_name, instance, fluid,
-                              pdnrm_config=plan.pdnrm_config, etc_config=plan.etc_config)
+                              pdnrm_config=configs.get(T), etc_config=plan.etc_config)
         t0 = time.perf_counter()
         trace = run_episode(instance, policy, seed)
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -171,7 +172,9 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
     tasks = sorted((policy, T, rep, episode_seed(plan.base_seed, policy, T, rep))
                    for policy in plan.policies for T in plan.T_grid
                    for rep in range(plan.replications))
-    run_task = functools.partial(_run_task, plan, fluid)
+    configs = {} if plan.pdnrm_config is None or "pdnrm" not in plan.policies else {
+        T: config_from_dict(plan.pdnrm_config, plan.instance, T) for T in plan.T_grid}
+    run_task = functools.partial(_run_task, plan, fluid, configs)
 
     wall_start = time.perf_counter()
     if plan.workers > 1:

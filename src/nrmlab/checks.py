@@ -17,7 +17,7 @@ from .fluid import (
     lagrangian_H,
     default_dual_set,
 )
-from .sim import run_episode, Policy, _serve_block
+from .sim import run_episode, Policy, _serve
 from .pdnrm import PdNrmPolicy, constants_tuned, epoch_count_bound, prox_dual_step
 
 
@@ -82,9 +82,9 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     probs = model.mean(p)
     ok = bool(np.all(probs >= 0) and probs.sum() <= 1.0)
     n = 200_000
-    served, counts = _serve_block(model, instance.A, p, n, np.inf, rng)
-    ok = ok and served == n and counts.sum() == n
-    freq = counts[:-1] / n
+    served, counts, _ = _serve(model, instance.A, p[None], np.array([n]), None, rng)
+    ok = ok and served[0] == n and counts.sum() == n
+    freq = counts[0, :-1] / n
     se = np.sqrt(probs * (1 - probs) / n)
     ok = ok and bool(np.all(np.abs(freq - probs) <= 6 * se + 1e-12))
     check("demand.sampler_unbiased", ok)

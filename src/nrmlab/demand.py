@@ -71,7 +71,7 @@ class LogitDemand(DemandModel):
     def mean(self, p):
         p = _as_vector(p, self.n_products)
         w = np.exp(self.a - self.b * p)
-        s = 1.0 + w.sum(-1)   # not keepdims: slower for the simulator's 1-D call
+        s = 1.0 + np.add.reduce(w, -1)   # w.sum(-1) without its Python wrapper
         return w / (s if p.ndim == 1 else s[..., None])
 
     def jacobian(self, p):

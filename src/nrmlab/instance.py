@@ -1,6 +1,7 @@
 """Problem instances: dimensions, consumption matrix, inventories, price box, demand model."""
 
 import json
+import numbers
 import dataclasses
 import numpy as np
 from dataclasses import dataclass
@@ -98,10 +99,26 @@ class Instance:
         }
 
 
+def _is_number(x) -> bool:
+    """A real other than a bool; the type test spares floats and ints the ABC check."""
+    return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integral(x) -> bool:
+    """An integer or an integral float: the rule for every integer a document holds."""
+    return _is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
+
+
+def _document_int(doc: dict, key: str) -> int:
+    val = doc[key]
+    if not _is_integral(val):
+        raise ValueError(f"instance key {key!r} must be an integer, not {val!r}")
+    return int(val)
+
+
 def instance_from_dict(doc: dict) -> Instance:
     try:
-        N = int(doc["N"])
-        M = int(doc["M"])
+        N, M, T = (_document_int(doc, key) for key in ("N", "M", "T"))
         A = np.asarray(doc["A"], dtype=float).reshape(M, N)
         demand = doc["demand"]
         kind = demand["type"]
@@ -115,7 +132,7 @@ def instance_from_dict(doc: dict) -> Instance:
             model=model,
             A=A,
             gamma=np.asarray(doc["gamma"], dtype=float),
-            T=int(doc["T"]),
+            T=T,
             price_min=float(doc["price_min"]),
             price_max=float(doc["price_max"]),
             noise=doc.get("noise", "multinomial"),

@@ -9,15 +9,15 @@ near the per-period inventory rate.
 """
 
 import math
-import numbers
 import numpy as np
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .instance import Instance
+from .instance import Instance, _is_integral, _is_number
 from .fluid import DualSet, default_dual_set
 from .projections import feasible_point
-from .sim import CommitPolicy, _serve_block
+from .demand import _dot
+from .sim import CommitPolicy, _as_schedule, _serve
 
 @dataclass
 class PdNrmConfig:
@@ -80,15 +80,6 @@ def _require(key: str, ok: bool, what: str, val) -> None:
     if not ok:
         shown = val.tolist() if isinstance(val, np.ndarray) else val
         raise ValueError(f"pdnrm config key {key!r} must be {what}, not {shown!r}")
-
-
-def _is_number(x) -> bool:
-    """A real other than a bool; the type test spares floats and ints the ABC check."""
-    return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _is_integral(x) -> bool:
-    return _is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
 def _is_vector(x, n: Optional[int] = None) -> bool:
@@ -284,7 +275,7 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
 
 
 def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):
-    """Generator: yields (price, length) commitments, receives average demand,
+    """Generator: yields commitments and schedules, receives average demand,
     returns a GradEstOutput. Consumes exactly n periods."""
     N = instance.N
     p = np.asarray(p, float)
@@ -300,20 +291,16 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):
                              balancing_feasible=False, periods_consumed=n,
                              u=0.0, degraded=True)
 
-    d_plus = np.empty((N, N))
-    d_minus = np.empty((N, N))
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = u
-        d_plus[i] = yield (p + e, m)
-        d_minus[i] = yield (p - e, m)
+    # the 2N two-point probes p + u e_i, p - u e_i read no feedback until the
+    # last one, so they are one schedule
+    probes = np.empty((2 * N, N))
+    probes[0::2] = p + u * np.eye(N)
+    probes[1::2] = p - u * np.eye(N)
+    avgs = yield (probes, np.full(2 * N, m))
+    d_plus, d_minus = avgs[0::2], avgs[1::2]
     D_hat = (d_plus.sum(axis=0) + d_minus.sum(axis=0)) / (2 * N)
     J_hat = ((d_plus - d_minus) / (2 * u)).T
-    grad_f = np.empty(N)
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = u
-        grad_f[i] = ((p + e) @ d_plus[i] - (p - e) @ d_minus[i]) / (2 * u)
+    grad_f = (_dot(probes[0::2], d_plus) - _dot(probes[1::2], d_minus)) / (2 * u)
 
     tilde_p, feasible = demand_balance(
         D_hat, J_hat, p, lam, n, instance.gamma, instance.A,
@@ -327,48 +314,55 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):
 
 
 class DemandOracle:
-    """Noiseless environment handle: each commitment returns the exact mean
-    demand, so a grad_est call costs O(N) model evaluations, not n periods."""
+    """Noiseless environment handle: each schedule returns the exact mean
+    demand of its rows in one stacked evaluation, so a grad_est call costs two
+    model evaluations, not n periods."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.periods = 0
         self.commits = 0
 
-    def commit(self, p, m):
-        self.periods += m
-        self.commits += 1
-        return self.instance.model.mean(p)
+    def commit(self, prices, lengths):
+        """The (K, N) average demand of a schedule's rows."""
+        self.periods += int(lengths.sum())
+        self.commits += len(lengths)
+        return self.instance.model.mean(prices)
 
 
 class SamplingOracle:
     """Stochastic environment handle backed by the simulator's market kernel,
-    without inventory: a commitment of m periods costs one count draw."""
+    without inventory: a schedule of any length costs one count draw."""
 
     def __init__(self, instance: Instance, rng: np.random.Generator):
         self.instance = instance
         self.rng = rng
         self.periods = 0
 
-    def commit(self, p, m):
-        self.periods += m
-        _, counts = _serve_block(self.instance.model, self.instance.A, p, m, np.inf, self.rng)
-        return counts[:-1] / m
+    def commit(self, prices, lengths):
+        """The (K, N) average demand of a schedule's rows."""
+        self.periods += int(lengths.sum())
+        _, counts, _ = _serve(self.instance.model, self.instance.A, prices, lengths, None,
+                              self.rng)
+        return counts[:, :-1] / lengths[:, None]
 
 
 def _drive(gen, env):
+    """Run a commitment generator against an environment handle: each request,
+    a plain commitment being the one-row schedule, is one env.commit call."""
     try:
         request = next(gen)
         while True:
-            avg = env.commit(*request)
-            request = gen.send(np.asarray(avg, float))
+            prices, lengths, single = _as_schedule(request)
+            avgs = np.asarray(env.commit(prices, lengths), float)
+            request = gen.send(avgs[0] if single else avgs)
     except StopIteration as stop:
         return stop.value
 
 
 def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOutput:
     """Run the estimation-and-balancing routine against an environment handle
-    with a commit(price, length) -> average-demand method."""
+    with a commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
     return _drive(_grad_est_gen(instance, cfg, p, lam, n), env)
 
 

@@ -1,10 +1,14 @@
 """Discrete-time market simulator: inventory dynamics, hard shutoff, trace recording.
 
 One episode is strictly sequential; distinct episodes may run concurrently,
-each owning its RNG. A price held for k periods is served as one block whose
-outcome counts are drawn at once (`_serve_block`: O(log k) draws, exact in
-distribution); per-period rows are made only when recording. The per-period
-semantics are unchanged.
+each owning its RNG. A policy commits to schedules: rows of (price, periods)
+posted in order with no feedback read in between, a single held price being
+the one-row schedule. One kernel (`_serve`) serves a whole schedule with
+stacked numpy calls: in a sampled market one draw gives every row's outcome
+counts, and only the row in which inventory runs out costs O(log k) more
+draws. Every step is exact in distribution, and a schedule is the same
+episode, bit for bit, as its rows served one at a time. Per-period rows are
+made only when recording; the per-period semantics are unchanged.
 """
 
 import json
@@ -16,12 +20,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .demand import _dot, _on_vectors
 from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
-_NO_PURCHASE = np.zeros(1)  # multinomial's last category takes 1 - sum D(p)
 _EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
+_FEW = 32  # up to this many values are checked and tallied in Python, beyond it in numpy
+_FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
+_NO_PURCHASE = np.zeros((1, 1))  # multinomial's last category takes 1 - sum D(p)
 
 
 def mix64(*parts) -> int:
@@ -52,10 +59,40 @@ def _exact_product(a: float, b: float) -> tuple:
     return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
+def _tally(ledger: dict, units: np.ndarray, prices: np.ndarray) -> None:
+    """Add units[i] sold at prices[i] to a ledger of units by price. Unit
+    counts are integers, so their sums are exact (below 2**53)."""
+    units, prices = units.ravel(), prices.ravel()
+    if units.size > _FEW:
+        prices, index = np.unique(prices, return_inverse=True)
+        units = np.bincount(index, weights=units)
+    for u, q in zip(units.tolist(), prices.tolist()):
+        if u:
+            ledger[q] = ledger.get(q, 0) + u
+
+
+def _as_schedule(request) -> tuple:
+    """A generator's request as (prices (K, N), lengths (K,), single). A plain
+    (price, length) commitment is the one-row schedule, answered with the
+    vector of its average demand (single), not with a stack."""
+    prices, lengths = request
+    if isinstance(lengths, (int, np.integer)):
+        return np.asarray(prices, dtype=float)[None], np.array([lengths]), True
+    prices, lengths = np.asarray(prices, dtype=float), np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != prices.shape[:1] or not len(lengths) or lengths.min() < 1:
+        raise ValueError("a schedule needs one length of at least 1 per price row")
+    return prices, lengths, False
+
+
 class Policy(ABC):
     """Admissible pricing policy. next_price at period t may depend only on
     the realized history {p_s, y_s : s < t}; the simulator enforces this by
-    construction (it hands the policy nothing else)."""
+    construction (it hands the policy nothing else).
+
+    A plain subclass is asked and observed one period at a time. Two batching
+    hints let the simulator serve many periods per call: hold() keeps the
+    current price for several periods, and schedule() commits to a sequence
+    of prices whose feedback the policy reads only after the last one."""
 
     name = "policy"
 
@@ -72,7 +109,18 @@ class Policy(ABC):
         A batching hint; policies returning >1 must implement observe_block."""
         return 1
 
-    def observe_block(self, period: int, y_sum: np.ndarray, k: int) -> None:
+    def schedule(self):
+        """A batching hint beside hold(): the open-loop schedule (prices (K, N),
+        lengths (K,)), K >= 2, that starts now. It posts prices[0] (next_price's
+        price) for lengths[0] periods, then prices[1] for lengths[1], and so on,
+        reading no feedback in between; the simulator serves it in one kernel
+        call and one observe_block call. None: one commitment of hold() periods."""
+        return None
+
+    def observe_block(self, period: int, y_sum: np.ndarray, k) -> None:
+        """Demand summed over the k periods of a held price. After a schedule,
+        y_sum holds one sum per row (K, N) and k the (K,) periods each row
+        lasted; the horizon may cut the last row short or drop rows."""
         raise NotImplementedError("per-period policies are observed one period at a time")
 
     @property
@@ -81,51 +129,86 @@ class Policy(ABC):
 
 
 class CommitPolicy(Policy):
-    """Policy driven by a generator of (price, length) commitments.
+    """Policy driven by a generator of commitments.
 
-    Subclasses implement _driver(), a generator yielding (price, length) and
-    receiving the average realized demand over the commitment. Drivers that
-    return are frozen at their last price; the horizon truncates everything.
+    Subclasses implement _driver(), a generator that yields a commitment
+    (price, length) and receives the average realized demand over it, or
+    yields an open-loop schedule (prices (K, N), lengths (K,)) and receives
+    the (K, N) average demand of its rows. A schedule reaches the simulator
+    whole through schedule(); driven one period at a time, the policy posts
+    and learns the same. Drivers that return are frozen at their last price;
+    the horizon truncates everything.
     """
 
     def __init__(self, n_products: int):
         self._n = n_products
         self._gen = self._driver()
-        self._commit = next(self._gen)
-        self._seen = 0
-        self._acc = np.zeros(n_products)
         self._done = False
         self.periods_observed = 0
+        self._take(next(self._gen))
 
     @abstractmethod
     def _driver(self):
         ...
 
-    def _advance(self):
-        avg = self._acc / self._seen
-        self._seen = 0
-        self._acc = np.zeros(self._n)
+    def _take(self, request):
+        self._prices, self._lengths, self._single = _as_schedule(request)
+        self._avgs = None if self._single else np.empty(self._prices.shape)
+        self._row, self._seen, self._acc = 0, 0, np.zeros(self._n)
+
+    def _send(self, answer):
+        """Hand a finished request's average demand to the driver and take its next one."""
         try:
-            self._commit = self._gen.send(avg)
+            self._take(self._gen.send(answer))
         except StopIteration:
             self._done = True
-            self._commit = (self._commit[0], 1 << 62)
+            self._prices, self._lengths = self._prices[-1:], np.array([_FOREVER])
+            self._row, self._seen, self._acc = 0, 0, np.zeros(self._n)
 
     def next_price(self, period: int) -> Optional[np.ndarray]:
-        return self._commit[0]
+        return self._prices[self._row]
 
     def hold(self) -> int:
-        return max(1, int(self._commit[1]) - self._seen)
+        return max(1, int(self._lengths[self._row]) - self._seen)
+
+    def schedule(self):
+        if self._seen or len(self._lengths) - self._row < 2:
+            return None
+        return self._prices[self._row:], self._lengths[self._row:]
 
     def observe(self, period: int, y: np.ndarray) -> None:
         self.observe_block(period, y, 1)
 
-    def observe_block(self, period: int, y_sum: np.ndarray, k: int) -> None:
+    def observe_block(self, period: int, y_sum: np.ndarray, k) -> None:
+        if isinstance(k, np.ndarray):
+            self._observe_rows(y_sum, k)
+            return
         self._acc += y_sum
         self._seen += k
         self.periods_observed += k
-        if self._seen >= self._commit[1] and not self._done:
-            self._advance()
+        if self._seen >= self._lengths[self._row] and not self._done:
+            avg = self._acc / self._seen
+            if self._single:
+                self._send(avg)
+                return
+            self._avgs[self._row] = avg
+            self._row, self._seen, self._acc = self._row + 1, 0, np.zeros(self._n)
+            if self._row == len(self._lengths):
+                self._send(self._avgs)
+
+    def _observe_rows(self, y_sums, k):
+        """observe_block for the rest of a schedule, begun at a row boundary,
+        with the arithmetic of one call per row."""
+        row, n = self._row, len(k)
+        sums = y_sums + 0.0   # as the zeroed accumulator adds them: -0.0 becomes 0.0
+        self.periods_observed += sum(k.tolist())
+        full = n if k[-1] >= self._lengths[row + n - 1] else n - 1
+        self._avgs[row:row + full] = sums[:full] / k[:full, None]
+        self._row = row + full
+        if full < n:   # the horizon cut the last row short
+            self._acc, self._seen = sums[-1], int(k[-1])
+        elif self._row == len(self._lengths):
+            self._send(self._avgs)
 
 
 @dataclass
@@ -155,22 +238,94 @@ class PolicyError(RuntimeError):
     """Policy emitted an out-of-box, non-shutoff price."""
 
 
-def _serve_block(model, A, p, k, remaining, rng):
-    """The purchases of k periods at price p, served until the first one that
-    `remaining` cannot cover. Returns (served, counts): the periods before
-    that purchase (k if there is none) and their outcome counts, counts[i]
-    for product i < N and counts[N] for no purchase.
+def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
+    """Serve a schedule, prices[r] for lengths[r] periods row after row, until
+    the first purchase that `remaining` cannot cover (None: no limit).
+    Returns (served, demand, after) for the rows up to the one cut short (the
+    rest are closed): the periods each served, its outcome counts (N products,
+    then no purchase) or, noiseless, its mean demand per period, and the
+    inventory after it.
 
-    One multinomial draw gives the block's counts. If they do not fit, halving
-    finds the first unservable period: given a segment's counts, the counts of
-    its first h periods are multivariate hypergeometric, so every split is
-    exact in distribution and a block costs O(log k) draws."""
-    pvals = np.concatenate((model.mean(p), _NO_PURCHASE))
+    Sampled: one stacked model.mean and one row-wise count draw, then one
+    scan of cumulative consumption (np.subtract.accumulate rounds as row-by-row
+    subtraction does) finds the first row that does not fit. Only then are
+    the draws after it taken back: the generator state saved before the draw
+    is restored and the rows up to it drawn again, which consumes the stream
+    as one draw per row does. Inside that row, halving finds the first
+    unservable period: given a segment's counts, the counts of its first h
+    periods are multivariate hypergeometric, so each split is exact in
+    distribution. A one-row schedule never touches the bit generator.
+    Noiseless: the same scan, then floor-and-adjust on the short row only."""
+    K = len(lengths)
+    # a single row takes the vector calls, which cost less than one-row stacks
+    means = model.mean(prices[0])[None] if K == 1 else model.mean(prices)
+    if noiseless:
+        cons = _times(A, means)
+        if K == 1:
+            s = _noiseless_served(cons[0], remaining, int(lengths[0]))
+            return np.array([s]), means, remaining - s * cons
+        after = _scan(remaining, lengths[:, None] * cons)
+        r = _first_short(remaining, after, cons, lengths)
+        if r == K:
+            return lengths, means, after
+        before = after[r - 1] if r else remaining
+        served = lengths[:r + 1].copy()
+        served[r] = s = _noiseless_served(cons[r], before, int(lengths[r]))
+        after = after[:r + 1]
+        after[r] = before - s * cons[r]
+        return served, means[:r + 1], after
+
+    pvals = np.concatenate((means, _NO_PURCHASE if K == 1 else np.zeros((K, 1))), axis=1)
     # a linear demand that is 0 at a box corner can evaluate to -1e-17 there
-    counts = rng.multinomial(k, np.maximum(pvals, 0.0, out=pvals))
-    if min((remaining - A.dot(counts[:-1])).tolist()) >= 0.0:
-        return k, counts
-    served, kept, seg = 0, np.zeros_like(counts), counts
+    np.maximum(pvals, 0.0, out=pvals)
+    state = rng.bit_generator.state if K > 1 and remaining is not None else None
+    counts = _draw(rng, lengths, pvals)
+    if remaining is None:
+        return lengths, counts, None
+    after = _scan(remaining, _times(A, counts[:, :-1]))
+    # sampled inventory only falls, so the last row fits if every row does
+    if min(after[-1].tolist()) >= 0.0:
+        return lengths, counts, after
+    r = int(np.flatnonzero((after < 0.0).any(axis=1))[0])
+    if K > 1:
+        rng.bit_generator.state = state
+        counts = _draw(rng, lengths[:r + 1], pvals[:r + 1])
+    before = after[r - 1] if r else remaining
+    served = lengths[:r + 1].copy()
+    served[r], counts[r] = _split(A, counts[r], int(lengths[r]), before, rng)
+    after = after[:r + 1]
+    after[r] = before - A.dot(counts[r, :-1])
+    return served, counts, after
+
+
+def _draw(rng, lengths, pvals):
+    """Multinomial counts of each row; a stacked draw consumes the stream as
+    one draw per row does, and a single row takes the cheaper scalar call."""
+    if len(lengths) == 1:
+        return rng.multinomial(lengths[0], pvals[0])[None]
+    return rng.multinomial(lengths, pvals)
+
+
+def _times(A, X):
+    """A x for each row x of the stack X, rounded like A.dot(x) (the demand
+    API's rule); a single row takes the cheaper vector call."""
+    return A.dot(X[0])[None] if len(X) == 1 else _on_vectors(np.matmul, A, X)
+
+
+def _scan(remaining, used):
+    """The inventory after each row, rounded as row-by-row subtraction rounds
+    it; may overwrite used."""
+    if len(used) == 1:
+        return remaining - used
+    used[0] = remaining - used[0]
+    return np.subtract.accumulate(used)
+
+
+def _split(A, seg, k, remaining, rng):
+    """(served, counts) of a k-period segment whose counts seg do not fit:
+    the periods before the first purchase that `remaining` cannot cover, and
+    their counts, by halving."""
+    served, kept = 0, np.zeros_like(seg)
     while k > 1:
         h = k // 2
         head = rng.multivariate_hypergeometric(seg, h)
@@ -182,6 +337,55 @@ def _serve_block(model, A, p, k, remaining, rng):
     return served, kept
 
 
+def _first_short(remaining, after, cons, lengths) -> int:
+    """The first noiseless row that cannot sell its mean demand every period
+    (len(lengths) if none): its inventory goes negative, or, for a resource it
+    uses, the floor of _noiseless_served falls short."""
+    before = np.concatenate((remaining[None], after[:-1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floors = np.floor(before / cons + 1e-12)
+    short = ((after < 0.0) | (cons > 0) & (floors < lengths[:, None])).any(axis=1)
+    return int(short.argmax()) if short.any() else len(lengths)
+
+
+def _noiseless_served(cons, remaining, k) -> int:
+    """The periods, at most k, whose consumption cons each `remaining` covers."""
+    served = k
+    for c, left in zip(cons.tolist(), remaining.tolist()):
+        if c > 0:
+            cap = int(math.floor(left / c + 1e-12))
+            while cap > 0 and cap * c > left:
+                cap -= 1
+            served = min(served, max(cap, 0))
+    return served
+
+
+def _cut(prices, lengths, left: int) -> tuple:
+    """A schedule's rows within the `left` periods that remain, the last cut short."""
+    ends = np.cumsum(lengths)
+    K = int(np.searchsorted(ends, left)) + 1
+    lengths = lengths[:K].copy()
+    lengths[-1] = left - (ends[K - 2] if K > 1 else 0)
+    return prices[:K], lengths
+
+
+def _in_box(prices: np.ndarray, lo: float, hi: float) -> bool:
+    flat = prices.ravel()
+    if flat.size > _FEW:
+        return bool(lo <= flat.min() and flat.max() <= hi)   # a NaN fails both
+    return all(lo <= x <= hi for x in flat.tolist())
+
+
+def _outcomes(prices, counts, served) -> bytes:
+    """Fingerprint bytes of open rows, row after row as each row served alone
+    hashes: price, outcome counts (sampled rows only) and periods served."""
+    if len(served) == 1:
+        return (prices.tobytes() + (b"" if counts is None else counts.tobytes())
+                + int(served[0]).to_bytes(8, "little"))
+    cols = [prices.view(np.int64)] + ([] if counts is None else [counts]) + [served[:, None]]
+    return np.concatenate(cols, axis=1).tobytes()
+
+
 def run_episode(instance: Instance, policy: Policy, seed: int,
                 record_periods: bool = False) -> EpisodeTrace:
     """Run one episode of T periods.
@@ -191,17 +395,17 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     resource cannot fully serve is lost (y := 0) and triggers permanent
     shutoff. Deterministic given the seed.
 
-    A held price is served as one block of k periods. A closed block sells
-    nothing, a noiseless block sells the exact mean demand each period, and a
-    sampled block draws its outcome counts with `_serve_block` in O(log k)
-    draws. Each yields the periods served before the first unservable
-    purchase and their demand; shutoff, inventory, the fingerprint (price,
-    counts, served) and recording are common to all three. Recorded rows
-    order a sampled block's served outcomes by a uniform random permutation
-    from a second generator derived from the seed, so a recorded and an
-    unrecorded run of one seed are the same episode. Block revenues enter the
-    total as exact products summed by one fsum, so in both modes it equals the
-    fsum of the recorded per-period revenues.
+    Each query takes the policy's schedule (a held price of hold() periods
+    when it has none), cut at the horizon, and serves it with one `_serve`
+    call: a closed market sells nothing, a noiseless one the exact mean
+    demand each period, and a sampled one draws outcome counts. The rest of
+    a schedule cut short is closed. The fingerprint hashes each row (price,
+    counts, served) as a row served alone. Recorded rows order a sampled
+    row's served outcomes by a uniform random permutation from a second
+    generator derived from the seed, so a recorded and an unrecorded run of
+    one seed are the same episode. The units sold at each price are tallied,
+    and the revenue is one fsum of an exact product per price: in both modes
+    it equals the fsum of the recorded per-period revenues.
     """
     T = instance.T
     N, M = instance.N, instance.M
@@ -213,7 +417,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     p_lo, p_hi = instance.price_min - eps, instance.price_max + eps
 
     hasher = hashlib.blake2b(digest_size=16)
-    revenue_parts: list = []
+    sold: dict = {}   # units sold by price; noiseless: periods served by revenue per period
     min_inventory = float(remaining.min())
     shutoff_period: Optional[int] = None
     demand_after_shutoff = 0.0
@@ -227,77 +431,90 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     t = 0  # completed periods
     while t < T:
         p = policy.next_price(t + 1)
-        if p is not None:
-            p = np.asarray(p, dtype=float)
-            prices = p.tolist()
-            if p.shape != (N,) or not all(p_lo <= x <= p_hi for x in prices):
-                raise PolicyError(
-                    f"price {p} outside [{instance.price_min}, {instance.price_max}]")
-        k = min(max(1, int(policy.hold())), T - t)
-        was_shut = shutoff_period is not None
-        is_open = p is not None and not was_shut
-
-        if not is_open:
-            # Market closed: zero demand, no RNG consumption.
-            served, y_sum, used = 0, np.zeros(N), 0.0
-            outcome = b"z" + k.to_bytes(8, "little")
-        elif noiseless:
-            y = model.mean(p)
-            cons = A @ y
-            served = k
-            for j in np.nonzero(cons > 0)[0]:
-                cap = int(math.floor(remaining[j] / cons[j] + 1e-12))
-                while cap > 0 and cap * cons[j] > remaining[j]:
-                    cap -= 1
-                served = min(served, max(cap, 0))
-            y_sum, used = y * served, served * cons
-            revenue_parts += _exact_product(served, float(y @ p))
-            outcome = p.tobytes() + served.to_bytes(8, "little")
-            if record_periods:
-                y_rows, cum = y, np.arange(1, served + 1)[:, None] * cons
+        plan = None if p is None else policy.schedule()
+        if plan is None:
+            span = min(max(1, int(policy.hold())), T - t)
+            lengths = np.array([span])
+            prices = None if p is None else np.asarray(p, dtype=float)[None]
         else:
-            served, counts = _serve_block(model, A, p, k, remaining, rng)
-            y_sum, used = counts[:N].astype(float), A.dot(counts[:N])
-            for count, price in zip(counts.tolist(), prices):
-                if count:
-                    revenue_parts += _exact_product(count, price)
-            outcome = p.tobytes() + counts.tobytes() + served.to_bytes(8, "little")
-            if record_periods:
-                idx = order_rng.permutation(np.repeat(np.arange(N + 1), counts))
-                y_rows, cum = np.eye(N + 1)[idx, :N], np.cumsum(A_ext[:, idx], axis=1).T
+            prices, lengths = plan
+            span = sum(lengths.tolist())
+            if span > T - t:
+                span = T - t
+                prices, lengths = _cut(prices, lengths, span)
+        if prices is not None and (prices.shape != (len(lengths), N)
+                                   or not _in_box(prices, p_lo, p_hi)):
+            shown = p if plan is None else "of a schedule"
+            raise PolicyError(f"price {shown} outside [{instance.price_min}, {instance.price_max}]")
+        K = len(lengths)
 
-        if was_shut:
-            demand_after_shutoff += float(y_sum.sum())
-        elif is_open and served < k:
-            shutoff_period = t + served + 1
-        start, remaining = remaining, remaining - used
-        hasher.update(outcome)
-        min_inventory = min(min_inventory, min(remaining.tolist()))
+        if prices is None or shutoff_period is not None:
+            # Market closed: zero demand, no RNG consumption.
+            rows, y_sums = 0, np.zeros((K, N))
+            if shutoff_period is not None:
+                demand_after_shutoff += float(y_sums.sum())
+        else:
+            served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
+            rows = len(served)
+            if noiseless:
+                y_sums = demand * served[:, None]
+                _tally(sold, served, _dot(demand, prices[:rows]) if rows > 1
+                       else np.array([_dot(demand[0], prices[0])]))
+                hasher.update(_outcomes(prices[:rows], None, served))
+                # a negative mean demand restocks, so any row may hold the minimum
+                min_inventory = min(min_inventory, min(after.ravel().tolist()))
+            else:
+                y_sums = demand[:, :N].astype(float)
+                _tally(sold, demand[:, :N], prices[:rows])
+                hasher.update(_outcomes(prices[:rows], demand, served))
+            if served[-1] < lengths[rows - 1]:
+                # the first unservable purchase shuts the market for good
+                shutoff_period = t + sum(lengths[:rows - 1].tolist()) + int(served[-1]) + 1
+                y_sums = np.concatenate((y_sums, np.zeros((K - rows, N))))
+        if rows < K:   # rows posted while the market is shut
+            hasher.update(b"".join(b"z" + k.to_bytes(8, "little") for k in lengths[rows:].tolist()))
 
         if record_periods:
-            if is_open:
-                # the period whose purchase could not be served still posted p
-                periods["price"][t:t + min(served + 1, k)] = p
-            if served:
-                periods["demand"][t:t + served] = y_rows
-                periods["inventory"][t:t + served] = start - cum
-                periods["revenue"][t:t + served] = y_rows @ p
-            periods["inventory"][t + max(served - 1, 0):t + k] = remaining
+            start = t
+            for i, k in enumerate(lengths.tolist()):
+                s = int(served[i]) if i < rows else 0
+                if i < rows:
+                    # the period whose purchase could not be served still posted p
+                    periods["price"][start:start + min(s + 1, k)] = prices[i]
+                    if noiseless:
+                        y_rows = demand[i]
+                        cum = np.arange(1, s + 1)[:, None] * (A @ demand[i])
+                    else:
+                        idx = order_rng.permutation(np.repeat(np.arange(N + 1), demand[i]))
+                        y_rows, cum = np.eye(N + 1)[idx, :N], np.cumsum(A_ext[:, idx], axis=1).T
+                    if s:
+                        periods["demand"][start:start + s] = y_rows
+                        periods["inventory"][start:start + s] = (after[i - 1] if i else remaining) - cum
+                        periods["revenue"][start:start + s] = y_rows @ prices[i]
+                end = after[min(i, rows - 1)] if rows else remaining
+                periods["inventory"][start + max(s - 1, 0):start + k] = end
+                start += k
+        if rows:
+            remaining = after[-1] if K == 1 else after[-1].copy()
 
-        if k == 1:
-            policy.observe(t + 1, y_sum)
+        if plan is not None:
+            policy.observe_block(t + 1, y_sums, lengths)
+        elif span == 1:
+            policy.observe(t + 1, y_sums[0])
         else:
-            policy.observe_block(t + 1, y_sum, k)
-        t += k
+            policy.observe_block(t + 1, y_sums[0], span)
+        t += span
 
     if not record_periods:
         periods = None
+    if not noiseless:   # sampled inventory only falls
+        min_inventory = min(min_inventory, min(remaining.tolist()))
 
     return EpisodeTrace(
         T=T,
         seed=seed,
         policy_name=getattr(policy, "name", type(policy).__name__),
-        total_revenue=math.fsum(revenue_parts),
+        total_revenue=math.fsum(x for q, u in sold.items() for x in _exact_product(u, q)),
         shutoff_period=shutoff_period,
         final_inventory=remaining,
         fingerprint=hasher.hexdigest(),

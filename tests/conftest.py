@@ -3,6 +3,15 @@ import pytest
 
 import nrmlab.bench
 from nrmlab import Policy, example_logit_instance, solve_fluid, estimate_regularity
+from nrmlab.sim import _serve
+
+
+def serve_one(model, A, p, k, remaining, rng):
+    """(served, counts) of one k-period commitment at price p through the
+    schedule kernel; remaining None: no inventory limit."""
+    served, counts, _ = _serve(model, A, np.asarray(p, float)[None], np.array([k]),
+                               remaining, rng)
+    return served[0], counts[0]
 
 
 @pytest.fixture(scope="session")

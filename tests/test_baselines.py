@@ -96,9 +96,9 @@ class TestExploreThenCommit:
         inst = dataclasses.replace(inst, gamma=np.array([2e-4, 2e-5]))
         pol = ExploreThenCommitPolicy(inst, EtcConfig(grid_points_per_axis=4))
         pol.D_hat = inst.model.mean(pol.grid)
-        schedule = pol._commit_schedule()
+        prices, lengths = pol._commit_schedule()
         assert pol.mixture is None
-        assert np.allclose(schedule[-1][0], pol.grid[-1])
+        assert np.allclose(prices[-1], pol.grid[-1])
 
     def test_admissible_periods_observed(self, instance):
         short = instance.with_horizon(3000)

@@ -74,6 +74,33 @@ class TestBenchPlan:
         with pytest.raises(ValueError, match="T >= 2"):
             small_plan(instance, T_grid=(1, 500), pdnrm_config={"mode": "tuned"})
 
+    def test_pdnrm_config_resolved_once_per_horizon(self, instance, monkeypatch):
+        import nrmlab.bench
+        plan = small_plan(instance.with_horizon(1000), policies=("pdnrm", "clairvoyant"),
+                          T_grid=(300, 600), pdnrm_config={"mu": 0.5})
+        real, calls = nrmlab.bench.config_from_dict, []
+
+        def counted(doc, inst, T=None):
+            calls.append(T)
+            return real(doc, inst, T)
+
+        monkeypatch.setattr(nrmlab.bench, "config_from_dict", counted)
+        summary = run_bench(plan)
+        assert sorted(calls) == [300, 600]
+        assert not summary.errors and len(summary.episodes) == 2 * 2 * 3
+        # the policies run the config resolved at their own horizon
+        built = []
+        real_build = nrmlab.bench.build_policy
+        def build(name, inst, *args, **kwargs):
+            if name == "pdnrm":
+                built.append((inst.T, kwargs["pdnrm_config"]))
+            return real_build(name, inst, *args, **kwargs)
+
+        monkeypatch.setattr(nrmlab.bench, "build_policy", build)
+        run_bench(plan)
+        assert [T for T, _ in built] == [300, 300, 300, 600, 600, 600]
+        assert all(cfg.to_dict() == real({"mu": 0.5}, instance, T).to_dict() for T, cfg in built)
+
     @pytest.mark.parametrize("patch, key", [
         ({"replications": 2.7}, "replications"),
         ({"replications": [1]}, "replications"),

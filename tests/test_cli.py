@@ -239,3 +239,10 @@ class TestErrorHandling:
         bad.write_text(json.dumps({"N": 2}))
         code, _, err = run_cli(capsys, "fluid", str(bad))
         assert code == 2
+
+    def test_non_integer_horizon_exits_2(self, capsys, tmp_path, instance):
+        bad = tmp_path / "bad3.json"
+        bad.write_text(json.dumps({**instance.to_dict(), "T": [1]}))
+        code, out, err = run_cli(capsys, "fluid", str(bad))
+        assert code == 2
+        assert "'T'" in err and not out

@@ -14,7 +14,7 @@ from nrmlab.demand import (
     hessian_fd,
 )
 from nrmlab.fluid import solve_fluid
-from nrmlab.sim import _serve_block
+from conftest import serve_one
 
 A_EXAMPLE = np.array([[1.0, 1.0], [0.0, 2.0]])
 
@@ -149,18 +149,18 @@ class TestRevenue:
 
 
 class TestSampler:
-    """The market kernel's count draw, without inventory (remaining = inf)."""
+    """The market kernel's count draw, without an inventory limit (remaining = None)."""
 
     def test_multinomial_is_one_hot_or_zero(self, logit, rng):
         # each period buys one product (index < N) or nothing (index N)
-        draws = [_serve_block(logit, A_EXAMPLE, np.array([1.0, 1.0]), 1, np.inf, rng)
+        draws = [serve_one(logit, A_EXAMPLE, np.array([1.0, 1.0]), 1, None, rng)
                  for _ in range(1000)]
         counts = np.array([c for _, c in draws])
         assert all(served == 1 for served, _ in draws)
         assert counts.shape == (1000, 3)
         assert np.all(counts.sum(axis=1) == 1) and np.all((counts == 0) | (counts == 1))
         assert np.all(counts.sum(axis=0) > 0)
-        served, block = _serve_block(logit, A_EXAMPLE, np.array([1.0, 1.0]), 1000, np.inf, rng)
+        served, block = serve_one(logit, A_EXAMPLE, np.array([1.0, 1.0]), 1000, None, rng)
         assert served == 1000 and block.sum() == 1000
 
     def test_category_probabilities_equal_mean_exactly(self, logit):
@@ -173,7 +173,7 @@ class TestSampler:
 
         p = np.array([1.7, 2.4])
         spy = Spy()
-        _serve_block(logit, A_EXAMPLE, p, 10, np.inf, spy)
+        serve_one(logit, A_EXAMPLE, p, 10, None, spy)
         target = logit.mean(p)
         np.testing.assert_array_equal(spy.pvals[:2], target)
         assert 1.0 - spy.pvals[:2].sum() > 0
@@ -181,7 +181,7 @@ class TestSampler:
     def test_multinomial_mean_matches_demand(self, logit, rng):
         p = np.array([0.8, 0.8])
         n = 1_000_000
-        served, counts = _serve_block(logit, A_EXAMPLE, p, n, np.inf, rng)
+        served, counts = serve_one(logit, A_EXAMPLE, p, n, None, rng)
         freq = counts[:2] / n
         target = logit.mean(p)
         se = np.sqrt(target * (1 - target) / n)
@@ -190,7 +190,7 @@ class TestSampler:
 
     def test_revenue_bounded_by_max_price(self, logit, rng):
         p = np.array([4.9, 5.0])
-        served, counts = _serve_block(logit, A_EXAMPLE, p, 2000, np.inf, rng)
+        served, counts = serve_one(logit, A_EXAMPLE, p, 2000, None, rng)
         assert counts.sum() == served == 2000
         assert p @ counts[:2] <= 5.0 * served
 

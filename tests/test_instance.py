@@ -87,6 +87,18 @@ class TestSerialization:
         p = np.array([0.7, 0.3])
         assert_allclose(back.model.mean(p), inst.model.mean(p), rtol=1e-15)
 
+    @pytest.mark.parametrize("key, val", [("T", 2.7), ("T", "100"), ("T", True), ("T", [1]),
+                                          ("N", 2.5), ("M", "2")])
+    def test_integers_checked_by_key(self, instance, key, val):
+        doc = {**instance.to_dict(), key: val}
+        with pytest.raises(ValueError, match=f"instance key '{key}' must be an integer"):
+            instance_from_dict(doc)
+
+    def test_integral_float_integers_accepted(self, instance):
+        doc = {**instance.to_dict(), "N": 2.0, "M": 2.0, "T": 1000.0}
+        back = instance_from_dict(doc)
+        assert (back.N, back.M, back.T) == (2, 2, 1000) and type(back.T) is int
+
     def test_missing_key_raises_value_error(self):
         with pytest.raises(ValueError, match="missing"):
             instance_from_dict({"N": 2, "M": 2})

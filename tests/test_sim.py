@@ -20,7 +20,7 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
-from nrmlab.sim import _serve_block
+from conftest import serve_one
 
 
 class FixedPricePolicy(Policy):
@@ -265,8 +265,11 @@ def assert_same_distributions(stats_a, stats_b):
 
 
 class TestReferenceSimulator:
-    """The count kernel against the per-period reference, in distribution: the
-    random streams differ, so episodes are compared as samples."""
+    """The schedule kernel against the per-period reference, in distribution:
+    the random streams differ, so episodes are compared as samples. Kernel
+    episodes serve pdnrm's probes and ETC's grid as multi-row schedules, and
+    nearly all of them shut off inside one (1,996 of 2,000 pdnrm episodes,
+    1,992 of 2,000 ETC episodes); the reference posts them period by period."""
 
     @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
     def test_matches_per_period_reference(self, policy, instance, fluid_solution):
@@ -300,6 +303,126 @@ class FixedCounts:
         return self.rng.multivariate_hypergeometric(colors, n)
 
 
+def split_schedules(policy_class):
+    """policy_class with every schedule its driver yields posted as single
+    commitments, one row after another: the simulator serves each as a
+    one-row schedule."""
+    driver = policy_class._driver
+
+    class Split(policy_class):
+        def _driver(self):
+            gen = driver(self)
+            request = next(gen)
+            while True:
+                prices, lengths = request
+                if np.ndim(lengths) == 0:
+                    answer = yield request
+                else:
+                    answer = np.empty(np.shape(prices))
+                    for i, (price, length) in enumerate(zip(prices, lengths)):
+                        answer[i] = yield (price, int(length))
+                try:
+                    request = gen.send(answer)
+                except StopIteration:
+                    return
+
+    return Split
+
+
+def serve_row_by_row(model, A, prices, lengths, remaining, rng, noiseless):
+    """The schedule served by one-row kernel calls, as an episode serves
+    single commitments: rows after the first short one are closed."""
+    served, demand = [], []
+    for i in range(len(lengths)):
+        s, d, after = sim._serve(model, A, prices[i:i + 1], lengths[i:i + 1], remaining, rng,
+                                 noiseless)
+        served.append(int(s[0]))
+        demand.append(d[0])
+        remaining = after[-1]
+        if s[0] < lengths[i]:
+            break
+    return served, np.array(demand), remaining
+
+
+class TestScheduleKernel:
+    """One kernel call on a K-row schedule against K one-row calls."""
+
+    A = np.array([[1.0, 1.0], [0.0, 2.0]])
+
+    def schedule(self, K):
+        rng = np.random.default_rng(K)
+        return 0.8 + 4.2 * rng.random((K, 2)) ** 2, rng.integers(20, 60, size=K)
+
+    # where the first unservable period falls; noiseless consumption is not
+    # integral, so no inventory fits a noiseless schedule exactly
+    @pytest.mark.parametrize("where, noiseless", [
+        (where, noiseless) for where in ("first", "middle", "last", "none", "exact")
+        for noiseless in (False, True) if not (noiseless and where == "exact")])
+    @pytest.mark.parametrize("K", [3, 9])
+    def test_one_call_equals_row_by_row(self, instance, K, where, noiseless):
+        model = instance.model
+        prices, lengths = self.schedule(K)
+        checked = 0
+        for seed in range(25):
+            # the cumulative consumption of the rows, served without an inventory limit
+            rng = np.random.default_rng([seed, 1])
+            sold = lengths[:, None] * model.mean(prices) if noiseless else np.array(
+                [sim._serve(model, self.A, prices[i:i + 1], lengths[i:i + 1], None, rng)[1][0, :2]
+                 for i in range(K)])
+            used = np.cumsum(sold @ self.A.T, axis=0)
+            r = {"first": 0, "middle": K // 2, "last": K - 1}.get(where, K - 1)
+            if where not in ("none", "exact") and np.array_equal(used[r], used[r - 1] if r else [0, 0]):
+                continue    # row r sells nothing, so it cannot be the short one
+            checked += 1
+            if where in ("none", "exact"):
+                remaining = used[-1] + (1.0 if where == "none" else 0.0)
+            else:
+                before = used[r - 1] if r else np.zeros(2)
+                remaining = before + np.floor((used[r] - before) / 2)
+            a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            served, demand, after = sim._serve(model, self.A, prices, lengths, remaining.copy(),
+                                               a, noiseless)
+            ref_served, ref_demand, ref_after = serve_row_by_row(
+                model, self.A, prices, lengths, remaining.copy(), b, noiseless)
+            assert served.tolist() == ref_served
+            np.testing.assert_array_equal(demand, ref_demand)
+            np.testing.assert_array_equal(after[-1], ref_after)
+            assert a.bit_generator.state == b.bit_generator.state
+            short = len(served) - 1 if served[-1] < lengths[len(served) - 1] else None
+            # the rows draw as they did without a limit, so the first one whose
+            # consumption crosses `remaining` is row r
+            assert short == (None if where in ("none", "exact") else r)
+        assert checked >= 15
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    @pytest.mark.parametrize("policy", ["pdnrm", "etc"])
+    def test_episodes_equal_with_schedules_split(self, instance, policy, noise, monkeypatch):
+        from nrmlab import PdNrmPolicy, ExploreThenCommitPolicy
+        cls = {"pdnrm": PdNrmPolicy, "etc": ExploreThenCommitPolicy}[policy]
+        tight = dataclasses.replace(tight_instance(instance), noise=noise)
+        serve, cut = sim._serve, []
+
+        def spy(model, A, prices, lengths, *args):
+            served, demand, after = serve(model, A, prices, lengths, *args)
+            cut.append(len(lengths) > 1 and served[-1] < lengths[len(served) - 1])
+            return served, demand, after
+
+        monkeypatch.setattr(sim, "_serve", spy)
+        inside = 0
+        for seed in range(40):
+            cut.clear()
+            whole = run_episode(tight, cls(tight), seed, record_periods=True)
+            inside += any(cut)   # shut off inside a multi-row schedule
+            split = run_episode(tight, split_schedules(cls)(tight), seed, record_periods=True)
+            assert whole.fingerprint == split.fingerprint
+            assert repr(whole.total_revenue) == repr(split.total_revenue)
+            assert whole.shutoff_period == split.shutoff_period
+            assert whole.events == split.events
+            for key, rows in whole.periods.items():
+                np.testing.assert_array_equal(rows, split.periods[key])
+        assert inside >= 30
+
+
 class TestServeBlock:
     A = np.array([[1.0, 1.0], [0.0, 2.0]])
 
@@ -326,8 +449,8 @@ class TestServeBlock:
         n = 20_000
         seen = {}
         for _ in range(n):
-            served, kept = _serve_block(instance.model, self.A, np.array([1.0, 1.0]), 8,
-                                        remaining, rng)
+            served, kept = serve_one(instance.model, self.A, np.array([1.0, 1.0]), 8,
+                                     remaining, rng)
             key = (served,) + tuple(kept.tolist())
             seen[key] = seen.get(key, 0) + 1
         assert set(seen) <= set(exact)
@@ -337,11 +460,11 @@ class TestServeBlock:
 
     def test_block_that_exactly_exhausts_a_resource_is_fully_served(self, instance):
         p = np.array([1.0, 1.0])
-        served, counts = _serve_block(instance.model, self.A, p, 8, np.array([3.0, 0.0]),
-                                      FixedCounts((3, 0, 5), seed=1))
+        served, counts = serve_one(instance.model, self.A, p, 8, np.array([3.0, 0.0]),
+                                   FixedCounts((3, 0, 5), seed=1))
         assert served == 8 and counts.tolist() == [3, 0, 5]
-        served, counts = _serve_block(instance.model, self.A, p, 8, np.array([2.0, 0.0]),
-                                      FixedCounts((3, 0, 5), seed=1))
+        served, counts = serve_one(instance.model, self.A, p, 8, np.array([2.0, 0.0]),
+                                   FixedCounts((3, 0, 5), seed=1))
         assert served < 8 and counts.tolist()[:2] == [2, 0]
 
     def test_demand_rounded_below_zero_at_a_corner_is_no_sale(self):
@@ -352,8 +475,8 @@ class TestServeBlock:
         model = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
         corner = np.array([5.0, 0.8])
         assert model.mean(corner)[0] < 0
-        served, counts = _serve_block(model, np.eye(2), corner, 1_000, np.inf,
-                                      np.random.default_rng(3))
+        served, counts = serve_one(model, np.eye(2), corner, 1_000, None,
+                                   np.random.default_rng(3))
         assert served == 1_000 and counts[0] == 0
         inst = Instance(model=model, A=np.eye(2), gamma=np.array([0.1, 0.1]), T=10_000,
                         price_min=0.8, price_max=5.0)
