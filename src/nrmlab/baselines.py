@@ -40,7 +40,7 @@ class ClairvoyantPolicy(CommitPolicy):
 
     def __init__(self, instance: Instance, fluid: FluidSolution):
         self.p_star = np.asarray(fluid.p_star, float)
-        super().__init__(instance.N)
+        super().__init__()
 
     def _driver(self):
         while True:
@@ -65,7 +65,7 @@ class ExploreThenCommitPolicy(CommitPolicy):
         self.n_explore = max(len(self.grid), int(round(frac * instance.T)))
         self.D_hat = np.zeros((len(self.grid), instance.N))
         self.mixture = None
-        super().__init__(instance.N)
+        super().__init__()
 
     def _driver(self):
         # Exploration reads no feedback until the grid ends, so the grid is one
@@ -85,7 +85,7 @@ class ExploreThenCommitPolicy(CommitPolicy):
         rev = np.einsum("kn,kn->k", self.grid, self.D_hat)
         consumption = inst.A @ self.D_hat.T  # (M, K)
         res = linprog(-rev, A_ub=consumption, b_ub=inst.gamma,
-                      A_eq=np.ones((1, K)), b_eq=[1.0], bounds=[(0.0, 1.0)] * K,
+                      A_eq=np.ones((1, K)), b_eq=[1.0], bounds=(0.0, 1.0),
                       method="highs")
         if not res.success:
             # No feasible mixture: fall back to the highest-price grid point.

@@ -446,12 +446,8 @@ class PdNrmPolicy(CommitPolicy):
         self.instance = instance
         self.config = config
         self.dual_set = _dual_box(instance, config.lambda_max)
-        self._events: list = []
-        super().__init__(instance.N)
-
-    @property
-    def events(self) -> list:
-        return self._events
+        self.events: list = []
+        super().__init__()
 
     def _driver(self):
         instance, cfg = self.instance, self.config
@@ -460,18 +456,18 @@ class PdNrmPolicy(CommitPolicy):
         s = 0
         while True:
             eps_bar = cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
-            self._events.append({
+            self.events.append({
                 "kind": "epoch", "s": s, "lambda": lam.tolist(), "eps_bar": eps_bar,
             })
             start = p_warm if cfg.warm_start else _initial_price(instance, cfg)
             p_hat, D_hat, p_next = yield from _primal_gen(
-                instance, cfg, lam, eps_bar, start, events=self._events, epoch=s)
+                instance, cfg, lam, eps_bar, start, events=self.events, epoch=s)
             p_warm = p_next
             grad_q = instance.gamma - instance.A @ D_hat
             grad_h = grad_q - cfg.mu * lam
             lam_next = prox_dual_step(lam, grad_h, cfg.mu, cfg.eta2,
                                       self.dual_set.lambda_max)
-            self._events.append({
+            self.events.append({
                 "kind": "dual", "s": s, "grad_q": grad_q.tolist(),
                 "lambda_next": lam_next.tolist(),
             })

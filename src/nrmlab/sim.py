@@ -106,7 +106,8 @@ class Policy(ABC):
 
     def hold(self) -> int:
         """How many upcoming periods (at least 1) the current price persists.
-        A batching hint; policies returning >1 must implement observe_block."""
+        A batching hint; policies returning >1 must implement observe_block,
+        and are observed once for the whole hold, never period by period."""
         return 1
 
     def schedule(self):
@@ -118,97 +119,63 @@ class Policy(ABC):
         return None
 
     def observe_block(self, period: int, y_sum: np.ndarray, k) -> None:
-        """Demand summed over the k periods of a held price. After a schedule,
-        y_sum holds one sum per row (K, N) and k the (K,) periods each row
-        lasted; the horizon may cut the last row short or drop rows."""
+        """Demand summed over the k periods of a held price, in one call for
+        the whole hold. After a schedule, y_sum holds one sum per row (K, N)
+        and k the (K,) periods each row lasted; the horizon may cut the last
+        row short or drop rows."""
         raise NotImplementedError("per-period policies are observed one period at a time")
-
-    @property
-    def events(self) -> list:
-        return []
 
 
 class CommitPolicy(Policy):
-    """Policy driven by a generator of commitments.
+    """Policy driven by a generator of requests.
 
     Subclasses implement _driver(), a generator that yields a commitment
     (price, length) and receives the average realized demand over it, or
     yields an open-loop schedule (prices (K, N), lengths (K,)) and receives
-    the (K, N) average demand of its rows. A schedule reaches the simulator
-    whole through schedule(); driven one period at a time, the policy posts
-    and learns the same. Drivers that return are frozen at their last price;
-    the horizon truncates everything.
+    the (K, N) average demand of its rows. Each request is observed once,
+    whole, never period by period: a held price through hold(), a schedule
+    through schedule(). A request that the horizon cuts short is never
+    answered. Drivers that return are frozen at their last price.
     """
 
-    def __init__(self, n_products: int):
-        self._n = n_products
+    def __init__(self):
         self._gen = self._driver()
-        self._done = False
         self.periods_observed = 0
-        self._take(next(self._gen))
+        self._prices, self._lengths, self._single = _as_schedule(next(self._gen))
 
     @abstractmethod
     def _driver(self):
         ...
 
-    def _take(self, request):
-        self._prices, self._lengths, self._single = _as_schedule(request)
-        self._avgs = None if self._single else np.empty(self._prices.shape)
-        self._row, self._seen, self._acc = 0, 0, np.zeros(self._n)
-
-    def _send(self, answer):
-        """Hand a finished request's average demand to the driver and take its next one."""
-        try:
-            self._take(self._gen.send(answer))
-        except StopIteration:
-            self._done = True
-            self._prices, self._lengths = self._prices[-1:], np.array([_FOREVER])
-            self._row, self._seen, self._acc = 0, 0, np.zeros(self._n)
-
     def next_price(self, period: int) -> Optional[np.ndarray]:
-        return self._prices[self._row]
+        return self._prices[0]
 
     def hold(self) -> int:
-        return max(1, int(self._lengths[self._row]) - self._seen)
+        return int(self._lengths[0])
 
     def schedule(self):
-        if self._seen or len(self._lengths) - self._row < 2:
-            return None
-        return self._prices[self._row:], self._lengths[self._row:]
+        return None if self._single else (self._prices, self._lengths)
 
     def observe(self, period: int, y: np.ndarray) -> None:
         self.observe_block(period, y, 1)
 
     def observe_block(self, period: int, y_sum: np.ndarray, k) -> None:
-        if isinstance(k, np.ndarray):
-            self._observe_rows(y_sum, k)
-            return
-        self._acc += y_sum
-        self._seen += k
-        self.periods_observed += k
-        if self._seen >= self._lengths[self._row] and not self._done:
-            avg = self._acc / self._seen
-            if self._single:
-                self._send(avg)
+        lengths = self._lengths
+        if self._single:
+            self.periods_observed += k
+            if k < lengths[0]:
                 return
-            self._avgs[self._row] = avg
-            self._row, self._seen, self._acc = self._row + 1, 0, np.zeros(self._n)
-            if self._row == len(self._lengths):
-                self._send(self._avgs)
-
-    def _observe_rows(self, y_sums, k):
-        """observe_block for the rest of a schedule, begun at a row boundary,
-        with the arithmetic of one call per row."""
-        row, n = self._row, len(k)
-        sums = y_sums + 0.0   # as the zeroed accumulator adds them: -0.0 becomes 0.0
-        self.periods_observed += sum(k.tolist())
-        full = n if k[-1] >= self._lengths[row + n - 1] else n - 1
-        self._avgs[row:row + full] = sums[:full] / k[:full, None]
-        self._row = row + full
-        if full < n:   # the horizon cut the last row short
-            self._acc, self._seen = sums[-1], int(k[-1])
-        elif self._row == len(self._lengths):
-            self._send(self._avgs)
+        else:
+            self.periods_observed += sum(k.tolist())
+            if len(k) < len(lengths) or k[-1] < lengths[-1]:
+                return
+            k = k[:, None]
+        # + 0.0: a -0.0 sum is answered as 0.0
+        try:
+            request = self._gen.send((y_sum + 0.0) / k)
+        except StopIteration:   # frozen at the last price
+            request = (self._prices[-1], _FOREVER)
+        self._prices, self._lengths, self._single = _as_schedule(request)
 
 
 @dataclass

@@ -39,14 +39,15 @@ class FixedPricePolicy(Policy):
 class FixedCommitPolicy(CommitPolicy):
     name = "fixed-commit"
 
-    def __init__(self, price, n_products=2, length=1 << 40):
+    def __init__(self, price, length=1 << 40):
         self.price = np.asarray(price, float)
         self.length = length
-        super().__init__(n_products)
+        self.answers = []
+        super().__init__()
 
     def _driver(self):
         while True:
-            yield (self.price, self.length)
+            self.answers.append((yield (self.price, self.length)))
 
 
 class RecordingPolicy(Policy):
@@ -180,9 +181,51 @@ class TestRunEpisode:
         assert_same_distributions(blocked, stepwise)
 
 
+class AnsweredOnce(FixedCommitPolicy):
+    """A driver that returns after its first answer."""
+
+    def _driver(self):
+        self.answers.append((yield (self.price, self.length)))
+
+
+class TestCommitPolicy:
+    """A commit policy is answered once per request, with its average demand;
+    a request that the horizon cuts short is never answered."""
+
+    ROWS = np.array([[1.0, 1.2], [1.4, 0.9], [1.1, 1.1]])
+
+    @pytest.mark.parametrize("price, length", [
+        (ROWS[0], 60),                   # the horizon cuts a one-row request
+        (ROWS, np.array([20, 10, 30])),  # ... a schedule inside its last row
+        (ROWS, np.array([30, 20, 20])),  # ... a schedule on the boundary after its first row
+    ], ids=["row", "schedule-inside-row", "schedule-on-boundary"])
+    @pytest.mark.parametrize("policy_class", [FixedCommitPolicy, AnsweredOnce])
+    def test_cut_request_is_never_answered(self, instance, policy_class, price, length):
+        inst = dataclasses.replace(instance.with_horizon(100), gamma=np.array([5.0, 5.0]))
+        policy = policy_class(price, length)
+        trace = run_episode(inst, policy, seed=1, record_periods=True)
+        prices, lengths = np.atleast_2d(price), np.atleast_1d(length)
+        ends = np.cumsum(lengths)
+        demand = trace.periods["demand"]
+        avgs = np.array([demand[e - k:e].sum(axis=0) / k for e, k in zip(ends, lengths)])
+        assert trace.shutoff_period is None and ends[-1] < inst.T < 2 * ends[-1]
+        assert len(policy.answers) == 1
+        np.testing.assert_array_equal(policy.answers[0], avgs if np.ndim(length) else avgs[0])
+        assert policy.periods_observed == inst.T
+        posted = np.repeat(prices, lengths, axis=0)
+        if policy_class is AnsweredOnce:   # frozen at its last price
+            posted = np.vstack([posted, np.repeat(prices[-1:], inst.T - ends[-1], axis=0)])
+        else:   # the request again, cut at the horizon
+            posted = np.vstack([posted, posted])[:inst.T]
+        np.testing.assert_array_equal(trace.periods["price"], posted)
+
+
 def reference_episode(instance, policy, seed):
     """Per-period simulator: one uniform draw per open period, inventory checked
-    purchase by purchase. Returns (shutoff_period, price, demand, inventory rows)."""
+    purchase by purchase. Each request (a schedule, or a price held for hold()
+    periods), cut at the horizon, is posted period by period and then observed
+    whole, as run_episode observes it. Returns (shutoff_period, price, demand,
+    inventory rows)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     N, M, T = instance.N, instance.M, instance.T
     A = instance.A
@@ -190,21 +233,37 @@ def reference_episode(instance, policy, seed):
     price, demand = np.full((T, N), np.nan), np.zeros((T, N))
     inventory = np.empty((T, M))
     shutoff = None
-    for t in range(T):
+    t = 0
+    while t < T:
+        start = t
         p = policy.next_price(t + 1)
-        y = np.zeros(N)
-        if p is not None and shutoff is None:
-            price[t] = p
-            cum = np.cumsum(instance.model.mean(np.asarray(p, float)))
-            i = int(np.searchsorted(cum, rng.random(), side="right"))
-            if i < N and np.any(A[:, i] > remaining):
-                shutoff = t + 1
-            elif i < N:
-                y[i] = 1.0
-                remaining = remaining - A[:, i]
-        demand[t] = y
-        inventory[t] = remaining
-        policy.observe(t + 1, y)
+        plan = None if p is None else policy.schedule()
+        rows = [(p, policy.hold())] if plan is None else list(zip(*plan))
+        sums, ks = [], []
+        for row_price, length in rows:
+            if t == T:
+                break
+            k = min(int(length), T - t)
+            for u in range(t, t + k):
+                if row_price is not None and shutoff is None:
+                    price[u] = row_price
+                    cum = np.cumsum(instance.model.mean(np.asarray(row_price, float)))
+                    i = int(np.searchsorted(cum, rng.random(), side="right"))
+                    if i < N and np.any(A[:, i] > remaining):
+                        shutoff = u + 1
+                    elif i < N:
+                        demand[u, i] = 1.0
+                        remaining = remaining - A[:, i]
+                inventory[u] = remaining
+            sums.append(demand[t:t + k].sum(axis=0))
+            ks.append(k)
+            t += k
+        if plan is not None:
+            policy.observe_block(start + 1, np.array(sums), np.array(ks))
+        elif ks[0] == 1:
+            policy.observe(start + 1, sums[0])
+        else:
+            policy.observe_block(start + 1, sums[0], ks[0])
     return shutoff, price, demand, inventory
 
 
@@ -285,6 +344,43 @@ class TestReferenceSimulator:
             reference.append(episode_stats(shutoff=shutoff, demand=demand))
         assert np.mean([s[-2] <= tight.T for s in kernel]) >= 0.9
         assert_same_distributions(kernel, reference)
+
+    @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant"])
+    def test_gate_catches_a_biased_shutoff(self, policy, instance, fluid_solution, monkeypatch):
+        # A mutant kernel whose halving puts a segment's no-purchase periods
+        # first: its counts stay consistent, but sales and the shutoff come
+        # late. Fixed in advance: 300 seeds per side from the gate's ranges.
+        from nrmlab import build_policy
+        tight = tight_instance(instance)
+        reference = []
+        for seed in REFERENCE_SEEDS[:300]:
+            shutoff, _, demand, _ = reference_episode(
+                tight, build_policy(policy, tight, fluid_solution), seed)
+            reference.append(episode_stats(shutoff=shutoff, demand=demand))
+        split = sim._split
+        monkeypatch.setattr(sim, "_split", lambda A, seg, k, remaining, rng:
+                            split(A, seg, k, remaining, IdleFirst(rng)))
+        mutant = [episode_stats(run_episode(tight, build_policy(policy, tight, fluid_solution),
+                                            seed, record_periods=True)) for seed in GATE_SEEDS[:300]]
+        with pytest.raises(AssertionError):
+            assert_same_distributions(mutant, reference)
+        shutoffs = [np.array(stats)[:, -2] for stats in (mutant, reference)]
+        assert homogeneity_pvalue(*shutoffs) < GATE_P_MIN
+
+
+class IdleFirst:
+    """Generator stand-in whose multivariate hypergeometric head draw takes
+    the no-purchase periods (the last color) first, not in uniform order."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def multivariate_hypergeometric(self, colors, nsample):
+        head = np.zeros_like(colors)
+        head[-1] = idle = min(int(colors[-1]), nsample)
+        if nsample > idle:
+            head[:-1] = self.rng.multivariate_hypergeometric(colors[:-1], nsample - idle)
+        return head
 
 
 class FixedCounts:
@@ -576,8 +672,7 @@ class TestExports:
         single = Instance(model=LogitDemand(np.array([0.5]), np.array([1.5])),
                           A=np.array([[1.0]]), gamma=np.array([0.05]), T=2_000,
                           price_min=0.8, price_max=5.0)
-        one_product = run_episode(single, FixedCommitPolicy(np.array([1.3]), n_products=1,
-                                                            length=300),
+        one_product = run_episode(single, FixedCommitPolicy(np.array([1.3]), length=300),
                                   seed=5, record_periods=True)
         # Instance rejects M > N, so a copy of the one-product trace gets
         # three resource columns
