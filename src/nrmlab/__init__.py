@@ -12,7 +12,7 @@ from .demand import (
     revenue_phi,
     DomainError,
 )
-from .instance import Instance, load_instance, save_instance, example_logit_instance
+from .instance import Instance, load_instance, example_logit_instance
 from .fluid import (
     DualSet,
     FluidSolution,

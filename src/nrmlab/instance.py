@@ -146,12 +146,6 @@ def load_instance(path: str) -> Instance:
         return instance_from_dict(json.load(fh))
 
 
-def save_instance(instance: Instance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 def example_logit_instance(T: int = 100_000, noise: str = "multinomial") -> Instance:
     """Two-product, two-resource logit instance used throughout the test suite."""
     return Instance(

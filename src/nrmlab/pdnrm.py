@@ -286,7 +286,7 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):
     if u <= 0:
         avg = yield (p, n)
         zeros = np.zeros((N, N))
-        return GradEstOutput(D_hat=np.asarray(avg, float), J_hat=zeros,
+        return GradEstOutput(D_hat=avg[0], J_hat=zeros,
                              grad_f=np.zeros(N), tilde_p=p.copy(),
                              balancing_feasible=False, periods_consumed=n,
                              u=0.0, degraded=True)
@@ -353,9 +353,7 @@ def _drive(gen, env):
     try:
         request = next(gen)
         while True:
-            prices, lengths, single = _as_schedule(request)
-            avgs = np.asarray(env.commit(prices, lengths), float)
-            request = gen.send(avgs[0] if single else avgs)
+            request = gen.send(np.asarray(env.commit(*_as_schedule(request)), float))
     except StopIteration as stop:
         return stop.value
 
@@ -478,8 +476,3 @@ class PdNrmPolicy(CommitPolicy):
 def epoch_count_bound(cfg: PdNrmConfig, T: int) -> float:
     """Dual updates never exceed 2 ln(T)/(mu eta2) + 1."""
     return 2.0 * math.log(T) / (cfg.mu * cfg.eta2) + 1.0
-
-
-def loop_count_bound(cfg: PdNrmConfig, T: int) -> float:
-    """Primal loops per epoch never exceed 2 ln(T) / (eta1-scaled rate) + 1."""
-    return 2.0 * math.log(T) / (cfg.eta1 * (1.0 - cfg.contraction)) + 1.0

@@ -2,8 +2,8 @@
 
 One episode is strictly sequential; distinct episodes may run concurrently,
 each owning its RNG. A policy commits to schedules: rows of (price, periods)
-posted in order with no feedback read in between, a single held price being
-the one-row schedule. One kernel (`_serve`) serves a whole schedule with
+posted in order with no feedback read in between, a price held for k periods
+being the one-row schedule. One kernel (`_serve`) serves a whole schedule with
 stacked numpy calls: in a sampled market one draw gives every row's outcome
 counts, and only the row in which inventory runs out costs O(log k) more
 draws. Every step is exact in distribution, and a schedule is the same
@@ -72,16 +72,15 @@ def _tally(ledger: dict, units: np.ndarray, prices: np.ndarray) -> None:
 
 
 def _as_schedule(request) -> tuple:
-    """A generator's request as (prices (K, N), lengths (K,), single). A plain
-    (price, length) commitment is the one-row schedule, answered with the
-    vector of its average demand (single), not with a stack."""
+    """A generator's request as (prices (K, N), lengths (K,)). A plain
+    (price, length) pair writes the one-row schedule."""
     prices, lengths = request
     if isinstance(lengths, (int, np.integer)):
-        return np.asarray(prices, dtype=float)[None], np.array([lengths]), True
+        return np.asarray(prices, dtype=float)[None], np.array([lengths])
     prices, lengths = np.asarray(prices, dtype=float), np.asarray(lengths, dtype=np.int64)
     if lengths.shape != prices.shape[:1] or not len(lengths) or lengths.min() < 1:
         raise ValueError("a schedule needs one length of at least 1 per price row")
-    return prices, lengths, False
+    return prices, lengths
 
 
 class Policy(ABC):
@@ -89,10 +88,9 @@ class Policy(ABC):
     the realized history {p_s, y_s : s < t}; the simulator enforces this by
     construction (it hands the policy nothing else).
 
-    A plain subclass is asked and observed one period at a time. Two batching
-    hints let the simulator serve many periods per call: hold() keeps the
-    current price for several periods, and schedule() commits to a sequence
-    of prices whose feedback the policy reads only after the last one."""
+    A plain subclass is asked and observed one period at a time. A subclass
+    whose schedule() returns a schedule is served that schedule whole and
+    implements observe_block, which reads its feedback."""
 
     name = "policy"
 
@@ -105,43 +103,36 @@ class Policy(ABC):
         """Realized demand for the given period."""
 
     def hold(self) -> int:
-        """How many upcoming periods (at least 1) the current price persists.
-        A batching hint; policies returning >1 must implement observe_block,
-        and are observed once for the whole hold, never period by period."""
+        """No caller in the package; perfbench/tracer.py wraps it by name."""
         return 1
 
     def schedule(self):
-        """A batching hint beside hold(): the open-loop schedule (prices (K, N),
-        lengths (K,)), K >= 2, that starts now. It posts prices[0] (next_price's
-        price) for lengths[0] periods, then prices[1] for lengths[1], and so on,
-        reading no feedback in between; the simulator serves it in one kernel
-        call and one observe_block call. None: one commitment of hold() periods."""
+        """The open-loop schedule (prices (K, N), lengths (K,)), K >= 1, that
+        starts now, or None to be asked for one period. It posts prices[0]
+        (next_price's price) for lengths[0] periods, then prices[1] for
+        lengths[1], and so on, reading no feedback in between; the simulator
+        serves it in one kernel call and answers it with one
+        observe_block(period, y_sums (K, N), lengths (K,)) call: the demand
+        summed over each row and the periods each row lasted. The horizon may
+        cut the last row short or drop rows."""
         return None
-
-    def observe_block(self, period: int, y_sum: np.ndarray, k) -> None:
-        """Demand summed over the k periods of a held price, in one call for
-        the whole hold. After a schedule, y_sum holds one sum per row (K, N)
-        and k the (K,) periods each row lasted; the horizon may cut the last
-        row short or drop rows."""
-        raise NotImplementedError("per-period policies are observed one period at a time")
 
 
 class CommitPolicy(Policy):
     """Policy driven by a generator of requests.
 
-    Subclasses implement _driver(), a generator that yields a commitment
-    (price, length) and receives the average realized demand over it, or
-    yields an open-loop schedule (prices (K, N), lengths (K,)) and receives
-    the (K, N) average demand of its rows. Each request is observed once,
-    whole, never period by period: a held price through hold(), a schedule
-    through schedule(). A request that the horizon cuts short is never
+    Subclasses implement _driver(), a generator that yields an open-loop
+    schedule (prices (K, N), lengths (K,)), or a (price, length) pair for the
+    one-row schedule, and receives the (K, N) average demand of its rows.
+    Every request is the policy's schedule() and is observed once, whole,
+    never period by period. A request that the horizon cuts short is never
     answered. Drivers that return are frozen at their last price.
     """
 
     def __init__(self):
         self._gen = self._driver()
         self.periods_observed = 0
-        self._prices, self._lengths, self._single = _as_schedule(next(self._gen))
+        self._prices, self._lengths = _as_schedule(next(self._gen))
 
     @abstractmethod
     def _driver(self):
@@ -150,32 +141,22 @@ class CommitPolicy(Policy):
     def next_price(self, period: int) -> Optional[np.ndarray]:
         return self._prices[0]
 
-    def hold(self) -> int:
-        return int(self._lengths[0])
-
     def schedule(self):
-        return None if self._single else (self._prices, self._lengths)
+        return self._prices, self._lengths
 
     def observe(self, period: int, y: np.ndarray) -> None:
-        self.observe_block(period, y, 1)
+        self.observe_block(period, np.asarray(y)[None], np.ones(1, dtype=np.int64))
 
-    def observe_block(self, period: int, y_sum: np.ndarray, k) -> None:
-        lengths = self._lengths
-        if self._single:
-            self.periods_observed += k
-            if k < lengths[0]:
-                return
-        else:
-            self.periods_observed += sum(k.tolist())
-            if len(k) < len(lengths) or k[-1] < lengths[-1]:
-                return
-            k = k[:, None]
+    def observe_block(self, period: int, y_sums: np.ndarray, lengths: np.ndarray) -> None:
+        self.periods_observed += sum(lengths.tolist())
+        if len(lengths) < len(self._lengths) or lengths[-1] < self._lengths[-1]:
+            return
         # + 0.0: a -0.0 sum is answered as 0.0
         try:
-            request = self._gen.send((y_sum + 0.0) / k)
+            request = self._gen.send((y_sums + 0.0) / lengths[:, None])
         except StopIteration:   # frozen at the last price
             request = (self._prices[-1], _FOREVER)
-        self._prices, self._lengths, self._single = _as_schedule(request)
+        self._prices, self._lengths = _as_schedule(request)
 
 
 @dataclass
@@ -362,9 +343,10 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     resource cannot fully serve is lost (y := 0) and triggers permanent
     shutoff. Deterministic given the seed.
 
-    Each query takes the policy's schedule (a held price of hold() periods
-    when it has none), cut at the horizon, and serves it with one `_serve`
-    call: a closed market sells nothing, a noiseless one the exact mean
+    Each query takes the policy's schedule (one period at its price when it
+    has none), cut at the horizon, and serves it with one `_serve` call,
+    answered by observe_block (by observe for one period without a
+    schedule): a closed market sells nothing, a noiseless one the exact mean
     demand each period, and a sampled one draws outcome counts. The rest of
     a schedule cut short is closed. The fingerprint hashes each row (price,
     counts, served) as a row served alone. Recorded rows order a sampled
@@ -400,8 +382,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         p = policy.next_price(t + 1)
         plan = None if p is None else policy.schedule()
         if plan is None:
-            span = min(max(1, int(policy.hold())), T - t)
-            lengths = np.array([span])
+            span, lengths = 1, np.array([1])
             prices = None if p is None else np.asarray(p, dtype=float)[None]
         else:
             prices, lengths = plan
@@ -414,12 +395,11 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             shown = p if plan is None else "of a schedule"
             raise PolicyError(f"price {shown} outside [{instance.price_min}, {instance.price_max}]")
         K = len(lengths)
+        was_shut = shutoff_period is not None
 
-        if prices is None or shutoff_period is not None:
+        if prices is None or was_shut:
             # Market closed: zero demand, no RNG consumption.
             rows, y_sums = 0, np.zeros((K, N))
-            if shutoff_period is not None:
-                demand_after_shutoff += float(y_sums.sum())
         else:
             served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
             rows = len(served)
@@ -438,6 +418,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                 # the first unservable purchase shuts the market for good
                 shutoff_period = t + sum(lengths[:rows - 1].tolist()) + int(served[-1]) + 1
                 y_sums = np.concatenate((y_sums, np.zeros((K - rows, N))))
+        if was_shut:   # the shutoff tripwire: nothing sells once shut
+            demand_after_shutoff += float(y_sums.sum())
         if rows < K:   # rows posted while the market is shut
             hasher.update(b"".join(b"z" + k.to_bytes(8, "little") for k in lengths[rows:].tolist()))
 
@@ -464,12 +446,10 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         if rows:
             remaining = after[-1] if K == 1 else after[-1].copy()
 
-        if plan is not None:
-            policy.observe_block(t + 1, y_sums, lengths)
-        elif span == 1:
+        if plan is None:
             policy.observe(t + 1, y_sums[0])
         else:
-            policy.observe_block(t + 1, y_sums[0], span)
+            policy.observe_block(t + 1, y_sums, lengths)
         t += span
 
     if not record_periods:

@@ -1,9 +1,23 @@
+import json
+import math
 import numpy as np
 import pytest
 
 import nrmlab.bench
 from nrmlab import Policy, example_logit_instance, solve_fluid, estimate_regularity
 from nrmlab.sim import _serve
+
+
+def save_instance(instance, path):
+    """Write an instance document that load_instance reads back."""
+    with open(path, "w") as fh:
+        json.dump(instance.to_dict(), fh, indent=2)
+        fh.write("\n")
+
+
+def loop_count_bound(cfg, T):
+    """Primal loops per epoch never exceed 2 ln(T) / (eta1-scaled rate) + 1."""
+    return 2.0 * math.log(T) / (cfg.eta1 * (1.0 - cfg.contraction)) + 1.0
 
 
 def serve_one(model, A, p, k, remaining, rng):

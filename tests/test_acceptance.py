@@ -27,7 +27,8 @@ from nrmlab import (
 )
 from nrmlab.demand import grad_revenue_f
 from nrmlab.fluid import grad_lagrangian_L
-from nrmlab.pdnrm import epoch_count_bound, loop_count_bound, config_from_dict
+from nrmlab.pdnrm import epoch_count_bound, config_from_dict
+from conftest import loop_count_bound
 
 # dual box satisfying the interior-optimizer requirement on this instance
 # (every sampled dual keeps the Lagrangian maximizer inside the price box)

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 import nrmlab.bench
-from nrmlab import Instance, LogitDemand, save_instance, example_logit_instance
+from nrmlab import Instance, LogitDemand, example_logit_instance
 from nrmlab.cli import cli_main
+from conftest import save_instance
 
 
 @pytest.fixture(scope="module")

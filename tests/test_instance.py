@@ -4,7 +4,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nrmlab import Instance, LogitDemand, LinearDemand, example_logit_instance
-from nrmlab.instance import instance_from_dict, load_instance, save_instance
+from nrmlab.instance import instance_from_dict, load_instance
+from conftest import save_instance
 
 
 def logit():

@@ -23,7 +23,8 @@ from nrmlab import (
     solve_inner_max,
 )
 from nrmlab.demand import grad_revenue_f, revenue_f
-from nrmlab.pdnrm import epoch_count_bound, loop_count_bound
+from nrmlab.pdnrm import epoch_count_bound
+from conftest import loop_count_bound
 
 
 def unit_regularity():

@@ -169,6 +169,17 @@ class TestRunEpisode:
             assert ask == ("ask", t + 1)
             assert obs[0] == "obs" and obs[1] == t + 1
 
+    def test_hold_does_not_batch_a_plain_policy(self, instance):
+        class Holding(RecordingPolicy):
+            def hold(self):
+                return 5
+
+        short = instance.with_horizon(20)
+        pol = Holding(np.array([1.0, 1.0]))
+        run_episode(short, pol, seed=7)
+        assert [call[:2] for call in pol.calls] == [
+            (kind, t + 1) for t in range(short.T) for kind in ("ask", "obs")]
+
     def test_blocked_and_stepwise_policies_agree_on_aggregate(self, instance):
         # block sizes must not change the outcome distribution (see
         # TestReferenceSimulator for the test and its threshold)
@@ -210,7 +221,8 @@ class TestCommitPolicy:
         avgs = np.array([demand[e - k:e].sum(axis=0) / k for e, k in zip(ends, lengths)])
         assert trace.shutoff_period is None and ends[-1] < inst.T < 2 * ends[-1]
         assert len(policy.answers) == 1
-        np.testing.assert_array_equal(policy.answers[0], avgs if np.ndim(length) else avgs[0])
+        # a (price, length) pair is the one-row schedule, answered (1, N)
+        np.testing.assert_array_equal(policy.answers[0], avgs, strict=True)
         assert policy.periods_observed == inst.T
         posted = np.repeat(prices, lengths, axis=0)
         if policy_class is AnsweredOnce:   # frozen at its last price
@@ -222,10 +234,10 @@ class TestCommitPolicy:
 
 def reference_episode(instance, policy, seed):
     """Per-period simulator: one uniform draw per open period, inventory checked
-    purchase by purchase. Each request (a schedule, or a price held for hold()
-    periods), cut at the horizon, is posted period by period and then observed
-    whole, as run_episode observes it. Returns (shutoff_period, price, demand,
-    inventory rows)."""
+    purchase by purchase. Each request (a schedule, or one period of a policy
+    without one), cut at the horizon, is posted period by period and then
+    observed whole, as run_episode observes it. Returns (shutoff_period,
+    price, demand, inventory rows)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     N, M, T = instance.N, instance.M, instance.T
     A = instance.A
@@ -238,7 +250,7 @@ def reference_episode(instance, policy, seed):
         start = t
         p = policy.next_price(t + 1)
         plan = None if p is None else policy.schedule()
-        rows = [(p, policy.hold())] if plan is None else list(zip(*plan))
+        rows = [(p, 1)] if plan is None else list(zip(*plan))
         sums, ks = [], []
         for row_price, length in rows:
             if t == T:
@@ -258,12 +270,10 @@ def reference_episode(instance, policy, seed):
             sums.append(demand[t:t + k].sum(axis=0))
             ks.append(k)
             t += k
-        if plan is not None:
-            policy.observe_block(start + 1, np.array(sums), np.array(ks))
-        elif ks[0] == 1:
+        if plan is None:
             policy.observe(start + 1, sums[0])
         else:
-            policy.observe_block(start + 1, sums[0], ks[0])
+            policy.observe_block(start + 1, np.array(sums), np.array(ks))
     return shutoff, price, demand, inventory
 
 
