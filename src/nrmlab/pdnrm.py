@@ -6,8 +6,14 @@ loops of exponentially growing lengths; each loop spends half its budget
 estimating the demand curve by two-point perturbations and the other half
 posting a balanced price chosen so the two-phase average resource use stays
 near the per-period inventory rate.
-"""
 
+The feedback of a balanced price is never read, so a loop's balanced row and
+the next loop's 2N probes are one schedule, one kernel call, even across
+epochs. A balanced row that would end after the horizon is posted alone: a
+loop is logged once its balanced row is served whole, as when rows are served
+one at a time."""
+
+import functools
 import math
 import numpy as np
 from dataclasses import dataclass, fields, replace
@@ -252,65 +258,80 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     passes the residual tolerance within the sweep cap.
     """
     p = np.asarray(p, float)
-    lam = np.asarray(lam, float)
-    n_products = p.shape[0]
-    m_res = gamma.shape[0]
+    A = np.asarray(A)
     root_n = math.sqrt(n)
     radius = kappa1 * n**-0.25
     lo = np.maximum(-radius, price_box[0] - p)
     hi = np.minimum(radius, price_box[1] - p)
 
-    C = 0.5 * (np.asarray(J_hat).T @ np.asarray(A).T)  # column j: d<a_j, model>/dx
-    base = np.asarray(A) @ np.asarray(D_hat)
-    ub = np.asarray(gamma) + kappa3 / root_n - base
-    lb = np.array([gamma[j] - kappa2 / (min(1.0, lam[j]) * root_n) - kappa3 / root_n - base[j]
-                   if lam[j] > 0 else -np.inf for j in range(m_res)])
+    C = 0.5 * (np.asarray(J_hat).T @ A.T)  # column j: d<a_j, model>/dx
+    band = kappa3 / root_n
     # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j
-    G = np.empty((2 * m_res, n_products))
-    G[0::2], G[1::2] = C.T, -C.T
-    h = np.empty(2 * m_res)
-    h[0::2], h[1::2] = ub, -lb
-    x, ok = feasible_point(G, h, np.zeros(n_products), lo, hi)
+    G = C.T.repeat(2, axis=0)
+    G[1::2] *= -1.0
+    h = []
+    for g, l, base in zip(np.asarray(gamma).tolist(), np.asarray(lam, float).tolist(),
+                          (A @ np.asarray(D_hat)).tolist()):
+        lb = g - kappa2 / (min(1.0, l) * root_n) - band - base if l > 0 else -math.inf
+        h += (g + band - base, -lb)
+    x, ok = feasible_point(G, np.array(h), np.zeros(p.shape[0]), lo, hi)
     return (p + x, True) if ok else (p.copy(), False)
 
 
-def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n):
-    """Generator: yields commitments and schedules, receives average demand,
-    returns a GradEstOutput. Consumes exactly n periods."""
+def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n, carry=None):
+    """Generator: yields schedules, receives their rows' average demand,
+    returns a GradEstOutput. Consumes exactly n periods. A policy's carry =
+    [pending balanced (price, length) row or None, periods requested] puts
+    the pending row first in this call's first request, its answer dropped,
+    and leaves this call's balanced row pending if it ends by instance.T;
+    otherwise, and without carry, that row is posted alone."""
     N = instance.N
+    head, posted = carry or (None, 0)
     p = np.asarray(p, float)
     m = n // (4 * N)
+    # rounding is monotone, so min(p) - price_min is min(p - price_min)
     u = 0.0 if m == 0 else min(math.sqrt(N) / n**0.25,
-                               float(np.min(p - instance.price_min)),
-                               float(np.min(instance.price_max - p)))
+                               float(np.minimum.reduce(p)) - instance.price_min,
+                               instance.price_max - float(np.maximum.reduce(p)))
+    if carry:
+        carry[:] = None, posted + n
+    # the 2N two-point probes p + u e_i, p - u e_i (u <= 0: p for n periods)
+    # read no feedback until the last one, so they are one schedule
+    K = 2 * N if u > 0 else 1
+    rows, lengths = np.empty((K + 1, N)), np.full(K + 1, m if u > 0 else n)
+    rows[1:] = p
+    if u > 0:
+        rows[1:] += u * _probe_signs(N)
+    if head is not None:
+        rows[0], lengths[0] = head
+    avgs = (yield (rows, lengths) if head is not None else (rows[1:], lengths[1:]))[-K:]
     if u <= 0:
-        avg = yield (p, n)
-        zeros = np.zeros((N, N))
-        return GradEstOutput(D_hat=avg[0], J_hat=zeros,
+        return GradEstOutput(D_hat=avgs[0], J_hat=np.zeros((N, N)),
                              grad_f=np.zeros(N), tilde_p=p.copy(),
                              balancing_feasible=False, periods_consumed=n,
                              u=0.0, degraded=True)
-
-    # the 2N two-point probes p + u e_i, p - u e_i read no feedback until the
-    # last one, so they are one schedule
-    probes = np.empty((2 * N, N))
-    probes[0::2] = p + u * np.eye(N)
-    probes[1::2] = p - u * np.eye(N)
-    avgs = yield (probes, np.full(2 * N, m))
     d_plus, d_minus = avgs[0::2], avgs[1::2]
-    D_hat = (d_plus.sum(axis=0) + d_minus.sum(axis=0)) / (2 * N)
+    D_hat = (np.add.reduce(d_plus) + np.add.reduce(d_minus)) / (2 * N)
     J_hat = ((d_plus - d_minus) / (2 * u)).T
-    grad_f = (_dot(probes[0::2], d_plus) - _dot(probes[1::2], d_minus)) / (2 * u)
+    revenues = _dot(rows[1:], avgs)
+    grad_f = (revenues[0::2] - revenues[1::2]) / (2 * u)
 
     tilde_p, feasible = demand_balance(
         D_hat, J_hat, p, lam, n, instance.gamma, instance.A,
         cfg.kappa1, cfg.kappa2, cfg.kappa3, instance.price_box)
-    rest = n - 2 * N * m
-    if rest > 0:
-        yield (tilde_p, rest)
+    if carry and posted + n <= instance.T:
+        carry[0] = (tilde_p, n - 2 * N * m)
+    else:
+        yield (tilde_p, n - 2 * N * m)
     return GradEstOutput(D_hat=D_hat, J_hat=J_hat, grad_f=grad_f,
                          tilde_p=tilde_p, balancing_feasible=feasible,
                          periods_consumed=n, u=u)
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_signs(N: int) -> np.ndarray:
+    """The (2N, N) probe directions: e_i, then -e_i, for each product i."""
+    return np.kron(np.eye(N), [[1.0], [-1.0]])
 
 
 class DemandOracle:
@@ -377,7 +398,7 @@ def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
 
 
 def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
-                events: Optional[list] = None, epoch: int = 0):
+                events: Optional[list] = None, epoch: int = 0, carry=None):
     """One PrimalOpt run. Returns (p_hat, D_hat, p_next) where p_hat is the
     price of the final executed loop (whose estimate feeds the dual update)
     and p_next is the post-update iterate used for warm starts."""
@@ -389,10 +410,10 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
     threshold = cfg.kappa5 / eps_bar**2 if eps_bar > 0 else math.inf
     while True:
         n_tau = int(math.ceil(min(cfg.contraction ** (-2 * tau), 2.0**62) * cfg.n0))
-        est = yield from _grad_est_gen(instance, cfg, p, lam, n_tau)
+        est = yield from _grad_est_gen(instance, cfg, p, lam, n_tau, carry)
         grad_L = est.grad_f - est.J_hat.T @ At_lam
         raw = p + cfg.eta1 * grad_L
-        p_next = np.clip(raw, P_lo, P_hi)
+        p_next = np.minimum(np.maximum(raw, P_lo), P_hi)
         if events is not None:
             events.append({
                 "kind": "loop", "s": epoch, "tau": tau, "n_tau": n_tau,
@@ -400,7 +421,7 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
                 "tilde_p": est.tilde_p.tolist(),
                 "balancing_feasible": bool(est.balancing_feasible),
                 "degraded": bool(est.degraded),
-                "clipped": bool(np.any(raw != p_next)),
+                "clipped": bool((raw != p_next).any()),
             })
         if n_tau > threshold:
             return p, est.D_hat, p_next
@@ -451,6 +472,7 @@ class PdNrmPolicy(CommitPolicy):
         instance, cfg = self.instance, self.config
         lam = np.zeros(instance.M) if cfg.lambda0 is None else np.array(cfg.lambda0, float)
         p_warm = _initial_price(instance, cfg)
+        carry = [None, 0]   # the pending balanced row, carried across loops and epochs
         s = 0
         while True:
             eps_bar = cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
@@ -459,7 +481,7 @@ class PdNrmPolicy(CommitPolicy):
             })
             start = p_warm if cfg.warm_start else _initial_price(instance, cfg)
             p_hat, D_hat, p_next = yield from _primal_gen(
-                instance, cfg, lam, eps_bar, start, events=self.events, epoch=s)
+                instance, cfg, lam, eps_bar, start, events=self.events, epoch=s, carry=carry)
             p_warm = p_next
             grad_q = instance.gamma - instance.A @ D_hat
             grad_h = grad_q - cfg.mu * lam

@@ -4,7 +4,7 @@ import numpy as np
 
 
 def max_violation(G, h, x) -> float:
-    return float(np.max(G @ x - h, initial=0.0))
+    return float(np.maximum.reduce(G @ x - h, initial=0.0))
 
 
 # no caller in the package; perfbench/tracer.py wraps it by name
@@ -46,18 +46,18 @@ def feasible_point(G, h, x0, lo, hi, sweeps: int = 500, tol: float = 1e-9):
     """
     G = np.asarray(G, float)
     h = np.asarray(h, float)
-    x = np.asarray(x0, float).copy()
-    norms2 = np.einsum("ij,ij->i", G, G)
-    for k in range(G.shape[0]):
-        if norms2[k] <= 1e-30 and h[k] < -tol:
-            return x, False
 
     def clip(v):
         return np.minimum(np.maximum(v, lo), hi)
 
-    x = clip(x)
+    # a passing start passes each zero row too (its h >= -tol), so it goes first
+    x = clip(np.asarray(x0, float))
     if max_violation(G, h, x) <= tol:
         return x, True
+    norms2 = np.einsum("ij,ij->i", G, G)
+    for k in range(G.shape[0]):
+        if norms2[k] <= 1e-30 and h[k] < -tol:
+            return np.asarray(x0, float).copy(), False
     for _ in range(sweeps):
         for k in range(G.shape[0]):
             if norms2[k] <= 1e-30:

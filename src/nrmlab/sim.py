@@ -28,7 +28,7 @@ _EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _FEW = 32  # up to this many values are checked and tallied in Python, beyond it in numpy
 _FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
-_NO_PURCHASE = np.zeros((1, 1))  # multinomial's last category takes 1 - sum D(p)
+_ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
 
 
 def mix64(*parts) -> int:
@@ -78,7 +78,7 @@ def _as_schedule(request) -> tuple:
     if isinstance(lengths, (int, np.integer)):
         return np.asarray(prices, dtype=float)[None], np.array([lengths])
     prices, lengths = np.asarray(prices, dtype=float), np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != prices.shape[:1] or not len(lengths) or lengths.min() < 1:
+    if lengths.shape != prices.shape[:1] or not len(lengths) or np.minimum.reduce(lengths) < 1:
         raise ValueError("a schedule needs one length of at least 1 per price row")
     return prices, lengths
 
@@ -145,15 +145,16 @@ class CommitPolicy(Policy):
         return self._prices, self._lengths
 
     def observe(self, period: int, y: np.ndarray) -> None:
-        self.observe_block(period, np.asarray(y)[None], np.ones(1, dtype=np.int64))
+        self.observe_block(period, np.asarray(y)[None], _ONE_PERIOD)
 
     def observe_block(self, period: int, y_sums: np.ndarray, lengths: np.ndarray) -> None:
         self.periods_observed += sum(lengths.tolist())
         if len(lengths) < len(self._lengths) or lengths[-1] < self._lengths[-1]:
             return
-        # + 0.0: a -0.0 sum is answered as 0.0
+        answer = y_sums / lengths[:, None]
+        answer += 0.0   # a -0.0 sum is answered as 0.0
         try:
-            request = self._gen.send((y_sums + 0.0) / lengths[:, None])
+            request = self._gen.send(answer)
         except StopIteration:   # frozen at the last price
             request = (self._prices[-1], _FOREVER)
         self._prices, self._lengths = _as_schedule(request)
@@ -223,9 +224,9 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
         after[r] = before - s * cons[r]
         return served, means[:r + 1], after
 
-    pvals = np.concatenate((means, _NO_PURCHASE if K == 1 else np.zeros((K, 1))), axis=1)
-    # a linear demand that is 0 at a box corner can evaluate to -1e-17 there
-    np.maximum(pvals, 0.0, out=pvals)
+    # no purchase takes 1 - sum D(p); a linear D can be -1e-17 at a box corner
+    pvals = np.zeros((K, means.shape[1] + 1))
+    np.maximum(means, 0.0, out=pvals[:, :-1])
     state = rng.bit_generator.state if K > 1 and remaining is not None else None
     counts = _draw(rng, lengths, pvals)
     if remaining is None:
@@ -382,7 +383,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         p = policy.next_price(t + 1)
         plan = None if p is None else policy.schedule()
         if plan is None:
-            span, lengths = 1, np.array([1])
+            span, lengths = 1, _ONE_PERIOD
             prices = None if p is None else np.asarray(p, dtype=float)[None]
         else:
             prices, lengths = plan
@@ -412,7 +413,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                 min_inventory = min(min_inventory, min(after.ravel().tolist()))
             else:
                 y_sums = demand[:, :N].astype(float)
-                _tally(sold, demand[:, :N], prices[:rows])
+                _tally(sold, y_sums, prices[:rows])
                 hasher.update(_outcomes(prices[:rows], demand, served))
             if served[-1] < lengths[rows - 1]:
                 # the first unservable purchase shuts the market for good

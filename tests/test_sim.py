@@ -529,6 +529,79 @@ class TestScheduleKernel:
         assert inside >= 30
 
 
+def pdnrm_event_keys(cfg, T):
+    """The events of a pdnrm episode of horizon T, as (kind, epoch) and, for
+    a loop, (tau, n_tau) too, from the config alone: loop lengths, and so the
+    epoch boundaries, do not depend on feedback. A loop, and what follows it
+    up to the next loop, is recorded once its balanced row, the loop's last
+    periods, ends by T."""
+    keys, end, s = [("epoch", 0)], 0, 0
+    while True:
+        eps_bar = cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
+        tau = 0
+        while True:
+            n_tau = int(math.ceil(min(cfg.contraction ** (-2 * tau), 2.0**62) * cfg.n0))
+            end += n_tau
+            if end > T:
+                return keys
+            keys.append(("loop", s, tau, n_tau))
+            if n_tau > cfg.kappa5 / eps_bar**2:
+                break
+            tau += 1
+        keys += [("dual", s), ("epoch", s + 1)]
+        s += 1
+
+
+def event_keys(events):
+    return [(e["kind"], e["s"]) + ((e["tau"], e["n_tau"]) if e["kind"] == "loop" else ())
+            for e in events]
+
+
+class TestPdNrmRequests:
+    """pdnrm posts each loop's balanced row with the next loop's probes."""
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    def test_events_end_where_the_horizon_ends(self, instance, noise):
+        from nrmlab import PdNrmPolicy, config_from_dict
+        cfg = config_from_dict({}, instance, T=5_000)
+        keys = pdnrm_event_keys(cfg, 10_000)
+        loops = [k for k in keys if k[0] == "loop"]
+        ends = np.cumsum([k[3] for k in loops])
+        # the first loop, a loop followed by one of its epoch, and the last
+        # loop of an epoch with three
+        last = next(i for i, k in enumerate(loops) if k[2] == 2)
+        assert keys[keys.index(loops[last]) + 1] == ("dual", loops[last][1])
+        for end in (ends[0], ends[last - 1], ends[last]):
+            for T in (end - 1, end, end + 1):
+                inst = dataclasses.replace(instance.with_horizon(int(T)), noise=noise)
+                whole = run_episode(inst, PdNrmPolicy(inst, cfg), seed=4)
+                expected = pdnrm_event_keys(cfg, T)
+                assert event_keys(whole.events) == expected
+                assert sum(k[0] == "loop" for k in expected) == np.searchsorted(ends, T, "right")
+                split = run_episode(inst, split_schedules(PdNrmPolicy)(inst, cfg), seed=4)
+                assert split.events == whole.events
+                assert split.fingerprint == whole.fingerprint
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    @pytest.mark.parametrize("doc", [{}, {"mu": 0.05, "eta2": 1.0}], ids=["desk", "scaling"])
+    def test_a_loop_is_one_kernel_call(self, instance, doc, noise, monkeypatch):
+        from nrmlab import PdNrmPolicy, config_from_dict
+        inst = dataclasses.replace(instance, noise=noise)
+        serve, calls = sim._serve, []
+
+        def spy(*args):
+            calls.append(len(args[3]))
+            return serve(*args)
+
+        monkeypatch.setattr(sim, "_serve", spy)
+        trace = run_episode(inst, PdNrmPolicy(inst, config_from_dict(doc, inst)), seed=2)
+        loops = [e for e in trace.events if e["kind"] == "loop"]
+        assert len(loops) >= 20
+        assert len(calls) <= len(loops) + sum(e["degraded"] for e in loops) + 2
+        # every request after the first carries a balanced row and 2N probes
+        assert calls.count(2 * inst.N + 1) >= len(loops) - 2
+
+
 class TestServeBlock:
     A = np.array([[1.0, 1.0], [0.0, 2.0]])
 
