@@ -5,7 +5,6 @@ earlier literature, not a reimplementation of it)."""
 import numbers
 import numpy as np
 from dataclasses import dataclass
-from scipy.optimize import linprog
 
 from .instance import Instance
 from .fluid import FluidSolution
@@ -79,6 +78,7 @@ class ExploreThenCommitPolicy(CommitPolicy):
 
     def _commit_schedule(self):
         """The mixture as (prices (K, N), lengths (K,)), heaviest weight first."""
+        from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
         inst = self.instance
         K = len(self.grid)
         remaining = max(inst.T - self.n_explore, 1)

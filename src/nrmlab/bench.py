@@ -14,10 +14,8 @@ import math
 import time
 import dataclasses
 import functools
-import subprocess
 import numpy as np
 from dataclasses import dataclass, field
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .instance import Instance, instance_from_dict, load_instance, _is_integral
@@ -178,6 +176,7 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
 
     wall_start = time.perf_counter()
     if plan.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             raw = list(pool.map(run_task, tasks, chunksize=1))
     else:
@@ -275,10 +274,18 @@ def write_episodes_csv(summary: BenchSummary, path: str) -> None:
             ])
 
 
+@functools.cache
 def _git_hash() -> str:
+    """HEAD of the source checkout this package sits in (<root>/src/nrmlab),
+    wherever the caller runs; 'unknown' for an installed copy."""
+    import subprocess
+    package_dir = os.path.dirname(os.path.abspath(__file__))
+    git_dir = os.path.join(os.path.dirname(os.path.dirname(package_dir)), ".git")
+    if not os.path.exists(git_dir):
+        return "unknown"
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                             text=True, timeout=5)
+        out = subprocess.run(["git", "--git-dir", git_dir, "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=5)
         return out.stdout.strip() if out.returncode == 0 else "unknown"
     except OSError:
         return "unknown"

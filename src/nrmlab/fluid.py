@@ -12,8 +12,6 @@ policy's data path.
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.optimize import linprog, minimize
-
 from .demand import (
     revenue_f,
     revenue_phi,
@@ -102,6 +100,7 @@ def _maximize(instance: Instance, lam, p0, capacity: bool = False):
     failed line search at a point that certifies, so solve_fluid gates on the
     duality certificate instead.
     """
+    from scipy.optimize import minimize   # deferred: `import nrmlab` stays scipy-free
     model = instance.model
     constraints = ()
     if capacity:
@@ -145,6 +144,7 @@ def _chebyshev_center(instance: Instance) -> np.ndarray:
     """Center of the largest ball in {G d <= h, A d <= gamma}, the demand
     vectors that the price box and the capacity allow (G, h from
     image_halfspaces). Raises FluidError when that set has no interior."""
+    from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
     G_img, h_img = instance.model.image_halfspaces(instance.price_min, instance.price_max)
     G = np.vstack([G_img, instance.A])
     h = np.concatenate([h_img, instance.gamma])

@@ -76,6 +76,8 @@ def _as_schedule(request) -> tuple:
     (price, length) pair writes the one-row schedule."""
     prices, lengths = request
     if isinstance(lengths, (int, np.integer)):
+        if lengths is True or lengths < 1:
+            raise ValueError("a schedule needs one length of at least 1 per price row")
         return np.asarray(prices, dtype=float)[None], np.array([lengths])
     prices, lengths = np.asarray(prices, dtype=float), np.asarray(lengths, dtype=np.int64)
     if lengths.shape != prices.shape[:1] or not len(lengths) or np.minimum.reduce(lengths) < 1:

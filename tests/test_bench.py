@@ -1,8 +1,11 @@
 import json
 import math
+import os
+import subprocess
 import numpy as np
 import pytest
 
+import nrmlab.bench
 from nrmlab import (
     BenchPlan,
     BenchSummary,
@@ -203,6 +206,47 @@ class TestRunBench:
         reread = float(row[2])
         summary2 = run_bench(small_plan(instance))
         assert reread == summary2.rows[0]["mean_loss"]
+
+    @pytest.fixture
+    def git_hash(self):
+        """bench._git_hash with its per-process cache emptied before and after."""
+        nrmlab.bench._git_hash.cache_clear()
+        yield nrmlab.bench._git_hash
+        nrmlab.bench._git_hash.cache_clear()
+
+    def test_git_hash_names_the_package_checkout(self, instance, tmp_path, monkeypatch, git_hash):
+        package_dir = os.path.dirname(os.path.abspath(nrmlab.bench.__file__))
+        try:
+            head = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                                  text=True, timeout=30, cwd=package_dir)
+        except OSError:
+            pytest.skip("git is not installed")
+        if head.returncode != 0:
+            pytest.skip("nrmlab is not in a git checkout")
+        monkeypatch.chdir(tmp_path)   # a directory outside the checkout
+        run_bench(small_plan(instance, tmp_path=tmp_path / "out", policies=("clairvoyant",),
+                             T_grid=(500,), replications=1))
+        meta = json.loads((tmp_path / "out" / "run-metadata.json").read_text())
+        assert meta["git_hash"] == head.stdout.strip()
+
+    def test_git_hash_ignores_a_repository_around_an_installed_copy(self, tmp_path, monkeypatch,
+                                                                    git_hash):
+        """A copy installed into a venv inside another project's repository
+        names no commit: the project's HEAD is not nrmlab's."""
+        project = tmp_path / "project"
+        package_dir = project / ".venv" / "lib" / "python3" / "site-packages" / "nrmlab"
+        package_dir.mkdir(parents=True)
+        git = ["git", "-C", str(project), "-c", "user.name=t", "-c", "user.email=t@example.com",
+               "-c", "commit.gpgsign=false"]
+        try:
+            for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "init"]):
+                made = subprocess.run(git + args, capture_output=True, text=True, timeout=30)
+                assert made.returncode == 0, made.stderr
+        except OSError:
+            pytest.skip("git is not installed")
+        monkeypatch.setattr(nrmlab.bench, "__file__", str(package_dir / "bench.py"))
+        monkeypatch.chdir(package_dir)
+        assert git_hash() == "unknown"
 
     def test_seed_derivation_stable(self):
         s = episode_seed(42, "pdnrm", 1000, 3)

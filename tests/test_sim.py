@@ -231,6 +231,21 @@ class TestCommitPolicy:
             posted = np.vstack([posted, posted])[:inst.T]
         np.testing.assert_array_equal(trace.periods["price"], posted)
 
+    @pytest.mark.parametrize("length", [0, -5, True, False, np.int64(0)])
+    def test_one_row_length_must_be_a_positive_integer(self, length):
+        with pytest.raises(ValueError, match="at least 1"):
+            sim._as_schedule((self.ROWS[0], length))
+
+    def test_zero_length_request_raises_instead_of_hanging(self, instance):
+        class ZeroAfterFirst(CommitPolicy):
+            def _driver(self):
+                yield (TestCommitPolicy.ROWS[0], 5)
+                for _ in range(100):   # bounded, so that accepting it ends the episode
+                    yield (TestCommitPolicy.ROWS[0], 0)
+
+        with pytest.raises(ValueError, match="at least 1"):
+            run_episode(instance.with_horizon(100), ZeroAfterFirst(), seed=1)
+
 
 def reference_episode(instance, policy, seed):
     """Per-period simulator: one uniform draw per open period, inventory checked
