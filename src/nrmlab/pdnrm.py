@@ -11,17 +11,19 @@ The feedback of a balanced price is never read, so a loop's balanced row and
 the next loop's 2N probes are one schedule, one kernel call, even across
 epochs. A balanced row that would end after the horizon is posted alone: a
 loop is logged once its balanced row is served whole, as when rows are served
-one at a time."""
+one at a time. A loop's arithmetic is on Python floats, rounded as numpy rounds
+it; its matrix products stay numpy's, whose BLAS rounding is the contract."""
 
 import functools
 import math
+import operator
 import numpy as np
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .instance import Instance, _is_integral, _is_number
 from .fluid import DualSet, default_dual_set
-from .projections import feasible_point
+from .projections import FEASIBLE_TOL, feasible_point
 from .demand import _dot
 from .sim import CommitPolicy, _as_schedule, _serve
 
@@ -257,28 +259,33 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     Solved by projections.feasible_point from x = 0; (p, False) when no point
     passes the residual tolerance within the sweep cap.
     """
-    p = np.asarray(p, float)
+    ps = list(map(float, p))
     A = np.asarray(A)
     root_n = math.sqrt(n)
     radius = kappa1 * n**-0.25
-    lo = np.maximum(-radius, price_box[0] - p)
-    hi = np.minimum(radius, price_box[1] - p)
-
-    C = 0.5 * (np.asarray(J_hat).T @ A.T)  # column j: d<a_j, model>/dx
+    lo = [_maximum(-radius, price_box[0] - x) for x in ps]
+    hi = [_minimum(radius, price_box[1] - x) for x in ps]
+    JA = np.asarray(J_hat).T @ A.T  # column j: 2 d<a_j, model>/dx
     band = kappa3 / root_n
-    # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j
-    G = C.T.repeat(2, axis=0)
-    G[1::2] *= -1.0
+    # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j, C = JA / 2
     h = []
     for g, l, base in zip(np.asarray(gamma).tolist(), np.asarray(lam, float).tolist(),
                           (A @ np.asarray(D_hat)).tolist()):
         lb = g - kappa2 / (min(1.0, l) * root_n) - band - base if l > 0 else -math.inf
         h += (g + band - base, -lb)
-    x, ok = feasible_point(G, np.array(h), np.zeros(p.shape[0]), lo, hi)
-    return (p + x, True) if ok else (p.copy(), False)
+    # feasible_point's first test, made without building G: with G finite,
+    # G x - h is -h at the clipped start x = +-0; a NaN fails every comparison
+    start = [_minimum(_maximum(0.0, a), b) for a, b in zip(lo, hi)]
+    if (not any(start) and all(v >= -FEASIBLE_TOL for v in h)
+            and math.isfinite(sum(JA.ravel().tolist()))):
+        return np.array([x + d for x, d in zip(ps, start)]), True
+    G = (0.5 * JA).T.repeat(2, axis=0)
+    G[1::2] *= -1.0
+    x, ok = feasible_point(G, np.array(h), np.zeros(len(ps)), np.array(lo), np.array(hi))
+    return (np.asarray(p, float) + x, True) if ok else (np.array(ps), False)
 
 
-def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n, carry=None):
+def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, carry=None):
     """Generator: yields schedules, receives their rows' average demand,
     returns a GradEstOutput. Consumes exactly n periods. A policy's carry =
     [pending balanced (price, length) row or None, periods requested] puts
@@ -287,34 +294,33 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n, carry=None):
     otherwise, and without carry, that row is posted alone."""
     N = instance.N
     head, posted = carry or (None, 0)
-    p = np.asarray(p, float)
     m = n // (4 * N)
     # rounding is monotone, so min(p) - price_min is min(p - price_min)
     u = 0.0 if m == 0 else min(math.sqrt(N) / n**0.25,
-                               float(np.minimum.reduce(p)) - instance.price_min,
-                               instance.price_max - float(np.maximum.reduce(p)))
+                               functools.reduce(_minimum, p) - instance.price_min,
+                               instance.price_max - functools.reduce(_maximum, p))
     if carry:
         carry[:] = None, posted + n
     # the 2N two-point probes p + u e_i, p - u e_i (u <= 0: p for n periods)
     # read no feedback until the last one, so they are one schedule
-    K = 2 * N if u > 0 else 1
-    rows, lengths = np.empty((K + 1, N)), np.full(K + 1, m if u > 0 else n)
-    rows[1:] = p
-    if u > 0:
-        rows[1:] += u * _probe_signs(N)
+    K, k = (2 * N, m) if u > 0 else (1, n)
+    rows = u * _probe_signs(N) + p if u > 0 else np.array([p, p])
+    lengths = np.array([k] * (K + 1))
     if head is not None:
         rows[0], lengths[0] = head
     avgs = (yield (rows, lengths) if head is not None else (rows[1:], lengths[1:]))[-K:]
     if u <= 0:
         return GradEstOutput(D_hat=avgs[0], J_hat=np.zeros((N, N)),
-                             grad_f=np.zeros(N), tilde_p=p.copy(),
+                             grad_f=np.zeros(N), tilde_p=np.array(p),
                              balancing_feasible=False, periods_consumed=n,
                              u=0.0, degraded=True)
-    d_plus, d_minus = avgs[0::2], avgs[1::2]
-    D_hat = (np.add.reduce(d_plus) + np.add.reduce(d_minus)) / (2 * N)
-    J_hat = ((d_plus - d_minus) / (2 * u)).T
-    revenues = _dot(rows[1:], avgs)
-    grad_f = (revenues[0::2] - revenues[1::2]) / (2 * u)
+    rev, avgs = _dot(rows[1:], avgs).tolist(), avgs.tolist()
+    plus, minus = avgs[0::2], avgs[1::2]
+    # np.add.reduce sums each column as a fold from its first row
+    D_hat = np.array([(functools.reduce(operator.add, a) + functools.reduce(operator.add, b)) / K
+                      for a, b in zip(zip(*plus), zip(*minus))])
+    J_hat = np.array([[(a - b) / (2 * u) for a, b in zip(*pair)] for pair in zip(plus, minus)]).T
+    grad_f = np.array([(a - b) / (2 * u) for a, b in zip(rev[0::2], rev[1::2])])
 
     tilde_p, feasible = demand_balance(
         D_hat, J_hat, p, lam, n, instance.gamma, instance.A,
@@ -328,10 +334,20 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p, lam, n, carry=None):
                          periods_consumed=n, u=u)
 
 
+def _maximum(a: float, b: float) -> float:
+    """np.maximum(a, b) on floats: a NaN wins, and of equal values (0.0, -0.0) b."""
+    return a if a > b or a != a else b
+
+
+def _minimum(a: float, b: float) -> float:
+    """np.minimum(a, b) on floats: a NaN wins, and of equal values b."""
+    return a if a < b or a != a else b
+
+
 @functools.lru_cache(maxsize=None)
 def _probe_signs(N: int) -> np.ndarray:
-    """The (2N, N) probe directions: e_i, then -e_i, for each product i."""
-    return np.kron(np.eye(N), [[1.0], [-1.0]])
+    """The (2N + 1, N) probe directions: 0, then e_i and -e_i for each product i."""
+    return np.vstack([np.zeros(N), np.kron(np.eye(N), [[1.0], [-1.0]])])
 
 
 class DemandOracle:
@@ -382,7 +398,7 @@ def _drive(gen, env):
 def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOutput:
     """Run the estimation-and-balancing routine against an environment handle
     with a commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
-    return _drive(_grad_est_gen(instance, cfg, p, lam, n), env)
+    return _drive(_grad_est_gen(instance, cfg, np.asarray(p, float).tolist(), lam, n), env)
 
 
 def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
@@ -392,9 +408,9 @@ def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
     With grad_h = grad_q - mu lam_s, as the policy passes it, the shrinkage
     cancels and this is the projected step
     clip(lam_s - eta2/(1 + mu eta2) grad_q, 0, lambda_max)."""
-    lam_s = np.asarray(lam_s, float)
-    raw = (lam_s - eta2 * np.asarray(grad_h, float)) / (1.0 + mu * eta2)
-    return np.clip(raw, 0.0, np.asarray(lambda_max, float))
+    lam_s, grad_h, lam_max = (np.asarray(a, float).tolist() for a in (lam_s, grad_h, lambda_max))
+    return np.array([_minimum(_maximum((x - eta2 * g) / (1.0 + mu * eta2), 0.0), b)
+                     for x, g, b in zip(lam_s, grad_h, lam_max)])
 
 
 def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
@@ -405,26 +421,26 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
     P_lo, P_hi = _inner_box(instance, cfg)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
-    p = np.asarray(p_start, float).copy()
+    p = np.asarray(p_start, float).tolist()
     tau = 0
     threshold = cfg.kappa5 / eps_bar**2 if eps_bar > 0 else math.inf
     while True:
         n_tau = int(math.ceil(min(cfg.contraction ** (-2 * tau), 2.0**62) * cfg.n0))
         est = yield from _grad_est_gen(instance, cfg, p, lam, n_tau, carry)
-        grad_L = est.grad_f - est.J_hat.T @ At_lam
-        raw = p + cfg.eta1 * grad_L
-        p_next = np.minimum(np.maximum(raw, P_lo), P_hi)
+        raw = [x + cfg.eta1 * (g - v) for x, g, v in
+               zip(p, est.grad_f.tolist(), (est.J_hat.T @ At_lam).tolist())]
+        p_next = [_minimum(_maximum(r, P_lo), P_hi) for r in raw]
         if events is not None:
             events.append({
                 "kind": "loop", "s": epoch, "tau": tau, "n_tau": n_tau,
-                "lambda": lam.tolist(), "p": p.tolist(), "u": est.u,
+                "lambda": lam.tolist(), "p": p, "u": est.u,
                 "tilde_p": est.tilde_p.tolist(),
                 "balancing_feasible": bool(est.balancing_feasible),
                 "degraded": bool(est.degraded),
-                "clipped": bool((raw != p_next).any()),
+                "clipped": any(r != q for r, q in zip(raw, p_next)),
             })
         if n_tau > threshold:
-            return p, est.D_hat, p_next
+            return np.array(p), est.D_hat, np.array(p_next)
         p = p_next
         tau += 1
 
@@ -484,8 +500,7 @@ class PdNrmPolicy(CommitPolicy):
                 instance, cfg, lam, eps_bar, start, events=self.events, epoch=s, carry=carry)
             p_warm = p_next
             grad_q = instance.gamma - instance.A @ D_hat
-            grad_h = grad_q - cfg.mu * lam
-            lam_next = prox_dual_step(lam, grad_h, cfg.mu, cfg.eta2,
+            lam_next = prox_dual_step(lam, grad_q - cfg.mu * lam, cfg.mu, cfg.eta2,
                                       self.dual_set.lambda_max)
             self.events.append({
                 "kind": "dual", "s": s, "grad_q": grad_q.tolist(),

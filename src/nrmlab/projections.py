@@ -2,6 +2,8 @@
 
 import numpy as np
 
+FEASIBLE_TOL = 1e-9  # feasible_point's residual tolerance
+
 
 def max_violation(G, h, x) -> float:
     return float(np.maximum.reduce(G @ x - h, initial=0.0))
@@ -38,7 +40,7 @@ def project_polytope(G, h, x, sweeps: int = 500, tol: float = 1e-12) -> np.ndarr
     return x
 
 
-def feasible_point(G, h, x0, lo, hi, sweeps: int = 500, tol: float = 1e-9):
+def feasible_point(G, h, x0, lo, hi, sweeps: int = 500, tol: float = FEASIBLE_TOL):
     """Cyclic projections from x0 toward {G x <= h} intersected with box [lo, hi].
 
     Returns (x, ok). ok is False when the residual stays above tol after the

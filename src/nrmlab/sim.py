@@ -25,8 +25,9 @@ from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
 _EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
+_LEDGER_ROWS = 4096  # served requests buffered, and served rows tallied and hashed, at a time
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
-_FEW = 32  # up to this many values are checked and tallied in Python, beyond it in numpy
+_FEW = 32  # up to this many values are checked in Python, and tallied without merging
 _FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
 _ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
 
@@ -46,9 +47,9 @@ def fold_name(seed: int, name: str) -> int:
     return mix64(seed, zlib.crc32(name.encode()))
 
 
-def _exact_product(a: float, b: float) -> tuple:
+def _exact_product(a, b) -> tuple:
     """(x, e) with x = fl(a b) and x + e = a b exactly (Dekker's product),
-    barring overflow and underflow."""
+    barring overflow and underflow; elementwise on arrays."""
     x = a * b
     c = _SPLIT * a
     a_hi = c - (c - a)
@@ -59,16 +60,30 @@ def _exact_product(a: float, b: float) -> tuple:
     return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
-def _tally(ledger: dict, units: np.ndarray, prices: np.ndarray) -> None:
-    """Add units[i] sold at prices[i] to a ledger of units by price. Unit
-    counts are integers, so their sums are exact (below 2**53)."""
-    units, prices = units.ravel(), prices.ravel()
+def _tally(prices: np.ndarray, units: np.ndarray) -> tuple:
+    """(prices, units) of units[i] sold at prices[i], beyond _FEW values one
+    entry per distinct price. Unit counts are integers, so their sums are
+    exact (below 2**53) in any order."""
+    prices, units = prices.ravel(), units.ravel()
     if units.size > _FEW:
         prices, index = np.unique(prices, return_inverse=True)
         units = np.bincount(index, weights=units)
-    for u, q in zip(units.tolist(), prices.tolist()):
-        if u:
-            ledger[q] = ledger.get(q, 0) + u
+    return prices, units
+
+
+def _revenue(sold: list) -> float:
+    """The revenue of a list of (prices, units) tallies: one fsum of the
+    exact products, so it is rounded once, whatever the order or grouping."""
+    if not sold:
+        return 0.0
+    prices, units = _tally(*(sold[0] if len(sold) == 1
+                             else (np.concatenate(col) for col in zip(*sold))))
+    if units.size <= _FEW:
+        return math.fsum(x for u, q in zip(units.tolist(), prices.tolist()) if u
+                         for x in _exact_product(u, q))
+    some = units != 0
+    x, e = _exact_product(units[some], prices[some])
+    return math.fsum(x.tolist() + e.tolist())
 
 
 def _as_schedule(request) -> tuple:
@@ -80,7 +95,7 @@ def _as_schedule(request) -> tuple:
             raise ValueError("a schedule needs one length of at least 1 per price row")
         return np.asarray(prices, dtype=float)[None], np.array([lengths])
     prices, lengths = np.asarray(prices, dtype=float), np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != prices.shape[:1] or not len(lengths) or np.minimum.reduce(lengths) < 1:
+    if lengths.shape != prices.shape[:1] or not len(lengths) or min(lengths.tolist()) < 1:
         raise ValueError("a schedule needs one length of at least 1 per price row")
     return prices, lengths
 
@@ -153,8 +168,7 @@ class CommitPolicy(Policy):
         self.periods_observed += sum(lengths.tolist())
         if len(lengths) < len(self._lengths) or lengths[-1] < self._lengths[-1]:
             return
-        answer = y_sums / lengths[:, None]
-        answer += 0.0   # a -0.0 sum is answered as 0.0
+        answer = y_sums / lengths[:, None] + 0.0   # a -0.0 sum is answered as 0.0
         try:
             request = self._gen.send(answer)
         except StopIteration:   # frozen at the last price
@@ -327,6 +341,23 @@ def _in_box(prices: np.ndarray, lo: float, hi: float) -> bool:
     return all(lo <= x <= hi for x in flat.tolist())
 
 
+def _fold(ledger: list, sold: list, hasher, noiseless: bool) -> None:
+    """Tally and hash the buffered (prices, outcomes, served) of served
+    requests, _LEDGER_ROWS rows at a time, and empty the buffer. The hash
+    streams and the revenue is one fsum of exact products, so where a chunk
+    ends changes neither."""
+    if not ledger:
+        return
+    prices, outcomes, served = (ledger[0] if len(ledger) == 1
+                                else (np.concatenate(col) for col in zip(*ledger)))
+    ledger.clear()
+    for s in range(0, len(served), _LEDGER_ROWS):
+        e = s + _LEDGER_ROWS
+        p, y, k = prices[s:e], outcomes[s:e], served[s:e]
+        sold.append(_tally(_dot(y, p), k) if noiseless else _tally(p, y[:, :-1]))
+        hasher.update(_outcomes(p, None if noiseless else y, k))
+
+
 def _outcomes(prices, counts, served) -> bytes:
     """Fingerprint bytes of open rows, row after row as each row served alone
     hashes: price, outcome counts (sampled rows only) and periods served."""
@@ -355,8 +386,10 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     counts, served) as a row served alone. Recorded rows order a sampled
     row's served outcomes by a uniform random permutation from a second
     generator derived from the seed, so a recorded and an unrecorded run of
-    one seed are the same episode. The units sold at each price are tallied,
-    and the revenue is one fsum of an exact product per price: in both modes
+    one seed are the same episode. Served requests are buffered and folded
+    into the fingerprint and a tally of the units sold at each price,
+    _LEDGER_ROWS rows at a time, and always before closed rows are hashed. The
+    revenue is one fsum of exact products of units and prices: in both modes
     it equals the fsum of the recorded per-period revenues.
     """
     T = instance.T
@@ -369,7 +402,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     p_lo, p_hi = instance.price_min - eps, instance.price_max + eps
 
     hasher = hashlib.blake2b(digest_size=16)
-    sold: dict = {}   # units sold by price; noiseless: periods served by revenue per period
+    sold: list = []   # tallies of units by price; noiseless: of periods by revenue per period
+    ledger = []   # served requests not yet tallied and hashed
     min_inventory = float(remaining.min())
     shutoff_period: Optional[int] = None
     demand_after_shutoff = 0.0
@@ -406,23 +440,22 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         else:
             served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
             rows = len(served)
+            # copies: a policy may reuse its arrays for its next request
+            ledger.append((prices[:rows].copy(), demand, served.copy()))
             if noiseless:
                 y_sums = demand * served[:, None]
-                _tally(sold, served, _dot(demand, prices[:rows]) if rows > 1
-                       else np.array([_dot(demand[0], prices[0])]))
-                hasher.update(_outcomes(prices[:rows], None, served))
                 # a negative mean demand restocks, so any row may hold the minimum
                 min_inventory = min(min_inventory, min(after.ravel().tolist()))
             else:
                 y_sums = demand[:, :N].astype(float)
-                _tally(sold, y_sums, prices[:rows])
-                hasher.update(_outcomes(prices[:rows], demand, served))
             if served[-1] < lengths[rows - 1]:
                 # the first unservable purchase shuts the market for good
                 shutoff_period = t + sum(lengths[:rows - 1].tolist()) + int(served[-1]) + 1
                 y_sums = np.concatenate((y_sums, np.zeros((K - rows, N))))
         if was_shut:   # the shutoff tripwire: nothing sells once shut
             demand_after_shutoff += float(y_sums.sum())
+        if len(ledger) >= _LEDGER_ROWS or rows < K:
+            _fold(ledger, sold, hasher, noiseless)
         if rows < K:   # rows posted while the market is shut
             hasher.update(b"".join(b"z" + k.to_bytes(8, "little") for k in lengths[rows:].tolist()))
 
@@ -455,6 +488,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             policy.observe_block(t + 1, y_sums, lengths)
         t += span
 
+    _fold(ledger, sold, hasher, noiseless)
     if not record_periods:
         periods = None
     if not noiseless:   # sampled inventory only falls
@@ -464,7 +498,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         T=T,
         seed=seed,
         policy_name=getattr(policy, "name", type(policy).__name__),
-        total_revenue=math.fsum(x for q, u in sold.items() for x in _exact_product(u, q)),
+        total_revenue=_revenue(sold),
         shutoff_period=shutoff_period,
         final_inventory=remaining,
         fingerprint=hasher.hexdigest(),

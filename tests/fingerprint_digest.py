@@ -1,0 +1,136 @@
+"""One digest of nrmlab's episodes over a fixed case set, for bit-identity checks.
+
+Run from any directory; it imports nrmlab from its own checkout's src/:
+
+    python tests/fingerprint_digest.py           # the full set
+    python tests/fingerprint_digest.py --quick   # a small slice
+
+For every case it hashes the episode's fingerprint, repr(total_revenue), the
+shutoff period, the events as JSON and, at T <= 1e4, the bytes of every
+recorded per-period array; then the arrays, flags and events that grad_est
+and primal_opt return against DemandOracle and a seeded SamplingOracle. It
+prints one blake2b digest and the case count.
+
+There are no golden values: OpenBLAS picks its kernels by CPU, and they round
+differently, so compare the digests of two trees on one machine. A change
+that keeps episodes bit-identical prints its parent's digest.
+
+The full set: the bundled instance and the seeded random logit instances
+N = 3 (M = 1) and N = 4 (M = 2) of perfbench/inputs.py; pdnrm with the tuned
+default, plan_scaling's config and p_margin 0 (degraded loops), clairvoyant
+and ETC; multinomial and noiseless; seeds 1-3; T = 1e4 and 2e5.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from nrmlab import (DemandOracle, SamplingOracle, build_policy, config_from_dict,  # noqa: E402
+                    grad_est, load_instance, primal_opt, run_episode, solve_fluid)
+
+PDNRM_CONFIGS = {"pdnrm": {}, "pdnrm_scaling": {"mu": 0.05, "eta2": 1.0},
+                 "pdnrm_margin0": {"p_margin": 0.0}}
+POLICIES = tuple(PDNRM_CONFIGS) + ("clairvoyant", "etc")
+RECORD_T = 10_000   # periods are recorded up to this horizon
+
+
+def _random_logit_instance(N: int, M: int):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.random_logit_instance(np.random.default_rng([4, N]), N, M, 10_000)
+
+
+def instances(quick: bool) -> dict:
+    bundled = load_instance(os.path.join(ROOT, "configs", "instance_logit.json"))
+    if quick:
+        return {"bundled": bundled}
+    return {"bundled": bundled, "n3m1": _random_logit_instance(3, 1),
+            "n4m2": _random_logit_instance(4, 2)}
+
+
+def episode_cases(quick: bool):
+    """(label, instance, policy name, seed) of every episode in the set."""
+    seeds, horizons = ((1,), (RECORD_T,)) if quick else ((1, 2, 3), (RECORD_T, 200_000))
+    for name, base in instances(quick).items():
+        for noise in ("multinomial", "none"):
+            for T in horizons:
+                inst = dataclasses.replace(base, T=T, noise=noise)
+                for policy in POLICIES:
+                    for seed in seeds:
+                        yield f"{name}/{noise}/T={T}/{policy}/{seed}", inst, policy, seed
+
+
+def _episode(inst, policy: str, seed: int, fluid) -> list:
+    cfg = PDNRM_CONFIGS.get(policy)
+    pol = build_policy("pdnrm" if cfg is not None else policy, inst, fluid,
+                       pdnrm_config=cfg)
+    trace = run_episode(inst, pol, seed, record_periods=inst.T <= RECORD_T)
+    parts = [trace.fingerprint, repr(trace.total_revenue), repr(trace.shutoff_period),
+             json.dumps(trace.events)]
+    if trace.periods is not None:
+        parts += [trace.periods[k].tobytes().hex() for k in sorted(trace.periods)]
+    return parts
+
+
+def _oracle_calls(inst) -> list:
+    """grad_est and primal_opt against both oracles, at an inner price, a
+    box-edge price that degrades and a few sample sizes."""
+    parts = []
+    cfg = config_from_dict({}, inst)
+    lam = np.full(inst.M, 0.5)
+    inner = np.full(inst.N, 0.5 * (inst.price_min + inst.price_max))
+    edge = inner.copy()
+    edge[0] = inst.price_min
+    for i, env in enumerate((DemandOracle(inst), SamplingOracle(inst, np.random.default_rng(7)))):
+        for p in (inner, edge):
+            for n in (8 * inst.N, 1001, 50_000):
+                out = grad_est(env, inst, cfg, p, lam, n)
+                parts += [repr(out.u), repr(out.balancing_feasible), repr(out.degraded)]
+                parts += [a.tobytes().hex() for a in (out.D_hat, out.J_hat, out.grad_f,
+                                                       out.tilde_p)]
+        events = []
+        p_hat, D_hat = primal_opt(env, inst, cfg, lam, 0.5 if i else 0.2, events=events)
+        parts += [p_hat.tobytes().hex(), D_hat.tobytes().hex(), json.dumps(events),
+                  repr(env.periods)]
+    return parts
+
+
+def digest(quick: bool = False) -> tuple:
+    """(hex digest, number of cases) over the episode and oracle cases."""
+    hasher = hashlib.blake2b(digest_size=16)
+    fluids, count = {}, 0
+    for label, inst, policy, seed in episode_cases(quick):
+        key = id(inst.model)
+        if key not in fluids:
+            fluids[key] = solve_fluid(inst)
+        parts = [label] + _episode(inst, policy, seed, fluids[key])
+        hasher.update("\n".join(parts).encode())
+        count += 1
+    for name, inst in instances(quick).items():
+        hasher.update("\n".join([name] + _oracle_calls(inst)).encode())
+        count += 1
+    return hasher.hexdigest(), count
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="a small slice of the set")
+    args = parser.parse_args(argv)
+    value, count = digest(args.quick)
+    print(f"{value}  ({count} cases{', quick' if args.quick else ''})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

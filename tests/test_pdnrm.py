@@ -22,8 +22,10 @@ from nrmlab import (
     run_episode,
     solve_inner_max,
 )
+from nrmlab import pdnrm
 from nrmlab.demand import grad_revenue_f, revenue_f
 from nrmlab.pdnrm import epoch_count_bound
+from nrmlab.projections import feasible_point
 from conftest import loop_count_bound
 
 
@@ -339,9 +341,85 @@ class TestGradEst:
         assert np.all(np.abs(devs.mean(axis=0)) <= bias + 4 * se)
 
 
+def reference_balance(D_hat, J_hat, p, lam, n, gamma, A, kappa1, kappa2, kappa3, price_box):
+    """demand_balance without its shortcut: every row of G x <= h built and
+    projections.feasible_point run from x = 0."""
+    p = np.asarray(p, float)
+    root_n = math.sqrt(n)
+    radius = kappa1 * n**-0.25
+    lo = np.maximum(-radius, price_box[0] - p)
+    hi = np.minimum(radius, price_box[1] - p)
+    C = 0.5 * (J_hat.T @ A.T)
+    band = kappa3 / root_n
+    G = C.T.repeat(2, axis=0)
+    G[1::2] *= -1.0
+    h = []
+    for g, l, base in zip(gamma.tolist(), lam.tolist(), (A @ D_hat).tolist()):
+        lb = g - kappa2 / (min(1.0, l) * root_n) - band - base if l > 0 else -math.inf
+        h += [g + band - base, -lb]
+    x, ok = feasible_point(G, np.array(h), np.zeros(len(p)), lo, hi)
+    return (p + x, True) if ok else (p.copy(), False)
+
+
+def balance_inputs(rng, case):
+    """Seeded demand_balance arguments on the box [0.8, 5] for N in 1..4."""
+    N = int(rng.integers(1, 5))
+    M = int(rng.integers(1, N + 1))
+    A = rng.uniform(0.0, 2.0, size=(M, N))
+    D = rng.uniform(0.0, 0.3, size=N)
+    J = rng.normal(scale=0.3, size=(N, N))
+    p = rng.uniform(1.0, 4.8, size=N)
+    lam = np.zeros(M)
+    gamma = (A @ D) * rng.uniform(1.0, 1.2, size=M)
+    kappa1, kappa2, kappa3 = rng.uniform(0.1, 3.0), rng.uniform(0.01, 1.0), 1.0
+    n = int(rng.integers(100, 10**6))
+    if case == "binding band":
+        lam = rng.uniform(0.1, 2.0, size=M)
+        gamma = (A @ D) * rng.uniform(0.5, 1.5, size=M)
+        kappa3 = 1e-6
+    elif case == "box edge":
+        p[rng.integers(N)] = rng.choice([0.8, 5.0])
+        lam = rng.uniform(0.0, 2.0, size=M)
+        kappa3 = rng.uniform(1e-6, 1.0)
+    elif case == "nan p":
+        p[rng.integers(N)] = np.nan
+    elif case == "nan h":   # a NaN in the rows of the last resource only
+        gamma[-1] = np.nan
+    elif case == "bad J":
+        J.flat[rng.integers(N * N)] = rng.choice([np.inf, -np.inf, np.nan])
+    return D, J, p, lam, n, gamma, A, kappa1, kappa2, kappa3, (0.8, 5.0)
+
+
 class TestDemandBalance:
     def setup_method(self):
         self.inst = None
+
+    @pytest.mark.parametrize("case", ["start passes", "binding band", "box edge", "nan p",
+                                      "nan h", "bad J"])
+    def test_shortcut_matches_the_full_path(self, case, monkeypatch):
+        # the start x = 0 is tested from h alone; the result must be the one
+        # that building G and h and calling feasible_point gives
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return feasible_point(*args, **kwargs)
+
+        monkeypatch.setattr(pdnrm, "feasible_point", counted)
+        rng = np.random.default_rng([17, sum(case.encode())])
+        for _ in range(200 if case == "start passes" else 30):
+            args = balance_inputs(rng, case)
+            with np.errstate(invalid="ignore"):   # inf * 0 in G x, on both paths
+                tilde, ok = demand_balance(*args)
+                ref, ref_ok = reference_balance(*args)
+            assert ok == ref_ok
+            assert np.array_equal(tilde, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(tilde), np.signbit(ref))
+        # the passing start skips feasible_point; a start that fails calls it
+        if case == "start passes":
+            assert not calls
+        elif case in ("binding band", "nan p", "nan h", "bad J"):
+            assert len(calls) >= 15
 
     def test_already_feasible_returns_p(self, instance, fluid_solution):
         inst = instance

@@ -192,6 +192,40 @@ class TestRunEpisode:
         assert_same_distributions(blocked, stepwise)
 
 
+class OnePeriodRows(CommitPolicy):
+    """Posts one price for one period per row, `rows` rows per request."""
+
+    name = "one-period-rows"
+
+    def __init__(self, price, rows):
+        self.prices = np.tile(np.asarray(price, float), (rows, 1))
+        super().__init__()
+
+    def _driver(self):
+        while True:
+            yield (self.prices, np.ones(len(self.prices), dtype=np.int64))
+
+
+class TestLedger:
+    """run_episode tallies and hashes served rows in chunks of at most
+    sim._LEDGER_ROWS rows; the result must not depend on where chunks end."""
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    def test_chunks_fold_as_rows_served_alone(self, instance, noise):
+        T = 3 * sim._LEDGER_ROWS
+        inst = dataclasses.replace(instance.with_horizon(T), noise=noise,
+                                   gamma=np.array([0.12, 0.5]))
+        p = np.array([1.5, 1.5])
+        per_period = run_episode(inst, FixedPricePolicy(p), seed=5, record_periods=True)
+        assert sim._LEDGER_ROWS + 1000 < per_period.shutoff_period < T - 1000
+        assert math.fsum(per_period.periods["revenue"]) == per_period.total_revenue
+        for rows in (1000, 5000):   # requests that fill a chunk, and overfill it
+            scheduled = run_episode(inst, OnePeriodRows(p, rows), seed=5)
+            assert scheduled.fingerprint == per_period.fingerprint
+            assert scheduled.total_revenue == per_period.total_revenue
+            assert scheduled.shutoff_period == per_period.shutoff_period
+
+
 class AnsweredOnce(FixedCommitPolicy):
     """A driver that returns after its first answer."""
 
