@@ -47,6 +47,7 @@ from .pdnrm import (
     grad_est,
     demand_balance,
     primal_opt,
+    loop_skeleton,
     prox_dual_step,
     DemandOracle,
     SamplingOracle,

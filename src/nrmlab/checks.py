@@ -18,7 +18,8 @@ from .fluid import (
     default_dual_set,
 )
 from .sim import run_episode, Policy, _serve
-from .pdnrm import PdNrmPolicy, constants_tuned, epoch_count_bound, prox_dual_step
+from .pdnrm import (PdNrmPolicy, constants_tuned, epoch_count_bound, loop_skeleton,
+                    prox_dual_step)
 
 
 class _RecordingPolicy(Policy):
@@ -159,9 +160,19 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     cfg = constants_tuned(instance.N, 20_000)
     pol = PdNrmPolicy(instance.with_horizon(20_000), cfg)
     trace = run_episode(instance.with_horizon(20_000), pol, seed=11)
-    epochs = sum(1 for e in trace.events if e.get("kind") == "epoch")
+    # the episode logs the skeleton's loops that end by T, and the epochs they
+    # reach: one more than the epoch of the first loop past T
+    loops = []
+    for s, tau, n_tau, end in loop_skeleton(cfg):
+        if end > 20_000:
+            break
+        loops.append((s, tau, n_tau))
+    logged = [(e["s"], e["tau"], e["n_tau"]) for e in trace.events if e["kind"] == "loop"]
+    epochs = [e["s"] for e in trace.events if e["kind"] == "epoch"]
     bound = epoch_count_bound(cfg, 20_000)
-    check("pdnrm.epoch_bound", 0 < epochs <= bound, f"{epochs} epochs, bound {bound:.1f}")
+    check("pdnrm.epoch_bound", logged == loops and epochs == list(range(s + 1))
+          and 0 < s + 1 <= bound, f"{len(epochs)} epochs and {len(logged)} loops logged, "
+          f"{s + 1} and {len(loops)} in the skeleton, bound {bound:.1f}")
     ok = True
     for ev in trace.events:
         if ev.get("kind") == "loop" and ev["balancing_feasible"]:

@@ -12,7 +12,7 @@ import dataclasses
 from .instance import load_instance
 from .fluid import solve_fluid, fluid_upper_bound, FluidError
 from .sim import run_episode, percentage_loss, export_trace_csv, export_events_jsonl
-from .pdnrm import constants_tuned, constants_theory
+from .pdnrm import constants_tuned, constants_theory, loop_skeleton
 from .demand import estimate_regularity
 from .bench import load_plan, run_bench, loglog_slope, build_policy
 from .checks import run_checks
@@ -29,7 +29,7 @@ def _cmd_fluid(args) -> int:
 
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
-    if args.T:
+    if args.T is not None:
         instance = instance.with_horizon(args.T)
     fluid = solve_fluid(instance)
     pdnrm_config = None
@@ -58,7 +58,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = load_plan(args.plan)
-    if args.workers:
+    if args.workers is not None:
         plan = dataclasses.replace(plan, workers=args.workers)
     if args.output_dir:
         plan = dataclasses.replace(plan, output_dir=args.output_dir)
@@ -97,7 +97,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_constants(args) -> int:
     instance = load_instance(args.instance)
-    T = args.T or instance.T
+    T = instance.T if args.T is None else args.T
     if args.mode == "tuned":
         cfg = constants_tuned(instance.N, T)
     else:
@@ -105,7 +105,25 @@ def _cmd_constants(args) -> int:
                                   args.grid_points, instance.A, instance.gamma)
         cfg = constants_theory(instance, reg, T)
     print(json.dumps(cfg.to_dict(), indent=2))
+    print(_skeleton_summary(cfg, T), file=sys.stderr)
     return 0
+
+
+def _skeleton_summary(cfg, T: int) -> str:
+    """One line on what pdnrm can learn by T: the loops and epochs that end by
+    then, which the config alone sets."""
+    ends = []   # (epoch, end) of each loop that ends by T
+    for s, _, _, end in loop_skeleton(cfg):
+        if end > T:
+            break
+        ends.append((s, end))
+    if not ends:
+        return (f"pdnrm: no loop ends by T = {T}; the first ends at period {end}, "
+                "so nothing is learned")
+    dual = (f"the first dual update at period {max(e for k, e in ends if k == 0)}" if s
+            else "no dual update")
+    return (f"pdnrm: {len(ends)} loops and {s} epochs end by T = {T}; the first loop "
+            f"ends at period {ends[0][1]}, {dual}")
 
 
 def build_parser() -> argparse.ArgumentParser:

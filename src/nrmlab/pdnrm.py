@@ -1,20 +1,22 @@
 """Primal-dual pricing policy with demand balancing.
 
-Structure: the horizon is split into epochs with exponentially growing
-lengths, one dual update per epoch; each epoch runs primal gradient-ascent
-loops of exponentially growing lengths; each loop spends half its budget
-estimating the demand curve by two-point perturbations and the other half
-posting a balanced price chosen so the two-phase average resource use stays
-near the per-period inventory rate.
+Structure: the horizon is split into epochs, one dual update per epoch; each
+epoch runs primal gradient-ascent loops of exponentially growing lengths, up
+to the first longer than kappa5 / eps_bar_s^2; each loop spends half its
+budget estimating the demand curve by two-point perturbations and the other
+half on a balanced price chosen so the two-phase average resource use stays
+near the per-period inventory rate. So loop lengths and epoch ends depend on
+the config alone: loop_skeleton lists them and `nrmlab constants` reports them.
 
 The feedback of a balanced price is never read, so a loop's balanced row and
 the next loop's 2N probes are one schedule, one kernel call, even across
-epochs. A balanced row that would end after the horizon is posted alone: a
+epochs. A balanced row that would end after the horizon is served alone: a
 loop is logged once its balanced row is served whole, as when rows are served
 one at a time. A loop's arithmetic is on Python floats, rounded as numpy rounds
 it; its matrix products stay numpy's, whose BLAS rounding is the contract."""
 
 import functools
+import itertools
 import math
 import operator
 import numpy as np
@@ -285,22 +287,18 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     return (np.asarray(p, float) + x, True) if ok else (np.array(ps), False)
 
 
-def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, carry=None):
+def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, head=None, hold=False):
     """Generator: yields schedules, receives their rows' average demand,
-    returns a GradEstOutput. Consumes exactly n periods. A policy's carry =
-    [pending balanced (price, length) row or None, periods requested] puts
-    the pending row first in this call's first request, its answer dropped,
-    and leaves this call's balanced row pending if it ends by instance.T;
-    otherwise, and without carry, that row is posted alone."""
+    returns (GradEstOutput, held row). Consumes exactly n periods. A head row,
+    a balanced (price, length) row held by the previous loop, goes first in
+    this call's first request, its answer dropped. With hold, this call's
+    balanced row is held, not served alone, and returned (None if degraded)."""
     N = instance.N
-    head, posted = carry or (None, 0)
     m = n // (4 * N)
     # rounding is monotone, so min(p) - price_min is min(p - price_min)
     u = 0.0 if m == 0 else min(math.sqrt(N) / n**0.25,
                                functools.reduce(_minimum, p) - instance.price_min,
                                instance.price_max - functools.reduce(_maximum, p))
-    if carry:
-        carry[:] = None, posted + n
     # the 2N two-point probes p + u e_i, p - u e_i (u <= 0: p for n periods)
     # read no feedback until the last one, so they are one schedule
     K, k = (2 * N, m) if u > 0 else (1, n)
@@ -313,7 +311,7 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, carry=N
         return GradEstOutput(D_hat=avgs[0], J_hat=np.zeros((N, N)),
                              grad_f=np.zeros(N), tilde_p=np.array(p),
                              balancing_feasible=False, periods_consumed=n,
-                             u=0.0, degraded=True)
+                             u=0.0, degraded=True), None
     rev, avgs = _dot(rows[1:], avgs).tolist(), avgs.tolist()
     plus, minus = avgs[0::2], avgs[1::2]
     # np.add.reduce sums each column as a fold from its first row
@@ -325,13 +323,12 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, carry=N
     tilde_p, feasible = demand_balance(
         D_hat, J_hat, p, lam, n, instance.gamma, instance.A,
         cfg.kappa1, cfg.kappa2, cfg.kappa3, instance.price_box)
-    if carry and posted + n <= instance.T:
-        carry[0] = (tilde_p, n - 2 * N * m)
-    else:
-        yield (tilde_p, n - 2 * N * m)
-    return GradEstOutput(D_hat=D_hat, J_hat=J_hat, grad_f=grad_f,
-                         tilde_p=tilde_p, balancing_feasible=feasible,
-                         periods_consumed=n, u=u)
+    balanced = (tilde_p, n - 2 * N * m)
+    if not hold:
+        yield balanced
+    return GradEstOutput(D_hat=D_hat, J_hat=J_hat, grad_f=grad_f, tilde_p=tilde_p,
+                         balancing_feasible=feasible, periods_consumed=n,
+                         u=u), balanced if hold else None
 
 
 def _maximum(a: float, b: float) -> float:
@@ -398,7 +395,7 @@ def _drive(gen, env):
 def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOutput:
     """Run the estimation-and-balancing routine against an environment handle
     with a commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
-    return _drive(_grad_est_gen(instance, cfg, np.asarray(p, float).tolist(), lam, n), env)
+    return _drive(_grad_est_gen(instance, cfg, np.asarray(p, float).tolist(), lam, n), env)[0]
 
 
 def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
@@ -413,47 +410,71 @@ def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
                      for x, g, b in zip(lam_s, grad_h, lam_max)])
 
 
-def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, eps_bar, p_start,
-                events: Optional[list] = None, epoch: int = 0, carry=None):
-    """One PrimalOpt run. Returns (p_hat, D_hat, p_next) where p_hat is the
-    price of the final executed loop (whose estimate feeds the dual update)
-    and p_next is the post-update iterate used for warm starts."""
+def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
+                events: Optional[list] = None, pending=None):
+    """One PrimalOpt run over an epoch's (s, tau, n_tau, end) loops, after a pending
+    row held before them; a loop that ends by instance.T holds its balanced row.
+    Returns (p_hat, D_hat, p_next, pending): the final loop's price, whose estimate
+    feeds the dual update, the post-update iterate for warm starts and its held row."""
     P_lo, P_hi = _inner_box(instance, cfg)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
     p = np.asarray(p_start, float).tolist()
-    tau = 0
-    threshold = cfg.kappa5 / eps_bar**2 if eps_bar > 0 else math.inf
-    while True:
-        n_tau = int(math.ceil(min(cfg.contraction ** (-2 * tau), 2.0**62) * cfg.n0))
-        est = yield from _grad_est_gen(instance, cfg, p, lam, n_tau, carry)
+    for s, tau, n_tau, end in loops:
+        est, pending = yield from _grad_est_gen(instance, cfg, p, lam, n_tau, pending,
+                                                end <= instance.T)
         raw = [x + cfg.eta1 * (g - v) for x, g, v in
                zip(p, est.grad_f.tolist(), (est.J_hat.T @ At_lam).tolist())]
-        p_next = [_minimum(_maximum(r, P_lo), P_hi) for r in raw]
+        p_hat, p = p, [_minimum(_maximum(r, P_lo), P_hi) for r in raw]
         if events is not None:
             events.append({
-                "kind": "loop", "s": epoch, "tau": tau, "n_tau": n_tau,
-                "lambda": lam.tolist(), "p": p, "u": est.u,
+                "kind": "loop", "s": s, "tau": tau, "n_tau": n_tau,
+                "lambda": lam.tolist(), "p": p_hat, "u": est.u,
                 "tilde_p": est.tilde_p.tolist(),
                 "balancing_feasible": bool(est.balancing_feasible),
                 "degraded": bool(est.degraded),
-                "clipped": any(r != q for r, q in zip(raw, p_next)),
+                "clipped": any(r != q for r, q in zip(raw, p)),
             })
-        if n_tau > threshold:
-            return np.array(p), est.D_hat, np.array(p_next)
-        p = p_next
-        tau += 1
+    return np.array(p_hat), est.D_hat, np.array(p), pending
 
 
 def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
                p_start=None, events: Optional[list] = None):
-    """Standalone PrimalOpt against an environment handle; returns
-    (p_hat, D_hat)."""
+    """Standalone PrimalOpt against an environment handle, logged as epoch 0,
+    each balanced row served alone; returns (p_hat, D_hat)."""
     if p_start is None:
         p_start = _initial_price(instance, cfg)
-    p_hat, D_hat, _ = _drive(
-        _primal_gen(instance, cfg, lam, eps_bar, p_start, events=events), env)
-    return p_hat, D_hat
+    loops = ((0, tau, n_tau, math.inf) for tau, n_tau in enumerate(_loop_lengths(cfg, eps_bar)))
+    return _drive(_primal_gen(instance, cfg, lam, loops, p_start, events), env)[:2]
+
+
+def _loop_lengths(cfg: PdNrmConfig, eps_bar: float):
+    """n_tau = ceil(min(contraction^(-2 tau), 2^62) n0), tau = 0, 1, ... up to the first
+    over kappa5 / eps_bar^2; a capped growth is not raised again, as that would overflow."""
+    threshold = cfg.kappa5 / eps_bar**2 if eps_bar > 0 else math.inf
+    grow = 0.0
+    for tau in itertools.count():
+        grow = grow if grow == 2.0**62 else min(cfg.contraction ** (-2 * tau), 2.0**62)
+        n_tau = int(math.ceil(grow * cfg.n0))
+        yield n_tau
+        if n_tau > threshold:
+            return
+
+
+def _eps_bar(cfg: PdNrmConfig, s: int) -> float:
+    """Epoch s's target accuracy, kappa6 (1 + mu eta2)^(-s/2)."""
+    return cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
+
+
+def loop_skeleton(cfg: PdNrmConfig):
+    """Lazily, (epoch s, tau, n_tau, end) for every loop of an episode in order,
+    end being the periods served by the loop's end. The config alone sets it:
+    an episode of horizon T logs the loops with end <= T."""
+    end = 0
+    for s in itertools.count():
+        for tau, n_tau in enumerate(_loop_lengths(cfg, _eps_bar(cfg, s))):
+            end += n_tau
+            yield s, tau, n_tau, end
 
 
 def _inner_box(instance: Instance, cfg: PdNrmConfig):
@@ -488,26 +509,20 @@ class PdNrmPolicy(CommitPolicy):
         instance, cfg = self.instance, self.config
         lam = np.zeros(instance.M) if cfg.lambda0 is None else np.array(cfg.lambda0, float)
         p_warm = _initial_price(instance, cfg)
-        carry = [None, 0]   # the pending balanced row, carried across loops and epochs
-        s = 0
-        while True:
-            eps_bar = cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
+        pending = None   # the held balanced row, carried across loops and epochs
+        for s, loops in itertools.groupby(loop_skeleton(cfg), operator.itemgetter(0)):
             self.events.append({
-                "kind": "epoch", "s": s, "lambda": lam.tolist(), "eps_bar": eps_bar,
+                "kind": "epoch", "s": s, "lambda": lam.tolist(), "eps_bar": _eps_bar(cfg, s),
             })
             start = p_warm if cfg.warm_start else _initial_price(instance, cfg)
-            p_hat, D_hat, p_next = yield from _primal_gen(
-                instance, cfg, lam, eps_bar, start, events=self.events, epoch=s, carry=carry)
-            p_warm = p_next
+            p_hat, D_hat, p_warm, pending = yield from _primal_gen(
+                instance, cfg, lam, loops, start, self.events, pending)
             grad_q = instance.gamma - instance.A @ D_hat
-            lam_next = prox_dual_step(lam, grad_q - cfg.mu * lam, cfg.mu, cfg.eta2,
-                                      self.dual_set.lambda_max)
+            lam = prox_dual_step(lam, grad_q - cfg.mu * lam, cfg.mu, cfg.eta2,
+                                 self.dual_set.lambda_max)
             self.events.append({
-                "kind": "dual", "s": s, "grad_q": grad_q.tolist(),
-                "lambda_next": lam_next.tolist(),
+                "kind": "dual", "s": s, "grad_q": grad_q.tolist(), "lambda_next": lam.tolist(),
             })
-            lam = lam_next
-            s += 1
 
 
 def epoch_count_bound(cfg: PdNrmConfig, T: int) -> float:

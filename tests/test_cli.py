@@ -102,6 +102,12 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out)["T"] == 700
 
+    def test_zero_horizon_exits_2(self, capsys, instance_file):
+        code, out, err = run_cli(capsys, "run", instance_file, "clairvoyant",
+                                 "--seed", "1", "--T", "0")
+        assert code == 2 and out == ""
+        assert "horizon must be at least 1" in err
+
 
 class TestBenchCommand:
     def test_bench_writes_outputs(self, capsys, instance_file, tmp_path):
@@ -171,6 +177,19 @@ class TestBenchCommand:
         assert key in err and out == ""
         assert ran == []
 
+    def test_zero_workers_exits_2(self, capsys, instance_file, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(nrmlab.bench, "run_episode",
+                            lambda *args, **kwargs: ran.append(args))
+        plan = {"instance": instance_file, "policies": ["clairvoyant"], "T_grid": [400],
+                "replications": 1, "base_seed": 21}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, out, err = run_cli(capsys, "bench", str(plan_path), "--workers", "0")
+        assert code == 2
+        assert "'workers'" in err and out == ""
+        assert ran == []
+
 
 class TestCheckCommand:
     def test_check_passes_on_example(self, capsys, instance_file):
@@ -188,6 +207,23 @@ class TestConstantsCommand:
         doc = json.loads(out)
         assert doc["n0"] == 239
         assert doc["eta1"] == doc["eta2"] == doc["mu"] == 1.0
+
+    def test_tuned_constants_report_the_loops_that_end(self, capsys, instance_file):
+        code, out, err = run_cli(capsys, "constants", instance_file, "--T", "100000")
+        assert code == 0 and json.loads(out)["n0"] == 239
+        assert err.startswith("pdnrm: 33 loops and 17 epochs end by T = 100000; "
+                              "the first loop ends at period 239")
+
+    def test_theory_constants_report_that_no_loop_ends(self, capsys, instance_file):
+        code, out, err = run_cli(capsys, "constants", instance_file, "--mode", "theory",
+                                 "--grid-points", "9", "--T", "10000")
+        assert code == 0 and json.loads(out)["n0"] > 10_000
+        assert "no loop ends by T = 10000" in err
+
+    def test_zero_horizon_exits_2(self, capsys, instance_file):
+        code, out, err = run_cli(capsys, "constants", instance_file, "--T", "0")
+        assert code == 2 and out == ""
+        assert "T >= 2" in err
 
     def test_theory_constants(self, capsys, instance_file):
         code, out, _ = run_cli(capsys, "constants", instance_file,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import json
 from dataclasses import replace
@@ -490,6 +491,24 @@ class TestPrimalOpt:
         n_taus = [e["n_tau"] for e in events if e["kind"] == "loop"]
         assert all(n <= 100 for n in n_taus[:-1])
         assert n_taus[-1] > 100
+
+    @pytest.mark.parametrize("eps_bar", [1.0, 0.05, 2e-4])
+    def test_logged_loops_are_the_loop_lengths(self, noiseless_instance, eps_bar):
+        inst = noiseless_instance
+        cfg = constants_tuned(2, inst.T, kappa5=100.0)
+        env, events = DemandOracle(inst), []
+        primal_opt(env, inst, cfg, np.zeros(2), eps_bar=eps_bar, events=events)
+        lengths = list(pdnrm._loop_lengths(cfg, eps_bar))
+        assert [(e["s"], e["tau"], e["n_tau"]) for e in events] == \
+            [(0, tau, n) for tau, n in enumerate(lengths)]
+        assert env.periods == sum(lengths)
+
+    def test_loop_lengths_stay_at_their_cap(self):
+        # eps_bar = 0 never ends the epoch; contraction^(-2 tau) alone would
+        # overflow at tau = 512
+        cfg = constants_tuned(2, 10**5)
+        lengths = list(itertools.islice(pdnrm._loop_lengths(cfg, 0.0), 600))
+        assert lengths[31] == lengths[-1] == 2**62 * cfg.n0
 
     def test_noiseless_zero_dual_finds_revenue_max(self, noiseless_instance):
         inst = noiseless_instance

@@ -17,6 +17,7 @@ from nrmlab import (
     CommitPolicy,
     PolicyError,
     mix64,
+    loop_skeleton,
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
@@ -580,25 +581,15 @@ class TestScheduleKernel:
 
 def pdnrm_event_keys(cfg, T):
     """The events of a pdnrm episode of horizon T, as (kind, epoch) and, for
-    a loop, (tau, n_tau) too, from the config alone: loop lengths, and so the
-    epoch boundaries, do not depend on feedback. A loop, and what follows it
-    up to the next loop, is recorded once its balanced row, the loop's last
-    periods, ends by T."""
-    keys, end, s = [("epoch", 0)], 0, 0
-    while True:
-        eps_bar = cfg.kappa6 * (1.0 + cfg.mu * cfg.eta2) ** (-s / 2.0)
-        tau = 0
-        while True:
-            n_tau = int(math.ceil(min(cfg.contraction ** (-2 * tau), 2.0**62) * cfg.n0))
-            end += n_tau
-            if end > T:
-                return keys
-            keys.append(("loop", s, tau, n_tau))
-            if n_tau > cfg.kappa5 / eps_bar**2:
-                break
-            tau += 1
-        keys += [("dual", s), ("epoch", s + 1)]
-        s += 1
+    a loop, (tau, n_tau) too: the skeleton's loops that end by T, and after
+    an epoch's last loop that does, its dual update and the next epoch."""
+    keys = [("epoch", 0)]
+    for s, tau, n_tau, end in loop_skeleton(cfg):
+        if tau == 0 and s > 0:
+            keys += [("dual", s - 1), ("epoch", s)]
+        if end > T:
+            return keys
+        keys.append(("loop", s, tau, n_tau))
 
 
 def event_keys(events):
@@ -610,26 +601,43 @@ class TestPdNrmRequests:
     """pdnrm posts each loop's balanced row with the next loop's probes."""
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
-    def test_events_end_where_the_horizon_ends(self, instance, noise):
+    @pytest.mark.parametrize("doc", [{}, {"mu": 0.05, "eta2": 1.0}, {"p_margin": 0.0}],
+                             ids=["desk", "scaling", "margin0"])
+    def test_events_end_where_the_horizon_ends(self, instance, doc, noise):
         from nrmlab import PdNrmPolicy, config_from_dict
-        cfg = config_from_dict({}, instance, T=5_000)
-        keys = pdnrm_event_keys(cfg, 10_000)
-        loops = [k for k in keys if k[0] == "loop"]
-        ends = np.cumsum([k[3] for k in loops])
-        # the first loop, a loop followed by one of its epoch, and the last
-        # loop of an epoch with three
-        last = next(i for i, k in enumerate(loops) if k[2] == 2)
-        assert keys[keys.index(loops[last]) + 1] == ("dual", loops[last][1])
-        for end in (ends[0], ends[last - 1], ends[last]):
+        cfg = config_from_dict(doc, instance, T=5_000)
+        # the first loop, a loop followed by one of its epoch, and the first
+        # loop with tau = 2, the last of its epoch
+        skeleton = loop_skeleton(cfg)
+        loops = [next(skeleton)]
+        while loops[-1][1] < 2:
+            loops.append(next(skeleton))
+        assert next(skeleton)[1] == 0
+        for end in (loops[0][3], loops[-2][3], loops[-1][3]):
             for T in (end - 1, end, end + 1):
-                inst = dataclasses.replace(instance.with_horizon(int(T)), noise=noise)
+                inst = dataclasses.replace(instance.with_horizon(T), noise=noise)
                 whole = run_episode(inst, PdNrmPolicy(inst, cfg), seed=4)
                 expected = pdnrm_event_keys(cfg, T)
                 assert event_keys(whole.events) == expected
-                assert sum(k[0] == "loop" for k in expected) == np.searchsorted(ends, T, "right")
+                assert sum(k[0] == "loop" for k in expected) == sum(k[3] <= T for k in loops)
                 split = run_episode(inst, split_schedules(PdNrmPolicy)(inst, cfg), seed=4)
                 assert split.events == whole.events
                 assert split.fingerprint == whole.fingerprint
+
+    def test_zero_margin_loops_are_the_skeleton_all_degraded(self, instance):
+        from nrmlab import PdNrmPolicy, config_from_dict
+        cfg = config_from_dict({"p_margin": 0.0}, instance)
+        trace = run_episode(instance, PdNrmPolicy(instance, cfg), seed=1)
+        loops = [e for e in trace.events if e["kind"] == "loop"]
+        assert event_keys(trace.events) == pdnrm_event_keys(cfg, instance.T)
+        assert len(loops) == 33 and all(e["degraded"] for e in loops)
+
+    def test_theory_constants_learn_nothing_at_1e4(self, instance, regularity):
+        from nrmlab import PdNrmPolicy, constants_theory
+        inst = instance.with_horizon(10_000)
+        cfg = constants_theory(inst, regularity, inst.T)
+        trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
+        assert event_keys(trace.events) == pdnrm_event_keys(cfg, inst.T) == [("epoch", 0)]
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     @pytest.mark.parametrize("doc", [{}, {"mu": 0.05, "eta2": 1.0}], ids=["desk", "scaling"])
