@@ -14,7 +14,6 @@ from .demand import (
 )
 from .instance import Instance, load_instance, example_logit_instance
 from .fluid import (
-    DualSet,
     FluidSolution,
     FluidError,
     lagrangian_L,

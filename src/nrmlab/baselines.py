@@ -6,7 +6,7 @@ import numbers
 import numpy as np
 from dataclasses import dataclass
 
-from .instance import Instance
+from .instance import Instance, _is_number, _require
 from .fluid import FluidSolution
 from .sim import CommitPolicy, _FOREVER
 
@@ -18,13 +18,11 @@ class EtcConfig:
 
     def __post_init__(self):
         n, frac = self.grid_points_per_axis, self.exploration_fraction
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-            raise ValueError(f"etc_config key 'grid_points_per_axis' must be an integer "
-                             f">= 2, not {n!r}")
-        if frac is not None and (isinstance(frac, bool) or not isinstance(frac, numbers.Real)
-                                 or not 0 < frac < 1):
-            raise ValueError(f"etc_config key 'exploration_fraction' must be a number "
-                             f"in (0, 1), not {frac!r}")
+        # strictly an int: unlike a document's other integers, 8.0 is refused
+        _require("etc_config", "grid_points_per_axis", _is_number(n)
+                 and isinstance(n, numbers.Integral) and n >= 2, "an integer >= 2", n)
+        _require("etc_config", "exploration_fraction", frac is None
+                 or _is_number(frac) and 0 < frac < 1, "a number in (0, 1)", frac)
 
     def resolve_fraction(self, T: int) -> float:
         if self.exploration_fraction is not None:

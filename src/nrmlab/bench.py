@@ -18,7 +18,8 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .instance import Instance, instance_from_dict, load_instance, _is_integral
+from .instance import (Instance, instance_from_dict, load_instance, _is_integral, _require,
+                       _require_object)
 from .fluid import solve_fluid, FluidSolution
 from .sim import run_episode, percentage_loss, mix64, fold_name
 from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict
@@ -43,32 +44,27 @@ class BenchPlan:
     workers: int = 1
 
     def __post_init__(self):
-        for key in ("replications", "base_seed", "workers"):
-            object.__setattr__(self, key, _plan_int(key, getattr(self, key)))
-        for key in ("replications", "workers"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"plan key {key!r} must be at least 1")
-        if not isinstance(self.T_grid, (list, tuple, np.ndarray)):
-            raise ValueError(f"plan key 'T_grid' must be a list, not {self.T_grid!r}")
-        grid = tuple(_plan_int("T_grid", t) for t in self.T_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("T_grid must be strictly increasing")
-        object.__setattr__(self, "T_grid", grid)
+        for key, what in (("replications", "a positive integer"), ("base_seed", "an integer"),
+                          ("workers", "a positive integer")):
+            val = getattr(self, key)
+            _require("plan", key, _is_integral(val) and (key == "base_seed" or val >= 1), what, val)
+            object.__setattr__(self, key, int(val))
+        grid = self.T_grid
+        _require("plan", "T_grid", isinstance(grid, (list, tuple, np.ndarray))
+                 and all(_is_integral(t) and t >= 1 for t in grid)
+                 and all(a < b for a, b in zip(grid, grid[1:])),
+                 "a strictly increasing list of positive integers", grid)
+        object.__setattr__(self, "T_grid", tuple(int(t) for t in grid))
+        _require("plan", "policies", isinstance(self.policies, (list, tuple))
+                 and all(name in POLICY_NAMES for name in self.policies),
+                 f"a list of names from {list(POLICY_NAMES)}", self.policies)
         object.__setattr__(self, "policies", tuple(self.policies))
-        for name in self.policies:
-            if name not in POLICY_NAMES:
-                raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+        _require("plan", "output_dir", self.output_dir is None
+                 or isinstance(self.output_dir, (str, os.PathLike)), "a path", self.output_dir)
         if self.pdnrm_config is not None:
             # run_bench resolves the document again, once per horizon; a malformed one fails here
-            for T in grid:
+            for T in self.T_grid:
                 config_from_dict(self.pdnrm_config, self.instance, T)
-
-
-def _plan_int(key: str, val) -> int:
-    """An integer or an integral float as an int, like a config's n0."""
-    if not _is_integral(val):
-        raise ValueError(f"plan key {key!r} must be an integer, not {val!r}")
-    return int(val)
 
 
 @dataclass
@@ -292,23 +288,22 @@ def _git_hash() -> str:
 
 
 def plan_from_dict(doc: dict, base_dir: str = ".") -> BenchPlan:
+    _require_object("a plan", doc)
     try:
         inst = doc["instance"]
-        if isinstance(inst, str):
-            path = inst if os.path.isabs(inst) else os.path.join(base_dir, inst)
-            instance = load_instance(path)
-        else:
-            instance = instance_from_dict(inst)
-        etc_cfg = doc.get("etc_config") or None
+        _require("plan", "instance", isinstance(inst, (str, dict)), "a path or an object", inst)
+        instance = (load_instance(os.path.join(base_dir, inst)) if isinstance(inst, str)
+                    else instance_from_dict(inst))   # join keeps an absolute path as it is
+        etc_cfg = doc.get("etc_config")
         if etc_cfg is not None:
             names = sorted(f.name for f in dataclasses.fields(EtcConfig))
-            if not isinstance(etc_cfg, dict) or not set(names).issuperset(etc_cfg):
-                raise ValueError(f"etc_config must be an object with keys from {names}, "
-                                 f"not {etc_cfg!r}")
+            _require("plan", "etc_config", isinstance(etc_cfg, dict)
+                     and set(names).issuperset(etc_cfg), f"an object with keys from {names}",
+                     etc_cfg)
             etc_cfg = EtcConfig(**etc_cfg)
         return BenchPlan(
             instance=instance,
-            policies=tuple(doc.get("policies", ["pdnrm"])),
+            policies=doc.get("policies", ["pdnrm"]),
             T_grid=doc["T_grid"],
             replications=doc["replications"],
             base_seed=doc["base_seed"],

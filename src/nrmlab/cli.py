@@ -14,7 +14,7 @@ from .fluid import solve_fluid, fluid_upper_bound, FluidError
 from .sim import run_episode, percentage_loss, export_trace_csv, export_events_jsonl
 from .pdnrm import constants_tuned, constants_theory, loop_skeleton
 from .demand import estimate_regularity
-from .bench import load_plan, run_bench, loglog_slope, build_policy
+from .bench import POLICY_NAMES, load_plan, run_bench, loglog_slope, build_policy
 from .checks import run_checks
 
 
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one episode")
     p.add_argument("instance")
-    p.add_argument("policy", choices=["pdnrm", "clairvoyant", "etc"])
+    p.add_argument("policy", choices=POLICY_NAMES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--T", type=int, default=None, help="override the instance horizon")
     p.add_argument("--trace", default=None, help="write per-period CSV here")

@@ -26,30 +26,6 @@ class FluidError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DualSet:
-    """Box Lambda = prod_j [0, lambda_max_j] known to contain the optimal dual."""
-
-    lambda_max: np.ndarray
-
-    def __post_init__(self):
-        lm = np.asarray(self.lambda_max, dtype=float)
-        if np.any(lm <= 0):
-            raise ValueError("lambda_max must be strictly positive")
-        object.__setattr__(self, "lambda_max", lm)
-
-    @property
-    def lambda_bar(self) -> float:
-        """An l2 bound on Lambda."""
-        return float(np.linalg.norm(self.lambda_max))
-
-    def contains(self, lam: np.ndarray, tol: float = 1e-12) -> bool:
-        return bool(np.all(lam >= -tol) and np.all(lam <= self.lambda_max + tol))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.random(self.lambda_max.shape[0]) * self.lambda_max
-
-
-@dataclass(frozen=True)
 class FluidSolution:
     d_star: np.ndarray
     p_star: np.ndarray
@@ -178,8 +154,8 @@ def _inside_capacity(instance: Instance, p, center):
     return p, d
 
 
-def default_dual_set(instance: Instance) -> DualSet:
-    """The dual box Lambda with lambda_max_j = price_max / gamma_j.
+def default_dual_set(instance: Instance) -> np.ndarray:
+    """lambda_max of the dual box Lambda = prod_j [0, lambda_max_j]: price_max / gamma_j.
 
     It contains lambda* whenever no fluid price sits at price_max. KKT on the
     demand image gives grad phi(d*) = A^T lambda* + G^T nu with nu >= 0 on the
@@ -194,7 +170,7 @@ def default_dual_set(instance: Instance) -> DualSet:
     but the price_min faces' offsets have either sign, so the argument needs
     p* strictly inside the box (and a mean in the probability simplex).
     """
-    return DualSet(instance.price_max / instance.gamma)
+    return instance.price_max / instance.gamma
 
 
 def solve_fluid(instance: Instance, tol: float = 1e-5) -> FluidSolution:

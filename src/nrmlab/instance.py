@@ -1,10 +1,12 @@
 """Problem instances: dimensions, consumption matrix, inventories, price box, demand model."""
 
 import json
+import math
 import numbers
 import dataclasses
 import numpy as np
 from dataclasses import dataclass
+from typing import Optional
 
 from .demand import DemandModel, LogitDemand, LinearDemand
 
@@ -37,16 +39,17 @@ class Instance:
             raise ValueError("gamma length must equal the number of resources")
         if M > N:
             raise ValueError("more resource types than product types is unsupported")
-        if np.any(A < 0):
-            raise ValueError("consumption matrix must be nonnegative")
+        # comparisons on Python floats are the cheap test here; NaN fails each of them
+        if not all(0 <= x < math.inf for x in A.ravel().tolist()):
+            raise ValueError("consumption matrix A must be finite and nonnegative")
         if np.linalg.matrix_rank(A) < M:
             raise ValueError("consumption matrix must have full row rank")
-        if np.any(gamma <= 0):
-            raise ValueError("gamma must be strictly positive")
+        if not all(0 < x < math.inf for x in gamma.tolist()):
+            raise ValueError("gamma must be finite and strictly positive")
         if self.T < 1:
             raise ValueError("horizon must be at least 1")
-        if not self.price_min < self.price_max:
-            raise ValueError("price box must be non-degenerate")
+        if not -math.inf < self.price_min < self.price_max < math.inf:
+            raise ValueError("price box must be finite and non-degenerate")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"noise must be one of {NOISE_MODES}")
         if self.noise == "multinomial" and isinstance(self.model, LinearDemand):
@@ -109,18 +112,35 @@ def _is_integral(x) -> bool:
     return _is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
-def _document_int(doc: dict, key: str) -> int:
-    val = doc[key]
-    if not _is_integral(val):
-        raise ValueError(f"instance key {key!r} must be an integer, not {val!r}")
-    return int(val)
+def _is_vector(x, n: Optional[int] = None) -> bool:
+    listed = isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1
+    return listed and (n is None or len(x) == n) and all(map(_is_number, x))
+
+
+def _require(doc: str, key: str, ok: bool, what: str, val) -> None:
+    """The one rejection of a document value: it names the document and the key."""
+    if not ok:
+        shown = val.tolist() if isinstance(val, np.ndarray) else val
+        raise ValueError(f"{doc} key {key!r} must be {what}, not {shown!r}")
+
+
+def _require_object(what: str, doc) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    _require_object("an instance document", doc)
     try:
-        N, M, T = (_document_int(doc, key) for key in ("N", "M", "T"))
-        A = np.asarray(doc["A"], dtype=float).reshape(M, N)
+        for key in ("N", "M", "T"):
+            _require("instance", key, _is_integral(doc[key]), "an integer", doc[key])
+        N, M, T = (int(doc[key]) for key in ("N", "M", "T"))
+        for key, n in (("A", M * N), ("gamma", M)):
+            _require("instance", key, _is_vector(doc[key], n), f"a list of {n} numbers", doc[key])
+        for key in ("price_min", "price_max"):
+            _require("instance", key, _is_number(doc[key]), "a number", doc[key])
         demand = doc["demand"]
+        _require("instance", "demand", isinstance(demand, dict), "an object", demand)
         kind = demand["type"]
         if kind == "logit":
             model = LogitDemand(demand["a"], demand["b"])
@@ -130,7 +150,7 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ValueError(f"unknown demand type {kind!r}")
         return Instance(
             model=model,
-            A=A,
+            A=np.asarray(doc["A"], dtype=float).reshape(M, N),
             gamma=np.asarray(doc["gamma"], dtype=float),
             T=T,
             price_min=float(doc["price_min"]),

@@ -23,8 +23,9 @@ import numpy as np
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .instance import Instance, _is_integral, _is_number
-from .fluid import DualSet, default_dual_set
+from .instance import Instance, _is_integral, _is_number, _is_vector, _require_object
+from .instance import _require as _require_document
+from .fluid import default_dual_set
 from .projections import FEASIBLE_TOL, feasible_point
 from .demand import _dot
 from .sim import CommitPolicy, _as_schedule, _serve
@@ -71,7 +72,7 @@ class PdNrmConfig:
         if self.lambda_max is not None or self.lambda0 is not None:
             lam0, box = self.lambda0, _dual_box(instance, self.lambda_max)
             _require("lambda0", lam0 is None or _is_vector(lam0, M)
-                     and box.contains(np.asarray(lam0, float)),
+                     and all(0 <= x <= b for x, b in zip(lam0, box.tolist())),
                      f"a list of {M} numbers inside the dual box [0, lambda_max]", lam0)
 
     def to_dict(self) -> dict:
@@ -86,24 +87,15 @@ class PdNrmConfig:
 _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
 
 
-def _require(key: str, ok: bool, what: str, val) -> None:
-    if not ok:
-        shown = val.tolist() if isinstance(val, np.ndarray) else val
-        raise ValueError(f"pdnrm config key {key!r} must be {what}, not {shown!r}")
+_require = functools.partial(_require_document, "pdnrm config")
 
 
-def _is_vector(x, n: Optional[int] = None) -> bool:
-    listed = isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim == 1
-    return listed and (n is None or len(x) == n) and all(map(_is_number, x))
-
-
-def _dual_box(instance: Instance, lambda_max) -> DualSet:
-    """The dual box [0, lambda_max] of the policy and the theory constants."""
-    if lambda_max is None:
-        return default_dual_set(instance)
-    _require("lambda_max", _is_vector(lambda_max, instance.M) and all(x > 0 for x in lambda_max),
-             f"a list of {instance.M} positive numbers, one per resource", lambda_max)
-    return DualSet(np.asarray(lambda_max, float))
+def _dual_box(instance: Instance, lambda_max) -> np.ndarray:
+    """The checked lambda_max of the policy's dual box; None means default_dual_set's."""
+    box = default_dual_set(instance) if lambda_max is None else lambda_max
+    _require("lambda_max", _is_vector(box, instance.M) and all(0 < x < math.inf for x in box),
+             f"a list of {instance.M} finite positive numbers, one per resource", box)
+    return np.asarray(box, float)
 
 
 def _overrides(doc: dict) -> dict:
@@ -158,8 +150,10 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     treated as given problem constants by the analysis and can be pinned."""
     reg = regularity
     patch = _overrides(overrides)
+    if T < 2:
+        raise ValueError("need T >= 2")
     box = _dual_box(instance, patch.get("lambda_max"))
-    lam_bar = box.lambda_bar
+    lam_bar = float(np.linalg.norm(box))   # an l2 bound on the box
     # the analysis never bounds ||J_D|| separately, and one purchase per
     # period bounds the demand: B_J = B_D and d_bar = 1
     B_J = reg.B_D
@@ -211,7 +205,7 @@ def constants_theory(instance: Instance, regularity, T: int, *,
         mu=mu,
         contraction=contraction,
         p_margin=p_margin,
-        lambda_max=box.lambda_max.copy(),
+        lambda_max=box,
     )
     cfg = replace(cfg, **patch)
     cfg.validate(instance)
@@ -221,17 +215,15 @@ def constants_theory(instance: Instance, regularity, T: int, *,
 def config_from_dict(doc: dict, instance: Instance,
                      T: Optional[int] = None) -> PdNrmConfig:
     """Resolve a JSON config document: the tuned formulas at (instance.N, T or
-    instance.T), then every other key overrides the field of its name. The
-    optional "mode" key must be "tuned"; a theory document, as printed by
+    instance.T), then every other key overrides the field of its name. An
+    optional "mode" key can only say "tuned"; a theory document, as printed by
     `nrmlab constants --mode theory`, sets every field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a pdnrm config must be a JSON object, not {type(doc).__name__}")
+    _require_object("a pdnrm config", doc)
     rest = dict(doc)
     mode = rest.pop("mode", "tuned")
-    if mode != "tuned":
-        raise ValueError(f"config mode {mode!r} is not supported: a config is the tuned "
-                         "formulas plus field overrides; for the theory constants pass the "
-                         "output of `nrmlab constants --mode theory`")
+    _require("mode", mode == "tuned", "'tuned': a config is the tuned formulas plus field "
+             "overrides; for the theory constants pass the output of "
+             "`nrmlab constants --mode theory`", mode)
     cfg = constants_tuned(instance.N, instance.T if T is None else T, **rest)
     cfg.validate(instance)
     return cfg
@@ -501,7 +493,7 @@ class PdNrmPolicy(CommitPolicy):
         config.validate(instance)
         self.instance = instance
         self.config = config
-        self.dual_set = _dual_box(instance, config.lambda_max)
+        self.lambda_max = _dual_box(instance, config.lambda_max)
         self.events: list = []
         super().__init__()
 
@@ -519,7 +511,7 @@ class PdNrmPolicy(CommitPolicy):
                 instance, cfg, lam, loops, start, self.events, pending)
             grad_q = instance.gamma - instance.A @ D_hat
             lam = prox_dual_step(lam, grad_q - cfg.mu * lam, cfg.mu, cfg.eta2,
-                                 self.dual_set.lambda_max)
+                                 self.lambda_max)
             self.events.append({
                 "kind": "dual", "s": s, "grad_q": grad_q.tolist(), "lambda_next": lam.tolist(),
             })

@@ -10,7 +10,6 @@ import pytest
 from nrmlab import (
     BenchPlan,
     BenchSummary,
-    DualSet,
     DemandOracle,
     constants_tuned,
     dual_Q,
@@ -32,7 +31,7 @@ from conftest import loop_count_bound
 
 # dual box satisfying the interior-optimizer requirement on this instance
 # (every sampled dual keeps the Lagrangian maximizer inside the price box)
-LAMBDA_TEST = DualSet(np.array([2.0, 0.8]))
+LAMBDA_TEST = np.array([2.0, 0.8])
 
 # scaling benchmark configuration: tuned kappas with the dual step split
 # (mu, eta2) = (0.05, 1.0); the smaller mu*eta2 refines the epoch schedule
@@ -132,7 +131,7 @@ def test_criterion_2_derivative_identities(instance, regularity, rng):
     h = 1e-5
     worst_rel = 0.0
     for _ in range(10):
-        lam = LAMBDA_TEST.sample(rng)
+        lam = rng.random(2) * LAMBDA_TEST
         g = grad_Q(instance, lam)
         g_fd = np.empty(instance.M)
         for j in range(instance.M):
@@ -144,7 +143,7 @@ def test_criterion_2_derivative_identities(instance, regularity, rng):
     floor = regularity.sigma_A**2 / regularity.B_phi - 1e-3
     min_eig = np.inf
     for _ in range(5):
-        lam = LAMBDA_TEST.sample(rng)
+        lam = rng.random(2) * LAMBDA_TEST
         H = np.empty((instance.M, instance.M))
         hh = 1e-4
         for j in range(instance.M):
@@ -167,7 +166,7 @@ def test_criterion_3_estimator_bias(noiseless_instance, regularity, rng):
     for n in (10**4, 10**6):
         for _ in range(10):
             p = 0.95 + 3.9 * rng.random(inst.N)
-            lam = LAMBDA_TEST.sample(rng)
+            lam = rng.random(2) * LAMBDA_TEST
             out = grad_est(DemandOracle(inst), inst, cfg, p, lam, n)
             u = out.u
             D = inst.model.mean(p)
@@ -218,7 +217,7 @@ def test_criterion_5_pl_and_quadratic_decay(instance, regularity, rng):
     const = regularity.sigma_D**2 * regularity.sigma_phi
     violations = 0
     for _ in range(100):
-        lam = LAMBDA_TEST.sample(rng)
+        lam = rng.random(2) * LAMBDA_TEST
         p = 0.8 + 4.2 * rng.random(instance.N)
         p_opt, d_opt = solve_inner_max(instance, lam)
         L_opt = lagrangian_H(instance, lam, d_opt)

@@ -119,12 +119,24 @@ class TestBenchPlan:
         ({"T_grid": [1000.5]}, "T_grid"),
         ({"T_grid": ["1000"]}, "T_grid"),
         ({"T_grid": 1000}, "T_grid"),
+        ({"T_grid": [0, 1000]}, "T_grid"),
+        ({"T_grid": [2000, 1000]}, "T_grid"),
+        ({"instance": 5}, "instance"),
+        ({"instance": [1, 2]}, "instance"),
+        ({"policies": 5}, "policies"),
+        ({"policies": "etc"}, "policies"),
+        ({"policies": ["etc", "ucb"]}, "policies"),
+        ({"output_dir": 5}, "output_dir"),
     ])
     def test_plan_numbers_checked(self, instance, patch, key):
         doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"], "T_grid": [1000],
                "replications": 1, "base_seed": 5, **patch}
         with pytest.raises(ValueError, match=f"plan key '{key}' must be"):
             plan_from_dict(doc)
+
+    def test_plan_must_be_an_object(self, instance):
+        with pytest.raises(ValueError, match="a plan must be a JSON object, not list"):
+            plan_from_dict([{"instance": instance.to_dict()}])
 
     def test_integral_float_plan_numbers_accepted(self, instance):
         doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"],
@@ -141,6 +153,7 @@ class TestBenchPlan:
         ({"grid_points_per_axis": 8.0}, "grid_points_per_axis"),
         ({"exploration_fraction": "0.1"}, "exploration_fraction"),
         ([8], "etc_config"),
+        ([], "etc_config"),
     ])
     def test_malformed_etc_config_rejected(self, instance, etc, key):
         doc = {"instance": instance.to_dict(), "policies": ["etc"], "T_grid": [1000],

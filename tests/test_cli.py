@@ -162,6 +162,7 @@ class TestBenchCommand:
         ({"replications": [1]}, "'replications'"),
         ({"replications": 2.7}, "'replications'"),
         ({"workers": 1.5}, "'workers'"),
+        ({"output_dir": 5}, "'output_dir'"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):
@@ -222,6 +223,13 @@ class TestConstantsCommand:
 
     def test_zero_horizon_exits_2(self, capsys, instance_file):
         code, out, err = run_cli(capsys, "constants", instance_file, "--T", "0")
+        assert code == 2 and out == ""
+        assert "T >= 2" in err
+
+    @pytest.mark.parametrize("mode, T", [("theory", "0"), ("theory", "1"), ("tuned", "1")])
+    def test_short_horizon_exits_2(self, capsys, instance_file, mode, T):
+        code, out, err = run_cli(capsys, "constants", instance_file, "--mode", mode,
+                                 "--T", T, "--grid-points", "3")
         assert code == 2 and out == ""
         assert "T >= 2" in err
 

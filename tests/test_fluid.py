@@ -110,9 +110,9 @@ class TestInnerMax:
     def test_pl_inequality(self, instance, regularity, rng):
         # 0.5 ||grad_p L||^2 >= sigma_D^2 sigma_phi (L(lam, p*_lam) - L(lam, p))
         const = regularity.sigma_D**2 * regularity.sigma_phi
-        dual_set = default_dual_set(instance)
+        box = default_dual_set(instance)
         for _ in range(100):
-            lam = dual_set.sample(rng) * 0.05
+            lam = rng.random(instance.M) * box * 0.05
             p = 0.8 + 4.2 * rng.random(2)
             _, d_opt = solve_inner_max(instance, lam)
             gap = lagrangian_H(instance, lam, d_opt) - lagrangian_L(instance, lam, p)
@@ -132,16 +132,16 @@ class TestInnerMax:
 
 class TestDualFunction:
     def test_weak_duality(self, instance, fluid_solution, rng):
-        dual_set = default_dual_set(instance)
+        box = default_dual_set(instance)
         for _ in range(50):
-            lam = dual_set.sample(rng)
+            lam = rng.random(instance.M) * box
             assert dual_Q(instance, lam) >= fluid_solution.value - 1e-6
 
     def test_midpoint_convexity(self, instance, rng):
-        dual_set = default_dual_set(instance)
+        box = default_dual_set(instance)
         for _ in range(50):
-            a = dual_set.sample(rng) * 0.1
-            b = dual_set.sample(rng) * 0.1
+            a = rng.random(instance.M) * box * 0.1
+            b = rng.random(instance.M) * box * 0.1
             mid = dual_Q(instance, (a + b) / 2)
             assert mid <= (dual_Q(instance, a) + dual_Q(instance, b)) / 2 + 1e-9
 
@@ -244,9 +244,9 @@ def random_logit_family(seed, sizes):
 
 class TestDefaultDualSet:
     def test_box_is_price_max_over_gamma_and_the_policy_default(self, instance):
-        box = default_dual_set(instance).lambda_max
+        box = default_dual_set(instance)
         assert_allclose(box, instance.price_max / instance.gamma, rtol=0, atol=0)
-        assert_allclose(PdNrmPolicy(instance).dual_set.lambda_max, box, rtol=0, atol=0)
+        assert_allclose(PdNrmPolicy(instance).lambda_max, box, rtol=0, atol=0)
 
     def test_contains_lambda_star(self, instance, fluid_solution):
         family = random_logit_family(20260, [3, 3, 3, 4])
@@ -255,7 +255,7 @@ class TestDefaultDualSet:
             # the documented condition of the bound: no price at price_max
             assert np.max(sol.p_star) < inst.price_max
             assert np.any(sol.lambda_star > 0)
-            assert default_dual_set(inst).contains(sol.lambda_star, tol=0.0)
+            assert np.all((0 <= sol.lambda_star) & (sol.lambda_star <= default_dual_set(inst)))
 
 
 # Random draws on which the earlier projected-gradient oracle stalled, failed

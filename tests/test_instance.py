@@ -95,6 +95,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"instance key '{key}' must be an integer"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("key, val, rule", [
+        ("price_min", "0.8", "instance key 'price_min' must be a number"),
+        ("price_max", None, "instance key 'price_max' must be a number"),
+        ("price_max", float("inf"), "price box must be finite"),
+        ("demand", [1], "instance key 'demand' must be an object"),
+        ("gamma", [float("inf"), 0.1], "gamma must be finite"),
+        ("gamma", {"0": 0.1}, "instance key 'gamma' must be a list of 2 numbers"),
+        ("A", [float("nan"), 1.0, 0.0, 2.0], "consumption matrix A must be finite"),
+        ("A", [1.0, 1.0, 0.0], "instance key 'A' must be a list of 4 numbers"),
+    ])
+    def test_values_checked_by_key(self, instance, key, val, rule):
+        with pytest.raises(ValueError, match=rule):
+            instance_from_dict({**instance.to_dict(), key: val})
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="an instance document must be a JSON object"):
+            instance_from_dict([1, 2])
+
     def test_integral_float_integers_accepted(self, instance):
         doc = {**instance.to_dict(), "N": 2.0, "M": 2.0, "T": 1000.0}
         back = instance_from_dict(doc)

@@ -256,6 +256,7 @@ class TestConfigValidation:
         ("lambda_max", [4.0, 0.0]), ("lambda_max", ["4", "4"]), ("lambda_max", np.ones((2, 1))),
         ("lambda0", [0.1]), ("lambda0", [0.1, 0.1, 0.1]), ("lambda0", [1e6, 0.0]),
         ("lambda0", [-0.1, 0.0]), ("lambda0", [True, False]), ("lambda0", 0.0),
+        ("lambda_max", [np.inf, 4.0]), ("lambda_max", [np.nan, 4.0]),
     ])
     def test_validate_names_every_bad_field(self, instance, field, value):
         # a directly built config is checked like a document, against N = M = 2
@@ -270,6 +271,12 @@ class TestConfigValidation:
         cfg.validate(instance)
         with pytest.raises(ValueError, match="'lambda0'"):
             replace(cfg, lambda0=np.array([1.5, 0.5])).validate(instance)
+
+    def test_default_box_must_be_positive(self, instance):
+        # price_max = 0 makes default_dual_set's lambda_max zero: there is no box to step in
+        flat = replace(instance, price_min=-1.0, price_max=0.0)
+        with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
+            PdNrmPolicy(flat)
 
 
 class TestGradEst:
@@ -604,7 +611,7 @@ class TestDualOptPolicy:
             if e["kind"] == "dual":
                 lam = np.array(e["lambda_next"])
                 assert np.all(lam >= 0)
-                assert np.all(lam <= policy.dual_set.lambda_max + 1e-12)
+                assert np.all(lam <= policy.lambda_max + 1e-12)
 
     def test_eps_bar_strictly_decreasing_geometric(self, episode):
         _, policy, trace = episode
