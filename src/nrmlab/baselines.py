@@ -2,11 +2,10 @@
 grid policy (a transparent stand-in for the blind-pricing benchmark of the
 earlier literature, not a reimplementation of it)."""
 
-import numbers
 import numpy as np
 from dataclasses import dataclass
 
-from .instance import Instance, _is_number, _require
+from .instance import Instance, _is_integral, _is_number, _require
 from .fluid import FluidSolution
 from .sim import CommitPolicy, _FOREVER
 
@@ -18,11 +17,11 @@ class EtcConfig:
 
     def __post_init__(self):
         n, frac = self.grid_points_per_axis, self.exploration_fraction
-        # strictly an int: unlike a document's other integers, 8.0 is refused
-        _require("etc_config", "grid_points_per_axis", _is_number(n)
-                 and isinstance(n, numbers.Integral) and n >= 2, "an integer >= 2", n)
+        _require("etc_config", "grid_points_per_axis", _is_integral(n) and n >= 2,
+                 "an integer >= 2", n)
         _require("etc_config", "exploration_fraction", frac is None
                  or _is_number(frac) and 0 < frac < 1, "a number in (0, 1)", frac)
+        object.__setattr__(self, "grid_points_per_axis", int(n))
 
     def resolve_fraction(self, T: int) -> float:
         if self.exploration_fraction is not None:

@@ -12,7 +12,7 @@ import dataclasses
 from .instance import load_instance
 from .fluid import solve_fluid, fluid_upper_bound, FluidError
 from .sim import run_episode, percentage_loss, export_trace_csv, export_events_jsonl
-from .pdnrm import constants_tuned, constants_theory, loop_skeleton
+from .pdnrm import check_horizon, constants_tuned, constants_theory, loop_skeleton
 from .demand import estimate_regularity
 from .bench import POLICY_NAMES, load_plan, run_bench, loglog_slope, build_policy
 from .checks import run_checks
@@ -98,6 +98,7 @@ def _cmd_check(args) -> int:
 def _cmd_constants(args) -> int:
     instance = load_instance(args.instance)
     T = instance.T if args.T is None else args.T
+    check_horizon(instance.N, T)
     if args.mode == "tuned":
         cfg = constants_tuned(instance.N, T)
     else:

@@ -64,8 +64,8 @@ class LogitDemand(DemandModel):
     def __init__(self, intercepts, slopes):
         self.a = _as_vector(intercepts, stack=False)
         self.b = _as_vector(slopes, self.a.shape[0], stack=False)
-        if np.any(self.b <= 0):
-            raise DomainError("logit slopes must be strictly positive")
+        if not (np.isfinite(self.a).all() and ((0 < self.b) & (self.b < np.inf)).all()):
+            raise DomainError("logit intercepts must be finite and slopes finite and positive")
         self.n_products = self.a.shape[0]
 
     def mean(self, p):
@@ -110,9 +110,10 @@ class LinearDemand(DemandModel):
         self.n_products = self.a.shape[0]
         if self.B.shape != (self.n_products, self.n_products):
             raise DomainError("slope matrix shape mismatch")
-        eigvals = np.linalg.eigvalsh(0.5 * (self.B + self.B.T))
-        if np.any(eigvals <= 0):
-            raise DomainError("slope matrix must be positive definite")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.B).all()
+                and (np.linalg.eigvalsh(0.5 * (self.B + self.B.T)) > 0).all()):
+            raise DomainError("linear demand needs finite intercepts and a finite "
+                              "positive-definite slope matrix")
         self._B_inv = np.linalg.inv(self.B)
 
     def mean(self, p):

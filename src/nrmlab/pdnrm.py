@@ -114,13 +114,18 @@ def _overrides(doc: dict) -> dict:
     return patch
 
 
+def check_horizon(N: int, T: int) -> None:
+    """The one horizon check of both constants formulas (and of the constants command)."""
+    if N < 1 or T < 2:
+        raise ValueError("need N >= 1 and T >= 2")
+
+
 def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
     """Hand-tuned constants: n0 = ceil(0.1 N^4 ln^2(NT)); kappa1 = n0^.25;
     kappa5 = (2/3)e-8 (N^5.5 ln^3(NT) + N^4 ln^6(NT)); kappa2 = sqrt(kappa5);
     kappa3 = 8 kappa1 sqrt(N^3 ln(2NT)) + 12 kappa1^2; kappa6 = sqrt(N);
     eta1 = eta2 = mu = 1. Each keyword overrides its field; validate checks them."""
-    if N < 1 or T < 2:
-        raise ValueError("need N >= 1 and T >= 2")
+    check_horizon(N, T)
     ln_nt = math.log(N * T)
     ln_2nt = math.log(2 * N * T)
     n0 = max(int(math.ceil(0.1 * N**4 * ln_nt**2)), 4 * N)
@@ -150,8 +155,7 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     treated as given problem constants by the analysis and can be pinned."""
     reg = regularity
     patch = _overrides(overrides)
-    if T < 2:
-        raise ValueError("need T >= 2")
+    check_horizon(instance.N, T)
     box = _dual_box(instance, patch.get("lambda_max"))
     lam_bar = float(np.linalg.norm(box))   # an l2 bound on the box
     # the analysis never bounds ||J_D|| separately, and one purchase per

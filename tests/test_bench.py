@@ -140,17 +140,18 @@ class TestBenchPlan:
 
     def test_integral_float_plan_numbers_accepted(self, instance):
         doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"],
-               "T_grid": [1000.0, 2000], "replications": 2.0, "base_seed": 7.0, "workers": 1.0}
+               "T_grid": [1000.0, 2000], "replications": 2.0, "base_seed": 7.0, "workers": 1.0,
+               "etc_config": {"grid_points_per_axis": 8.0}}
         plan = plan_from_dict(doc)
-        assert (plan.T_grid, plan.replications, plan.base_seed, plan.workers) == (
-            (1000, 2000), 2, 7, 1)
+        assert (plan.T_grid, plan.replications, plan.base_seed, plan.workers,
+                plan.etc_config.grid_points_per_axis) == ((1000, 2000), 2, 7, 1, 8)
         assert all(type(v) is int for v in (*plan.T_grid, plan.replications, plan.base_seed,
-                                             plan.workers))
+                                             plan.workers, plan.etc_config.grid_points_per_axis))
 
     @pytest.mark.parametrize("etc, key", [
         ({"grid": 4}, "grid"),
         ({"grid_points_per_axis": "8"}, "grid_points_per_axis"),
-        ({"grid_points_per_axis": 8.0}, "grid_points_per_axis"),
+        ({"grid_points_per_axis": 8.5}, "grid_points_per_axis"),
         ({"exploration_fraction": "0.1"}, "exploration_fraction"),
         ([8], "etc_config"),
         ([], "etc_config"),

@@ -106,7 +106,7 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", instance_file, "clairvoyant",
                                  "--seed", "1", "--T", "0")
         assert code == 2 and out == ""
-        assert "horizon must be at least 1" in err
+        assert "instance key 'T' must be an integer of at least 1" in err
 
 
 class TestBenchCommand:
@@ -227,7 +227,9 @@ class TestConstantsCommand:
         assert "T >= 2" in err
 
     @pytest.mark.parametrize("mode, T", [("theory", "0"), ("theory", "1"), ("tuned", "1")])
-    def test_short_horizon_exits_2(self, capsys, instance_file, mode, T):
+    def test_short_horizon_exits_2(self, capsys, instance_file, monkeypatch, mode, T):
+        # refused before theory mode's regularity scan
+        monkeypatch.setattr(nrmlab.cli, "estimate_regularity", None)
         code, out, err = run_cli(capsys, "constants", instance_file, "--mode", mode,
                                  "--T", T, "--grid-points", "3")
         assert code == 2 and out == ""
@@ -284,6 +286,23 @@ class TestErrorHandling:
         bad.write_text(json.dumps({"N": 2}))
         code, _, err = run_cli(capsys, "fluid", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("demand", [
+        {"type": "logit", "a": {}, "b": [1.5, 2.0]},
+        {"type": "logit", "a": "x", "b": [1.5, 2.0]},
+        {"type": "logit", "a": [float("nan"), 0.8], "b": [1.5, 2.0]},
+        {"type": "logit", "a": [0.4, 0.8], "b": [1.5]},
+        {"type": "logit", "a": [0.4, 0.8], "b": [0, 2]},
+        {"type": "linear", "a": [0.5, 0.5], "B": "x"},
+        {"type": "linear", "a": [0.5, 0.5], "B": [[1.0, float("nan")], [0.0, 1.0]]},
+        {"type": "poisson", "a": [0.4, 0.8], "b": [1.5, 2.0]},
+    ])
+    def test_malformed_demand_exits_2(self, capsys, tmp_path, instance, demand):
+        bad = tmp_path / "demand.json"
+        bad.write_text(json.dumps({**instance.to_dict(), "demand": demand}))
+        code, out, err = run_cli(capsys, "fluid", str(bad))
+        assert code == 2 and out == ""
+        assert "'demand'" in err
 
     def test_non_integer_horizon_exits_2(self, capsys, tmp_path, instance):
         bad = tmp_path / "bad3.json"

@@ -1,4 +1,5 @@
 import json
+import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,27 +15,27 @@ def logit():
 
 class TestValidation:
     def test_more_resources_than_products_rejected(self):
-        with pytest.raises(ValueError, match="resource"):
+        with pytest.raises(ValueError, match="instance key 'A' must be .* at most 2 rows"):
             Instance(model=logit(), A=np.ones((3, 2)), gamma=np.ones(3),
                      T=10, price_min=0.8, price_max=5.0)
 
     def test_rank_deficient_consumption_rejected(self):
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(ValueError, match="instance key 'A' must be .*full-row-rank"):
             Instance(model=logit(), A=np.array([[1.0, 1.0], [2.0, 2.0]]),
                      gamma=np.ones(2), T=10, price_min=0.8, price_max=5.0)
 
     def test_negative_consumption_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="instance key 'A' must be .*nonnegative"):
             Instance(model=logit(), A=np.array([[1.0, -1.0], [0.0, 2.0]]),
                      gamma=np.ones(2), T=10, price_min=0.8, price_max=5.0)
 
     def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ValueError, match="instance key 'gamma' must be .*positive"):
             Instance(model=logit(), A=np.eye(2), gamma=np.array([0.1, 0.0]),
                      T=10, price_min=0.8, price_max=5.0)
 
     def test_bad_noise_mode_rejected(self):
-        with pytest.raises(ValueError, match="noise"):
+        with pytest.raises(ValueError, match="instance key 'noise' must be one of"):
             Instance(model=logit(), A=np.eye(2), gamma=np.ones(2), T=10,
                      price_min=0.8, price_max=5.0, noise="poisson")
 
@@ -42,13 +43,13 @@ class TestValidation:
         # D(5, 5) = (-0.75, -0.65): not a distribution over purchase events
         kwargs = dict(model=LinearDemand([0.5, 0.6], [[0.2, 0.05], [0.05, 0.2]]), A=np.eye(2),
                       gamma=np.array([0.1, 0.1]), T=100, price_min=0.5, price_max=5.0)
-        with pytest.raises(ValueError, match="simplex"):
+        with pytest.raises(ValueError, match="instance key 'demand' must be .* simplex"):
             Instance(**kwargs)
         Instance(noise="none", **kwargs)
 
     def test_linear_demand_total_above_one_rejected(self):
         # min D = 0.2 at p = (4, 4), but D(0.5, 0.5) sums to 1.1
-        with pytest.raises(ValueError, match="simplex"):
+        with pytest.raises(ValueError, match="instance key 'demand' must be .* simplex"):
             Instance(model=LinearDemand([0.6, 0.6], np.eye(2) * 0.1), A=np.eye(2),
                      gamma=np.array([0.1, 0.1]), T=100, price_min=0.5, price_max=4.0)
 
@@ -60,6 +61,23 @@ class TestValidation:
         # the bound is closed: D(4, 4) = (0, 0) exactly
         Instance(model=LinearDemand([0.4, 0.4], np.eye(2) * 0.1), A=np.eye(2),
                  gamma=np.array([0.1, 0.1]), T=100, price_min=0.0, price_max=4.0)
+
+    @pytest.mark.parametrize("build, rule", [
+        (lambda inst: dataclasses.replace(inst, T=2.5), "instance key 'T' must be an integer"),
+        (lambda inst: dataclasses.replace(inst, T=True), "instance key 'T' must be an integer"),
+        (lambda inst: inst.with_horizon(0), "instance key 'T' must be an integer of at least 1"),
+        (lambda inst: dataclasses.replace(inst, A=np.array([[1.0, -1.0], [0.0, 2.0]])),
+         "instance key 'A' must be"),
+        (lambda inst: LogitDemand([float("nan"), 0.8], [1.5, 2.0]), "finite"),
+        (lambda inst: LinearDemand([2.0, 2.0], [[1.0, float("nan")], [0.0, 1.0]]), "finite"),
+    ], ids=["T-2.5", "T-True", "T-0", "A-negative", "logit-nan-a", "linear-nan-B"])
+    def test_python_built_values_refused_like_documents(self, instance, build, rule):
+        # the rule a document meets holds for an instance or a model built in Python
+        with pytest.raises(ValueError, match=rule):
+            build(instance)
+
+    def test_integral_float_horizon_stored_as_int(self, instance):
+        assert type(dataclasses.replace(instance, T=500.0).T) is int
 
     def test_horizon_override(self, instance):
         other = instance.with_horizon(77)
@@ -98,12 +116,30 @@ class TestSerialization:
     @pytest.mark.parametrize("key, val, rule", [
         ("price_min", "0.8", "instance key 'price_min' must be a number"),
         ("price_max", None, "instance key 'price_max' must be a number"),
-        ("price_max", float("inf"), "price box must be finite"),
+        ("price_max", float("inf"), r"instance key 'price_max' must be a number \(finite"),
         ("demand", [1], "instance key 'demand' must be an object"),
-        ("gamma", [float("inf"), 0.1], "gamma must be finite"),
+        ("gamma", [float("inf"), 0.1], "instance key 'gamma' must be .* finite and positive"),
         ("gamma", {"0": 0.1}, "instance key 'gamma' must be a list of 2 numbers"),
-        ("A", [float("nan"), 1.0, 0.0, 2.0], "consumption matrix A must be finite"),
+        ("A", [float("nan"), 1.0, 0.0, 2.0], "instance key 'A' must be a finite nonnegative"),
         ("A", [1.0, 1.0, 0.0], "instance key 'A' must be a list of 4 numbers"),
+        # appended below, so the ids above keep their numbers
+        ("demand", {"type": "logit", "a": {}, "b": [1.5, 2.0]},
+         "instance key 'demand' must be an object whose 'a' is a list of 2 numbers"),
+        ("demand", {"type": "logit", "a": "x", "b": [1.5, 2.0]},
+         "instance key 'demand' must be an object whose 'a' is a list of 2 numbers"),
+        ("demand", {"type": "logit", "a": [float("nan"), 0.8], "b": [1.5, 2.0]},
+         "instance key 'demand' must be a valid logit model"),
+        ("demand", {"type": "logit", "a": [0.4, 0.8], "b": [0, 2]},
+         "instance key 'demand' must be a valid logit model"),
+        ("demand", {"type": "logit", "a": [0.4, 0.8], "b": [1.5]},
+         "instance key 'demand' must be an object whose 'b' is a list of 2 numbers"),
+        ("demand", {"type": "poisson", "a": [0.4, 0.8], "b": [1.5, 2.0]},
+         "instance key 'demand' must be of type 'logit' or 'linear', not 'poisson'"),
+        ("T", 0, "instance key 'T' must be an integer of at least 1"),
+        ("demand", {"type": "linear", "a": [0.5, 0.5], "B": "x"},
+         "instance key 'demand' must be an object whose 'B' is a list of 2 rows of 2 numbers"),
+        ("demand", {"type": "linear", "a": [0.5, 0.5], "B": [[1.0, float("nan")], [0.0, 1.0]]},
+         "instance key 'demand' must be a valid linear model"),
     ])
     def test_values_checked_by_key(self, instance, key, val, rule):
         with pytest.raises(ValueError, match=rule):
