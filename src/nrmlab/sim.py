@@ -25,10 +25,12 @@ from .instance import Instance
 
 _MASK64 = (1 << 64) - 1
 _EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
+_THOUSANDS = ["%03d," % i for i in range(1000)]  # period t's CSV cell after str(t // 1000)
 _LEDGER_ROWS = 4096  # served requests buffered, and served rows tallied and hashed, at a time
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _FEW = 32  # up to this many values are checked in Python, and tallied without merging
 _FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
+_ROOM = 1.0 - 1e-6  # share of the inventory a schedule may surely use; the rest covers rounding
 _ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
 
 
@@ -203,7 +205,7 @@ class PolicyError(RuntimeError):
     """Policy emitted an out-of-box, non-shutoff price."""
 
 
-def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
+def _serve(model, A, prices, lengths, remaining, rng, noiseless=False, peak=None):
     """Serve a schedule, prices[r] for lengths[r] periods row after row, until
     the first purchase that `remaining` cannot cover (None: no limit).
     Returns (served, demand, after) for the rows up to the one cut short (the
@@ -219,7 +221,9 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     as one draw per row does. Inside that row, halving finds the first
     unservable period: given a segment's counts, the counts of its first h
     periods are multivariate hypergeometric, so each split is exact in
-    distribution. A one-row schedule never touches the bit generator.
+    distribution. A one-row schedule never touches the bit generator, nor
+    does a schedule that `peak`, each resource's largest use by one unit
+    (None: unknown), shows cannot run out.
     Noiseless: the same scan, then floor-and-adjust on the short row only."""
     K = len(lengths)
     # a single row takes the vector calls, which cost less than one-row stacks
@@ -243,7 +247,13 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     # no purchase takes 1 - sum D(p); a linear D can be -1e-17 at a box corner
     pvals = np.zeros((K, means.shape[1] + 1))
     np.maximum(means, 0.0, out=pvals[:, :-1])
-    state = rng.bit_generator.state if K > 1 and remaining is not None else None
+    state = None
+    if K > 1 and remaining is not None:
+        # a sampled period sells at most one unit, so a schedule of span
+        # periods uses at most span * peak; the room covers the scan's rounding
+        span = sum(lengths.tolist())
+        if peak is None or any(span * c > _ROOM * r for c, r in zip(peak, remaining.tolist())):
+            state = rng.bit_generator.state
     counts = _draw(rng, lengths, pvals)
     if remaining is None:
         return lengths, counts, None
@@ -252,7 +262,7 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     if min(after[-1].tolist()) >= 0.0:
         return lengths, counts, after
     r = int(np.flatnonzero((after < 0.0).any(axis=1))[0])
-    if K > 1:
+    if K > 1:   # only a schedule that could run out gets here, and its state was saved
         rng.bit_generator.state = state
         counts = _draw(rng, lengths[:r + 1], pvals[:r + 1])
     before = after[r - 1] if r else remaining
@@ -397,6 +407,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     model, A = instance.model, instance.A
     rng = np.random.default_rng(np.random.PCG64(seed))
     remaining = instance.capacity.astype(float).copy()
+    peak = A.max(axis=1).tolist()
     noiseless = instance.noise == "none"
     eps = 1e-9 * max(1.0, abs(instance.price_max))
     p_lo, p_hi = instance.price_min - eps, instance.price_max + eps
@@ -438,7 +449,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             # Market closed: zero demand, no RNG consumption.
             rows, y_sums = 0, np.zeros((K, N))
         else:
-            served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
+            served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless,
+                                           peak)
             rows = len(served)
             # copies: a policy may reuse its arrays for its next request
             ledger.append((prices[:rows].copy(), demand, served.copy()))
@@ -516,14 +528,30 @@ def percentage_loss(instance: Instance, trace: EpisodeTrace, fluid_value: float)
     return (bound - trace.total_revenue) / bound
 
 
-def _format_runs(col: np.ndarray) -> list:
-    """'%.17g' strings of a float column, one format call per run of equal
-    bits (so -0.0 stays apart from 0.0 and NaN rows are kept)."""
-    bits = col.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    lengths = np.diff(np.append(starts, len(col)))
-    strs = np.array(["%.17g" % x for x in col[starts].tolist()], dtype=object)
-    return np.repeat(strs, lengths).tolist()
+def _csv_block(first: int, table: np.ndarray) -> str:
+    """CSV rows of periods first, first + 1, ... whose values are the rows of
+    a float64 table: '%.17g' cells, CRLF row ends. String work is done once
+    per run of rows equal bit for bit (so -0.0 stays apart from 0.0 and NaN
+    rows form runs) and each distinct bit pattern is formatted once; period t
+    is str(t // 1000) and a cell of _THOUSANDS. Nothing outlives the call."""
+    rows = len(table)
+    bits = table.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1))))
+    keys, which = np.unique(bits[starts], return_inverse=True)
+    cells = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    tails = list(map(",".join, zip(*cells[which.reshape(len(starts), -1).T].tolist())))
+    out = ["\r\n"] * (4 * rows)   # per row: period prefix, period suffix, values, row end
+    out[2::4] = np.repeat(np.array(tails, dtype=object), np.diff(starts, append=rows)).tolist()
+    prefix, suffix = [], []
+    t, end = first, first + rows
+    while t < end:
+        k, r = divmod(t, 1000)
+        n = min(1000 - r, end - t)
+        prefix += [str(k) if k else ""] * n
+        suffix += _THOUSANDS[r:r + n] if k else ["%d," % i for i in range(t, t + n)]
+        t += n
+    out[0::4], out[1::4] = prefix, suffix
+    return "".join(out)
 
 
 def export_trace_csv(trace: EpisodeTrace, path: str) -> None:
@@ -538,13 +566,12 @@ def export_trace_csv(trace: EpisodeTrace, path: str) -> None:
     m = inventory.shape[1]
     header = (["period"] + [f"p_{i+1}" for i in range(n)] + [f"y_{i+1}" for i in range(n)]
               + ["revenue"] + [f"inv_{j+1}" for j in range(m)])
-    columns = [*price.T, *trace.periods["demand"].T, trace.periods["revenue"], *inventory.T]
+    columns = [price, trace.periods["demand"], trace.periods["revenue"][:, None], inventory]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for s in range(0, len(price), _EXPORT_BLOCK):
-            e = min(s + _EXPORT_BLOCK, len(price))
-            cols = [map(str, range(s + 1, e + 1))] + [_format_runs(c[s:e]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+            table = np.concatenate([c[s:s + _EXPORT_BLOCK] for c in columns], axis=1, dtype=float)
+            fh.write(_csv_block(s + 1, table))
 
 
 def export_events_jsonl(trace: EpisodeTrace, path: str) -> None:

@@ -550,6 +550,49 @@ class TestScheduleKernel:
             assert short == (None if where in ("none", "exact") else r)
         assert checked >= 15
 
+    @pytest.mark.parametrize("case", ["ample", "span_times_peak", "short", "rounding"])
+    def test_peak_skips_the_state_save_only_where_no_row_can_run_out(self, instance, case):
+        class StateReads:
+            """A generator that counts reads of its bit generator's state."""
+
+            def __init__(self):
+                self.rng, self.reads = np.random.default_rng(4), 0
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            bit_generator = property(lambda self: self)
+
+            @property
+            def state(self):
+                self.reads += 1
+                return self.rng.bit_generator.state
+
+            @state.setter
+            def state(self, value):
+                self.rng.bit_generator.state = value
+
+        class AlwaysBuys:   # one product, bought every period
+            def mean(self, p):
+                return np.ones_like(p)
+
+        model, A = instance.model, self.A
+        prices, lengths = self.schedule(5)
+        if case == "rounding":
+            # 1 - 0.1 * 3 - 0.1 * 7 rounds below 0, though 10 * 0.1 == 1.0
+            model, A, prices, lengths = AlwaysBuys(), np.array([[0.1]]), np.ones((2, 1)), np.array([3, 7])
+        peak = A.max(axis=1)
+        remaining = {"ample": 2.0 * lengths.sum() * peak, "span_times_peak": lengths.sum() * peak,
+                     "short": np.array([30.0, 30.0]), "rounding": np.array([1.0])}[case]
+        rng, ref_rng = StateReads(), np.random.default_rng(4)
+        got = sim._serve(model, A, prices, lengths, remaining.copy(), rng, False, peak.tolist())
+        ref = sim._serve(model, A, prices, lengths, remaining.copy(), ref_rng)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+        assert rng.rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.reads == (case != "ample")
+        assert (got[0][-1] < lengths[len(got[0]) - 1]) == (case in ("short", "rounding"))
+
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     @pytest.mark.parametrize("policy", ["pdnrm", "etc"])
     def test_episodes_equal_with_schedules_split(self, instance, policy, noise, monkeypatch):
@@ -794,16 +837,28 @@ def reference_trace_csv(trace, path):
                             + [format(v, ".17g") for v in inventory[t]])
 
 
+def hand_built_trace(price, demand, revenue, inventory):
+    """An unrecorded episode's trace around the given per-period arrays."""
+    return sim.EpisodeTrace(
+        T=len(revenue), seed=0, policy_name="hand-built", total_revenue=0.0,
+        shutoff_period=None, final_inventory=inventory[-1], fingerprint="", min_inventory=0.0,
+        demand_after_shutoff=0.0,
+        periods={"price": price, "demand": demand, "revenue": revenue, "inventory": inventory})
+
+
 class TestExports:
     @staticmethod
-    def assert_matches_reference(trace, tmp_path):
-        export_trace_csv(trace, str(tmp_path / "new.csv"))
+    def assert_matches_reference(trace, tmp_path, blocks=(None,), monkeypatch=None):
         reference_trace_csv(trace, str(tmp_path / "ref.csv"))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        for block in blocks:
+            if block is not None:
+                monkeypatch.setattr(sim, "_EXPORT_BLOCK", block)
+            export_trace_csv(trace, str(tmp_path / "new.csv"))
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_csv_matches_reference_writer(self, instance, noiseless_instance, monkeypatch,
-                                          tmp_path):
-        from nrmlab import PdNrmPolicy
+    def test_csv_matches_reference_writer(self, instance, noiseless_instance, fluid_solution,
+                                          monkeypatch, tmp_path):
+        from nrmlab import PdNrmPolicy, ClairvoyantPolicy, ExploreThenCommitPolicy
         shutoff = run_episode(instance.with_horizon(30_000),
                               FixedCommitPolicy(np.array([1.5, 0.8]), length=1_000),
                               seed=9, record_periods=True)
@@ -826,13 +881,56 @@ class TestExports:
         assert (pdnrm.periods["price"][:14] == pdnrm.periods["price"][0]).all()
         quiet = noiseless_instance.with_horizon(5_000)
         noiseless = run_episode(quiet, PdNrmPolicy(quiet), seed=1, record_periods=True)
-        for block in (sim._EXPORT_BLOCK, 7):
-            monkeypatch.setattr(sim, "_EXPORT_BLOCK", block)
-            for trace in (shutoff, one_product, wide, pdnrm, noiseless):
-                self.assert_matches_reference(trace, tmp_path)
+        clairvoyant = run_episode(short, ClairvoyantPolicy(short, fluid_solution), seed=4,
+                                  record_periods=True)
+        etc = run_episode(short, ExploreThenCommitPolicy(short), seed=6, record_periods=True)
+        blocks = (sim._EXPORT_BLOCK, 1000, 7)
+        for trace in (shutoff, one_product, wide, pdnrm, noiseless, clairvoyant, etc):
+            self.assert_matches_reference(trace, tmp_path, blocks, monkeypatch)
+            # one-row blocks cost 60 us each, so they write the last 1,000 rows
+            last = dataclasses.replace(trace, periods={k: v[-1_000:]
+                                                       for k, v in trace.periods.items()})
+            self.assert_matches_reference(last, tmp_path, (1,), monkeypatch)
         export_trace_csv(wide, str(tmp_path / "wide.csv"))
         assert (tmp_path / "wide.csv").read_bytes().startswith(
             b"period,p_1,y_1,revenue,inv_1,inv_2,inv_3\r\n")
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1001, 4096])
+    def test_csv_period_column_across_digit_and_block_edges(self, block):
+        # export writes block j as _csv_block(1 + j * block, rows); the three
+        # blocks around each period whose digit count grows are written here
+        rng = np.random.default_rng(block)
+        for edge in (1_000, 10_000, 1_000_000, 10_000_000):
+            j = (edge - 2) // block   # the block that holds period edge - 1
+            first = 1 + max(j - 1, 0) * block
+            rows = (j + 2) * block - first + 1
+            table = np.repeat(rng.integers(-2, 3, (rows, 4)) / 3, 3, axis=0)[:rows]
+            text = "".join(sim._csv_block(s, table[s - first:s - first + block])
+                           for s in range(first, first + rows, block))
+            lines = text.split("\r\n")
+            assert lines.pop() == "" and len(lines) == rows
+            for t, line, row in zip(range(first, first + rows), lines, table.tolist()):
+                assert line == ",".join([str(t)] + [format(v, ".17g") for v in row])
+            assert f"\r\n{edge - 1}," in "\r\n" + text and f"\r\n{edge}," in text
+
+    def test_csv_memory_is_bounded_by_the_block(self, tmp_path):
+        # inventory values all distinct: a formatting cache kept across blocks
+        # would grow with the rows, the block's strings do not
+        import tracemalloc
+
+        def peak(T):
+            trace = hand_built_trace(np.full((T, 1), 1.5), np.zeros((T, 1)), np.zeros(T),
+                                     np.linspace(1.0, 2.0, T)[:, None])
+            tracemalloc.start()
+            try:
+                export_trace_csv(trace, str(tmp_path / "t.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # tracemalloc makes the export about 5x slower: 0.9 s for both traces
+        small, large = peak(20_000), peak(80_000)
+        assert large < 1.5 * small, (small, large)
 
     @pytest.mark.parametrize("block", [1, 2, 7, 4096])
     def test_csv_keeps_values_that_compare_equal_apart(self, block, monkeypatch, tmp_path):
@@ -841,19 +939,17 @@ class TestExports:
         neg_nan = -np.float64(np.nan)
         col = np.array([-0.0, 0.0, 0.0, -0.0, np.nan, np.nan, neg_nan, np.inf, -np.inf,
                         5e-324, 2.2e-310, 1 / 3, 1 / 3, 0.1 + 0.2, 0.3])
-        T = len(col)
-        trace = sim.EpisodeTrace(
-            T=T, seed=0, policy_name="hand-built", total_revenue=0.0, shutoff_period=None,
-            final_inventory=np.zeros(1), fingerprint="", min_inventory=0.0,
-            demand_after_shutoff=0.0,
-            periods={"price": np.column_stack([col, col[::-1]]),
-                     "demand": np.column_stack([np.roll(col, 3), np.zeros(T)]),
-                     "revenue": np.roll(col, 7), "inventory": col[:, None] * -1.0})
-        monkeypatch.setattr(sim, "_EXPORT_BLOCK", block)
-        self.assert_matches_reference(trace, tmp_path)
+        trace = hand_built_trace(np.column_stack([col, col[::-1]]),
+                                 np.column_stack([np.roll(col, 3), np.zeros(len(col))]),
+                                 np.roll(col, 7), col[:, None] * -1.0)
+        self.assert_matches_reference(trace, tmp_path, (block,), monkeypatch)
         text = (tmp_path / "new.csv").read_text()
         assert text.splitlines()[1].startswith("1,-0,")
         assert ",inf," in text and ",nan," in text and ",4.9406564584124654e-324," in text
+        # whole rows that compare equal but differ in bits are runs of their own
+        same = np.column_stack([col, col])
+        self.assert_matches_reference(hand_built_trace(same, same, col, col[:, None]), tmp_path,
+                                      (block,), monkeypatch)
 
     def test_csv_needs_recorded_periods(self, instance, tmp_path):
         trace = run_episode(instance.with_horizon(100), FixedCommitPolicy(np.array([1.0, 1.2])),
