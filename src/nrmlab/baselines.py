@@ -46,7 +46,7 @@ class ClairvoyantPolicy(CommitPolicy):
 class ExploreThenCommitPolicy(CommitPolicy):
     """Phase 1 cycles a uniform price grid recording average demand per point;
     phase 2 plays the revenue-maximizing inventory-feasible mixture of grid
-    prices found by a small LP over mixture weights."""
+    prices, an LP over the grid's mixture weights solved by column generation."""
 
     name = "etc"
 
@@ -75,24 +75,77 @@ class ExploreThenCommitPolicy(CommitPolicy):
 
     def _commit_schedule(self):
         """The mixture as (prices (K, N), lengths (K,)), heaviest weight first."""
-        from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
         inst = self.instance
-        K = len(self.grid)
         remaining = max(inst.T - self.n_explore, 1)
         rev = np.einsum("kn,kn->k", self.grid, self.D_hat)
-        consumption = inst.A @ self.D_hat.T  # (M, K)
-        res = linprog(-rev, A_ub=consumption, b_ub=inst.gamma,
-                      A_eq=np.ones((1, K)), b_eq=[1.0], bounds=(0.0, 1.0),
-                      method="highs")
-        if not res.success:
+        found = _mixture_lp(rev, inst.A @ self.D_hat.T, inst.gamma)
+        if found is None:
             # No feasible mixture: fall back to the highest-price grid point.
             self.mixture = None
             return self.grid[-1:], np.array([remaining])
-        weights = np.maximum(res.x, 0.0)
+        weights = np.maximum(found[0], 0.0)
         self.mixture = weights
         lengths = np.floor(weights * remaining).astype(np.int64)
-        order = np.argsort(-weights)
-        order = order[lengths[order] > 0]
+        order = np.flatnonzero(lengths)
+        order = order[np.argsort(-weights[order], kind="stable")]
         if not len(order):
             return self.grid[[int(np.argmax(rev))]], np.array([remaining])
         return self.grid[order], lengths[order]
+
+
+_FULL_MASTER = 512      # grids up to this size solve one LP over every column
+_COLUMNS_PER_ROUND = 8
+
+
+def _mixture_lp(rev, consumption, gamma):
+    """max rev·w over mixtures w >= 0, sum w = 1, consumption @ w <= gamma, by
+    column generation (Dantzig & Wolfe 1960): a basic optimum has at most M + 1
+    nonzero weights, so a small restricted master LP, priced against every
+    column by r = rev - λᵀ·consumption - ν, reaches the full LP's optimum.
+
+    A grid of at most _FULL_MASTER points is one LP over every column. A larger
+    one starts from the best-revenue point, the point of least worst-case
+    capacity use and each resource's least-consuming point; each round adds the
+    _COLUMNS_PER_ROUND most positive r until none exceeds 1e-9 · max(1, max|rev|),
+    and an infeasible restricted master hands over to the full LP.
+
+    Returns (w (K,), λ (M,), ν), the optimum and its dual, or None when HiGHS
+    proves that no mixture is feasible; any other LP failure raises."""
+    from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
+    K = len(rev)
+    tol = 1e-9 * max(1.0, float(np.abs(rev).max()))
+    if K <= _FULL_MASTER:
+        cols = np.arange(K)
+    else:
+        cols = np.unique([int(np.argmax(rev)),
+                          int(np.argmin((consumption / gamma[:, None]).max(axis=0))),
+                          *np.argmin(consumption, axis=1).tolist()])
+    while True:
+        res = linprog(-rev[cols], A_ub=consumption[:, cols], b_ub=gamma,
+                      A_eq=np.ones((1, len(cols))), b_eq=[1.0], bounds=(0.0, 1.0),
+                      method="highs")
+        if res.status == 2 and len(cols) < K:
+            cols = np.arange(K)     # restricted master infeasible: the full LP decides
+            continue
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise RuntimeError(f"ETC mixture LP failed: HiGHS status {res.status} "
+                               f"({res.message})")
+        # a weight at its bound 1 is the whole mixture, so its bound's marginal
+        # folds into ν: (λ, ν) is then the dual of the same LP without w <= 1
+        lam = -res.ineqlin.marginals
+        nu = -float(res.eqlin.marginals[0] + res.upper.marginals.sum())
+        if len(cols) == K:
+            break
+        reduced = rev - lam @ consumption - nu
+        reduced[cols] = -np.inf
+        best = np.flatnonzero(reduced > tol)
+        if not len(best):
+            break
+        if len(best) > _COLUMNS_PER_ROUND:
+            best = best[np.argpartition(-reduced[best], _COLUMNS_PER_ROUND)[:_COLUMNS_PER_ROUND]]
+        cols = np.concatenate([cols, best])
+    weights = np.zeros(K)
+    weights[cols] = res.x
+    return weights, lam, nu

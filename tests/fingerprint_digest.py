@@ -4,12 +4,15 @@ Run from any directory; it imports nrmlab from its own checkout's src/:
 
     python tests/fingerprint_digest.py           # the full set
     python tests/fingerprint_digest.py --quick   # a small slice
+    python tests/fingerprint_digest.py --cases   # one hash per case, then the digest
 
 For every case it hashes the episode's fingerprint, repr(total_revenue), the
 shutoff period, the events as JSON and, at T <= 1e4, the bytes of every
 recorded per-period array; then the arrays, flags and events that grad_est
 and primal_opt return against DemandOracle and a seeded SamplingOracle. It
-prints one blake2b digest and the case count.
+prints one blake2b digest and the case count. With --cases it first prints a
+short hash of every case beside its label, so that diffing the output of two
+trees names the cases that moved.
 
 There are no golden values: OpenBLAS picks its kernels by CPU, and they round
 differently, so compare the digests of two trees on one machine. A change
@@ -106,19 +109,27 @@ def _oracle_calls(inst) -> list:
     return parts
 
 
-def digest(quick: bool = False) -> tuple:
-    """(hex digest, number of cases) over the episode and oracle cases."""
-    hasher = hashlib.blake2b(digest_size=16)
-    fluids, count = {}, 0
+def cases(quick: bool = False):
+    """(label, bytes hashed) of every episode and oracle case, in digest order."""
+    fluids = {}
     for label, inst, policy, seed in episode_cases(quick):
         key = id(inst.model)
         if key not in fluids:
             fluids[key] = solve_fluid(inst)
-        parts = [label] + _episode(inst, policy, seed, fluids[key])
-        hasher.update("\n".join(parts).encode())
-        count += 1
+        yield label, "\n".join([label] + _episode(inst, policy, seed, fluids[key])).encode()
     for name, inst in instances(quick).items():
-        hasher.update("\n".join([name] + _oracle_calls(inst)).encode())
+        yield f"{name}/oracle", "\n".join([name] + _oracle_calls(inst)).encode()
+
+
+def digest(quick: bool = False, on_case=None) -> tuple:
+    """(hex digest, number of cases) over the episode and oracle cases;
+    on_case(label, data), if given, sees each case as it is hashed."""
+    hasher = hashlib.blake2b(digest_size=16)
+    count = 0
+    for label, data in cases(quick):
+        hasher.update(data)
+        if on_case is not None:
+            on_case(label, data)
         count += 1
     return hasher.hexdigest(), count
 
@@ -126,8 +137,14 @@ def digest(quick: bool = False) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="a small slice of the set")
+    parser.add_argument("--cases", action="store_true",
+                        help="print a short hash of every case above the digest")
     args = parser.parse_args(argv)
-    value, count = digest(args.quick)
+
+    def show(label, data):
+        print(f"{hashlib.blake2b(data, digest_size=8).hexdigest()}  {label}", flush=True)
+
+    value, count = digest(args.quick, show if args.cases else None)
     print(f"{value}  ({count} cases{', quick' if args.quick else ''})")
     return 0
 
