@@ -1,14 +1,15 @@
 """Discrete-time market simulator: inventory dynamics, hard shutoff, trace recording.
 
 One episode is strictly sequential; distinct episodes may run concurrently,
-each owning its RNG. A policy commits to schedules: rows of (price, periods)
+each owning its RNG. Every request is a schedule: rows of (price, periods)
 posted in order with no feedback read in between, a price held for k periods
-being the one-row schedule. One kernel (`_serve`) serves a whole schedule with
-stacked numpy calls: in a sampled market one draw gives every row's outcome
-counts, and only the row in which inventory runs out costs O(log k) more
-draws. Every step is exact in distribution, and a schedule is the same
-episode, bit for bit, as its rows served one at a time. Per-period rows are
-made only when recording; the per-period semantics are unchanged.
+being the one-row schedule and a plain policy's price the one-period one.
+One kernel (`_serve`) serves a whole schedule with stacked numpy calls: in a
+sampled market one draw gives every row's outcome counts, and only the row in
+which inventory runs out costs O(log k) more draws. Every step is exact in
+distribution, and a schedule is the same episode, bit for bit, as its rows
+served one at a time. Per-period rows are made only when recording; the
+per-period semantics are unchanged.
 """
 
 import json
@@ -30,7 +31,6 @@ _LEDGER_ROWS = 4096  # served requests buffered, and served rows tallied and has
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _FEW = 32  # up to this many values are checked in Python, and tallied without merging
 _FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
-_ROOM = 1.0 - 1e-6  # share of the inventory a schedule may surely use; the rest covers rounding
 _ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
 
 
@@ -90,16 +90,17 @@ def _revenue(sold: list) -> float:
 
 def _as_schedule(request) -> tuple:
     """A generator's request as (prices (K, N), lengths (K,)). A plain
-    (price, length) pair writes the one-row schedule."""
+    (price, length) pair writes the one-row schedule. Lengths are integers,
+    not bools, one of at least 1 per row."""
     prices, lengths = request
-    if isinstance(lengths, (int, np.integer)):
-        if lengths is True or lengths < 1:
-            raise ValueError("a schedule needs one length of at least 1 per price row")
-        return np.asarray(prices, dtype=float)[None], np.array([lengths])
-    prices, lengths = np.asarray(prices, dtype=float), np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != prices.shape[:1] or not len(lengths) or min(lengths.tolist()) < 1:
+    prices = np.asarray(prices, dtype=float)
+    if isinstance(lengths, (int, np.generic)):
+        prices, lengths = prices[None], [lengths]
+    lengths = np.asarray(lengths)
+    if (lengths.dtype.kind not in "iu" or lengths.shape != prices.shape[:1]
+            or not len(lengths) or min(lengths.tolist()) < 1):
         raise ValueError("a schedule needs one length of at least 1 per price row")
-    return prices, lengths
+    return prices, lengths.astype(np.int64, copy=False)
 
 
 class Policy(ABC):
@@ -107,9 +108,9 @@ class Policy(ABC):
     the realized history {p_s, y_s : s < t}; the simulator enforces this by
     construction (it hands the policy nothing else).
 
-    A plain subclass is asked and observed one period at a time. A subclass
-    whose schedule() returns a schedule is served that schedule whole and
-    implements observe_block, which reads its feedback."""
+    Every request is a schedule, served whole and answered by observe_block.
+    A plain subclass requests one period at next_price's price, and the
+    default observe_block hands that period's demand to observe."""
 
     name = "policy"
 
@@ -121,16 +122,22 @@ class Policy(ABC):
     def observe(self, period: int, y: np.ndarray) -> None:
         """Realized demand for the given period."""
 
+    def observe_block(self, period: int, y_sums: np.ndarray, lengths: np.ndarray) -> None:
+        """The answer to the request that started at period: the demand
+        summed over each row and the periods each row lasted (see schedule).
+        By default the request is one period, whose demand goes to observe."""
+        self.observe(period, y_sums[0])
+
     def hold(self) -> int:
         """No caller in the package; perfbench/tracer.py wraps it by name."""
         return 1
 
     def schedule(self):
         """The open-loop schedule (prices (K, N), lengths (K,)), K >= 1, that
-        starts now, or None to be asked for one period. It posts prices[0]
-        (next_price's price) for lengths[0] periods, then prices[1] for
-        lengths[1], and so on, reading no feedback in between; the simulator
-        serves it in one kernel call and answers it with one
+        starts now, or None for one period at next_price's price. It posts
+        prices[0] (next_price's price) for lengths[0] periods, then prices[1]
+        for lengths[1], and so on, reading no feedback in between; the
+        simulator serves it in one kernel call and answers it with one
         observe_block(period, y_sums (K, N), lengths (K,)) call: the demand
         summed over each row and the periods each row lasted. The horizon may
         cut the last row short or drop rows."""
@@ -205,7 +212,7 @@ class PolicyError(RuntimeError):
     """Policy emitted an out-of-box, non-shutoff price."""
 
 
-def _serve(model, A, prices, lengths, remaining, rng, noiseless=False, peak=None):
+def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     """Serve a schedule, prices[r] for lengths[r] periods row after row, until
     the first purchase that `remaining` cannot cover (None: no limit).
     Returns (served, demand, after) for the rows up to the one cut short (the
@@ -221,18 +228,13 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False, peak=None
     as one draw per row does. Inside that row, halving finds the first
     unservable period: given a segment's counts, the counts of its first h
     periods are multivariate hypergeometric, so each split is exact in
-    distribution. A one-row schedule never touches the bit generator, nor
-    does a schedule that `peak`, each resource's largest use by one unit
-    (None: unknown), shows cannot run out.
+    distribution. A one-row schedule never touches the bit generator.
     Noiseless: the same scan, then floor-and-adjust on the short row only."""
     K = len(lengths)
-    # a single row takes the vector calls, which cost less than one-row stacks
+    # a single row takes the vector call, which costs less than a one-row stack
     means = model.mean(prices[0])[None] if K == 1 else model.mean(prices)
     if noiseless:
-        cons = _times(A, means)
-        if K == 1:
-            s = _noiseless_served(cons[0], remaining, int(lengths[0]))
-            return np.array([s]), means, remaining - s * cons
+        cons = _on_vectors(np.matmul, A, means)
         after = _scan(remaining, lengths[:, None] * cons)
         r = _first_short(remaining, after, cons, lengths)
         if r == K:
@@ -247,22 +249,16 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False, peak=None
     # no purchase takes 1 - sum D(p); a linear D can be -1e-17 at a box corner
     pvals = np.zeros((K, means.shape[1] + 1))
     np.maximum(means, 0.0, out=pvals[:, :-1])
-    state = None
-    if K > 1 and remaining is not None:
-        # a sampled period sells at most one unit, so a schedule of span
-        # periods uses at most span * peak; the room covers the scan's rounding
-        span = sum(lengths.tolist())
-        if peak is None or any(span * c > _ROOM * r for c, r in zip(peak, remaining.tolist())):
-            state = rng.bit_generator.state
+    state = rng.bit_generator.state if K > 1 and remaining is not None else None
     counts = _draw(rng, lengths, pvals)
     if remaining is None:
         return lengths, counts, None
-    after = _scan(remaining, _times(A, counts[:, :-1]))
+    after = _scan(remaining, _on_vectors(np.matmul, A, counts[:, :-1]))
     # sampled inventory only falls, so the last row fits if every row does
     if min(after[-1].tolist()) >= 0.0:
         return lengths, counts, after
     r = int(np.flatnonzero((after < 0.0).any(axis=1))[0])
-    if K > 1:   # only a schedule that could run out gets here, and its state was saved
+    if K > 1:
         rng.bit_generator.state = state
         counts = _draw(rng, lengths[:r + 1], pvals[:r + 1])
     before = after[r - 1] if r else remaining
@@ -281,17 +277,9 @@ def _draw(rng, lengths, pvals):
     return rng.multinomial(lengths, pvals)
 
 
-def _times(A, X):
-    """A x for each row x of the stack X, rounded like A.dot(x) (the demand
-    API's rule); a single row takes the cheaper vector call."""
-    return A.dot(X[0])[None] if len(X) == 1 else _on_vectors(np.matmul, A, X)
-
-
 def _scan(remaining, used):
     """The inventory after each row, rounded as row-by-row subtraction rounds
     it; may overwrite used."""
-    if len(used) == 1:
-        return remaining - used
     used[0] = remaining - used[0]
     return np.subtract.accumulate(used)
 
@@ -371,9 +359,6 @@ def _fold(ledger: list, sold: list, hasher, noiseless: bool) -> None:
 def _outcomes(prices, counts, served) -> bytes:
     """Fingerprint bytes of open rows, row after row as each row served alone
     hashes: price, outcome counts (sampled rows only) and periods served."""
-    if len(served) == 1:
-        return (prices.tobytes() + (b"" if counts is None else counts.tobytes())
-                + int(served[0]).to_bytes(8, "little"))
     cols = [prices.view(np.int64)] + ([] if counts is None else [counts]) + [served[:, None]]
     return np.concatenate(cols, axis=1).tobytes()
 
@@ -387,27 +372,26 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     resource cannot fully serve is lost (y := 0) and triggers permanent
     shutoff. Deterministic given the seed.
 
-    Each query takes the policy's schedule (one period at its price when it
-    has none), cut at the horizon, and serves it with one `_serve` call,
-    answered by observe_block (by observe for one period without a
-    schedule): a closed market sells nothing, a noiseless one the exact mean
-    demand each period, and a sampled one draws outcome counts. The rest of
-    a schedule cut short is closed. The fingerprint hashes each row (price,
-    counts, served) as a row served alone. Recorded rows order a sampled
-    row's served outcomes by a uniform random permutation from a second
-    generator derived from the seed, so a recorded and an unrecorded run of
-    one seed are the same episode. Served requests are buffered and folded
-    into the fingerprint and a tally of the units sold at each price,
-    _LEDGER_ROWS rows at a time, and always before closed rows are hashed. The
-    revenue is one fsum of exact products of units and prices: in both modes
-    it equals the fsum of the recorded per-period revenues.
+    Each query takes the policy's schedule (the one-period schedule at its
+    price when it has none), cut at the horizon, and serves it with one
+    `_serve` call, answered by observe_block: a closed market sells nothing,
+    a noiseless one the exact mean demand each period, and a sampled one
+    draws outcome counts. The rest of a schedule cut short is closed. The
+    fingerprint hashes each row (price, counts, served) as a row served
+    alone. Recorded rows order a sampled row's served outcomes by a uniform
+    random permutation from a second generator derived from the seed, so a
+    recorded and an unrecorded run of one seed are the same episode. Served
+    requests are buffered and folded into the fingerprint and a tally of the
+    units sold at each price, _LEDGER_ROWS rows at a time, and always before
+    closed rows are hashed. The revenue is one fsum of exact products of
+    units and prices: in both modes it equals the fsum of the recorded
+    per-period revenues.
     """
     T = instance.T
     N, M = instance.N, instance.M
     model, A = instance.model, instance.A
     rng = np.random.default_rng(np.random.PCG64(seed))
     remaining = instance.capacity.astype(float).copy()
-    peak = A.max(axis=1).tolist()
     noiseless = instance.noise == "none"
     eps = 1e-9 * max(1.0, abs(instance.price_max))
     p_lo, p_hi = instance.price_min - eps, instance.price_max + eps
@@ -429,18 +413,16 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     while t < T:
         p = policy.next_price(t + 1)
         plan = None if p is None else policy.schedule()
-        if plan is None:
-            span, lengths = 1, _ONE_PERIOD
-            prices = None if p is None else np.asarray(p, dtype=float)[None]
-        else:
-            prices, lengths = plan
-            span = sum(lengths.tolist())
-            if span > T - t:
-                span = T - t
-                prices, lengths = _cut(prices, lengths, span)
+        if plan is None:   # one period at p, or shut for one period
+            plan = (None if p is None else np.asarray(p, dtype=float)[None]), _ONE_PERIOD
+        prices, lengths = plan
+        span = sum(lengths.tolist())
+        if span > T - t:
+            span = T - t
+            prices, lengths = _cut(prices, lengths, span)
         if prices is not None and (prices.shape != (len(lengths), N)
                                    or not _in_box(prices, p_lo, p_hi)):
-            shown = p if plan is None else "of a schedule"
+            shown = prices[0] if len(prices) == 1 else "of a schedule"
             raise PolicyError(f"price {shown} outside [{instance.price_min}, {instance.price_max}]")
         K = len(lengths)
         was_shut = shutoff_period is not None
@@ -449,8 +431,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             # Market closed: zero demand, no RNG consumption.
             rows, y_sums = 0, np.zeros((K, N))
         else:
-            served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless,
-                                           peak)
+            served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
             rows = len(served)
             # copies: a policy may reuse its arrays for its next request
             ledger.append((prices[:rows].copy(), demand, served.copy()))
@@ -492,12 +473,9 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                 periods["inventory"][start + max(s - 1, 0):start + k] = end
                 start += k
         if rows:
-            remaining = after[-1] if K == 1 else after[-1].copy()
+            remaining = after[-1].copy()
 
-        if plan is None:
-            policy.observe(t + 1, y_sums[0])
-        else:
-            policy.observe_block(t + 1, y_sums, lengths)
+        policy.observe_block(t + 1, y_sums, lengths)
         t += span
 
     _fold(ledger, sold, hasher, noiseless)

@@ -18,21 +18,32 @@ There are no golden values: OpenBLAS picks its kernels by CPU, and they round
 differently, so compare the digests of two trees on one machine. A change
 that keeps episodes bit-identical prints its parent's digest.
 
+Run as a script, it pins OpenBLAS, OpenMP and MKL to one thread before numpy
+loads, whatever the shell sets, as perfbench/run.py does: at N >= 3 the BLAS
+thread count moves the last bits of SLSQP's fluid solution, and with them
+every clairvoyant case of n3m1 and n4m2. Imported, it runs with the BLAS of
+the importing process.
+
 The full set: the bundled instance and the seeded random logit instances
 N = 3 (M = 1) and N = 4 (M = 2) of perfbench/inputs.py; pdnrm with the tuned
 default, plan_scaling's config and p_margin 0 (degraded loops), clairvoyant
 and ETC; multinomial and noiseless; seeds 1-3; T = 1e4 and 2e5.
 """
 
-import argparse
-import dataclasses
-import hashlib
-import importlib.util
-import json
 import os
 import sys
 
-import numpy as np
+if __name__ == "__main__":   # before numpy loads; see the docstring
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"), "1"))
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))

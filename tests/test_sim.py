@@ -266,10 +266,20 @@ class TestCommitPolicy:
             posted = np.vstack([posted, posted])[:inst.T]
         np.testing.assert_array_equal(trace.periods["price"], posted)
 
-    @pytest.mark.parametrize("length", [0, -5, True, False, np.int64(0)])
+    @pytest.mark.parametrize("length", [0, -5, True, False, np.int64(0),
+                                        [True], [2.7], np.array([2.0]), []])
     def test_one_row_length_must_be_a_positive_integer(self, length):
+        # a pair's length and an array's lengths are checked by one rule
+        prices = self.ROWS[0] if np.ndim(length) == 0 else self.ROWS[:len(length)]
         with pytest.raises(ValueError, match="at least 1"):
-            sim._as_schedule((self.ROWS[0], length))
+            sim._as_schedule((prices, length))
+
+    @pytest.mark.parametrize("length", [3, np.int32(3), [3], np.array([3], dtype=np.uint8)])
+    def test_integer_lengths_of_any_width_are_accepted(self, length):
+        prices = self.ROWS[0] if np.ndim(length) == 0 else self.ROWS[:1]
+        prices, lengths = sim._as_schedule((prices, length))
+        np.testing.assert_array_equal(prices, self.ROWS[:1], strict=True)
+        np.testing.assert_array_equal(lengths, np.array([3]), strict=True)
 
     def test_zero_length_request_raises_instead_of_hanging(self, instance):
         class ZeroAfterFirst(CommitPolicy):
@@ -550,48 +560,60 @@ class TestScheduleKernel:
             assert short == (None if where in ("none", "exact") else r)
         assert checked >= 15
 
-    @pytest.mark.parametrize("case", ["ample", "span_times_peak", "short", "rounding"])
-    def test_peak_skips_the_state_save_only_where_no_row_can_run_out(self, instance, case):
-        class StateReads:
-            """A generator that counts reads of its bit generator's state."""
-
-            def __init__(self):
-                self.rng, self.reads = np.random.default_rng(4), 0
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            bit_generator = property(lambda self: self)
-
-            @property
-            def state(self):
-                self.reads += 1
-                return self.rng.bit_generator.state
-
-            @state.setter
-            def state(self, value):
-                self.rng.bit_generator.state = value
-
+    @pytest.mark.parametrize("case", ["short", "rounding"])
+    def test_schedule_that_runs_out_equals_row_by_row(self, instance, case):
         class AlwaysBuys:   # one product, bought every period
             def mean(self, p):
                 return np.ones_like(p)
 
         model, A = instance.model, self.A
         prices, lengths = self.schedule(5)
+        remaining = np.array([30.0, 30.0])
         if case == "rounding":
             # 1 - 0.1 * 3 - 0.1 * 7 rounds below 0, though 10 * 0.1 == 1.0
-            model, A, prices, lengths = AlwaysBuys(), np.array([[0.1]]), np.ones((2, 1)), np.array([3, 7])
-        peak = A.max(axis=1)
-        remaining = {"ample": 2.0 * lengths.sum() * peak, "span_times_peak": lengths.sum() * peak,
-                     "short": np.array([30.0, 30.0]), "rounding": np.array([1.0])}[case]
-        rng, ref_rng = StateReads(), np.random.default_rng(4)
-        got = sim._serve(model, A, prices, lengths, remaining.copy(), rng, False, peak.tolist())
-        ref = sim._serve(model, A, prices, lengths, remaining.copy(), ref_rng)
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
-        assert rng.rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.reads == (case != "ample")
-        assert (got[0][-1] < lengths[len(got[0]) - 1]) == (case in ("short", "rounding"))
+            model, A, prices = AlwaysBuys(), np.array([[0.1]]), np.ones((2, 1))
+            lengths, remaining = np.array([3, 7]), np.array([1.0])
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        served, demand, after = sim._serve(model, A, prices, lengths, remaining.copy(), a)
+        ref_served, ref_demand, ref_after = serve_row_by_row(model, A, prices, lengths,
+                                                             remaining.copy(), b, False)
+        assert served.tolist() == ref_served
+        np.testing.assert_array_equal(demand, ref_demand)
+        np.testing.assert_array_equal(after[-1], ref_after)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert served[-1] < lengths[len(served) - 1]
+
+    @pytest.mark.parametrize("case, expected", [
+        ("exact", 8), ("one_short", 7), ("unused", 8), ("below_zero", 6)])
+    def test_noiseless_row_serves_what_each_resource_covers(self, case, expected):
+        """A one-row noiseless request serves the periods _noiseless_served
+        allows and leaves remaining - served * consumption."""
+        from nrmlab import LinearDemand
+
+        class Fixed:
+            def __init__(self, d):
+                self.d = np.asarray(d, float)
+
+            def mean(self, p):
+                return np.broadcast_to(self.d, np.shape(p)).copy()
+
+        # B's demand at the corner (5, 0.8) is 0 for product 1 but rounds to -5.6e-17
+        B = np.array([[0.1, -0.01], [-0.01, 0.1]])
+        corner = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
+        model, A, remaining = {
+            "exact": (Fixed([0.25, 0.25]), self.A, [4.0, 4.0]),       # uses (0.5, 0.5)
+            "one_short": (Fixed([0.25, 0.25]), self.A, [3.75, 4.0]),  # 7.5 periods fit
+            "unused": (Fixed([0.25, 0.0]), self.A, [2.0, 0.0]),       # resource 2 is empty
+            "below_zero": (corner, np.eye(2), [0.0, 3.0]),            # 0.462 per period
+        }[case]
+        price, remaining = np.array([5.0, 0.8]), np.array(remaining)
+        cons = A.dot(model.mean(price))
+        assert (cons[0] < 0) == (case == "below_zero")
+        served, demand, after = sim._serve(model, A, price[None], np.array([8]),
+                                           remaining.copy(), None, noiseless=True)
+        assert served.tolist() == [expected] == [sim._noiseless_served(cons, remaining, 8)]
+        np.testing.assert_array_equal(demand, model.mean(price)[None])
+        np.testing.assert_array_equal(after, [remaining - expected * cons])
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     @pytest.mark.parametrize("policy", ["pdnrm", "etc"])
