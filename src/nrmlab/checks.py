@@ -157,7 +157,9 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     # pdnrm: prox closed form and a short stochastic run
     out = prox_dual_step(np.array([1.0, 1.0]), np.zeros(2), 1.0, 1.0, np.array([10.0, 10.0]))
     check("pdnrm.prox", np.allclose(out, [0.5, 0.5]))
-    cfg = constants_tuned(instance.N, 20_000)
+    # kappa3 = 1 narrows the band kappa3/sqrt(n) until balancing binds; at the
+    # tuned kappa3 the start x = 0 passes every loop and no price moves
+    cfg = constants_tuned(instance.N, 20_000, kappa3=1.0)
     pol = PdNrmPolicy(instance.with_horizon(20_000), cfg)
     trace = run_episode(instance.with_horizon(20_000), pol, seed=11)
     # the episode logs the skeleton's loops that end by T, and the epochs they
@@ -173,12 +175,13 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     check("pdnrm.epoch_bound", logged == loops and epochs == list(range(s + 1))
           and 0 < s + 1 <= bound, f"{len(epochs)} epochs and {len(logged)} loops logged, "
           f"{s + 1} and {len(loops)} in the skeleton, bound {bound:.1f}")
-    ok = True
-    for ev in trace.events:
-        if ev.get("kind") == "loop" and ev["balancing_feasible"]:
-            r = cfg.kappa1 * ev["n_tau"] ** -0.25
-            if np.max(np.abs(np.array(ev["tilde_p"]) - np.array(ev["p"]))) > r + 1e-12:
-                ok = False
-    check("pdnrm.balance_locality", ok)
+    loop_events = [e for e in trace.events if e["kind"] == "loop"]
+    moved = [e for e in loop_events if e["balancing_feasible"] and e["tilde_p"] != e["p"]]
+    empty = sum(not e["balancing_feasible"] and not e["degraded"] for e in loop_events)
+    far = sum(max(abs(a - b) for a, b in zip(e["tilde_p"], e["p"]))
+              > cfg.kappa1 * e["n_tau"] ** -0.25 + 1e-12 for e in moved)
+    check("pdnrm.balance_locality", moved and not far,
+          f"{len(moved)} of {len(loop_events)} loops moved a price, {empty} sets empty, "
+          f"{far} moved beyond the radius")
 
     return results

@@ -254,8 +254,8 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
       |x_i| <= kappa1 n^{-1/4}, p + x in the price box,
       <a_j, D_hat + J_hat x / 2> <= gamma_j + kappa3/sqrt(n),
       <a_j, D_hat + J_hat x / 2> >= gamma_j - kappa2/((1 ^ lam_j) sqrt(n)) - kappa3/sqrt(n).
-    Solved by projections.feasible_point from x = 0; (p, False) when no point
-    passes the residual tolerance within the sweep cap.
+    Solved by projections.feasible_point from x = 0, an LP for the point nearest
+    p in the max norm; (p, False) when HiGHS proves that no such point exists.
     """
     ps = list(map(float, p))
     A = np.asarray(A)

@@ -1,8 +1,8 @@
-"""Alternating-projection utilities for halfspace systems {x : G x <= h}."""
+"""Halfspace systems {x : G x <= h}: the balancing LP and a Dykstra projection."""
 
 import numpy as np
 
-FEASIBLE_TOL = 1e-9  # feasible_point's residual tolerance
+FEASIBLE_TOL = 1e-9  # the residual at which feasible_point's start passes
 
 
 def max_violation(G, h, x) -> float:
@@ -40,34 +40,26 @@ def project_polytope(G, h, x, sweeps: int = 500, tol: float = 1e-12) -> np.ndarr
     return x
 
 
-def feasible_point(G, h, x0, lo, hi, sweeps: int = 500, tol: float = FEASIBLE_TOL):
-    """Cyclic projections from x0 toward {G x <= h} intersected with box [lo, hi].
-
-    Returns (x, ok). ok is False when the residual stays above tol after the
-    sweep cap (the system may be infeasible or just slow).
-    """
-    G = np.asarray(G, float)
-    h = np.asarray(h, float)
-
-    def clip(v):
-        return np.minimum(np.maximum(v, lo), hi)
-
-    # a passing start passes each zero row too (its h >= -tol), so it goes first
-    x = clip(np.asarray(x0, float))
-    if max_violation(G, h, x) <= tol:
+def feasible_point(G, h, x0, lo, hi):
+    """(x, True) for the point x of {G x <= h} in the box [lo, hi] nearest x0 in
+    the max norm, by one HiGHS LP (min t, -t <= x - x0 <= t); (x0 clipped, False)
+    when HiGHS proves the set empty or a NaN or infinity is left once the rows
+    with h = +inf are dropped. A clipped x0 within FEASIBLE_TOL comes back as is."""
+    G, h, x0 = (np.asarray(v, float) for v in (G, h, x0))
+    x = np.minimum(np.maximum(x0, lo), hi)
+    if max_violation(G, h, x) <= FEASIBLE_TOL:
         return x, True
-    norms2 = np.einsum("ij,ij->i", G, G)
-    for k in range(G.shape[0]):
-        if norms2[k] <= 1e-30 and h[k] < -tol:
-            return np.asarray(x0, float).copy(), False
-    for _ in range(sweeps):
-        for k in range(G.shape[0]):
-            if norms2[k] <= 1e-30:
-                continue
-            excess = G[k] @ x - h[k]
-            if excess > 0:
-                x = x - (excess / norms2[k]) * G[k]
-        x = clip(x)
-        if max_violation(G, h, x) <= tol:
-            return x, True
-    return x, max_violation(G, h, x) <= tol
+    G, h = G[h != np.inf], h[h != np.inf]
+    if not all(np.isfinite(v).all() for v in (G, h, x0, lo, hi)):
+        return x, False
+    from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
+    n = len(x)
+    eye, t = np.eye(n), -np.ones((n, 1))
+    res = linprog(np.r_[np.zeros(n), 1.0],
+                  A_ub=np.block([[G, np.zeros((len(h), 1))], [eye, t], [-eye, t]]),
+                  b_ub=np.r_[h, x0, -x0],
+                  bounds=[*zip(np.broadcast_to(lo, n), np.broadcast_to(hi, n)), (0.0, None)],
+                  method="highs")
+    if res.status not in (0, 2):
+        raise RuntimeError(f"balancing LP failed: HiGHS status {res.status} ({res.message})")
+    return (res.x[:-1], True) if res.status == 0 else (x, False)

@@ -1,9 +1,11 @@
 import json
+import re
 import numpy as np
 import pytest
 
 import nrmlab.bench
-from nrmlab import Instance, LogitDemand, example_logit_instance
+from nrmlab import Instance, LogitDemand, example_logit_instance, pdnrm
+from nrmlab.checks import run_checks
 from nrmlab.cli import cli_main
 from conftest import save_instance
 
@@ -198,6 +200,13 @@ class TestCheckCommand:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+        assert re.search(r"balance_locality  \([1-9]\d* of \d+ loops moved a price", out)
+
+    def test_balance_locality_fails_when_no_price_moves(self, instance, monkeypatch):
+        monkeypatch.setattr(pdnrm, "feasible_point", lambda G, h, x0, lo, hi: (x0, False))
+        results = {name: (ok, detail) for name, ok, detail in run_checks(instance)}
+        assert results["pdnrm.balance_locality"][0] is False
+        assert results["pdnrm.balance_locality"][1].startswith("0 of 25 loops moved a price")
 
 
 class TestConstantsCommand:

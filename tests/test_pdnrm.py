@@ -26,7 +26,7 @@ from nrmlab import (
 from nrmlab import pdnrm
 from nrmlab.demand import grad_revenue_f, revenue_f
 from nrmlab.pdnrm import epoch_count_bound
-from nrmlab.projections import feasible_point
+from nrmlab.projections import FEASIBLE_TOL, feasible_point, max_violation
 from conftest import loop_count_bound
 
 
@@ -428,6 +428,82 @@ class TestDemandBalance:
             assert not calls
         elif case in ("binding band", "nan p", "nan h", "bad J"):
             assert len(calls) >= 15
+
+    def test_set_the_sweep_cap_called_empty_balances(self):
+        # recorded from a bundled kappa3 = 1 episode: 500 cyclic-projection
+        # sweeps stopped at residual 6.9e-9 and called this set empty
+        G = np.array([[-0.06807247944575417, 0.011345413240959027],
+                      [0.06807247944575417, -0.011345413240959027],
+                      [0.04538165296383614, -0.02269082648191807],
+                      [-0.04538165296383614, 0.02269082648191807]])
+        h = np.array([-0.05560847628943938, 0.1480945712963334,
+                      0.10785306217209906, -0.001575063325061625])
+        r = 0.7071067811865475
+        x, ok = feasible_point(G, h, np.zeros(2), np.full(2, -r), np.full(2, r))
+        assert ok
+        assert max_violation(G, h, x) == 0.0
+        assert np.all(np.abs(x) <= r)
+
+    @pytest.mark.parametrize("G, h, lo, hi, nearest", [
+        ([[-1.0]], [-0.5], [-1.0], [1.0], [0.5]),                        # 1-D: x >= 0.5
+        ([[1.0]], [-0.25], [-1.0], [1.0], [-0.25]),                      # 1-D: x <= -0.25
+        ([[-1.0, -1.0]], [-2.0], [-5.0, -5.0], [5.0, 5.0], [1.0, 1.0]),  # x1 + x2 >= 2
+        ([[-1.0, -1.0]], [-2.0], [-5.0, -5.0], [0.5, 5.0], [0.5, 1.5]),  # ... with x1 <= 0.5
+        ([[-1.0, -1.0], [1.0, 0.0]], [-2.0, np.inf], [-5.0, -5.0], [5.0, 5.0], [1.0, 1.0]),
+        ([[-1.0, -1.0], [np.nan, 0.0]], [-2.0, np.inf], [-5.0, -5.0], [5.0, 5.0], [1.0, 1.0]),
+    ])
+    def test_the_point_nearest_x0_in_the_max_norm(self, G, h, lo, hi, nearest):
+        # a row whose bound is +inf binds nothing, whatever its coefficients
+        x, ok = feasible_point(np.array(G), np.array(h), np.zeros(len(lo)),
+                               np.array(lo), np.array(hi))
+        assert ok
+        assert_allclose(x, nearest, atol=1e-12)
+
+    @pytest.mark.parametrize("G, h, lo, hi", [
+        ([[np.nan]], [-1.0], [-2.0], [2.0]),
+        ([[np.inf]], [-1.0], [-2.0], [2.0]),
+        ([[1.0]], [np.nan], [-2.0], [2.0]),
+        ([[1.0]], [-np.inf], [-2.0], [2.0]),
+        ([[1.0]], [-1.0], [np.nan], [2.0]),
+        ([[1.0]], [-1.0], [-np.inf], [2.0]),
+        ([[1.0]], [-1.0], [-2.0], [np.inf]),
+    ])
+    def test_non_finite_input_is_empty_without_the_lp(self, G, h, lo, hi, monkeypatch):
+        import scipy.optimize
+        calls = []
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1))
+        x0 = np.array([0.5])
+        x, ok = feasible_point(np.array(G), np.array(h), x0, np.array(lo), np.array(hi))
+        assert not ok
+        assert np.array_equal(x, np.minimum(np.maximum(x0, lo), hi), equal_nan=True)
+        assert not calls
+
+    def test_other_lp_status_raises(self, monkeypatch):
+        import scipy.optimize
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: scipy.optimize.OptimizeResult(
+            status=4, message="numerical difficulties"))
+        with pytest.raises(RuntimeError, match="HiGHS status 4"):
+            feasible_point(np.array([[-1.0]]), np.array([-0.5]), np.zeros(1),
+                           np.array([-1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("case", ["binding band", "box edge"])
+    def test_accepted_points_satisfy_every_row(self, case, monkeypatch):
+        solved = []
+
+        def recorded(G, h, x0, lo, hi):
+            x, ok = feasible_point(G, h, x0, lo, hi)
+            if ok:
+                solved.append((G, h, lo, hi, x))
+            return x, ok
+
+        monkeypatch.setattr(pdnrm, "feasible_point", recorded)
+        rng = np.random.default_rng([23, sum(case.encode())])
+        for _ in range(200):
+            demand_balance(*balance_inputs(rng, case))
+        assert len(solved) >= 20
+        for G, h, lo, hi, x in solved:
+            assert max_violation(G, h, x) <= FEASIBLE_TOL
+            assert np.all((lo <= x) & (x <= hi))
 
     def test_already_feasible_returns_p(self, instance, fluid_solution):
         inst = instance
