@@ -39,7 +39,6 @@ from .sim import (
 from .pdnrm import (
     PdNrmConfig,
     PdNrmPolicy,
-    GradEstOutput,
     constants_tuned,
     constants_theory,
     config_from_dict,
@@ -49,7 +48,6 @@ from .pdnrm import (
     loop_skeleton,
     prox_dual_step,
     DemandOracle,
-    SamplingOracle,
 )
 from .baselines import (
     EtcConfig,

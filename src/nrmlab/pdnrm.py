@@ -344,12 +344,17 @@ def _probe_signs(N: int) -> np.ndarray:
 
 
 class DemandOracle:
-    """Noiseless environment handle: each schedule returns the exact mean
-    demand of its rows in one stacked evaluation, so a grad_est call costs two
-    model evaluations, not n periods."""
+    """Environment handle: the instance's own market without inventory, in its
+    noise mode. A schedule's rows get their exact mean demand in one stacked
+    evaluation (noise "none"), or one count draw of the market kernel over their
+    lengths (noise "multinomial", which needs rng), so a grad_est call costs two
+    model evaluations or draws, not n periods."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, rng: Optional[np.random.Generator] = None):
+        if instance.noise != "none" and rng is None:
+            raise ValueError(f"a market with {instance.noise!r} noise samples: pass an rng")
         self.instance = instance
+        self.rng = rng
         self.periods = 0
         self.commits = 0
 
@@ -357,23 +362,10 @@ class DemandOracle:
         """The (K, N) average demand of a schedule's rows."""
         self.periods += int(lengths.sum())
         self.commits += len(lengths)
-        return self.instance.model.mean(prices)
-
-
-class SamplingOracle:
-    """Stochastic environment handle backed by the simulator's market kernel,
-    without inventory: a schedule of any length costs one count draw."""
-
-    def __init__(self, instance: Instance, rng: np.random.Generator):
-        self.instance = instance
-        self.rng = rng
-        self.periods = 0
-
-    def commit(self, prices, lengths):
-        """The (K, N) average demand of a schedule's rows."""
-        self.periods += int(lengths.sum())
-        _, counts, _ = _serve(self.instance.model, self.instance.A, prices, lengths, None,
-                              self.rng)
+        inst = self.instance
+        if inst.noise == "none":
+            return inst.model.mean(prices)
+        _, counts, _ = _serve(inst.model, inst.A, prices, lengths, None, self.rng)
         return counts[:, :-1] / lengths[:, None]
 
 

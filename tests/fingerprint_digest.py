@@ -9,7 +9,8 @@ Run from any directory; it imports nrmlab from its own checkout's src/:
 For every case it hashes the episode's fingerprint, repr(total_revenue), the
 shutoff period, the events as JSON and, at T <= 1e4, the bytes of every
 recorded per-period array; then the arrays, flags and events that grad_est
-and primal_opt return against DemandOracle and a seeded SamplingOracle. It
+and primal_opt return against a DemandOracle of the instance made noiseless
+and one of the (multinomial) instance with a seeded generator. It
 prints one blake2b digest and the case count. With --cases it first prints a
 short hash of every case beside its label, so that diffing the output of two
 trees names the cases that moved.
@@ -48,8 +49,8 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from nrmlab import (DemandOracle, SamplingOracle, build_policy, config_from_dict,  # noqa: E402
-                    grad_est, load_instance, primal_opt, run_episode, solve_fluid)
+from nrmlab import (DemandOracle, build_policy, config_from_dict, grad_est,  # noqa: E402
+                    load_instance, primal_opt, run_episode, solve_fluid)
 
 PDNRM_CONFIGS = {"pdnrm": {}, "pdnrm_scaling": {"mu": 0.05, "eta2": 1.0},
                  "pdnrm_margin0": {"p_margin": 0.0}}
@@ -98,15 +99,17 @@ def _episode(inst, policy: str, seed: int, fluid) -> list:
 
 
 def _oracle_calls(inst) -> list:
-    """grad_est and primal_opt against both oracles, at an inner price, a
-    box-edge price that degrades and a few sample sizes."""
+    """grad_est and primal_opt against the exact and the sampled market of a
+    multinomial instance, at an inner price, a box-edge price that degrades
+    and a few sample sizes."""
     parts = []
     cfg = config_from_dict({}, inst)
     lam = np.full(inst.M, 0.5)
     inner = np.full(inst.N, 0.5 * (inst.price_min + inst.price_max))
     edge = inner.copy()
     edge[0] = inst.price_min
-    for i, env in enumerate((DemandOracle(inst), SamplingOracle(inst, np.random.default_rng(7)))):
+    exact = DemandOracle(dataclasses.replace(inst, noise="none"))
+    for i, env in enumerate((exact, DemandOracle(inst, np.random.default_rng(7)))):
         for p in (inner, edge):
             for n in (8 * inst.N, 1001, 50_000):
                 out = grad_est(env, inst, cfg, p, lam, n)

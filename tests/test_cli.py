@@ -202,6 +202,19 @@ class TestCheckCommand:
         assert "checks passed" in out
         assert re.search(r"balance_locality  \([1-9]\d* of \d+ loops moved a price", out)
 
+    def test_check_passes_on_noiseless_demand_outside_the_simplex(self, capsys, tmp_path):
+        # mean demand 2 - p of each product is no category probability, and a
+        # noiseless market never draws from it
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps({
+            "N": 2, "M": 1, "A": [1.0, 1.0], "gamma": [3.0], "T": 10000,
+            "price_min": 0.0, "price_max": 1.0, "noise": "none",
+            "demand": {"type": "linear", "a": [2.0, 2.0], "B": [[1.0, 0.0], [0.0, 1.0]]}}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 0, err
+        assert "FAIL" not in out
+        assert "16/16 checks passed" in out
+
     def test_balance_locality_fails_when_no_price_moves(self, instance, monkeypatch):
         monkeypatch.setattr(pdnrm, "feasible_point", lambda G, h, x0, lo, hi: (x0, False))
         results = {name: (ok, detail) for name, ok, detail in run_checks(instance)}

@@ -19,7 +19,6 @@ from nrmlab import (
     primal_opt,
     prox_dual_step,
     DemandOracle,
-    SamplingOracle,
     run_episode,
     solve_inner_max,
 )
@@ -27,6 +26,7 @@ from nrmlab import pdnrm
 from nrmlab.demand import grad_revenue_f, revenue_f
 from nrmlab.pdnrm import epoch_count_bound
 from nrmlab.projections import FEASIBLE_TOL, feasible_point, max_violation
+from nrmlab.sim import _serve
 from conftest import loop_count_bound
 
 
@@ -309,6 +309,32 @@ class TestGradEst:
         assert env.commits == 2 * 2 + 1
         assert env.periods == 10**6
 
+    SCHEDULE = (np.array([[2.0, 2.0], [1.5, 3.0], [4.0, 0.9]]), np.array([7, 1, 20_000]))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_noiseless_oracle_answers_exact_means(self, noiseless_instance, rows):
+        prices, lengths = (a[:rows] for a in self.SCHEDULE)
+        env = DemandOracle(noiseless_instance)
+        got = env.commit(prices, lengths)
+        assert got.tobytes() == noiseless_instance.model.mean(prices).tobytes()
+        assert (env.periods, env.commits) == (int(lengths.sum()), rows)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_sampling_oracle_is_one_kernel_draw(self, instance, seed):
+        # the market kernel without inventory, under a twin generator
+        prices, lengths = self.SCHEDULE
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        env = DemandOracle(instance, rng)
+        got = env.commit(prices, lengths)
+        counts = _serve(instance.model, instance.A, prices, lengths, None, twin)[1]
+        assert got.tobytes() == (counts[:, :-1] / lengths[:, None]).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert (env.periods, env.commits) == (int(lengths.sum()), len(lengths))
+
+    def test_sampled_market_needs_an_rng(self, instance):
+        with pytest.raises(ValueError, match="'multinomial' noise samples"):
+            DemandOracle(instance)
+
     def test_u_capped_at_box_distance(self, noiseless_instance):
         inst = noiseless_instance
         cfg = constants_tuned(2, inst.T)
@@ -339,12 +365,13 @@ class TestGradEst:
         m = n // 8
         devs = []
         for rep in range(50):
-            env = SamplingOracle(inst, np.random.default_rng(500 + rep))
+            env = DemandOracle(inst, np.random.default_rng(500 + rep))
             out = grad_est(env, inst, cfg, p, np.zeros(2), n)
             devs.append(out.D_hat - inst.model.mean(p))
         devs = np.array(devs)
         se = math.sqrt(1.0 / (16 * m * 50))  # var(D_hat coord) <= 1/(16 m)
-        noiseless = grad_est(DemandOracle(inst), inst, cfg, p, np.zeros(2), n)
+        noiseless = grad_est(DemandOracle(replace(inst, noise="none")), inst, cfg, p,
+                             np.zeros(2), n)
         bias = np.abs(noiseless.D_hat - inst.model.mean(p))
         assert np.all(np.abs(devs.mean(axis=0)) <= bias + 4 * se)
 
