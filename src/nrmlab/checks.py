@@ -140,10 +140,10 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     gamma[j] = 0.5 * instance.A[j][instance.A[j] > 0].min() / small.T
     tr_s = run_episode(dataclasses.replace(small, gamma=gamma),
                        _RecordingPolicy(np.full(instance.N, p_lo)), seed=7, record_periods=True)
-    check("sim.shutoff_permanent", tr_a.shutoff_ok and tr_s.shutoff_ok
-          and tr_s.shutoff_period is not None
-          and not tr_s.periods["demand"][tr_s.shutoff_period:].any(),
-          f"shutoff at {tr_s.shutoff_period}, demand after {tr_s.demand_after_shutoff}")
+    check("sim.shutoff_permanent", tr_s.shutoff_period is not None
+          and not tr_s.periods["demand"][tr_s.shutoff_period:].any()
+          and np.isnan(tr_s.periods["price"][tr_s.shutoff_period:]).all(),
+          f"shutoff at {tr_s.shutoff_period}")
     per = tr_a.periods
     terms = []
     for t in range(per["price"].shape[0]):
@@ -152,7 +152,8 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     recomputed = math.fsum(terms)
     check("sim.revenue_accounting", recomputed == tr_a.total_revenue,
           f"recomputed {recomputed!r} vs {tr_a.total_revenue!r}")
-    check("sim.admissible", pol_a.ordered and len(pol_a.observations) == small.T)
+    observed = small.T if tr_a.shutoff_period is None else tr_a.shutoff_period - 1
+    check("sim.admissible", pol_a.ordered and len(pol_a.observations) == observed)
 
     # pdnrm: prox closed form and a short stochastic run
     out = prox_dual_step(np.array([1.0, 1.0]), np.zeros(2), 1.0, 1.0, np.array([10.0, 10.0]))
@@ -162,11 +163,13 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     cfg = constants_tuned(instance.N, 20_000, kappa3=1.0)
     pol = PdNrmPolicy(instance.with_horizon(20_000), cfg)
     trace = run_episode(instance.with_horizon(20_000), pol, seed=11)
-    # the episode logs the skeleton's loops that end by T, and the epochs they
-    # reach: one more than the epoch of the first loop past T
+    # the episode logs the loops that end by T and whose estimation rows (the first
+    # 2N floor(n_tau / 4N) periods; no loop degrades inside the margin) end before
+    # the shutoff, and the epochs up to that of the first loop not logged
+    N, shutoff = instance.N, trace.shutoff_period or math.inf
     loops = []
     for s, tau, n_tau, end in loop_skeleton(cfg):
-        if end > 20_000:
+        if end > 20_000 or end - n_tau + 2 * N * (n_tau // (4 * N)) >= shutoff:
             break
         loops.append((s, tau, n_tau))
     logged = [(e["s"], e["tau"], e["n_tau"]) for e in trace.events if e["kind"] == "loop"]
@@ -174,7 +177,7 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     bound = epoch_count_bound(cfg, 20_000)
     check("pdnrm.epoch_bound", logged == loops and epochs == list(range(s + 1))
           and 0 < s + 1 <= bound, f"{len(epochs)} epochs and {len(logged)} loops logged, "
-          f"{s + 1} and {len(loops)} in the skeleton, bound {bound:.1f}")
+          f"{s + 1} and {len(loops)} expected, bound {bound:.1f}")
     loop_events = [e for e in trace.events if e["kind"] == "loop"]
     moved = [e for e in loop_events if e["balancing_feasible"] and e["tilde_p"] != e["p"]]
     empty = sum(not e["balancing_feasible"] and not e["degraded"] for e in loop_events)

@@ -9,7 +9,8 @@ sampled market one draw gives every row's outcome counts, and only the row in
 which inventory runs out costs O(log k) more draws. Every step is exact in
 distribution, and a schedule is the same episode, bit for bit, as its rows
 served one at a time. Per-period rows are made only when recording; the
-per-period semantics are unchanged.
+per-period semantics are unchanged. The first purchase that inventory cannot
+serve shuts the market for good and ends the episode.
 """
 
 import json
@@ -116,7 +117,8 @@ class Policy(ABC):
 
     @abstractmethod
     def next_price(self, period: int) -> Optional[np.ndarray]:
-        """Price vector for the 1-based period, or None to request shutoff."""
+        """Price vector for the 1-based period, or None to end the episode
+        (no further call is made, and shutoff_period stays None)."""
 
     @abstractmethod
     def observe(self, period: int, y: np.ndarray) -> None:
@@ -152,7 +154,8 @@ class CommitPolicy(Policy):
     one-row schedule, and receives the (K, N) average demand of its rows.
     Every request is the policy's schedule() and is observed once, whole,
     never period by period. A request that the horizon cuts short is never
-    answered. Drivers that return are frozen at their last price.
+    answered, and neither is the one in which the market shuts, the last the
+    episode makes. Drivers that return are frozen at their last price.
     """
 
     def __init__(self):
@@ -195,7 +198,6 @@ class EpisodeTrace:
     final_inventory: np.ndarray
     fingerprint: str
     min_inventory: float
-    demand_after_shutoff: float
     periods: Optional[dict] = None
     events: list = field(default_factory=list)
 
@@ -205,7 +207,9 @@ class EpisodeTrace:
 
     @property
     def shutoff_ok(self) -> bool:
-        return self.demand_after_shutoff == 0.0
+        """Always True, as an episode ends when its market shuts; kept for
+        perfbench/workloads.py until the benchmark refresh (ROADMAP item 1a)."""
+        return True
 
 
 class PolicyError(RuntimeError):
@@ -216,7 +220,7 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     """Serve a schedule, prices[r] for lengths[r] periods row after row, until
     the first purchase that `remaining` cannot cover (None: no limit).
     Returns (served, demand, after) for the rows up to the one cut short (the
-    rest are closed): the periods each served, its outcome counts (N products,
+    rest go unserved): the periods each served, its outcome counts (N products,
     then no purchase) or, noiseless, its mean demand per period, and the
     inventory after it.
 
@@ -357,7 +361,7 @@ def _fold(ledger: list, sold: list, hasher, noiseless: bool) -> None:
 
 
 def _outcomes(prices, counts, served) -> bytes:
-    """Fingerprint bytes of open rows, row after row as each row served alone
+    """Fingerprint bytes of served rows, row after row as each row served alone
     hashes: price, outcome counts (sampled rows only) and periods served."""
     cols = [prices.view(np.int64)] + ([] if counts is None else [counts]) + [served[:, None]]
     return np.concatenate(cols, axis=1).tobytes()
@@ -365,27 +369,27 @@ def _outcomes(prices, counts, served) -> bytes:
 
 def run_episode(instance: Instance, policy: Policy, seed: int,
                 record_periods: bool = False) -> EpisodeTrace:
-    """Run one episode of T periods.
+    """Run one episode of at most T periods.
 
-    Each period: query the policy; if shut off, force zero demand; otherwise
-    sample demand and attempt fulfillment. A realized purchase that any
-    resource cannot fully serve is lost (y := 0) and triggers permanent
-    shutoff. Deterministic given the seed.
+    Each period: query the policy, sample demand and attempt fulfillment. A
+    realized purchase that any resource cannot fully serve is lost and shuts
+    the market for good: the episode ends at shutoff_period. A next_price of
+    None ends it too, with no shutoff_period. Deterministic given the seed.
 
     Each query takes the policy's schedule (the one-period schedule at its
     price when it has none), cut at the horizon, and serves it with one
-    `_serve` call, answered by observe_block: a closed market sells nothing,
-    a noiseless one the exact mean demand each period, and a sampled one
-    draws outcome counts. The rest of a schedule cut short is closed. The
-    fingerprint hashes each row (price, counts, served) as a row served
-    alone. Recorded rows order a sampled row's served outcomes by a uniform
-    random permutation from a second generator derived from the seed, so a
-    recorded and an unrecorded run of one seed are the same episode. Served
-    requests are buffered and folded into the fingerprint and a tally of the
-    units sold at each price, _LEDGER_ROWS rows at a time, and always before
-    closed rows are hashed. The revenue is one fsum of exact products of
-    units and prices: in both modes it equals the fsum of the recorded
-    per-period revenues.
+    `_serve` call: a noiseless market sells the exact mean demand each
+    period, and a sampled one draws outcome counts. observe_block answers
+    the request unless the market shut in it. The fingerprint hashes each
+    served row (price, counts, served) as a row served alone. Recorded rows
+    order a sampled row's served outcomes by a uniform random permutation
+    from a second generator derived from the seed, so a recorded and an
+    unrecorded run of one seed are the same episode; the periods after the
+    episode ended record NaN prices, no demand and the final inventory.
+    Served requests are buffered and folded into the fingerprint and a tally
+    of the units sold at each price, _LEDGER_ROWS rows at a time. The revenue
+    is one fsum of exact products of units and prices: in both modes it
+    equals the fsum of the recorded per-period revenues.
     """
     T = instance.T
     N, M = instance.N, instance.M
@@ -401,86 +405,69 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     ledger = []   # served requests not yet tallied and hashed
     min_inventory = float(remaining.min())
     shutoff_period: Optional[int] = None
-    demand_after_shutoff = 0.0
+    periods = None
     if record_periods:
         order_rng = np.random.default_rng(np.random.PCG64(fold_name(seed, "record")))
         A_ext = np.hstack([A, np.zeros((M, 1))])
-        # NaN prices mark the periods in which the market is shut.
+        # NaN prices mark the periods after the episode ended.
         periods = {"price": np.full((T, N), np.nan), "demand": np.zeros((T, N)),
                    "revenue": np.zeros(T), "inventory": np.empty((T, M))}
 
     t = 0  # completed periods
     while t < T:
         p = policy.next_price(t + 1)
-        plan = None if p is None else policy.schedule()
-        if plan is None:   # one period at p, or shut for one period
-            plan = (None if p is None else np.asarray(p, dtype=float)[None]), _ONE_PERIOD
-        prices, lengths = plan
+        if p is None:   # the policy ends the episode
+            break
+        plan = policy.schedule()
+        prices, lengths = (np.asarray(p, dtype=float)[None], _ONE_PERIOD) if plan is None else plan
         span = sum(lengths.tolist())
         if span > T - t:
             span = T - t
             prices, lengths = _cut(prices, lengths, span)
-        if prices is not None and (prices.shape != (len(lengths), N)
-                                   or not _in_box(prices, p_lo, p_hi)):
+        if prices.shape != (len(lengths), N) or not _in_box(prices, p_lo, p_hi):
             shown = prices[0] if len(prices) == 1 else "of a schedule"
             raise PolicyError(f"price {shown} outside [{instance.price_min}, {instance.price_max}]")
-        K = len(lengths)
-        was_shut = shutoff_period is not None
 
-        if prices is None or was_shut:
-            # Market closed: zero demand, no RNG consumption.
-            rows, y_sums = 0, np.zeros((K, N))
-        else:
-            served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
-            rows = len(served)
-            # copies: a policy may reuse its arrays for its next request
-            ledger.append((prices[:rows].copy(), demand, served.copy()))
-            if noiseless:
-                y_sums = demand * served[:, None]
-                # a negative mean demand restocks, so any row may hold the minimum
-                min_inventory = min(min_inventory, min(after.ravel().tolist()))
-            else:
-                y_sums = demand[:, :N].astype(float)
-            if served[-1] < lengths[rows - 1]:
-                # the first unservable purchase shuts the market for good
-                shutoff_period = t + sum(lengths[:rows - 1].tolist()) + int(served[-1]) + 1
-                y_sums = np.concatenate((y_sums, np.zeros((K - rows, N))))
-        if was_shut:   # the shutoff tripwire: nothing sells once shut
-            demand_after_shutoff += float(y_sums.sum())
-        if len(ledger) >= _LEDGER_ROWS or rows < K:
+        served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
+        # copies: a policy may reuse its arrays for its next request
+        ledger.append((prices[:len(served)].copy(), demand, served.copy()))
+        if len(ledger) >= _LEDGER_ROWS:
             _fold(ledger, sold, hasher, noiseless)
-        if rows < K:   # rows posted while the market is shut
-            hasher.update(b"".join(b"z" + k.to_bytes(8, "little") for k in lengths[rows:].tolist()))
+        if noiseless:
+            # a negative mean demand restocks, so any row may hold the minimum
+            min_inventory = min(min_inventory, min(after.ravel().tolist()))
 
         if record_periods:
             start = t
-            for i, k in enumerate(lengths.tolist()):
-                s = int(served[i]) if i < rows else 0
-                if i < rows:
-                    # the period whose purchase could not be served still posted p
-                    periods["price"][start:start + min(s + 1, k)] = prices[i]
+            for i, (k, s) in enumerate(zip(lengths.tolist(), served.tolist())):
+                # the period whose purchase could not be served still posted p
+                periods["price"][start:start + min(s + 1, k)] = prices[i]
+                if s:
                     if noiseless:
                         y_rows = demand[i]
                         cum = np.arange(1, s + 1)[:, None] * (A @ demand[i])
                     else:
                         idx = order_rng.permutation(np.repeat(np.arange(N + 1), demand[i]))
                         y_rows, cum = np.eye(N + 1)[idx, :N], np.cumsum(A_ext[:, idx], axis=1).T
-                    if s:
-                        periods["demand"][start:start + s] = y_rows
-                        periods["inventory"][start:start + s] = (after[i - 1] if i else remaining) - cum
-                        periods["revenue"][start:start + s] = y_rows @ prices[i]
-                end = after[min(i, rows - 1)] if rows else remaining
-                periods["inventory"][start + max(s - 1, 0):start + k] = end
+                    periods["demand"][start:start + s] = y_rows
+                    periods["inventory"][start:start + s] = (after[i - 1] if i else remaining) - cum
+                    periods["inventory"][start + s - 1] = after[i]
+                    periods["revenue"][start:start + s] = y_rows @ prices[i]
                 start += k
-        if rows:
-            remaining = after[-1].copy()
+        remaining = after[-1].copy()
 
-        policy.observe_block(t + 1, y_sums, lengths)
+        if sum(served.tolist()) < span:
+            # the first unservable purchase shuts the market for good
+            t += sum(served.tolist())
+            shutoff_period = t + 1
+            break
+        policy.observe_block(t + 1, demand * served[:, None] if noiseless
+                             else demand[:, :N].astype(float), lengths)
         t += span
 
     _fold(ledger, sold, hasher, noiseless)
-    if not record_periods:
-        periods = None
+    if periods is not None:   # the periods after the episode ended
+        periods["inventory"][t:] = remaining
     if not noiseless:   # sampled inventory only falls
         min_inventory = min(min_inventory, min(remaining.tolist()))
 
@@ -493,7 +480,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         final_inventory=remaining,
         fingerprint=hasher.hexdigest(),
         min_inventory=min_inventory,
-        demand_after_shutoff=demand_after_shutoff,
         periods=periods,
         events=list(getattr(policy, "events", [])),
     )

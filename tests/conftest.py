@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nrmlab.bench
-from nrmlab import Policy, example_logit_instance, solve_fluid, estimate_regularity
+from nrmlab import Policy, example_logit_instance, loop_skeleton, solve_fluid, estimate_regularity
 from nrmlab.sim import _serve
 
 
@@ -18,6 +18,15 @@ def save_instance(instance, path):
 def loop_count_bound(cfg, T):
     """Primal loops per epoch never exceed 2 ln(T) / (eta1-scaled rate) + 1."""
     return 2.0 * math.log(T) / (cfg.eta1 * (1.0 - cfg.contraction)) + 1.0
+
+
+def estimation_ends(cfg, N, degraded=False):
+    """(s, tau, n_tau, end, estimated) of every pdnrm loop of the skeleton,
+    estimated being the periods served by the end of the loop's estimation
+    rows: its first 2N floor(n_tau / 4N) periods, or all n_tau when the loop
+    is degraded. A loop's estimation rows end the request that carries them."""
+    for s, tau, n_tau, end in loop_skeleton(cfg):
+        yield s, tau, n_tau, end, end - n_tau + (n_tau if degraded else 2 * N * (n_tau // (4 * N)))
 
 
 def serve_one(model, A, p, k, remaining, rng):

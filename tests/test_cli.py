@@ -220,7 +220,7 @@ class TestCheckCommand:
         monkeypatch.setattr(pdnrm, "feasible_point", lambda G, h, x0, lo, hi: (x0, False))
         results = {name: (ok, detail) for name, ok, detail in run_checks(instance)}
         assert results["pdnrm.balance_locality"][0] is False
-        assert results["pdnrm.balance_locality"][1].startswith("0 of 25 loops moved a price")
+        assert results["pdnrm.balance_locality"][1].startswith("0 of 22 loops moved a price")
 
 
 class TestConstantsCommand:

@@ -27,7 +27,7 @@ from nrmlab.demand import grad_revenue_f, revenue_f
 from nrmlab.pdnrm import epoch_count_bound
 from nrmlab.projections import FEASIBLE_TOL, feasible_point, max_violation
 from nrmlab.sim import _serve
-from conftest import loop_count_bound
+from conftest import estimation_ends, loop_count_bound
 
 
 def unit_regularity():
@@ -705,8 +705,13 @@ class TestDualOptPolicy:
         assert max(per_epoch.values()) <= loop_count_bound(policy.config, inst.T)
 
     def test_period_accounting_exact(self, episode):
+        # a commit policy observes every request before the one in which the
+        # market shuts, and pdnrm's requests end where estimation rows end
         inst, policy, trace = episode
-        assert policy.periods_observed == inst.T
+        assert trace.shutoff_period is not None
+        ends = (loop[4] for loop in estimation_ends(policy.config, inst.N))
+        start = max(itertools.takewhile(lambda e: e < trace.shutoff_period, ends), default=0)
+        assert policy.periods_observed == start
 
     def test_lambda_stays_in_dual_box(self, episode):
         inst, policy, trace = episode

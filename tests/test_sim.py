@@ -21,7 +21,7 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
-from conftest import serve_one
+from conftest import estimation_ends, serve_one
 
 
 class FixedPricePolicy(Policy):
@@ -72,6 +72,15 @@ class OutOfBoxPolicy(FixedPricePolicy):
     pass
 
 
+def plain_calls(T, shutoff):
+    """The (kind, period) calls of a policy without schedules: asked for
+    every period up to the shutoff period (T if none) and observed in every
+    period before it."""
+    last = T if shutoff is None else shutoff
+    calls = [(kind, t) for t in range(1, last + 1) for kind in ("ask", "obs")]
+    return calls if shutoff is None else calls[:-1]
+
+
 def recompute_revenue(trace):
     per = trace.periods
     terms = []
@@ -113,14 +122,22 @@ class TestRunEpisode:
                         seed=3)
 
     def test_policy_requested_shutoff(self, instance):
-        class Quitter(FixedPricePolicy):
+        class Quitter(RecordingPolicy):
             def next_price(self, period):
-                return None if period > 5 else self.price
+                price = super().next_price(period)
+                return None if period > 5 else price
 
-        trace = run_episode(instance.with_horizon(50), Quitter(np.array([1.0, 1.0])),
-                            seed=4, record_periods=True)
+        pol = Quitter(np.array([1.0, 1.0]))
+        short = dataclasses.replace(instance.with_horizon(50), gamma=np.array([5.0, 5.0]))
+        trace = run_episode(short, pol, seed=4, record_periods=True)
+        # None at period 6 ends the episode: no further call, no shutoff
+        assert [call[:2] for call in pol.calls] == plain_calls(6, 6)
+        assert trace.shutoff_period is None
         assert np.all(trace.periods["demand"][5:] == 0)
+        assert np.all(trace.periods["revenue"][5:] == 0)
         assert np.all(np.isnan(trace.periods["price"][5:]))
+        assert not np.isnan(trace.periods["price"][:5]).any()
+        assert (trace.periods["inventory"][4:] == trace.final_inventory).all()
 
     def test_inventory_never_negative(self, instance):
         short = instance.with_horizon(50_000)
@@ -162,13 +179,10 @@ class TestRunEpisode:
     def test_admissibility_no_lookahead(self, instance):
         short = instance.with_horizon(200)
         pol = RecordingPolicy(np.array([1.0, 1.0]))
-        run_episode(short, pol, seed=7)
-        # strict ask/observe alternation with increasing periods
-        assert len(pol.calls) == 2 * short.T
-        for t in range(short.T):
-            ask, obs = pol.calls[2 * t], pol.calls[2 * t + 1]
-            assert ask == ("ask", t + 1)
-            assert obs[0] == "obs" and obs[1] == t + 1
+        trace = run_episode(short, pol, seed=7)
+        # strict ask/observe alternation with increasing periods, up to the shutoff
+        assert trace.shutoff_period is not None
+        assert [call[:2] for call in pol.calls] == plain_calls(short.T, trace.shutoff_period)
 
     def test_hold_does_not_batch_a_plain_policy(self, instance):
         class Holding(RecordingPolicy):
@@ -177,9 +191,8 @@ class TestRunEpisode:
 
         short = instance.with_horizon(20)
         pol = Holding(np.array([1.0, 1.0]))
-        run_episode(short, pol, seed=7)
-        assert [call[:2] for call in pol.calls] == [
-            (kind, t + 1) for t in range(short.T) for kind in ("ask", "obs")]
+        trace = run_episode(short, pol, seed=7)
+        assert [call[:2] for call in pol.calls] == plain_calls(short.T, trace.shutoff_period)
 
     def test_blocked_and_stepwise_policies_agree_on_aggregate(self, instance):
         # block sizes must not change the outcome distribution (see
@@ -205,6 +218,42 @@ class OnePeriodRows(CommitPolicy):
     def _driver(self):
         while True:
             yield (self.prices, np.ones(len(self.prices), dtype=np.int64))
+
+
+class RecordingCommitPolicy(FixedCommitPolicy):
+    """Captures the periods of its next_price and observe_block calls."""
+
+    def __init__(self, price, length):
+        self.calls = []
+        super().__init__(price, length)
+
+    def next_price(self, period):
+        self.calls.append(("ask", period))
+        return super().next_price(period)
+
+    def observe_block(self, period, y_sums, lengths):
+        self.calls.append(("obs", period))
+        super().observe_block(period, y_sums, lengths)
+
+
+class TestShutoff:
+    """An episode ends with the request in which the market shuts."""
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    def test_the_shutoff_request_is_the_last_and_never_answered(self, instance, noise):
+        starved = dataclasses.replace(instance.with_horizon(10_000), noise=noise,
+                                      gamma=np.array([0.01, 0.01]))
+        pol = RecordingCommitPolicy(np.array([1.0, 1.0]), length=100)
+        trace = run_episode(starved, pol, seed=3, record_periods=True)
+        assert trace.shutoff_period is not None and trace.shutoff_period < starved.T - 1_000
+        start = (trace.shutoff_period - 1) // 100 * 100   # periods before the shutoff request
+        assert pol.calls == [(kind, t + 1) for t in range(0, start, 100)
+                             for kind in ("ask", "obs")] + [("ask", start + 1)]
+        assert len(pol.answers) == start // 100 and pol.periods_observed == start
+        assert np.isnan(trace.periods["price"][trace.shutoff_period:]).all()
+        assert not np.isnan(trace.periods["price"][:trace.shutoff_period]).any()
+        after = trace.periods["inventory"][trace.shutoff_period - 1:]
+        assert (after == trace.final_inventory).all()
 
 
 class TestLedger:
@@ -296,8 +345,8 @@ def reference_episode(instance, policy, seed):
     """Per-period simulator: one uniform draw per open period, inventory checked
     purchase by purchase. Each request (a schedule, or one period of a policy
     without one), cut at the horizon, is posted period by period and then
-    observed whole, as run_episode observes it. Returns (shutoff_period,
-    price, demand, inventory rows)."""
+    observed whole, as run_episode observes it, until the market shuts.
+    Returns (shutoff_period, price, demand, inventory rows)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     N, M, T = instance.N, instance.M, instance.T
     A = instance.A
@@ -309,7 +358,7 @@ def reference_episode(instance, policy, seed):
     while t < T:
         start = t
         p = policy.next_price(t + 1)
-        plan = None if p is None else policy.schedule()
+        plan = policy.schedule()
         rows = [(p, 1)] if plan is None else list(zip(*plan))
         sums, ks = [], []
         for row_price, length in rows:
@@ -317,7 +366,7 @@ def reference_episode(instance, policy, seed):
                 break
             k = min(int(length), T - t)
             for u in range(t, t + k):
-                if row_price is not None and shutoff is None:
+                if shutoff is None:
                     price[u] = row_price
                     cum = np.cumsum(instance.model.mean(np.asarray(row_price, float)))
                     i = int(np.searchsorted(cum, rng.random(), side="right"))
@@ -330,10 +379,13 @@ def reference_episode(instance, policy, seed):
             sums.append(demand[t:t + k].sum(axis=0))
             ks.append(k)
             t += k
+        if shutoff is not None:
+            break
         if plan is None:
             policy.observe(start + 1, sums[0])
         else:
             policy.observe_block(start + 1, np.array(sums), np.array(ks))
+    inventory[t:] = remaining
     return shutoff, price, demand, inventory
 
 
@@ -497,7 +549,7 @@ def split_schedules(policy_class):
 
 def serve_row_by_row(model, A, prices, lengths, remaining, rng, noiseless):
     """The schedule served by one-row kernel calls, as an episode serves
-    single commitments: rows after the first short one are closed."""
+    single commitments: rows after the first short one go unserved."""
     served, demand = [], []
     for i in range(len(lengths)):
         s, d, after = sim._serve(model, A, prices[i:i + 1], lengths[i:i + 1], remaining, rng,
@@ -644,15 +696,17 @@ class TestScheduleKernel:
         assert inside >= 30
 
 
-def pdnrm_event_keys(cfg, T):
-    """The events of a pdnrm episode of horizon T, as (kind, epoch) and, for
-    a loop, (tau, n_tau) too: the skeleton's loops that end by T, and after
-    an epoch's last loop that does, its dual update and the next epoch."""
+def pdnrm_event_keys(cfg, T, N, shutoff=None, degraded=False):
+    """The events of a pdnrm episode of horizon T with N products whose market
+    shuts at period `shutoff` (None: never), as (kind, epoch) and, for a loop,
+    (tau, n_tau) too: the skeleton's loops that end by T and whose estimation
+    rows end before the shutoff, and after an epoch's last loop that is
+    logged, its dual update and the next epoch. `degraded`: every loop is."""
     keys = [("epoch", 0)]
-    for s, tau, n_tau, end in loop_skeleton(cfg):
+    for s, tau, n_tau, end, estimated in estimation_ends(cfg, N, degraded):
         if tau == 0 and s > 0:
             keys += [("dual", s - 1), ("epoch", s)]
-        if end > T:
+        if end > T or shutoff is not None and estimated >= shutoff:
             return keys
         keys.append(("loop", s, tau, n_tau))
 
@@ -678,31 +732,57 @@ class TestPdNrmRequests:
         while loops[-1][1] < 2:
             loops.append(next(skeleton))
         assert next(skeleton)[1] == 0
+        degraded = doc.get("p_margin") == 0.0
+        estimated = [e[4] for e in itertools.islice(
+            estimation_ends(cfg, instance.N, degraded), len(loops))]
         for end in (loops[0][3], loops[-2][3], loops[-1][3]):
             for T in (end - 1, end, end + 1):
                 inst = dataclasses.replace(instance.with_horizon(T), noise=noise)
                 whole = run_episode(inst, PdNrmPolicy(inst, cfg), seed=4)
-                expected = pdnrm_event_keys(cfg, T)
+                shutoff = whole.shutoff_period
+                expected = pdnrm_event_keys(cfg, T, inst.N, shutoff, degraded)
                 assert event_keys(whole.events) == expected
-                assert sum(k[0] == "loop" for k in expected) == sum(k[3] <= T for k in loops)
+                assert sum(k[0] == "loop" for k in expected) == sum(
+                    k[3] <= T and (shutoff is None or e < shutoff)
+                    for k, e in zip(loops, estimated))
                 split = run_episode(inst, split_schedules(PdNrmPolicy)(inst, cfg), seed=4)
                 assert split.events == whole.events
                 assert split.fingerprint == whole.fingerprint
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    @pytest.mark.parametrize("name", ["bundled", "n3m1", "n4m2"])
+    def test_loops_are_logged_until_the_market_shuts(self, name, noise):
+        # the digest's instances and pdnrm configs: a loop is logged iff it
+        # ends by T and its estimation rows end before the shutoff period
+        from nrmlab import PdNrmPolicy, config_from_dict
+        from fingerprint_digest import PDNRM_CONFIGS, instances
+        base = instances(quick=False)[name]
+        shut = 0
+        for T in (10_000, 200_000):
+            inst = dataclasses.replace(base, T=T, noise=noise)
+            for doc in PDNRM_CONFIGS.values():
+                cfg = config_from_dict(doc, inst)
+                trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
+                shut += trace.shutoff_period is not None
+                assert event_keys(trace.events) == pdnrm_event_keys(
+                    cfg, T, inst.N, trace.shutoff_period, degraded=doc.get("p_margin") == 0.0)
+        assert shut >= 3
 
     def test_zero_margin_loops_are_the_skeleton_all_degraded(self, instance):
         from nrmlab import PdNrmPolicy, config_from_dict
         cfg = config_from_dict({"p_margin": 0.0}, instance)
         trace = run_episode(instance, PdNrmPolicy(instance, cfg), seed=1)
         loops = [e for e in trace.events if e["kind"] == "loop"]
-        assert event_keys(trace.events) == pdnrm_event_keys(cfg, instance.T)
-        assert len(loops) == 33 and all(e["degraded"] for e in loops)
+        assert event_keys(trace.events) == pdnrm_event_keys(
+            cfg, instance.T, instance.N, trace.shutoff_period, degraded=True)
+        assert len(loops) == 24 and all(e["degraded"] for e in loops)
 
     def test_theory_constants_learn_nothing_at_1e4(self, instance, regularity):
         from nrmlab import PdNrmPolicy, constants_theory
         inst = instance.with_horizon(10_000)
         cfg = constants_theory(inst, regularity, inst.T)
         trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
-        assert event_keys(trace.events) == pdnrm_event_keys(cfg, inst.T) == [("epoch", 0)]
+        assert event_keys(trace.events) == pdnrm_event_keys(cfg, inst.T, inst.N) == [("epoch", 0)]
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     @pytest.mark.parametrize("doc", [{}, {"mu": 0.05, "eta2": 1.0}], ids=["desk", "scaling"])
@@ -864,7 +944,6 @@ def hand_built_trace(price, demand, revenue, inventory):
     return sim.EpisodeTrace(
         T=len(revenue), seed=0, policy_name="hand-built", total_revenue=0.0,
         shutoff_period=None, final_inventory=inventory[-1], fingerprint="", min_inventory=0.0,
-        demand_after_shutoff=0.0,
         periods={"price": price, "demand": demand, "revenue": revenue, "inventory": inventory})
 
 
