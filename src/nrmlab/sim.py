@@ -8,9 +8,11 @@ One kernel (`_serve`) serves a whole schedule with stacked numpy calls: in a
 sampled market one draw gives every row's outcome counts, and only the row in
 which inventory runs out costs O(log k) more draws. Every step is exact in
 distribution, and a schedule is the same episode, bit for bit, as its rows
-served one at a time. Per-period rows are made only when recording; the
-per-period semantics are unchanged. The first purchase that inventory cannot
-serve shuts the market for good and ends the episode.
+served one at a time. A noiseless market sells each row's mean demand every
+period, and one rule (`_noiseless_served`) gives the periods every row can
+serve. Per-period rows are made only when recording; the per-period semantics
+are unchanged. The first purchase that inventory cannot serve shuts the
+market for good and ends the episode.
 """
 
 import json
@@ -233,22 +235,23 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     unservable period: given a segment's counts, the counts of its first h
     periods are multivariate hypergeometric, so each split is exact in
     distribution. A one-row schedule never touches the bit generator.
-    Noiseless: the same scan, then floor-and-adjust on the short row only."""
+    Noiseless: the same scan, then one `_noiseless_served` call gives every
+    row's periods from the inventory before it; the first row that serves
+    fewer than its length is the one cut short."""
     K = len(lengths)
     # a single row takes the vector call, which costs less than a one-row stack
     means = model.mean(prices[0])[None] if K == 1 else model.mean(prices)
     if noiseless:
         cons = _on_vectors(np.matmul, A, means)
         after = _scan(remaining, lengths[:, None] * cons)
-        r = _first_short(remaining, after, cons, lengths)
-        if r == K:
+        served = _noiseless_served(np.concatenate((remaining[None], after[:-1])), cons, lengths)
+        short = np.flatnonzero(served < lengths)
+        if not len(short):
             return lengths, means, after
-        before = after[r - 1] if r else remaining
-        served = lengths[:r + 1].copy()
-        served[r] = s = _noiseless_served(cons[r], before, int(lengths[r]))
+        r = int(short[0])
         after = after[:r + 1]
-        after[r] = before - s * cons[r]
-        return served, means[:r + 1], after
+        after[r] = (after[r - 1] if r else remaining) - served[r] * cons[r]
+        return served[:r + 1], means[:r + 1], after
 
     # no purchase takes 1 - sum D(p); a linear D can be -1e-17 at a box corner
     pvals = np.zeros((K, means.shape[1] + 1))
@@ -304,27 +307,21 @@ def _split(A, seg, k, remaining, rng):
     return served, kept
 
 
-def _first_short(remaining, after, cons, lengths) -> int:
-    """The first noiseless row that cannot sell its mean demand every period
-    (len(lengths) if none): its inventory goes negative, or, for a resource it
-    uses, the floor of _noiseless_served falls short."""
-    before = np.concatenate((remaining[None], after[:-1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        floors = np.floor(before / cons + 1e-12)
-    short = ((after < 0.0) | (cons > 0) & (floors < lengths[:, None])).any(axis=1)
-    return int(short.argmax()) if short.any() else len(lengths)
-
-
-def _noiseless_served(cons, remaining, k) -> int:
-    """The periods, at most k, whose consumption cons each `remaining` covers."""
-    served = k
-    for c, left in zip(cons.tolist(), remaining.tolist()):
-        if c > 0:
-            cap = int(math.floor(left / c + 1e-12))
-            while cap > 0 and cap * c > left:
-                cap -= 1
-            served = min(served, max(cap, 0))
-    return served
+def _noiseless_served(before, cons, lengths) -> np.ndarray:
+    """The periods, at most its length k, that each row of a noiseless
+    schedule can serve from the inventory `before` it (below zero counting
+    as none): for each resource the row uses (cons > 0), s = min(k,
+    floor(before / cons + 1e-12)), lowered while s * cons > before; a
+    resource with cons <= 0 never limits the row. Bounded by k first, s is
+    lowered a step or two at most, whatever before / cons is."""
+    before = np.maximum(before, 0.0)
+    s = np.divide(before, cons, out=np.full(cons.shape, np.inf), where=cons > 0)
+    s += 1e-12
+    np.floor(s, out=s)
+    np.minimum(s, lengths[:, None], out=s)
+    while (s * cons > before).any():
+        s -= s * cons > before
+    return s.min(axis=1).astype(np.int64)
 
 
 def _cut(prices, lengths, left: int) -> tuple:

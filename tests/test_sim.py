@@ -612,8 +612,10 @@ class TestScheduleKernel:
             assert short == (None if where in ("none", "exact") else r)
         assert checked >= 15
 
-    @pytest.mark.parametrize("case", ["short", "rounding"])
+    @pytest.mark.parametrize("case", ["short", "rounding", "floor", "restock"])
     def test_schedule_that_runs_out_equals_row_by_row(self, instance, case):
+        from nrmlab import LinearDemand
+
         class AlwaysBuys:   # one product, bought every period
             def mean(self, p):
                 return np.ones_like(p)
@@ -625,10 +627,28 @@ class TestScheduleKernel:
             # 1 - 0.1 * 3 - 0.1 * 7 rounds below 0, though 10 * 0.1 == 1.0
             model, A, prices = AlwaysBuys(), np.array([[0.1]]), np.ones((2, 1))
             lengths, remaining = np.array([3, 7]), np.array([1.0])
+        elif case == "floor":
+            # noiseless: row 2 would leave 2048.1 - 20481 * 0.1 == 0, but
+            # 2048.1 / 0.1 is 20480.999999999996, so it serves 20,480 periods
+            model, A, prices = AlwaysBuys(), np.array([[0.1]]), np.ones((3, 1))
+            lengths, remaining = np.array([5, 20481, 7]), np.array([2048.6])
+        elif case == "restock":
+            # noiseless: D_1 is 0 at the corner (5, 0.8) but evaluates to
+            # -5.6e-17, so resource 1 is restocked; resource 2 runs out in row 2,
+            # and row 3, which D_2 = 0 leaves unlimited, starts below zero
+            B = np.array([[0.1, -0.01], [-0.01, 0.1]])
+            model = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
+            A, prices = np.eye(2), np.array([[5.0, 0.8], [5.0, 0.8], [0.8, 5.0]])
+            lengths, remaining = np.array([3, 7, 4]), np.array([0.0, 3.0])
+            assert model.mean(prices[0])[0] < 0
+        noiseless = case in ("floor", "restock")
         a, b = np.random.default_rng(4), np.random.default_rng(4)
-        served, demand, after = sim._serve(model, A, prices, lengths, remaining.copy(), a)
+        served, demand, after = sim._serve(model, A, prices, lengths, remaining.copy(), a,
+                                           noiseless)
         ref_served, ref_demand, ref_after = serve_row_by_row(model, A, prices, lengths,
-                                                             remaining.copy(), b, False)
+                                                             remaining.copy(), b, noiseless)
+        if noiseless:
+            assert served.tolist() == {"floor": [5, 20480], "restock": [3, 3]}[case]
         assert served.tolist() == ref_served
         np.testing.assert_array_equal(demand, ref_demand)
         np.testing.assert_array_equal(after[-1], ref_after)
@@ -636,7 +656,8 @@ class TestScheduleKernel:
         assert served[-1] < lengths[len(served) - 1]
 
     @pytest.mark.parametrize("case, expected", [
-        ("exact", 8), ("one_short", 7), ("unused", 8), ("below_zero", 6)])
+        ("exact", 8), ("one_short", 7), ("unused", 8), ("below_zero", 6), ("barely_used", 6),
+        ("quotient_rounds_down", 7), ("product_rounds_up", 2)])
     def test_noiseless_row_serves_what_each_resource_covers(self, case, expected):
         """A one-row noiseless request serves the periods _noiseless_served
         allows and leaves remaining - served * consumption."""
@@ -657,15 +678,67 @@ class TestScheduleKernel:
             "one_short": (Fixed([0.25, 0.25]), self.A, [3.75, 4.0]),  # 7.5 periods fit
             "unused": (Fixed([0.25, 0.0]), self.A, [2.0, 0.0]),       # resource 2 is empty
             "below_zero": (corner, np.eye(2), [0.0, 3.0]),            # 0.462 per period
+            # resource 2 would cover about 1e25 periods, resource 1 covers 6.7
+            "barely_used": (Fixed([0.3, 1.3307881755738656e-22]), np.eye(2),
+                            [2.0, 1428.5714285714287]),
+            # 4.55 / 0.65 rounds to 6.999999999999999, but 7 * 0.65 == 4.55
+            "quotient_rounds_down": (Fixed([0.65, 0.0]), self.A, [4.55, 1.0]),
+            # 0.3 / 0.1 + 1e-12 floors to 3, but 3 * 0.1 rounds above 0.3
+            "product_rounds_up": (Fixed([0.1, 0.0]), self.A, [0.3, 1.0]),
         }[case]
         price, remaining = np.array([5.0, 0.8]), np.array(remaining)
         cons = A.dot(model.mean(price))
         assert (cons[0] < 0) == (case == "below_zero")
         served, demand, after = sim._serve(model, A, price[None], np.array([8]),
                                            remaining.copy(), None, noiseless=True)
-        assert served.tolist() == [expected] == [sim._noiseless_served(cons, remaining, 8)]
+        rule = sim._noiseless_served(remaining[None], cons[None], np.array([8]))
+        assert served.tolist() == [expected] == rule.tolist()
         np.testing.assert_array_equal(demand, model.mean(price)[None])
         np.testing.assert_array_equal(after, [remaining - expected * cons])
+
+    def test_noiseless_rule_equals_a_loop_over_resources(self):
+        """_noiseless_served against its rule written one resource at a time,
+        on inventories of a whole number of periods' consumption, some one ulp
+        less, and on resources used barely, not at all or restocked."""
+        def served_by_loop(before, cons, k):
+            served = k
+            for c, left in zip(cons.tolist(), before.tolist()):
+                if c > 0:
+                    s = min(k, math.floor(left / c + 1e-12))
+                    while s > 0 and s * c > left:
+                        s -= 1
+                    served = min(served, s)
+            return served
+
+        rng = np.random.default_rng(27)
+        K, M = 2_000, 3
+        cons = rng.random((K, M)) * rng.choice([1.0, 1e-22, 0.0, -1e-17], size=(K, M),
+                                               p=[0.85, 0.05, 0.05, 0.05])
+        lengths = rng.integers(1, 5_000, size=K)
+        before = rng.integers(0, 6_000, size=(K, M)) * cons
+        before = np.where(rng.random((K, M)) < 0.5, np.nextafter(before, 0.0), before)
+        before[cons <= 0] = rng.random(np.count_nonzero(cons <= 0))
+        served = sim._noiseless_served(before, cons, lengths)
+        assert served.dtype == np.int64
+        assert served.tolist() == [served_by_loop(b, c, k) for b, c, k
+                                   in zip(before, cons, lengths.tolist())]
+        # the 1e-12 lifts some floors, and the lifted floor's product exceeds
+        # the inventory on some of them and not on others
+        q = before / np.where(cons > 0, cons, 1.0)
+        lifted = (cons > 0) & (np.floor(q + 1e-12) > np.floor(q))
+        over = np.floor(q + 1e-12) * cons > before
+        assert (lifted & over).any() and (lifted & ~over).any()
+
+    def test_a_barely_used_resource_does_not_stall_a_noiseless_episode(self):
+        """At (0.8, 5.0) product 2 sells 1.3e-22 a period, so its resource
+        would cover about 1e25 periods; each 1,000-period row bounds that
+        first. Resource 1 holds 5,000 units at 0.31 a period, so 16,127
+        periods sell and period 16,128 shuts the market."""
+        inst = Instance(LogitDemand([0.4, 0.0], [1.5, 10.0]), A=np.eye(2),
+                        gamma=np.array([0.05, 0.014285714285714287]), T=100_000,
+                        price_min=0.8, price_max=5.0, noise="none")
+        trace = run_episode(inst, FixedCommitPolicy([0.8, 5.0], 1_000), seed=1)
+        assert trace.shutoff_period == 16_128
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     @pytest.mark.parametrize("policy", ["pdnrm", "etc"])
