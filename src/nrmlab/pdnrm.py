@@ -28,7 +28,7 @@ from .instance import _require as _require_document
 from .fluid import default_dual_set
 from .projections import FEASIBLE_TOL, feasible_point
 from .demand import _dot
-from .sim import CommitPolicy, _as_schedule, _serve
+from .sim import CommitPolicy, _as_schedule, _averages, _serve
 
 @dataclass
 class PdNrmConfig:
@@ -345,10 +345,11 @@ def _probe_signs(N: int) -> np.ndarray:
 
 class DemandOracle:
     """Environment handle: the instance's own market without inventory, in its
-    noise mode. A schedule's rows get their exact mean demand in one stacked
-    evaluation (noise "none"), or one count draw of the market kernel over their
-    lengths (noise "multinomial", which needs rng), so a grad_est call costs two
-    model evaluations or draws, not n periods."""
+    noise mode. One call of the market kernel serves a schedule's rows, and
+    each row gets the answer run_episode gives it, bit for bit: its exact mean
+    demand (noise "none") or its count draw over its length (noise
+    "multinomial", which needs rng). So a grad_est call costs two model
+    evaluations or draws, not n periods."""
 
     def __init__(self, instance: Instance, rng: Optional[np.random.Generator] = None):
         if instance.noise != "none" and rng is None:
@@ -362,11 +363,9 @@ class DemandOracle:
         """The (K, N) average demand of a schedule's rows."""
         self.periods += int(lengths.sum())
         self.commits += len(lengths)
-        inst = self.instance
-        if inst.noise == "none":
-            return inst.model.mean(prices)
-        _, counts, _ = _serve(inst.model, inst.A, prices, lengths, None, self.rng)
-        return counts[:, :-1] / lengths[:, None]
+        inst, noiseless = self.instance, self.instance.noise == "none"
+        _, demand, _ = _serve(inst.model, inst.A, prices, lengths, None, self.rng, noiseless)
+        return _averages(demand, lengths, noiseless)
 
 
 def _drive(gen, env):

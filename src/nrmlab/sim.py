@@ -10,9 +10,11 @@ which inventory runs out costs O(log k) more draws. Every step is exact in
 distribution, and a schedule is the same episode, bit for bit, as its rows
 served one at a time. A noiseless market sells each row's mean demand every
 period, and one rule (`_noiseless_served`) gives the periods every row can
-serve. Per-period rows are made only when recording; the per-period semantics
-are unchanged. The first purchase that inventory cannot serve shuts the
-market for good and ends the episode.
+serve. A served row is answered with its average demand per period
+(`_averages`), in the simulator as in the estimation oracle. Per-period rows
+are made only when recording; the per-period semantics are unchanged. The
+first purchase that inventory cannot serve shuts the market for good and
+ends the episode.
 """
 
 import json
@@ -126,11 +128,12 @@ class Policy(ABC):
     def observe(self, period: int, y: np.ndarray) -> None:
         """Realized demand for the given period."""
 
-    def observe_block(self, period: int, y_sums: np.ndarray, lengths: np.ndarray) -> None:
-        """The answer to the request that started at period: the demand
-        summed over each row and the periods each row lasted (see schedule).
-        By default the request is one period, whose demand goes to observe."""
-        self.observe(period, y_sums[0])
+    def observe_block(self, period: int, y_avgs: np.ndarray, lengths: np.ndarray) -> None:
+        """The answer to the request that started at period: each row's
+        average demand per period and the periods each row lasted (see
+        schedule). By default the request is one period, whose demand goes
+        to observe."""
+        self.observe(period, y_avgs[0])
 
     def hold(self) -> int:
         """No caller in the package; perfbench/tracer.py wraps it by name."""
@@ -142,9 +145,10 @@ class Policy(ABC):
         prices[0] (next_price's price) for lengths[0] periods, then prices[1]
         for lengths[1], and so on, reading no feedback in between; the
         simulator serves it in one kernel call and answers it with one
-        observe_block(period, y_sums (K, N), lengths (K,)) call: the demand
-        summed over each row and the periods each row lasted. The horizon may
-        cut the last row short or drop rows."""
+        observe_block(period, y_avgs (K, N), lengths (K,)) call: each row's
+        average demand per period (its mean demand in a noiseless market)
+        and the periods each row lasted. The horizon may cut the last row
+        short or drop rows."""
         return None
 
 
@@ -153,11 +157,12 @@ class CommitPolicy(Policy):
 
     Subclasses implement _driver(), a generator that yields an open-loop
     schedule (prices (K, N), lengths (K,)), or a (price, length) pair for the
-    one-row schedule, and receives the (K, N) average demand of its rows.
-    Every request is the policy's schedule() and is observed once, whole,
-    never period by period. A request that the horizon cuts short is never
-    answered, and neither is the one in which the market shuts, the last the
-    episode makes. Drivers that return are frozen at their last price.
+    one-row schedule, and receives the (K, N) average demand of its rows, as
+    observe_block hands it: bit for bit DemandOracle's answer to the same
+    schedule. Every request is the policy's schedule() and is observed once,
+    whole, never period by period. A request that the horizon cuts short is
+    never answered, and neither is the one in which the market shuts, the
+    last the episode makes. Drivers that return are frozen at their last price.
     """
 
     def __init__(self):
@@ -178,13 +183,12 @@ class CommitPolicy(Policy):
     def observe(self, period: int, y: np.ndarray) -> None:
         self.observe_block(period, np.asarray(y)[None], _ONE_PERIOD)
 
-    def observe_block(self, period: int, y_sums: np.ndarray, lengths: np.ndarray) -> None:
+    def observe_block(self, period: int, y_avgs: np.ndarray, lengths: np.ndarray) -> None:
         self.periods_observed += sum(lengths.tolist())
         if len(lengths) < len(self._lengths) or lengths[-1] < self._lengths[-1]:
             return
-        answer = y_sums / lengths[:, None] + 0.0   # a -0.0 sum is answered as 0.0
         try:
-            request = self._gen.send(answer)
+            request = self._gen.send(y_avgs)
         except StopIteration:   # frozen at the last price
             request = (self._prices[-1], _FOREVER)
         self._prices, self._lengths = _as_schedule(request)
@@ -224,7 +228,8 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     Returns (served, demand, after) for the rows up to the one cut short (the
     rest go unserved): the periods each served, its outcome counts (N products,
     then no purchase) or, noiseless, its mean demand per period, and the
-    inventory after it.
+    inventory after it (None without a limit). `_averages` turns either
+    into the rows' answer.
 
     Sampled: one stacked model.mean and one row-wise count draw, then one
     scan of cumulative consumption (np.subtract.accumulate rounds as row-by-row
@@ -242,6 +247,8 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     # a single row takes the vector call, which costs less than a one-row stack
     means = model.mean(prices[0])[None] if K == 1 else model.mean(prices)
     if noiseless:
+        if remaining is None:
+            return lengths, means, None
         cons = _on_vectors(np.matmul, A, means)
         after = _scan(remaining, lengths[:, None] * cons)
         served = _noiseless_served(np.concatenate((remaining[None], after[:-1])), cons, lengths)
@@ -274,6 +281,12 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     after = after[:r + 1]
     after[r] = before - A.dot(counts[r, :-1])
     return served, counts, after
+
+
+def _averages(demand, lengths, noiseless: bool) -> np.ndarray:
+    """The answer to served rows of `_serve`'s demand: each row's average
+    demand per period, its mean if noiseless, else its counts over its length."""
+    return demand if noiseless else demand[:, :-1] / lengths[:, None]
 
 
 def _draw(rng, lengths, pvals):
@@ -377,7 +390,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     price when it has none), cut at the horizon, and serves it with one
     `_serve` call: a noiseless market sells the exact mean demand each
     period, and a sampled one draws outcome counts. observe_block answers
-    the request unless the market shut in it. The fingerprint hashes each
+    the request with each row's average demand (`_averages`) unless the
+    market shut in it. The fingerprint hashes each
     served row (price, counts, served) as a row served alone. Recorded rows
     order a sampled row's served outcomes by a uniform random permutation
     from a second generator derived from the seed, so a recorded and an
@@ -458,8 +472,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             t += sum(served.tolist())
             shutoff_period = t + 1
             break
-        policy.observe_block(t + 1, demand * served[:, None] if noiseless
-                             else demand[:, :N].astype(float), lengths)
+        policy.observe_block(t + 1, _averages(demand, lengths, noiseless), lengths)
         t += span
 
     _fold(ledger, sold, hasher, noiseless)

@@ -19,14 +19,17 @@ from nrmlab import (
     primal_opt,
     prox_dual_step,
     DemandOracle,
+    example_logit_instance,
+    percentage_loss,
     run_episode,
+    solve_fluid,
     solve_inner_max,
 )
 from nrmlab import pdnrm
 from nrmlab.demand import grad_revenue_f, revenue_f
 from nrmlab.pdnrm import epoch_count_bound
 from nrmlab.projections import FEASIBLE_TOL, feasible_point, max_violation
-from nrmlab.sim import _serve
+from nrmlab.sim import _as_schedule, _serve
 from conftest import estimation_ends, loop_count_bound
 
 
@@ -770,3 +773,49 @@ class TestDualOptPolicy:
         warm_starts = {tuple(e["p"]) for e in warm.events
                        if e["kind"] == "loop" and e["tau"] == 0}
         assert len(warm_starts) > 1
+
+
+# plan_scaling's constants: the dual step split (mu, eta2) = (0.05, 1.0)
+SCALING_OVERRIDES = {"mu": 0.05, "eta2": 1.0}
+
+
+class TestNoiselessTwin:
+    """The noiseless twin of an instance is its estimation oracle bit for bit,
+    and on it the primal-dual loop converges."""
+
+    @staticmethod
+    def oracle_events(inst, cfg):
+        """The events of pdnrm's driver run on DemandOracle request by request,
+        up to the last request that fits in the horizon."""
+        policy = PdNrmPolicy(inst, cfg)
+        policy.events = []   # drop the first epoch event of the policy's own driver
+        gen, env, left = policy._driver(), DemandOracle(inst), inst.T
+        prices, lengths = _as_schedule(next(gen))
+        while sum(lengths.tolist()) <= left:
+            left -= sum(lengths.tolist())
+            prices, lengths = _as_schedule(gen.send(np.asarray(env.commit(prices, lengths), float)))
+        return policy.events
+
+    @pytest.mark.parametrize("overrides", [{}, SCALING_OVERRIDES], ids=["default", "scaling"])
+    def test_episode_events_equal_the_oracle_runs(self, overrides):
+        # gamma x 50: the market never shuts, so every request that fits is answered
+        base = example_logit_instance(T=10**6, noise="none")
+        inst = replace(base, gamma=50 * base.gamma)
+        cfg = constants_tuned(inst.N, inst.T, **overrides)
+        trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
+        assert trace.shutoff_period is None
+        events = self.oracle_events(inst, cfg)
+        assert sum(e["kind"] == "dual" for e in events) > 10
+        assert trace.events == events
+
+    def test_plan_scaling_converges(self):
+        # measured: loss 0.4955% and ||lambda - lambda*||_inf 0.0243 at the
+        # last of 215 dual updates; the dual step's sign flipped reads 49.3%
+        # and 1.36
+        inst = example_logit_instance(T=10**6, noise="none")
+        fluid = solve_fluid(inst)
+        trace = run_episode(inst, PdNrmPolicy(inst, constants_tuned(
+            inst.N, inst.T, **SCALING_OVERRIDES)), seed=1)
+        lam = [e["lambda_next"] for e in trace.events if e["kind"] == "dual"][-1]
+        assert percentage_loss(inst, trace, fluid.value) <= 0.01
+        assert np.max(np.abs(np.array(lam) - fluid.lambda_star)) <= 0.05

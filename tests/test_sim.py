@@ -231,9 +231,9 @@ class RecordingCommitPolicy(FixedCommitPolicy):
         self.calls.append(("ask", period))
         return super().next_price(period)
 
-    def observe_block(self, period, y_sums, lengths):
+    def observe_block(self, period, y_avgs, lengths):
         self.calls.append(("obs", period))
-        super().observe_block(period, y_sums, lengths)
+        super().observe_block(period, y_avgs, lengths)
 
 
 class TestShutoff:
@@ -289,24 +289,32 @@ class TestCommitPolicy:
 
     ROWS = np.array([[1.0, 1.2], [1.4, 0.9], [1.1, 1.1]])
 
-    @pytest.mark.parametrize("price, length", [
-        (ROWS[0], 60),                   # the horizon cuts a one-row request
-        (ROWS, np.array([20, 10, 30])),  # ... a schedule inside its last row
-        (ROWS, np.array([30, 20, 20])),  # ... a schedule on the boundary after its first row
-    ], ids=["row", "schedule-inside-row", "schedule-on-boundary"])
+    @pytest.mark.parametrize("price, length, noise", [
+        (ROWS[0], 60, "multinomial"),                   # the horizon cuts a one-row request
+        (ROWS, np.array([20, 10, 30]), "multinomial"),  # ... a schedule inside its last row
+        (ROWS, np.array([30, 20, 20]), "multinomial"),  # ... on the boundary after its first row
+        (ROWS[0], 60, "none"),                          # the same, in a noiseless market
+        (ROWS, np.array([20, 10, 30]), "none"),
+        (ROWS, np.array([30, 20, 20]), "none"),
+    ], ids=["row", "schedule-inside-row", "schedule-on-boundary",
+            "noiseless-row", "noiseless-schedule-inside-row", "noiseless-schedule-on-boundary"])
     @pytest.mark.parametrize("policy_class", [FixedCommitPolicy, AnsweredOnce])
-    def test_cut_request_is_never_answered(self, instance, policy_class, price, length):
-        inst = dataclasses.replace(instance.with_horizon(100), gamma=np.array([5.0, 5.0]))
+    def test_cut_request_is_never_answered(self, instance, policy_class, price, length, noise):
+        inst = dataclasses.replace(instance.with_horizon(100), gamma=np.array([5.0, 5.0]),
+                                   noise=noise)
         policy = policy_class(price, length)
         trace = run_episode(inst, policy, seed=1, record_periods=True)
         prices, lengths = np.atleast_2d(price), np.atleast_1d(length)
         ends = np.cumsum(lengths)
         demand = trace.periods["demand"]
-        avgs = np.array([demand[e - k:e].sum(axis=0) / k for e, k in zip(ends, lengths)])
+        # noiseless: the exact mean demand, as DemandOracle answers it
+        avgs = (inst.model.mean(prices) if noise == "none" else
+                np.array([demand[e - k:e].sum(axis=0) / k for e, k in zip(ends, lengths)]))
         assert trace.shutoff_period is None and ends[-1] < inst.T < 2 * ends[-1]
         assert len(policy.answers) == 1
         # a (price, length) pair is the one-row schedule, answered (1, N)
         np.testing.assert_array_equal(policy.answers[0], avgs, strict=True)
+        assert policy.answers[0].tobytes() == avgs.tobytes()
         assert policy.periods_observed == inst.T
         posted = np.repeat(prices, lengths, axis=0)
         if policy_class is AnsweredOnce:   # frozen at its last price
@@ -345,7 +353,8 @@ def reference_episode(instance, policy, seed):
     """Per-period simulator: one uniform draw per open period, inventory checked
     purchase by purchase. Each request (a schedule, or one period of a policy
     without one), cut at the horizon, is posted period by period and then
-    observed whole, as run_episode observes it, until the market shuts.
+    observed whole with each row's average demand, as run_episode observes
+    it, until the market shuts.
     Returns (shutoff_period, price, demand, inventory rows)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     N, M, T = instance.N, instance.M, instance.T
@@ -381,10 +390,11 @@ def reference_episode(instance, policy, seed):
             t += k
         if shutoff is not None:
             break
+        avgs = np.array(sums) / np.array(ks)[:, None]
         if plan is None:
-            policy.observe(start + 1, sums[0])
+            policy.observe(start + 1, avgs[0])
         else:
-            policy.observe_block(start + 1, np.array(sums), np.array(ks))
+            policy.observe_block(start + 1, avgs, np.array(ks))
     inventory[t:] = remaining
     return shutoff, price, demand, inventory
 
