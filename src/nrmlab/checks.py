@@ -164,8 +164,8 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     pol = PdNrmPolicy(instance.with_horizon(20_000), cfg)
     trace = run_episode(instance.with_horizon(20_000), pol, seed=11)
     # the episode logs the loops that end by T and whose estimation rows (the first
-    # 2N floor(n_tau / 4N) periods; no loop degrades inside the margin) end before
-    # the shutoff, and the epochs up to that of the first loop not logged
+    # 2N floor(n_tau / 4N) periods) end before the shutoff, and the epochs up to
+    # that of the first loop not logged
     N, shutoff = instance.N, trace.shutoff_period or math.inf
     loops = []
     for s, tau, n_tau, end in loop_skeleton(cfg):
@@ -180,7 +180,7 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
           f"{s + 1} and {len(loops)} expected, bound {bound:.1f}")
     loop_events = [e for e in trace.events if e["kind"] == "loop"]
     moved = [e for e in loop_events if e["balancing_feasible"] and e["tilde_p"] != e["p"]]
-    empty = sum(not e["balancing_feasible"] and not e["degraded"] for e in loop_events)
+    empty = sum(not e["balancing_feasible"] for e in loop_events)
     far = sum(max(abs(a - b) for a, b in zip(e["tilde_p"], e["p"]))
               > cfg.kappa1 * e["n_tau"] ** -0.25 + 1e-12 for e in moved)
     check("pdnrm.balance_locality", moved and not far,

@@ -61,14 +61,15 @@ class PdNrmConfig:
                  f"an integer of at least 4N = {4 * N}", self.n0)
         for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1", "eta2", "mu"):
             val = getattr(self, name)
-            _require(name, _is_number(val) and val > 0, "a positive number", val)
-        c, m, warm = self.contraction, self.p_margin, self.warm_start
+            _require(name, _is_number(val) and 0 < val < math.inf, "a finite positive number", val)
+        c, warm = self.contraction, self.warm_start
         _require("contraction", _is_number(c) and 0 < c < 1, "a number in (0, 1)", c)
-        _require("p_margin", _is_number(m) and 0 <= m < 0.5, "a number in [0, 0.5)", m)
+        _require_margin(instance, self.p_margin)
         _require("warm_start", isinstance(warm, (bool, np.bool_)), "true or false", warm)
         init = self.primal_init
         _require("primal_init", init in ("low", "center") if isinstance(init, str)
-                 else _is_vector(init, N), f"'low', 'center' or a list of {N} numbers", init)
+                 else _is_vector(init, N) and all(map(math.isfinite, init)),
+                 f"'low', 'center' or a list of {N} finite numbers", init)
         if self.lambda_max is not None or self.lambda0 is not None:
             lam0, box = self.lambda0, _dual_box(instance, self.lambda_max)
             _require("lambda0", lam0 is None or _is_vector(lam0, M)
@@ -88,6 +89,13 @@ _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
 
 
 _require = functools.partial(_require_document, "pdnrm config")
+
+
+def _require_margin(instance: Instance, m) -> None:
+    """The one p_margin rule: the inner box is strictly inside the price box in floats."""
+    P_lo, P_hi = _inner_box(instance, m) if _is_number(m) and m < 0.5 else (math.nan,) * 2
+    _require("p_margin", instance.price_min < P_lo and P_hi < instance.price_max,
+             "a number in (0, 0.5) that moves the inner box off the price box's edges", m)
 
 
 def _dual_box(instance: Instance, lambda_max) -> np.ndarray:
@@ -156,6 +164,7 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     reg = regularity
     patch = _overrides(overrides)
     check_horizon(instance.N, T)
+    _require_margin(instance, p_margin)
     box = _dual_box(instance, patch.get("lambda_max"))
     lam_bar = float(np.linalg.norm(box))   # an l2 bound on the box
     # the analysis never bounds ||J_D|| separately, and one purchase per
@@ -164,10 +173,8 @@ def constants_theory(instance: Instance, regularity, T: int, *,
     d_bar = 1.0
     N = instance.N
     width = instance.price_max - instance.price_min
-    if rho_lo is None:
-        rho_lo = p_margin * width
-    if rho_bar is None:
-        rho_bar = math.sqrt(N) * (width - 2 * rho_lo)
+    rho_lo = p_margin * width if rho_lo is None else rho_lo
+    rho_bar = math.sqrt(N) * (width - 2 * rho_lo) if rho_bar is None else rho_bar
     ln_t = math.log(T)
     ln_2nt = math.log(2 * N * T)
 
@@ -242,7 +249,6 @@ class GradEstOutput:
     balancing_feasible: bool
     periods_consumed: int
     u: float
-    degraded: bool = False
 
 
 def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
@@ -288,26 +294,24 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, head=No
     returns (GradEstOutput, held row). Consumes exactly n periods. A head row,
     a balanced (price, length) row held by the previous loop, goes first in
     this call's first request, its answer dropped. With hold, this call's
-    balanced row is held, not served alone, and returned (None if degraded)."""
-    N = instance.N
+    balanced row is held, not served alone, and returned. It raises ValueError
+    at n < 4N or a p not strictly inside the price box: no valid config's loop has one."""
+    N, K = instance.N, 2 * instance.N
     m = n // (4 * N)
+    if m < 1:
+        raise ValueError(f"grad_est needs n >= 4N = {4 * N}, not n = {n}")
     # rounding is monotone, so min(p) - price_min is min(p - price_min)
-    u = 0.0 if m == 0 else min(math.sqrt(N) / n**0.25,
-                               functools.reduce(_minimum, p) - instance.price_min,
-                               instance.price_max - functools.reduce(_maximum, p))
-    # the 2N two-point probes p + u e_i, p - u e_i (u <= 0: p for n periods)
-    # read no feedback until the last one, so they are one schedule
-    K, k = (2 * N, m) if u > 0 else (1, n)
-    rows = u * _probe_signs(N) + p if u > 0 else np.array([p, p])
-    lengths = np.array([k] * (K + 1))
+    u = min(functools.reduce(_minimum, p) - instance.price_min,
+            instance.price_max - functools.reduce(_maximum, p), math.sqrt(N) / n**0.25)
+    if not u > 0:   # a NaN price too: min returns a NaN first argument
+        raise ValueError(f"grad_est needs p strictly inside the price box, not p = {p}")
+    # the 2N two-point probes p + u e_i, p - u e_i read no feedback until the
+    # last one, so they are one schedule
+    rows = u * _probe_signs(N) + p
+    lengths = np.array([m] * (K + 1))
     if head is not None:
         rows[0], lengths[0] = head
     avgs = (yield (rows, lengths) if head is not None else (rows[1:], lengths[1:]))[-K:]
-    if u <= 0:
-        return GradEstOutput(D_hat=avgs[0], J_hat=np.zeros((N, N)),
-                             grad_f=np.zeros(N), tilde_p=np.array(p),
-                             balancing_feasible=False, periods_consumed=n,
-                             u=0.0, degraded=True), None
     rev, avgs = _dot(rows[1:], avgs).tolist(), avgs.tolist()
     plus, minus = avgs[0::2], avgs[1::2]
     # np.add.reduce sums each column as a fold from its first row
@@ -403,7 +407,7 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
     row held before them; a loop that ends by instance.T holds its balanced row.
     Returns (p_hat, D_hat, p_next, pending): the final loop's price, whose estimate
     feeds the dual update, the post-update iterate for warm starts and its held row."""
-    P_lo, P_hi = _inner_box(instance, cfg)
+    P_lo, P_hi = _inner_box(instance, cfg.p_margin)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
     p = np.asarray(p_start, float).tolist()
@@ -419,7 +423,7 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
                 "lambda": lam.tolist(), "p": p_hat, "u": est.u,
                 "tilde_p": est.tilde_p.tolist(),
                 "balancing_feasible": bool(est.balancing_feasible),
-                "degraded": bool(est.degraded),
+                "degraded": False,   # every loop probes; perfbench reads it (ROADMAP 1a)
                 "clipped": any(r != q for r, q in zip(raw, p)),
             })
     return np.array(p_hat), est.D_hat, np.array(p), pending
@@ -464,13 +468,13 @@ def loop_skeleton(cfg: PdNrmConfig):
             yield s, tau, n_tau, end
 
 
-def _inner_box(instance: Instance, cfg: PdNrmConfig):
-    margin = cfg.p_margin * (instance.price_max - instance.price_min)
+def _inner_box(instance: Instance, p_margin: float):
+    margin = p_margin * (instance.price_max - instance.price_min)
     return instance.price_min + margin, instance.price_max - margin
 
 
 def _initial_price(instance: Instance, cfg: PdNrmConfig) -> np.ndarray:
-    P_lo, P_hi = _inner_box(instance, cfg)
+    P_lo, P_hi = _inner_box(instance, cfg.p_margin)
     init = cfg.primal_init   # checked by PdNrmConfig.validate
     if not isinstance(init, str):
         return np.clip(np.asarray(init, float), P_lo, P_hi)

@@ -120,9 +120,8 @@ class Policy(ABC):
     name = "policy"
 
     @abstractmethod
-    def next_price(self, period: int) -> Optional[np.ndarray]:
-        """Price vector for the 1-based period, or None to end the episode
-        (no further call is made, and shutoff_period stays None)."""
+    def next_price(self, period: int) -> np.ndarray:
+        """Price vector for the 1-based period."""
 
     @abstractmethod
     def observe(self, period: int, y: np.ndarray) -> None:
@@ -174,7 +173,7 @@ class CommitPolicy(Policy):
     def _driver(self):
         ...
 
-    def next_price(self, period: int) -> Optional[np.ndarray]:
+    def next_price(self, period: int) -> np.ndarray:
         return self._prices[0]
 
     def schedule(self):
@@ -381,10 +380,9 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                 record_periods: bool = False) -> EpisodeTrace:
     """Run one episode of at most T periods.
 
-    Each period: query the policy, sample demand and attempt fulfillment. A
-    realized purchase that any resource cannot fully serve is lost and shuts
-    the market for good: the episode ends at shutoff_period. A next_price of
-    None ends it too, with no shutoff_period. Deterministic given the seed.
+    Each period: query the policy, sample demand and attempt fulfillment; a
+    purchase that any resource cannot fully serve is lost, shuts the market
+    for good and ends the episode at shutoff_period. Deterministic given the seed.
 
     Each query takes the policy's schedule (the one-period schedule at its
     price when it has none), cut at the horizon, and serves it with one
@@ -427,8 +425,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     t = 0  # completed periods
     while t < T:
         p = policy.next_price(t + 1)
-        if p is None:   # the policy ends the episode
-            break
         plan = policy.schedule()
         prices, lengths = (np.asarray(p, dtype=float)[None], _ONE_PERIOD) if plan is None else plan
         span = sum(lengths.tolist())

@@ -20,13 +20,13 @@ def loop_count_bound(cfg, T):
     return 2.0 * math.log(T) / (cfg.eta1 * (1.0 - cfg.contraction)) + 1.0
 
 
-def estimation_ends(cfg, N, degraded=False):
+def estimation_ends(cfg, N):
     """(s, tau, n_tau, end, estimated) of every pdnrm loop of the skeleton,
     estimated being the periods served by the end of the loop's estimation
-    rows: its first 2N floor(n_tau / 4N) periods, or all n_tau when the loop
-    is degraded. A loop's estimation rows end the request that carries them."""
+    rows, its first 2N floor(n_tau / 4N) periods. A loop's estimation rows
+    end the request that carries them."""
     for s, tau, n_tau, end in loop_skeleton(cfg):
-        yield s, tau, n_tau, end, end - n_tau + (n_tau if degraded else 2 * N * (n_tau // (4 * N)))
+        yield s, tau, n_tau, end, end - n_tau + 2 * N * (n_tau // (4 * N))
 
 
 def serve_one(model, A, p, k, remaining, rng):

@@ -90,6 +90,13 @@ class TestConstantsTheory:
         assert 0 < cfg.contraction < 1
         assert cfg.kappa5 >= 1.0
 
+    @pytest.mark.parametrize("margin", [0.0, 1e-16])
+    def test_margin_without_room_to_probe_is_refused(self, instance, regularity, margin):
+        # checked by the config's own rule before rho_lo = p_margin * width is
+        # computed, whose fourth power n0 divides by
+        with pytest.raises(ValueError, match="pdnrm config key 'p_margin' must be"):
+            constants_theory(instance, regularity, instance.T, p_margin=margin)
+
     def test_asymptotic_orders_in_n(self):
         # slopes of ln(constant) vs ln(N) with smoothness, dual and radius
         # parameters held at 1, matching the asymptotic-order accounting
@@ -214,6 +221,12 @@ class TestConfigValidation:
         ({"lambda_max": [4, -1]}, "lambda_max"),
         ({"lambda0": [0.1]}, "lambda0"),
         ({"lambda0": [100.0, 0.0]}, "lambda0"),
+        # json.load reads NaN and Infinity; no constant can be either
+        *[(json.loads(text), key) for text, key in [
+            ('{"eta1": Infinity}', "eta1"), ('{"mu": Infinity}', "mu"),
+            ('{"kappa1": Infinity}', "kappa1"), ('{"kappa5": Infinity}', "kappa5"),
+            ('{"primal_init": [NaN, 1.0]}', "primal_init"),
+            ('{"primal_init": [0.5, -Infinity]}', "primal_init")]],
     ])
     def test_wrong_typed_override_names_its_key(self, doc, key):
         with pytest.raises(ValueError, match=f"pdnrm config key '{key}' must be"):
@@ -260,6 +273,11 @@ class TestConfigValidation:
         ("lambda0", [0.1]), ("lambda0", [0.1, 0.1, 0.1]), ("lambda0", [1e6, 0.0]),
         ("lambda0", [-0.1, 0.0]), ("lambda0", [True, False]), ("lambda0", 0.0),
         ("lambda_max", [np.inf, 4.0]), ("lambda_max", [np.nan, 4.0]),
+        *[(name, math.inf) for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1",
+                                        "eta2", "mu")],
+        ("primal_init", [math.nan, 2.0]), ("primal_init", [2.0, math.inf]),
+        # the inner box stays on the edges of the bundled box [0.8, 5] in floats
+        ("p_margin", 0.0), ("p_margin", 1e-16), ("p_margin", math.nan),
     ])
     def test_validate_names_every_bad_field(self, instance, field, value):
         # a directly built config is checked like a document, against N = M = 2
@@ -312,14 +330,18 @@ class TestGradEst:
         assert env.commits == 2 * 2 + 1
         assert env.periods == 10**6
 
-    SCHEDULE = (np.array([[2.0, 2.0], [1.5, 3.0], [4.0, 0.9]]), np.array([7, 1, 20_000]))
+    SCHEDULE = (np.array([[2.0, 2.0], [1.5, 3.0], [4.0, 0.9]]), np.array([55, 1, 20_000]))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_noiseless_oracle_answers_exact_means(self, noiseless_instance, rows):
         prices, lengths = (a[:rows] for a in self.SCHEDULE)
         env = DemandOracle(noiseless_instance)
         got = env.commit(prices, lengths)
-        assert got.tobytes() == noiseless_instance.model.mean(prices).tobytes()
+        means = noiseless_instance.model.mean(prices)
+        # the first row's (mean * 55) / 55 rounds off its mean, so an answer
+        # rebuilt from the row's sum fails here
+        assert (means[0] * 55 / 55).tobytes() != means[0].tobytes()
+        assert got.tobytes() == means.tobytes()
         assert (env.periods, env.commits) == (int(lengths.sum()), rows)
 
     @pytest.mark.parametrize("seed", [0, 11])
@@ -349,14 +371,29 @@ class TestGradEst:
         out2 = grad_est(DemandOracle(inst), inst, cfg, p_free, np.zeros(2), 10**4)
         assert out2.u == pytest.approx(math.sqrt(2) / 10, rel=1e-12)
 
-    def test_degrades_when_budget_below_4n(self, noiseless_instance):
+    @pytest.mark.parametrize("n", [7, 0, -8])
+    def test_refuses_a_budget_below_4n(self, noiseless_instance, n):
+        # no loop of a valid config has n < n0 <= 4N: two probes per product
+        # need a period each
+        inst = noiseless_instance
+        env = DemandOracle(inst)
+        with pytest.raises(ValueError, match=f"n >= 4N = 8, not n = {n}"):
+            grad_est(env, inst, constants_tuned(2, inst.T), np.array([2.0, 2.0]),
+                     np.zeros(2), n)
+        assert env.commits == 0
+
+    @pytest.mark.parametrize("p", [[0.8, 2.0], [2.0, 5.0], [0.7, 2.0], [2.0, 5.5], [2.0, math.nan]],
+                             ids=["low edge", "high edge", "below", "above", "nan"])
+    def test_refuses_a_price_without_room_to_probe(self, noiseless_instance, p):
+        # u is capped by the distance to the box, which is 0 on its edge
         inst = noiseless_instance
         cfg = constants_tuned(2, inst.T)
         env = DemandOracle(inst)
-        out = grad_est(env, inst, cfg, np.array([2.0, 2.0]), np.zeros(2), 7)
-        assert out.degraded
-        assert not out.balancing_feasible
-        assert out.periods_consumed == 7
+        with pytest.raises(ValueError, match="p strictly inside the price box"):
+            grad_est(env, inst, cfg, np.array(p), np.zeros(2), 10**4)
+        with pytest.raises(ValueError, match="p strictly inside the price box"):
+            primal_opt(env, inst, cfg, np.zeros(2), 1.0, p_start=np.array(p))
+        assert env.commits == 0
 
     def test_stochastic_estimates_concentrate(self, instance):
         # over 50 replications the mean deviation stays within 4 standard

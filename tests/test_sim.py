@@ -121,7 +121,8 @@ class TestRunEpisode:
             run_episode(instance.with_horizon(10), OutOfBoxPolicy(np.array([0.1, 1.0])),
                         seed=3)
 
-    def test_policy_requested_shutoff(self, instance):
+    def test_a_none_price_is_refused(self, instance):
+        # None is no price, not the end of the episode: the price check refuses it
         class Quitter(RecordingPolicy):
             def next_price(self, period):
                 price = super().next_price(period)
@@ -129,15 +130,9 @@ class TestRunEpisode:
 
         pol = Quitter(np.array([1.0, 1.0]))
         short = dataclasses.replace(instance.with_horizon(50), gamma=np.array([5.0, 5.0]))
-        trace = run_episode(short, pol, seed=4, record_periods=True)
-        # None at period 6 ends the episode: no further call, no shutoff
+        with pytest.raises(PolicyError, match="outside"):
+            run_episode(short, pol, seed=4, record_periods=True)
         assert [call[:2] for call in pol.calls] == plain_calls(6, 6)
-        assert trace.shutoff_period is None
-        assert np.all(trace.periods["demand"][5:] == 0)
-        assert np.all(trace.periods["revenue"][5:] == 0)
-        assert np.all(np.isnan(trace.periods["price"][5:]))
-        assert not np.isnan(trace.periods["price"][:5]).any()
-        assert (trace.periods["inventory"][4:] == trace.final_inventory).all()
 
     def test_inventory_never_negative(self, instance):
         short = instance.with_horizon(50_000)
@@ -779,14 +774,14 @@ class TestScheduleKernel:
         assert inside >= 30
 
 
-def pdnrm_event_keys(cfg, T, N, shutoff=None, degraded=False):
+def pdnrm_event_keys(cfg, T, N, shutoff=None):
     """The events of a pdnrm episode of horizon T with N products whose market
     shuts at period `shutoff` (None: never), as (kind, epoch) and, for a loop,
     (tau, n_tau) too: the skeleton's loops that end by T and whose estimation
     rows end before the shutoff, and after an epoch's last loop that is
-    logged, its dual update and the next epoch. `degraded`: every loop is."""
+    logged, its dual update and the next epoch."""
     keys = [("epoch", 0)]
-    for s, tau, n_tau, end, estimated in estimation_ends(cfg, N, degraded):
+    for s, tau, n_tau, end, estimated in estimation_ends(cfg, N):
         if tau == 0 and s > 0:
             keys += [("dual", s - 1), ("epoch", s)]
         if end > T or shutoff is not None and estimated >= shutoff:
@@ -803,8 +798,7 @@ class TestPdNrmRequests:
     """pdnrm posts each loop's balanced row with the next loop's probes."""
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
-    @pytest.mark.parametrize("doc", [{}, {"mu": 0.05, "eta2": 1.0}, {"p_margin": 0.0}],
-                             ids=["desk", "scaling", "margin0"])
+    @pytest.mark.parametrize("doc", [{}, {"mu": 0.05, "eta2": 1.0}], ids=["desk", "scaling"])
     def test_events_end_where_the_horizon_ends(self, instance, doc, noise):
         from nrmlab import PdNrmPolicy, config_from_dict
         cfg = config_from_dict(doc, instance, T=5_000)
@@ -815,15 +809,13 @@ class TestPdNrmRequests:
         while loops[-1][1] < 2:
             loops.append(next(skeleton))
         assert next(skeleton)[1] == 0
-        degraded = doc.get("p_margin") == 0.0
-        estimated = [e[4] for e in itertools.islice(
-            estimation_ends(cfg, instance.N, degraded), len(loops))]
+        estimated = [e[4] for e in itertools.islice(estimation_ends(cfg, instance.N), len(loops))]
         for end in (loops[0][3], loops[-2][3], loops[-1][3]):
             for T in (end - 1, end, end + 1):
                 inst = dataclasses.replace(instance.with_horizon(T), noise=noise)
                 whole = run_episode(inst, PdNrmPolicy(inst, cfg), seed=4)
                 shutoff = whole.shutoff_period
-                expected = pdnrm_event_keys(cfg, T, inst.N, shutoff, degraded)
+                expected = pdnrm_event_keys(cfg, T, inst.N, shutoff)
                 assert event_keys(whole.events) == expected
                 assert sum(k[0] == "loop" for k in expected) == sum(
                     k[3] <= T and (shutoff is None or e < shutoff)
@@ -848,17 +840,25 @@ class TestPdNrmRequests:
                 trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
                 shut += trace.shutoff_period is not None
                 assert event_keys(trace.events) == pdnrm_event_keys(
-                    cfg, T, inst.N, trace.shutoff_period, degraded=doc.get("p_margin") == 0.0)
+                    cfg, T, inst.N, trace.shutoff_period)
         assert shut >= 3
 
-    def test_zero_margin_loops_are_the_skeleton_all_degraded(self, instance):
+    def test_a_margin_without_room_to_probe_is_refused(self, instance):
+        # on the box [0.8, 5], 5 - 1e-16 * 4.2 rounds to 5, so a margin of
+        # 1e-16 leaves the inner box on the price box's edge, as 0 does; 1e-15
+        # moves both edges off, and then every loop probes
         from nrmlab import PdNrmPolicy, config_from_dict
-        cfg = config_from_dict({"p_margin": 0.0}, instance)
+        for margin in (0.0, 1e-16):
+            with pytest.raises(ValueError, match="pdnrm config key 'p_margin' must be"):
+                config_from_dict({"p_margin": margin}, instance)
+        cfg = config_from_dict({"p_margin": 1e-15}, instance)
         trace = run_episode(instance, PdNrmPolicy(instance, cfg), seed=1)
         loops = [e for e in trace.events if e["kind"] == "loop"]
         assert event_keys(trace.events) == pdnrm_event_keys(
-            cfg, instance.T, instance.N, trace.shutoff_period, degraded=True)
-        assert len(loops) == 24 and all(e["degraded"] for e in loops)
+            cfg, instance.T, instance.N, trace.shutoff_period)
+        # the first loop starts 4.2e-15 off the box edge, which caps its u
+        assert len(loops) >= 20 and 0 < loops[0]["u"] < 1e-14
+        assert all(e["u"] > 0 and not e["degraded"] for e in loops)
 
     def test_theory_constants_learn_nothing_at_1e4(self, instance, regularity):
         from nrmlab import PdNrmPolicy, constants_theory
@@ -882,7 +882,7 @@ class TestPdNrmRequests:
         trace = run_episode(inst, PdNrmPolicy(inst, config_from_dict(doc, inst)), seed=2)
         loops = [e for e in trace.events if e["kind"] == "loop"]
         assert len(loops) >= 20
-        assert len(calls) <= len(loops) + sum(e["degraded"] for e in loops) + 2
+        assert len(calls) <= len(loops) + 2
         # every request after the first carries a balanced row and 2N probes
         assert calls.count(2 * inst.N + 1) >= len(loops) - 2
 
