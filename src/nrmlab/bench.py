@@ -61,6 +61,9 @@ class BenchPlan:
         object.__setattr__(self, "policies", tuple(self.policies))
         _require("plan", "output_dir", self.output_dir is None
                  or isinstance(self.output_dir, (str, os.PathLike)), "a path", self.output_dir)
+        if "pdnrm" in self.policies or self.pdnrm_config is not None:
+            _require("plan", "T_grid", all(T >= 2 for T in self.T_grid),
+                     "horizons of at least 2 for pdnrm, which needs T >= 2", self.T_grid)
         if self.pdnrm_config is not None:
             # run_bench resolves the document again, once per horizon; a malformed one fails here
             for T in self.T_grid:

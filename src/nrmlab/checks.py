@@ -10,6 +10,7 @@ import numpy as np
 
 from .instance import Instance
 from .fluid import (
+    CERTIFICATE_TOL,
     solve_fluid,
     dual_Q,
     grad_Q,
@@ -94,7 +95,7 @@ def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
     sol = solve_fluid(instance)
     check("fluid.certificate",
           np.all(instance.A @ sol.d_star <= instance.gamma)
-          and abs(sol.duality_gap) <= 1e-5,
+          and abs(sol.duality_gap) <= CERTIFICATE_TOL,
           f"gap {sol.duality_gap:.2e}")
     box = default_dual_set(instance)
     ok = True

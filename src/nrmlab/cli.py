@@ -20,7 +20,7 @@ from .checks import run_checks
 
 def _cmd_fluid(args) -> int:
     instance = load_instance(args.instance)
-    solution = solve_fluid(instance, tol=args.tol)
+    solution = solve_fluid(instance)
     doc = solution.to_dict()
     doc["upper_bound"] = fluid_upper_bound(instance, solution)
     print(json.dumps(doc, indent=2))
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fluid", help="solve the fluid program and print the certificate")
     p.add_argument("instance")
-    p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=_cmd_fluid)
 
     p = sub.add_parser("run", help="run one episode")

@@ -20,6 +20,8 @@ from .demand import (
 )
 from .instance import Instance
 
+CERTIFICATE_TOL = 1e-5  # solve_fluid certifies a duality gap and complementary slackness within it
+
 
 class FluidError(RuntimeError):
     """Oracle failure: infeasible instance or a duality certificate out of tolerance."""
@@ -173,7 +175,7 @@ def default_dual_set(instance: Instance) -> np.ndarray:
     return instance.price_max / instance.gamma
 
 
-def solve_fluid(instance: Instance, tol: float = 1e-5) -> FluidSolution:
+def solve_fluid(instance: Instance) -> FluidSolution:
     """Solve the fluid program and its dual; populate a duality certificate.
 
     Primal: one SLSQP solve of max f(p) s.t. A D(p) <= gamma over the price
@@ -190,9 +192,9 @@ def solve_fluid(instance: Instance, tol: float = 1e-5) -> FluidSolution:
 
     gap = dual_Q(instance, lam, start=d_star) - value_star
     slack = instance.gamma - instance.A @ d_star
-    binding = slack <= max(10 * tol, 1e-4) * np.maximum(instance.gamma, 1.0)
+    binding = slack <= 10 * CERTIFICATE_TOL * np.maximum(instance.gamma, 1.0)
     comp = abs(float(lam @ slack))
-    if abs(gap) > tol or comp > tol:
+    if abs(gap) > CERTIFICATE_TOL or comp > CERTIFICATE_TOL:
         raise FluidError(
             f"dual certificate out of tolerance: gap={gap:.3e}, comp. slackness={comp:.3e}")
     return FluidSolution(

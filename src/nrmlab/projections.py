@@ -1,4 +1,5 @@
-"""Halfspace systems {x : G x <= h}: the balancing LP and a Dykstra projection."""
+"""The balancing LP: the point of a halfspace system {x : G x <= h} in a box
+nearest a start in the max norm, which pdnrm.demand_balance solves."""
 
 import numpy as np
 
@@ -9,35 +10,10 @@ def max_violation(G, h, x) -> float:
     return float(np.maximum.reduce(G @ x - h, initial=0.0))
 
 
-# no caller in the package; perfbench/tracer.py wraps it by name
-def project_polytope(G, h, x, sweeps: int = 500, tol: float = 1e-12) -> np.ndarray:
-    """Euclidean projection onto {x : G x <= h} by Dykstra's alternating method.
-
-    Exact in the limit for intersections of halfspaces; each sweep costs
-    O(rows * dim).
-    """
-    G = np.asarray(G, float)
-    h = np.asarray(h, float)
-    x = np.asarray(x, float).copy()
-    if max_violation(G, h, x) <= tol:
-        return x
-    K = G.shape[0]
-    norms2 = np.einsum("ij,ij->i", G, G)
-    corrections = np.zeros((K, x.shape[0]))
-    for _ in range(sweeps):
-        shift = 0.0
-        for k in range(K):
-            if norms2[k] <= 1e-30:
-                continue
-            y = x + corrections[k]
-            excess = (G[k] @ y - h[k]) / norms2[k]
-            x_new = y - max(excess, 0.0) * G[k]
-            corrections[k] = y - x_new
-            shift = max(shift, float(np.max(np.abs(x_new - x))))
-            x = x_new
-        if shift <= tol and max_violation(G, h, x) <= 10 * tol:
-            break
-    return x
+def project_polytope(*args, **kwargs):
+    """Removed; the name stays only for perfbench/tracer.py's FUNCTIONS and
+    tests/test_perfbench_names.py until the benchmark refresh (ROADMAP 1a)."""
+    raise NotImplementedError("project_polytope was removed; see feasible_point")
 
 
 def feasible_point(G, h, x0, lo, hi):

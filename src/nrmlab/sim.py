@@ -146,8 +146,8 @@ class Policy(ABC):
         simulator serves it in one kernel call and answers it with one
         observe_block(period, y_avgs (K, N), lengths (K,)) call: each row's
         average demand per period (its mean demand in a noiseless market)
-        and the periods each row lasted. The horizon may cut the last row
-        short or drop rows."""
+        and the periods each row lasted. A request that the horizon cuts (its
+        last row short, or rows dropped) or the market shuts goes unanswered."""
         return None
 
 
@@ -159,9 +159,8 @@ class CommitPolicy(Policy):
     one-row schedule, and receives the (K, N) average demand of its rows, as
     observe_block hands it: bit for bit DemandOracle's answer to the same
     schedule. Every request is the policy's schedule() and is observed once,
-    whole, never period by period. A request that the horizon cuts short is
-    never answered, and neither is the one in which the market shuts, the
-    last the episode makes. Drivers that return are frozen at their last price.
+    whole, never period by period, if run_episode answers it (see schedule).
+    Drivers that return are frozen at their last price.
     """
 
     def __init__(self):
@@ -184,8 +183,6 @@ class CommitPolicy(Policy):
 
     def observe_block(self, period: int, y_avgs: np.ndarray, lengths: np.ndarray) -> None:
         self.periods_observed += sum(lengths.tolist())
-        if len(lengths) < len(self._lengths) or lengths[-1] < self._lengths[-1]:
-            return
         try:
             request = self._gen.send(y_avgs)
         except StopIteration:   # frozen at the last price
@@ -389,7 +386,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     `_serve` call: a noiseless market sells the exact mean demand each
     period, and a sampled one draws outcome counts. observe_block answers
     the request with each row's average demand (`_averages`) unless the
-    market shut in it. The fingerprint hashes each
+    horizon cut it or the market shut in it. The fingerprint hashes each
     served row (price, counts, served) as a row served alone. Recorded rows
     order a sampled row's served outcomes by a uniform random permutation
     from a second generator derived from the seed, so a recorded and an
@@ -428,7 +425,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         plan = policy.schedule()
         prices, lengths = (np.asarray(p, dtype=float)[None], _ONE_PERIOD) if plan is None else plan
         span = sum(lengths.tolist())
-        if span > T - t:
+        cut = span > T - t
+        if cut:
             span = T - t
             prices, lengths = _cut(prices, lengths, span)
         if prices.shape != (len(lengths), N) or not _in_box(prices, p_lo, p_hi):
@@ -468,7 +466,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             t += sum(served.tolist())
             shutoff_period = t + 1
             break
-        policy.observe_block(t + 1, _averages(demand, lengths, noiseless), lengths)
+        if not cut:   # a request that the horizon cut goes unanswered
+            policy.observe_block(t + 1, _averages(demand, lengths, noiseless), lengths)
         t += span
 
     _fold(ledger, sold, hasher, noiseless)

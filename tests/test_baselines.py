@@ -115,7 +115,8 @@ class TestExploreThenCommit:
         short = instance.with_horizon(3000)
         pol = ExploreThenCommitPolicy(short)
         run_episode(short, pol, seed=8)
-        assert pol.periods_observed == short.T
+        # the commitment that the horizon cuts goes unanswered
+        assert pol.periods_observed == pol.n_explore
 
     def test_loses_more_than_clairvoyant(self, instance, fluid_solution):
         short = instance.with_horizon(100_000)

@@ -77,6 +77,14 @@ class TestBenchPlan:
         with pytest.raises(ValueError, match="T >= 2"):
             small_plan(instance, T_grid=(1, 500), pdnrm_config={"mode": "tuned"})
 
+    @pytest.mark.parametrize("config", [None, {"mode": "tuned"}], ids=["no-config", "tuned"])
+    def test_pdnrm_horizon_below_2_refused_at_load(self, instance, config):
+        with pytest.raises(ValueError, match=r"'T_grid'.*T >= 2"):
+            small_plan(instance, policies=("pdnrm", "etc"), T_grid=(1, 500), pdnrm_config=config)
+        # ETC and the clairvoyant policy run at T = 1
+        summary = run_bench(small_plan(instance, T_grid=(1, 500), replications=1))
+        assert not summary.errors and len(summary.episodes) == 4
+
     def test_pdnrm_config_resolved_once_per_horizon(self, instance, monkeypatch):
         import nrmlab.bench
         plan = small_plan(instance.with_horizon(1000), policies=("pdnrm", "clairvoyant"),

@@ -165,6 +165,8 @@ class TestBenchCommand:
         ({"replications": 2.7}, "'replications'"),
         ({"workers": 1.5}, "'workers'"),
         ({"output_dir": 5}, "'output_dir'"),
+        ({"T_grid": [1, 400]}, "'T_grid'"),
+        ({"T_grid": [1, 400], "pdnrm_config": {"mode": "tuned"}}, "'T_grid'"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):

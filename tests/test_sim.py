@@ -310,7 +310,7 @@ class TestCommitPolicy:
         # a (price, length) pair is the one-row schedule, answered (1, N)
         np.testing.assert_array_equal(policy.answers[0], avgs, strict=True)
         assert policy.answers[0].tobytes() == avgs.tobytes()
-        assert policy.periods_observed == inst.T
+        assert policy.periods_observed == ends[-1]
         posted = np.repeat(prices, lengths, axis=0)
         if policy_class is AnsweredOnce:   # frozen at its last price
             posted = np.vstack([posted, np.repeat(prices[-1:], inst.T - ends[-1], axis=0)])
@@ -349,7 +349,7 @@ def reference_episode(instance, policy, seed):
     purchase by purchase. Each request (a schedule, or one period of a policy
     without one), cut at the horizon, is posted period by period and then
     observed whole with each row's average demand, as run_episode observes
-    it, until the market shuts.
+    it, unless the horizon cut it or the market shut in it.
     Returns (shutoff_period, price, demand, inventory rows)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     N, M, T = instance.N, instance.M, instance.T
@@ -383,8 +383,8 @@ def reference_episode(instance, policy, seed):
             sums.append(demand[t:t + k].sum(axis=0))
             ks.append(k)
             t += k
-        if shutoff is not None:
-            break
+        if shutoff is not None or sum(int(k) for _, k in rows) > t - start:
+            break   # the market shut, or the horizon cut the request: no answer
         avgs = np.array(sums) / np.array(ks)[:, None]
         if plan is None:
             policy.observe(start + 1, avgs[0])
@@ -471,6 +471,20 @@ class TestReferenceSimulator:
             reference.append(episode_stats(shutoff=shutoff, demand=demand))
         assert np.mean([s[-2] <= tight.T for s in kernel]) >= 0.9
         assert_same_distributions(kernel, reference)
+
+    def test_reference_answers_each_row_with_its_mean_demand(self, instance):
+        # a loose instance keeps the market open, so the answer is read: the
+        # schedule ends at period 60, and the horizon cuts the next request
+        loose = dataclasses.replace(instance.with_horizon(100), gamma=np.array([5.0, 5.0]))
+        rows, lengths = TestCommitPolicy.ROWS, np.array([20, 10, 30])
+        policy = FixedCommitPolicy(rows, lengths)
+        shutoff, price, demand, _ = reference_episode(loose, policy, seed=1)
+        ends = np.cumsum(lengths)
+        assert shutoff is None
+        np.testing.assert_array_equal(price, np.vstack([np.repeat(rows, lengths, axis=0)] * 2)[:100])
+        means = np.array([demand[e - k:e].mean(axis=0) for e, k in zip(ends, lengths)])
+        assert len(policy.answers) == 1 and policy.periods_observed == ends[-1]
+        np.testing.assert_array_equal(policy.answers[0], means)
 
     @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant"])
     def test_gate_catches_a_biased_shutoff(self, policy, instance, fluid_solution, monkeypatch):
