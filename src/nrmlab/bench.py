@@ -50,14 +50,14 @@ class BenchPlan:
             _require("plan", key, _is_integral(val) and (key == "base_seed" or val >= 1), what, val)
             object.__setattr__(self, key, int(val))
         grid = self.T_grid
-        _require("plan", "T_grid", isinstance(grid, (list, tuple, np.ndarray))
+        _require("plan", "T_grid", isinstance(grid, (list, tuple, np.ndarray)) and len(grid) > 0
                  and all(_is_integral(t) and t >= 1 for t in grid)
                  and all(a < b for a, b in zip(grid, grid[1:])),
-                 "a strictly increasing list of positive integers", grid)
+                 "a non-empty, strictly increasing list of positive integers", grid)
         object.__setattr__(self, "T_grid", tuple(int(t) for t in grid))
         _require("plan", "policies", isinstance(self.policies, (list, tuple))
-                 and all(name in POLICY_NAMES for name in self.policies),
-                 f"a list of names from {list(POLICY_NAMES)}", self.policies)
+                 and len(self.policies) > 0 and all(name in POLICY_NAMES for name in self.policies),
+                 f"a non-empty list of names from {list(POLICY_NAMES)}", self.policies)
         object.__setattr__(self, "policies", tuple(self.policies))
         _require("plan", "output_dir", self.output_dir is None
                  or isinstance(self.output_dir, (str, os.PathLike)), "a path", self.output_dir)
@@ -121,15 +121,16 @@ def build_policy(name: str, instance: Instance, fluid: FluidSolution,
 
 
 def _count_events(events):
-    epochs = 0
+    """(dual updates, most loops in one epoch) of an episode's events."""
+    duals = 0
     loops_per_epoch = {}
     for ev in events:
-        if ev.get("kind") == "epoch":
-            epochs += 1
+        if ev.get("kind") == "dual":
+            duals += 1
         elif ev.get("kind") == "loop":
             loops_per_epoch[ev["s"]] = loops_per_epoch.get(ev["s"], 0) + 1
     max_loops = max(loops_per_epoch.values(), default=0)
-    return epochs, max_loops
+    return duals, max_loops
 
 
 def _run_task(plan: BenchPlan, fluid: FluidSolution, configs: dict, task: tuple):
@@ -144,7 +145,7 @@ def _run_task(plan: BenchPlan, fluid: FluidSolution, configs: dict, task: tuple)
         t0 = time.perf_counter()
         trace = run_episode(instance, policy, seed)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        epochs, max_loops = _count_events(trace.events)
+        duals, max_loops = _count_events(trace.events)
         return EpisodeResult(
             policy=policy_name, T=T, replicate=replicate, seed=seed,
             revenue=trace.total_revenue,
@@ -153,7 +154,7 @@ def _run_task(plan: BenchPlan, fluid: FluidSolution, configs: dict, task: tuple)
             fingerprint=trace.fingerprint,
             inventory_ok=trace.inventory_ok,
             shutoff_ok=trace.shutoff_ok,
-            dual_updates=epochs,
+            dual_updates=duals,
             max_loops_per_epoch=max_loops,
             wall_ms=wall_ms,
         )

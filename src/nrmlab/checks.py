@@ -46,8 +46,8 @@ class _RecordingPolicy(Policy):
         self.observations.append((period, np.array(y)))
 
 
-def run_checks(instance: Instance, rng_seed: int = 20240715) -> list:
-    rng = np.random.default_rng(rng_seed)
+def run_checks(instance: Instance) -> list:
+    rng = np.random.default_rng(20240715)
     model = instance.model
     p_lo, p_hi = instance.price_box
     results = []

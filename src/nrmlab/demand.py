@@ -160,15 +160,15 @@ def grad_revenue_phi(model: DemandModel, d) -> np.ndarray:
     return p + _on_vectors(np.linalg.solve, model.jacobian(p).swapaxes(-1, -2), d)
 
 
-def hessian_fd(grad, model: DemandModel, X, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Hessians (symmetrized), shape (..., N, N), at X
-    of shape (..., N), of the revenue function whose gradient is grad(model, X)."""
+def hessian_fd(grad, model: DemandModel, X) -> np.ndarray:
+    """Central finite-difference Hessians (symmetrized, step 1e-6), shape (..., N, N),
+    at X of shape (..., N), of the revenue function whose gradient is grad(model, X)."""
     n = X.shape[-1]
     H = np.empty(X.shape + (n,))
     for i in range(n):
         e = np.zeros(n)
-        e[i] = h
-        H[..., i, :] = (grad(model, X + e) - grad(model, X - e)) / (2 * h)
+        e[i] = 1e-6
+        H[..., i, :] = (grad(model, X + e) - grad(model, X - e)) / 2e-6
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 

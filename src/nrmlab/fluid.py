@@ -112,9 +112,9 @@ def dual_Q(instance: Instance, lam, start=None) -> float:
     return lagrangian_H(instance, lam, d)
 
 
-def grad_Q(instance: Instance, lam, start=None) -> np.ndarray:
+def grad_Q(instance: Instance, lam) -> np.ndarray:
     """grad Q(lam) = gamma - A d_star_lam."""
-    _, d = solve_inner_max(instance, lam, start=start)
+    _, d = solve_inner_max(instance, lam)
     return instance.gamma - instance.A @ d
 
 

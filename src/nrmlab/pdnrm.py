@@ -44,11 +44,9 @@ class PdNrmConfig:
     eta2: float
     mu: float
     contraction: float = 0.5
-    warm_start: bool = True
     p_margin: float = 0.05
-    primal_init: str = "low"          # "low" | "center" | explicit vector
+    primal_init: str = "low"          # "low" | "center"
     lambda_max: Optional[np.ndarray] = None  # dual box [0, lambda_max]; None: default_dual_set
-    lambda0: Optional[np.ndarray] = None     # first dual iterate; None: zero
 
     @property
     def kappa2(self) -> float:
@@ -56,25 +54,18 @@ class PdNrmConfig:
 
     def validate(self, instance: Instance) -> None:
         """The one check of every field, against the instance's N and M."""
-        N, M = instance.N, instance.M
+        N = instance.N
         _require("n0", _is_integral(self.n0) and self.n0 >= 4 * N,
                  f"an integer of at least 4N = {4 * N}", self.n0)
         for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1", "eta2", "mu"):
             val = getattr(self, name)
             _require(name, _is_number(val) and 0 < val < math.inf, "a finite positive number", val)
-        c, warm = self.contraction, self.warm_start
+        c, init = self.contraction, self.primal_init
         _require("contraction", _is_number(c) and 0 < c < 1, "a number in (0, 1)", c)
         _require_margin(instance, self.p_margin)
-        _require("warm_start", isinstance(warm, (bool, np.bool_)), "true or false", warm)
-        init = self.primal_init
-        _require("primal_init", init in ("low", "center") if isinstance(init, str)
-                 else _is_vector(init, N) and all(map(math.isfinite, init)),
-                 f"'low', 'center' or a list of {N} finite numbers", init)
-        if self.lambda_max is not None or self.lambda0 is not None:
-            lam0, box = self.lambda0, _dual_box(instance, self.lambda_max)
-            _require("lambda0", lam0 is None or _is_vector(lam0, M)
-                     and all(0 <= x <= b for x, b in zip(lam0, box.tolist())),
-                     f"a list of {M} numbers inside the dual box [0, lambda_max]", lam0)
+        _require("primal_init", isinstance(init, str) and init in ("low", "center"),
+                 "'low' or 'center'", init)
+        _dual_box(instance, self.lambda_max)
 
     def to_dict(self) -> dict:
         doc = {}
@@ -107,16 +98,15 @@ def _dual_box(instance: Instance, lambda_max) -> np.ndarray:
 
 
 def _overrides(doc: dict) -> dict:
-    """A document's keys as field values: a list of numbers becomes a float array
+    """A document's keys as field values: a lambda_max list becomes a float array
     and an integral n0 an int; any other value is left for validate to reject."""
     unknown = sorted(set(doc) - _FIELD_NAMES)
     if unknown:
         hint = "; kappa2 is sqrt(kappa5); set kappa5" if "kappa2" in unknown else ""
         raise ValueError(f"unknown pdnrm config keys {unknown}{hint}")
     patch = dict(doc)
-    for key in ("lambda_max", "lambda0", "primal_init"):
-        if _is_vector(patch.get(key)):
-            patch[key] = np.asarray(patch[key], dtype=float)
+    if _is_vector(patch.get("lambda_max")):
+        patch["lambda_max"] = np.asarray(patch["lambda_max"], dtype=float)
     if _is_integral(patch.get("n0")):
         patch["n0"] = int(patch["n0"])
     return patch
@@ -216,7 +206,6 @@ def constants_theory(instance: Instance, regularity, T: int, *,
         mu=mu,
         contraction=contraction,
         p_margin=p_margin,
-        lambda_max=box,
     )
     cfg = replace(cfg, **patch)
     cfg.validate(instance)
@@ -406,7 +395,7 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
     """One PrimalOpt run over an epoch's (s, tau, n_tau, end) loops, after a pending
     row held before them; a loop that ends by instance.T holds its balanced row.
     Returns (p_hat, D_hat, p_next, pending): the final loop's price, whose estimate
-    feeds the dual update, the post-update iterate for warm starts and its held row."""
+    feeds the dual update, the post-update iterate (the next epoch's start) and its held row."""
     P_lo, P_hi = _inner_box(instance, cfg.p_margin)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
@@ -430,13 +419,12 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
 
 
 def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
-               p_start=None, events: Optional[list] = None):
-    """Standalone PrimalOpt against an environment handle, logged as epoch 0,
-    each balanced row served alone; returns (p_hat, D_hat)."""
-    if p_start is None:
-        p_start = _initial_price(instance, cfg)
+               events: Optional[list] = None):
+    """Standalone PrimalOpt from the initial price against an environment handle,
+    logged as epoch 0, each balanced row served alone; returns (p_hat, D_hat)."""
     loops = ((0, tau, n_tau, math.inf) for tau, n_tau in enumerate(_loop_lengths(cfg, eps_bar)))
-    return _drive(_primal_gen(instance, cfg, lam, loops, p_start, events), env)[:2]
+    start = _initial_price(instance, cfg)
+    return _drive(_primal_gen(instance, cfg, lam, loops, start, events), env)[:2]
 
 
 def _loop_lengths(cfg: PdNrmConfig, eps_bar: float):
@@ -475,10 +463,7 @@ def _inner_box(instance: Instance, p_margin: float):
 
 def _initial_price(instance: Instance, cfg: PdNrmConfig) -> np.ndarray:
     P_lo, P_hi = _inner_box(instance, cfg.p_margin)
-    init = cfg.primal_init   # checked by PdNrmConfig.validate
-    if not isinstance(init, str):
-        return np.clip(np.asarray(init, float), P_lo, P_hi)
-    return np.full(instance.N, 0.5 * (P_lo + P_hi) if init == "center" else P_lo)
+    return np.full(instance.N, 0.5 * (P_lo + P_hi) if cfg.primal_init == "center" else P_lo)
 
 
 class PdNrmPolicy(CommitPolicy):
@@ -498,16 +483,15 @@ class PdNrmPolicy(CommitPolicy):
 
     def _driver(self):
         instance, cfg = self.instance, self.config
-        lam = np.zeros(instance.M) if cfg.lambda0 is None else np.array(cfg.lambda0, float)
-        p_warm = _initial_price(instance, cfg)
+        lam = np.zeros(instance.M)
+        p = _initial_price(instance, cfg)   # each epoch starts where the last one ended
         pending = None   # the held balanced row, carried across loops and epochs
         for s, loops in itertools.groupby(loop_skeleton(cfg), operator.itemgetter(0)):
             self.events.append({
                 "kind": "epoch", "s": s, "lambda": lam.tolist(), "eps_bar": _eps_bar(cfg, s),
             })
-            start = p_warm if cfg.warm_start else _initial_price(instance, cfg)
-            p_hat, D_hat, p_warm, pending = yield from _primal_gen(
-                instance, cfg, lam, loops, start, self.events, pending)
+            p_hat, D_hat, p, pending = yield from _primal_gen(
+                instance, cfg, lam, loops, p, self.events, pending)
             grad_q = instance.gamma - instance.A @ D_hat
             lam = prox_dual_step(lam, grad_q - cfg.mu * lam, cfg.mu, cfg.eta2,
                                  self.lambda_max)

@@ -13,6 +13,8 @@ from nrmlab import (
     loglog_slope,
     plan_from_dict,
     episode_seed,
+    run_episode,
+    PdNrmPolicy,
 )
 from nrmlab.baselines import EtcConfig
 from nrmlab.bench import SUMMARY_HEADER, EPISODES_HEADER
@@ -135,6 +137,8 @@ class TestBenchPlan:
         ({"policies": "etc"}, "policies"),
         ({"policies": ["etc", "ucb"]}, "policies"),
         ({"output_dir": 5}, "output_dir"),
+        ({"T_grid": []}, "T_grid"),
+        ({"policies": []}, "policies"),
     ])
     def test_plan_numbers_checked(self, instance, patch, key):
         doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"], "T_grid": [1000],
@@ -181,6 +185,16 @@ class TestRunBench:
         assert row["mean_loss"] == ep.loss
         assert row["mean_revenue"] == ep.revenue
         assert row["stderr"] == 0.0
+
+    def test_dual_updates_count_the_dual_events(self, instance):
+        # an episode starts one epoch more than it finishes: its epoch events overcount
+        summary = run_bench(small_plan(instance, policies=("pdnrm",), T_grid=(20_000,),
+                                       replications=2))
+        for ep in summary.episodes:
+            inst = instance.with_horizon(ep.T)
+            trace = run_episode(inst, PdNrmPolicy(inst), ep.seed)
+            assert trace.fingerprint == ep.fingerprint
+            assert ep.dual_updates == sum(e["kind"] == "dual" for e in trace.events) > 0
 
     def test_deterministic_outputs(self, instance, tmp_path):
         out_a = tmp_path / "a"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nrmlab.bench
-from nrmlab import Instance, LogitDemand, example_logit_instance, pdnrm
+from nrmlab import (Instance, LogitDemand, PdNrmPolicy, config_from_dict, default_dual_set,
+                    example_logit_instance, load_instance, pdnrm)
 from nrmlab.checks import run_checks
 from nrmlab.cli import cli_main
 from conftest import save_instance
@@ -71,6 +72,26 @@ class TestRunCommand:
                                  "--config", str(config))
         assert code == 0, err
         assert json.loads(out)["T"] == 5000
+
+    def test_theory_document_stores_no_default_box(self, capsys, instance_file, tmp_path):
+        # the default dual box is derived from the instance; an explicit copy of it, as
+        # earlier theory documents stored, runs the same policy and episode
+        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory",
+                               "--grid-points", "9")
+        assert code == 0 and "lambda_max" not in json.loads(out)
+        inst = load_instance(instance_file)
+        boxed = {**json.loads(out), "lambda_max": default_dual_set(inst).tolist()}
+        runs = []
+        for doc in (json.loads(out), boxed):
+            policy = PdNrmPolicy(inst, config_from_dict(doc, inst))
+            assert policy.lambda_max.tolist() == boxed["lambda_max"]
+            config = tmp_path / "theory.json"
+            config.write_text(json.dumps(doc))
+            code, run, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
+                                     "--config", str(config))
+            assert code == 0, err
+            runs.append(json.loads(run))
+        assert runs[0] == runs[1]
 
     def test_unknown_config_key_exits_2(self, capsys, instance_file, tmp_path):
         config = tmp_path / "typo.json"
@@ -167,11 +188,15 @@ class TestBenchCommand:
         ({"output_dir": 5}, "'output_dir'"),
         ({"T_grid": [1, 400]}, "'T_grid'"),
         ({"T_grid": [1, 400], "pdnrm_config": {"mode": "tuned"}}, "'T_grid'"),
+        ({"T_grid": []}, "'T_grid'"),
+        ({"policies": []}, "'policies'"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):
         ran = []
         monkeypatch.setattr(nrmlab.bench, "run_episode",
+                            lambda *args, **kwargs: ran.append(args))
+        monkeypatch.setattr(nrmlab.bench, "solve_fluid",
                             lambda *args, **kwargs: ran.append(args))
         plan = {"instance": instance_file, "policies": ["pdnrm", "etc"], "T_grid": [400],
                 "replications": 2, "base_seed": 21, **config}

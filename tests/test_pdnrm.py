@@ -16,6 +16,7 @@ from nrmlab import (
     PdNrmPolicy,
     grad_est,
     demand_balance,
+    default_dual_set,
     primal_opt,
     prox_dual_step,
     DemandOracle,
@@ -142,9 +143,11 @@ class TestConstantsTheory:
         assert cfg.eta1 == 1.0 / (8.0 * (reg.B_f + reg.B_A * reg.B_D * lam_bar))
         default = constants_theory(instance, regularity, instance.T)
         assert cfg.n0 < default.n0 and cfg.kappa5 < default.kappa5
+        # the default box is derived, not stored; given explicitly it sizes the same constants
+        assert default.lambda_max is None
         same = constants_theory(instance, regularity, instance.T,
-                                lambda_max=default.lambda_max.tolist())
-        assert same.to_dict() == default.to_dict()
+                                lambda_max=default_dual_set(instance).tolist())
+        assert replace(same, lambda_max=None).to_dict() == default.to_dict()
         with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
             constants_theory(instance, regularity, instance.T, lambda_max=[1.0, 1.0, 1.0])
 
@@ -177,13 +180,13 @@ class TestConfigValidation:
         assert back.kappa2 == cfg.kappa2
 
     def test_json_round_trip(self):
-        cfg = constants_tuned(2, 10**5, warm_start=False, contraction=0.4)
+        cfg = constants_tuned(2, 10**5, primal_init="center", contraction=0.4)
         doc = json.loads(json.dumps(cfg.to_dict()))
         back = config_from_dict(doc, synthetic_instance(2))
         assert back.n0 == cfg.n0
         assert back.kappa5 == pytest.approx(cfg.kappa5, rel=1e-12)
         assert back.contraction == 0.4
-        assert back.warm_start is False
+        assert back.primal_init == "center"
 
     def test_tuned_overrides(self, instance):
         cfg = config_from_dict({"mode": "tuned", "contraction": 0.3,
@@ -229,28 +232,38 @@ class TestConfigValidation:
             ('{"primal_init": [0.5, -Infinity]}', "primal_init")]],
     ])
     def test_wrong_typed_override_names_its_key(self, doc, key):
-        with pytest.raises(ValueError, match=f"pdnrm config key '{key}' must be"):
+        # warm_start and lambda0 are no fields: a document naming either is refused whatever
+        # its value
+        removed = key in ("warm_start", "lambda0")
+        with pytest.raises(ValueError, match=rf"unknown pdnrm config keys \['{key}'\]" if removed
+                           else f"pdnrm config key '{key}' must be"):
+            config_from_dict(doc, synthetic_instance(2), T=10**4)
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"warm_start": True}, r"unknown pdnrm config keys \['warm_start'\]"),
+        ({"lambda0": [0.0, 0.0]}, r"unknown pdnrm config keys \['lambda0'\]"),
+        ({"primal_init": [0.5, 1.0]}, "pdnrm config key 'primal_init' must be 'low' or 'center'"),
+    ], ids=["warm_start", "lambda0", "primal_init"])
+    def test_a_start_that_no_run_sets_is_refused(self, doc, match):
+        # each epoch starts from the last one's iterate, the dual at 0 and the primal at
+        # the low corner or the center of the inner box; well-formed values are refused too
+        with pytest.raises(ValueError, match=match):
             config_from_dict(doc, synthetic_instance(2), T=10**4)
 
     def test_well_typed_overrides_resolve_as_before(self):
-        cfg = config_from_dict({"n0": 1000.0, "eta2": 5, "mu": 0.5, "lambda0": [0, 0.1],
-                                "lambda_max": [4, 4.5], "warm_start": False,
-                                "primal_init": [0.5, 1]}, synthetic_instance(2), T=10**4)
+        cfg = config_from_dict({"n0": 1000.0, "eta2": 5, "mu": 0.5, "lambda_max": [4, 4.5],
+                                "primal_init": "center"}, synthetic_instance(2), T=10**4)
         assert cfg.n0 == 1000 and isinstance(cfg.n0, int)
-        assert cfg.warm_start is False and cfg.primal_init.dtype == float
-        assert_allclose(cfg.primal_init, [0.5, 1.0])
-        center = config_from_dict({"primal_init": "center"}, synthetic_instance(2))
-        assert center.primal_init == "center"
+        assert cfg.primal_init == "center"
         assert cfg.eta2 == 5 and cfg.mu == 0.5
-        assert cfg.lambda0.dtype == float and cfg.lambda_max.dtype == float
-        assert_allclose(cfg.lambda0, [0.0, 0.1])
+        assert cfg.lambda_max.dtype == float
         assert_allclose(cfg.lambda_max, [4.0, 4.5])
         kw = constants_tuned(2, 10**4, n0=np.int64(1000), eta2=np.float64(5.0),
                              lambda_max=np.array([4.0, 4.5]))
         assert (kw.n0, kw.eta2) == (1000, 5.0)
         assert_allclose(kw.lambda_max, [4.0, 4.5])
 
-    @pytest.mark.parametrize("field, value", [("warm_start", "no"),
+    @pytest.mark.parametrize("field, value", [("primal_init", [0.5, 1.0]),
                                               ("primal_init", "middle"),
                                               ("primal_init", np.zeros(3))])
     def test_policy_rejects_unchecked_field(self, field, value):
@@ -265,13 +278,13 @@ class TestConfigValidation:
         ("n0", "1000"), ("n0", 1000.5), ("n0", True), ("n0", 7),
         ("contraction", "0.5"), ("contraction", 1.0), ("contraction", None),
         ("p_margin", "0.1"), ("p_margin", 0.5), ("p_margin", -0.1),
-        ("warm_start", "false"), ("warm_start", 1), ("warm_start", None),
-        ("primal_init", "middle"), ("primal_init", ["1.5", "2"]), ("primal_init", [1.0]),
-        ("primal_init", None),
+        ("primal_init", [0.5, 1.0]), ("primal_init", np.array([0.5, 1.0])),
+        ("primal_init", ["low"]), ("primal_init", "middle"), ("primal_init", ["1.5", "2"]),
+        ("primal_init", [1.0]), ("primal_init", None),
         ("lambda_max", [4.0, 4.0, 4.0]), ("lambda_max", [4.0]), ("lambda_max", "4"),
         ("lambda_max", [4.0, 0.0]), ("lambda_max", ["4", "4"]), ("lambda_max", np.ones((2, 1))),
-        ("lambda0", [0.1]), ("lambda0", [0.1, 0.1, 0.1]), ("lambda0", [1e6, 0.0]),
-        ("lambda0", [-0.1, 0.0]), ("lambda0", [True, False]), ("lambda0", 0.0),
+        ("lambda_max", [-4.0, 4.0]), ("lambda_max", [True, True]), ("lambda_max", [None, 4.0]),
+        ("lambda_max", [4.0, -np.inf]), ("lambda_max", np.full(3, 4.0)), ("lambda_max", 4.0),
         ("lambda_max", [np.inf, 4.0]), ("lambda_max", [np.nan, 4.0]),
         *[(name, math.inf) for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1",
                                         "eta2", "mu")],
@@ -287,17 +300,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
             PdNrmPolicy(instance, cfg)
 
-    def test_validate_checks_lambda0_against_the_configs_own_box(self, instance):
-        cfg = constants_tuned(2, instance.T, lambda_max=[1.0, 1.0], lambda0=[1.0, 0.5])
-        cfg.validate(instance)
-        with pytest.raises(ValueError, match="'lambda0'"):
-            replace(cfg, lambda0=np.array([1.5, 0.5])).validate(instance)
-
     def test_default_box_must_be_positive(self, instance):
         # price_max = 0 makes default_dual_set's lambda_max zero: there is no box to step in
         flat = replace(instance, price_min=-1.0, price_max=0.0)
         with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
             PdNrmPolicy(flat)
+        # validate checks the default box too, so a document is refused at load
+        with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
+            config_from_dict({}, flat)
 
 
 class TestGradEst:
@@ -391,8 +401,6 @@ class TestGradEst:
         env = DemandOracle(inst)
         with pytest.raises(ValueError, match="p strictly inside the price box"):
             grad_est(env, inst, cfg, np.array(p), np.zeros(2), 10**4)
-        with pytest.raises(ValueError, match="p strictly inside the price box"):
-            primal_opt(env, inst, cfg, np.zeros(2), 1.0, p_start=np.array(p))
         assert env.commits == 0
 
     def test_stochastic_estimates_concentrate(self, instance):
@@ -789,27 +797,25 @@ class TestDualOptPolicy:
                 checked += 1
         assert checked > 0
 
-    def test_lambda0_must_lie_in_box(self, instance):
-        cfg = constants_tuned(2, instance.T, lambda0=np.array([1e6, 0.0]))
-        with pytest.raises(ValueError):
-            PdNrmPolicy(instance, cfg)
+    def test_each_epoch_starts_where_the_last_ended(self, instance, monkeypatch):
+        # the first epoch starts at the initial price, each later one at the post-update
+        # iterate that the previous epoch returned
+        starts, ends, real = [], [], pdnrm._primal_gen
 
-    def test_cold_start_restarts_each_epoch(self, instance):
+        def recorded(instance, cfg, lam, loops, p_start, *args):
+            starts.append(np.array(p_start))
+            out = yield from real(instance, cfg, lam, loops, p_start, *args)
+            ends.append(out[2])
+            return out
+
+        monkeypatch.setattr(pdnrm, "_primal_gen", recorded)
         inst = instance.with_horizon(20_000)
-        cold = PdNrmPolicy(inst, constants_tuned(2, inst.T, warm_start=False))
-        run_episode(inst, cold, seed=13)
-        starts = {}
-        for e in cold.events:
-            if e["kind"] == "loop" and e["tau"] == 0:
-                starts.setdefault(tuple(e["p"]), 0)
-                starts[tuple(e["p"])] += 1
-        # every epoch's first loop starts from the same initial price
-        assert len(starts) == 1
-        warm = PdNrmPolicy(inst, constants_tuned(2, inst.T, warm_start=True))
-        run_episode(inst, warm, seed=13)
-        warm_starts = {tuple(e["p"]) for e in warm.events
-                       if e["kind"] == "loop" and e["tau"] == 0}
-        assert len(warm_starts) > 1
+        policy = PdNrmPolicy(inst, constants_tuned(2, inst.T))
+        run_episode(inst, policy, seed=13)
+        assert starts[0].tolist() == pdnrm._initial_price(inst, policy.config).tolist()
+        assert len(ends) >= len(starts) - 1 >= 2
+        assert all(a.tolist() == b.tolist() for a, b in zip(ends, starts[1:]))
+        assert len({tuple(p) for p in starts}) > 1
 
 
 # plan_scaling's constants: the dual step split (mu, eta2) = (0.05, 1.0)
