@@ -56,8 +56,9 @@ class BenchPlan:
                  "a non-empty, strictly increasing list of positive integers", grid)
         object.__setattr__(self, "T_grid", tuple(int(t) for t in grid))
         _require("plan", "policies", isinstance(self.policies, (list, tuple))
-                 and len(self.policies) > 0 and all(name in POLICY_NAMES for name in self.policies),
-                 f"a non-empty list of names from {list(POLICY_NAMES)}", self.policies)
+                 and len(self.policies) > 0 and all(name in POLICY_NAMES for name in self.policies)
+                 and len(set(self.policies)) == len(self.policies),
+                 f"a non-empty list of distinct names from {list(POLICY_NAMES)}", self.policies)
         object.__setattr__(self, "policies", tuple(self.policies))
         _require("plan", "output_dir", self.output_dir is None
                  or isinstance(self.output_dir, (str, os.PathLike)), "a path", self.output_dir)

@@ -251,6 +251,8 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
       <a_j, D_hat + J_hat x / 2> >= gamma_j - kappa2/((1 ^ lam_j) sqrt(n)) - kappa3/sqrt(n).
     Solved by projections.feasible_point from x = 0, an LP for the point nearest
     p in the max norm; (p, False) when HiGHS proves that no such point exists.
+    The price comes back as a list of floats. The vectors may be arrays or
+    lists; lam and gamma given as lists of floats are used as they are.
     """
     ps = list(map(float, p))
     A = np.asarray(A)
@@ -262,8 +264,7 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     band = kappa3 / root_n
     # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j, C = JA / 2
     h = []
-    for g, l, base in zip(np.asarray(gamma).tolist(), np.asarray(lam, float).tolist(),
-                          (A @ np.asarray(D_hat)).tolist()):
+    for g, l, base in zip(_floats(gamma), _floats(lam), (A @ D_hat).tolist()):
         lb = g - kappa2 / (min(1.0, l) * root_n) - band - base if l > 0 else -math.inf
         h += (g + band - base, -lb)
     # feasible_point's first test, made without building G: with G finite,
@@ -271,20 +272,36 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
     start = [_minimum(_maximum(0.0, a), b) for a, b in zip(lo, hi)]
     if (not any(start) and all(v >= -FEASIBLE_TOL for v in h)
             and math.isfinite(sum(JA.ravel().tolist()))):
-        return np.array([x + d for x, d in zip(ps, start)]), True
+        return [x + d for x, d in zip(ps, start)], True
     G = (0.5 * JA).T.repeat(2, axis=0)
     G[1::2] *= -1.0
     x, ok = feasible_point(G, np.array(h), np.zeros(len(ps)), np.array(lo), np.array(hi))
-    return (np.asarray(p, float) + x, True) if ok else (np.array(ps), False)
+    return ([a + d for a, d in zip(ps, x.tolist())], True) if ok else (ps, False)
 
 
-def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, head=None, hold=False):
+def _floats(v) -> list:
+    """A vector as a list of floats; a list is taken to be one."""
+    return v if type(v) is list else np.asarray(v, float).tolist()
+
+
+def _balance_constants(instance: Instance, cfg: PdNrmConfig) -> tuple:
+    """demand_balance's arguments after n, which no loop changes:
+    (gamma, A, kappa1, kappa2, kappa3, price_box)."""
+    return (instance.gamma.tolist(), instance.A, cfg.kappa1, cfg.kappa2, cfg.kappa3,
+            instance.price_box)
+
+
+def _grad_est_gen(instance: Instance, p: list, lam: list, n, fixed: tuple,
+                  head=None, hold=False):
     """Generator: yields schedules, receives their rows' average demand,
-    returns (GradEstOutput, held row). Consumes exactly n periods. A head row,
-    a balanced (price, length) row held by the previous loop, goes first in
-    this call's first request, its answer dropped. With hold, this call's
-    balanced row is held, not served alone, and returned. It raises ValueError
-    at n < 4N or a p not strictly inside the price box: no valid config's loop has one."""
+    returns ((D_hat, J_hat, grad_f, tilde_p, balancing_feasible, u), held row),
+    J_hat an array and the vectors lists. Consumes exactly n periods. A head
+    row, a balanced (price, length) row held by the previous loop, goes first
+    in this call's first request, its answer dropped. With hold, this call's
+    balanced row is held, not served alone, and returned. fixed holds
+    demand_balance's arguments after n (_balance_constants). It raises
+    ValueError at n < 4N or a p not strictly inside the price box: no valid
+    config's loop has one."""
     N, K = instance.N, 2 * instance.N
     m = n // (4 * N)
     if m < 1:
@@ -304,20 +321,16 @@ def _grad_est_gen(instance: Instance, cfg: PdNrmConfig, p: list, lam, n, head=No
     rev, avgs = _dot(rows[1:], avgs).tolist(), avgs.tolist()
     plus, minus = avgs[0::2], avgs[1::2]
     # np.add.reduce sums each column as a fold from its first row
-    D_hat = np.array([(functools.reduce(operator.add, a) + functools.reduce(operator.add, b)) / K
-                      for a, b in zip(zip(*plus), zip(*minus))])
+    D_hat = [(functools.reduce(operator.add, a) + functools.reduce(operator.add, b)) / K
+             for a, b in zip(zip(*plus), zip(*minus))]
     J_hat = np.array([[(a - b) / (2 * u) for a, b in zip(*pair)] for pair in zip(plus, minus)]).T
-    grad_f = np.array([(a - b) / (2 * u) for a, b in zip(rev[0::2], rev[1::2])])
+    grad_f = [(a - b) / (2 * u) for a, b in zip(rev[0::2], rev[1::2])]
 
-    tilde_p, feasible = demand_balance(
-        D_hat, J_hat, p, lam, n, instance.gamma, instance.A,
-        cfg.kappa1, cfg.kappa2, cfg.kappa3, instance.price_box)
+    tilde_p, feasible = demand_balance(D_hat, J_hat, p, lam, n, *fixed)
     balanced = (tilde_p, n - 2 * N * m)
     if not hold:
         yield balanced
-    return GradEstOutput(D_hat=D_hat, J_hat=J_hat, grad_f=grad_f, tilde_p=tilde_p,
-                         balancing_feasible=feasible, periods_consumed=n,
-                         u=u), balanced if hold else None
+    return (D_hat, J_hat, grad_f, tilde_p, feasible, u), balanced if hold else None
 
 
 def _maximum(a: float, b: float) -> float:
@@ -375,7 +388,12 @@ def _drive(gen, env):
 def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOutput:
     """Run the estimation-and-balancing routine against an environment handle
     with a commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
-    return _drive(_grad_est_gen(instance, cfg, np.asarray(p, float).tolist(), lam, n), env)[0]
+    gen = _grad_est_gen(instance, np.asarray(p, float).tolist(), _floats(lam), n,
+                        _balance_constants(instance, cfg))
+    D_hat, J_hat, grad_f, tilde_p, feasible, u = _drive(gen, env)[0]
+    return GradEstOutput(D_hat=np.array(D_hat), J_hat=J_hat, grad_f=np.array(grad_f),
+                         tilde_p=np.array(tilde_p), balancing_feasible=feasible,
+                         periods_consumed=n, u=u)
 
 
 def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
@@ -399,23 +417,22 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
     P_lo, P_hi = _inner_box(instance, cfg.p_margin)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
+    lam, fixed, eta1 = lam.tolist(), _balance_constants(instance, cfg), cfg.eta1
     p = np.asarray(p_start, float).tolist()
     for s, tau, n_tau, end in loops:
-        est, pending = yield from _grad_est_gen(instance, cfg, p, lam, n_tau, pending,
-                                                end <= instance.T)
-        raw = [x + cfg.eta1 * (g - v) for x, g, v in
-               zip(p, est.grad_f.tolist(), (est.J_hat.T @ At_lam).tolist())]
+        (D_hat, J_hat, grad_f, tilde_p, feasible, u), pending = yield from _grad_est_gen(
+            instance, p, lam, n_tau, fixed, pending, end <= instance.T)
+        raw = [x + eta1 * (g - v) for x, g, v in zip(p, grad_f, (J_hat.T @ At_lam).tolist())]
         p_hat, p = p, [_minimum(_maximum(r, P_lo), P_hi) for r in raw]
         if events is not None:
             events.append({
                 "kind": "loop", "s": s, "tau": tau, "n_tau": n_tau,
-                "lambda": lam.tolist(), "p": p_hat, "u": est.u,
-                "tilde_p": est.tilde_p.tolist(),
-                "balancing_feasible": bool(est.balancing_feasible),
+                "lambda": lam, "p": p_hat, "u": u, "tilde_p": tilde_p,
+                "balancing_feasible": bool(feasible),
                 "degraded": False,   # every loop probes; perfbench reads it (ROADMAP 1a)
                 "clipped": any(r != q for r, q in zip(raw, p)),
             })
-    return np.array(p_hat), est.D_hat, np.array(p), pending
+    return np.array(p_hat), np.array(D_hat), np.array(p), pending
 
 
 def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,

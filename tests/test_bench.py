@@ -139,6 +139,7 @@ class TestBenchPlan:
         ({"output_dir": 5}, "output_dir"),
         ({"T_grid": []}, "T_grid"),
         ({"policies": []}, "policies"),
+        ({"policies": ["clairvoyant", "clairvoyant"]}, "policies"),
     ])
     def test_plan_numbers_checked(self, instance, patch, key):
         doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"], "T_grid": [1000],

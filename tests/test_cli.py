@@ -190,6 +190,7 @@ class TestBenchCommand:
         ({"T_grid": [1, 400], "pdnrm_config": {"mode": "tuned"}}, "'T_grid'"),
         ({"T_grid": []}, "'T_grid'"),
         ({"policies": []}, "'policies'"),
+        ({"policies": ["pdnrm", "etc", "pdnrm"]}, "'policies'"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import dataclasses
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from nrmlab import (
 from nrmlab.demand import revenue_f
 from nrmlab import sim
 from conftest import estimation_ends, serve_one
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class FixedPricePolicy(Policy):
@@ -747,6 +750,103 @@ class TestScheduleKernel:
         lifted = (cons > 0) & (np.floor(q + 1e-12) > np.floor(q))
         over = np.floor(q + 1e-12) * cons > before
         assert (lifted & over).any() and (lifted & ~over).any()
+
+    @staticmethod
+    def fits_by_condition(before, cons, lengths):
+        """Per row, the shortcut's condition written out: k < 2**51 and each
+        resource has cons <= 0 or after >= 2 cons, after being the scan's
+        inventory after the row."""
+        after = before - lengths[:, None] * cons
+        with np.errstate(invalid="ignore"):
+            pairs = (cons <= 0.0) | (after >= 2.0 * cons)
+        return after, (lengths < 2**51) & pairs.all(axis=1)
+
+    def test_rows_that_fit_serve_their_whole_length(self):
+        """Wherever the shortcut's condition holds, _noiseless_served serves
+        the row whole, so skipping it changes nothing; and _fits is the
+        condition over every row, on both its Python and its numpy path."""
+        rng = np.random.default_rng(32)
+        held = near = 0
+        for _ in range(400):
+            K, M = int(rng.integers(1, 65)), int(rng.integers(1, 4))
+            lengths = np.minimum(np.exp2(rng.uniform(0.0, 50.0, size=K)).astype(np.int64), 2**50)
+            cons = rng.random((K, M)) * np.exp2(rng.uniform(-30.0, 10.0, size=(K, M)))
+            cons = np.where(rng.random((K, M)) < 0.1, rng.choice(
+                [0.0, -0.0, -1e-17, -0.3, np.nan, np.inf, -np.inf], size=(K, M)), cons)
+            with np.errstate(invalid="ignore", over="ignore"):   # inf and NaN consumption
+                # inventories that leave about two periods' consumption, a few
+                # ulps either side, or none (an exact fit), one period or many
+                spare = rng.choice([0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 1e6], size=(K, M)) * cons
+                before = lengths[:, None] * cons + spare
+                for _ in range(int(rng.integers(0, 4))):
+                    before = np.nextafter(before, rng.choice([-np.inf, np.inf], size=(K, M)))
+                before = np.where(rng.random((K, M)) < 0.05, -rng.random((K, M)), before)
+                after, ok = self.fits_by_condition(before, cons, lengths)
+                served = sim._noiseless_served(before, cons, lengths)
+                assert sim._fits(after, cons, lengths) == ok.all()
+                for r in range(K):   # one row alone, so the check sees every row
+                    assert sim._fits(after[r:r + 1], cons[r:r + 1], lengths[r:r + 1]) == ok[r]
+                near += int((ok[:, None] & (cons > 0) & (after < 2.000001 * cons)).sum())
+            assert served[ok].tolist() == lengths[ok].tolist()
+            held += int(ok.sum())
+        assert held >= 2_000 and near >= 200
+
+    @pytest.mark.parametrize("before, c, k, fits", [
+        (2.5, 0.25, 8, True),                  # after is exactly 2 cons
+        (2.75, 0.25, 8, True),
+        (np.nextafter(2.5, 0.0), 0.25, 8, False),
+        (0.0, 0.0, 8, True),                   # cons 0.0 and -0.0 never limit a row
+        (0.0, -0.0, 8, True),
+        (-1.0, -0.0, 8, True),                 # nor does a restock, from below zero too
+        (-1.0, -1e-17, 8, True),
+        (1.0, -np.inf, 8, True),
+        (1.0, np.inf, 8, False),
+        (np.inf, np.inf, 8, False),            # inf - inf is NaN
+        (1.0, np.nan, 8, False),
+        (np.nan, 0.25, 8, False),
+        (-1.0, 0.25, 8, False),                # below zero, with the resource used
+        (2048.1, 0.1, 20481, False),           # the pinned `floor` case's row 2
+        (2048.6, 0.1, 5, True),                # ... and its row 1
+        (float(2**51 + 2), 1.0, 2**51, False),  # too long for the argument
+        (float(2**50 + 2), 1.0, 2**50, True),
+    ])
+    def test_the_shortcuts_edge_cases(self, before, c, k, fits):
+        before, cons, lengths = np.array([[before]]), np.array([[c]]), np.array([k])
+        with np.errstate(invalid="ignore"):
+            after, ok = self.fits_by_condition(before, cons, lengths)
+            assert sim._fits(after, cons, lengths) == ok[0] == fits
+            # past _FEW values the check runs in numpy
+            tiled = (np.tile(a, (sim._FEW + 1, 1)) for a in (after, cons))
+            assert sim._fits(*tiled, np.tile(lengths, sim._FEW + 1)) == fits
+            served = sim._noiseless_served(before, cons, lengths)
+        if fits:
+            assert served.tolist() == [k]
+        if (before[0, 0], c, k) == (2048.1, 0.1, 20481):
+            assert served.tolist() == [20480]   # the rule's answer stands
+
+    def test_a_noiseless_episode_runs_the_rule_only_near_its_shutoff(self, monkeypatch):
+        """The bundled instance without noise, plan_scaling's constants, T = 1e6:
+        only a request that may run short takes _noiseless_served, and the
+        episode is the one the rule alone gives."""
+        from nrmlab import PdNrmPolicy, config_from_dict, load_plan
+        plan = load_plan(os.path.join(ROOT, "configs", "plan_scaling.json"))
+        inst = dataclasses.replace(plan.instance.with_horizon(10**6), noise="none")
+        cfg = config_from_dict(plan.pdnrm_config, inst)
+        calls, rule = [], sim._noiseless_served
+
+        def counted(*args):
+            calls.append(1)
+            return rule(*args)
+
+        monkeypatch.setattr(sim, "_noiseless_served", counted)
+        trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
+        assert len(calls) <= 2
+        calls.clear()
+        monkeypatch.setattr(sim, "_fits", lambda *args: False)
+        ruled = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
+        assert len(calls) > 300   # every request
+        assert (trace.fingerprint, trace.total_revenue, trace.shutoff_period) == (
+            ruled.fingerprint, ruled.total_revenue, ruled.shutoff_period)
 
     def test_a_barely_used_resource_does_not_stall_a_noiseless_episode(self):
         """At (0.8, 5.0) product 2 sells 1.3e-22 a period, so its resource
