@@ -18,8 +18,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .instance import (Instance, instance_from_dict, load_instance, _is_integral, _require,
-                       _require_object)
+from .instance import Instance, instance_from_dict, load_instance, _is_integral, _read, _require
 from .fluid import solve_fluid, FluidSolution
 from .sim import run_episode, percentage_loss, mix64, fold_name
 from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict
@@ -293,32 +292,18 @@ def _git_hash() -> str:
 
 
 def plan_from_dict(doc: dict, base_dir: str = ".") -> BenchPlan:
-    _require_object("a plan", doc)
-    try:
-        inst = doc["instance"]
-        _require("plan", "instance", isinstance(inst, (str, dict)), "a path or an object", inst)
-        instance = (load_instance(os.path.join(base_dir, inst)) if isinstance(inst, str)
-                    else instance_from_dict(inst))   # join keeps an absolute path as it is
-        etc_cfg = doc.get("etc_config")
-        if etc_cfg is not None:
-            names = sorted(f.name for f in dataclasses.fields(EtcConfig))
-            _require("plan", "etc_config", isinstance(etc_cfg, dict)
-                     and set(names).issuperset(etc_cfg), f"an object with keys from {names}",
-                     etc_cfg)
-            etc_cfg = EtcConfig(**etc_cfg)
-        return BenchPlan(
-            instance=instance,
-            policies=doc.get("policies", ["pdnrm"]),
-            T_grid=doc["T_grid"],
-            replications=doc["replications"],
-            base_seed=doc["base_seed"],
-            output_dir=doc.get("output_dir"),
-            pdnrm_config=doc.get("pdnrm_config"),
-            etc_config=etc_cfg,
-            workers=doc.get("workers", 1),
-        )
-    except KeyError as exc:
-        raise ValueError(f"plan document missing key {exc}") from exc
+    """A plan document's keys are BenchPlan's fields, `policies` defaulting to ["pdnrm"]."""
+    _read("plan", doc, ("instance", "T_grid", "replications", "base_seed"),
+          [f.name for f in dataclasses.fields(BenchPlan)])
+    inst, etc_cfg = doc["instance"], doc.get("etc_config")
+    _require("plan", "instance", isinstance(inst, (str, dict)), "a path or an object", inst)
+    instance = (load_instance(os.path.join(base_dir, inst)) if isinstance(inst, str)
+                else instance_from_dict(inst))   # join keeps an absolute path as it is
+    if etc_cfg is not None:
+        _read("etc_config", etc_cfg, (), [f.name for f in dataclasses.fields(EtcConfig)])
+        etc_cfg = EtcConfig(**etc_cfg)
+    return BenchPlan(**{"policies": ["pdnrm"], **doc, "instance": instance,
+                        "etc_config": etc_cfg})
 
 
 def load_plan(path: str) -> BenchPlan:

@@ -12,7 +12,7 @@ import dataclasses
 from .instance import load_instance
 from .fluid import solve_fluid, fluid_upper_bound, FluidError
 from .sim import run_episode, percentage_loss, export_trace_csv, export_events_jsonl
-from .pdnrm import check_horizon, constants_tuned, constants_theory, loop_skeleton
+from .pdnrm import check_horizon, config_from_dict, constants_tuned, constants_theory, loop_skeleton
 from .demand import estimate_regularity
 from .bench import POLICY_NAMES, load_plan, run_bench, loglog_slope, build_policy
 from .checks import run_checks
@@ -31,11 +31,11 @@ def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
     if args.T is not None:
         instance = instance.with_horizon(args.T)
-    fluid = solve_fluid(instance)
     pdnrm_config = None
-    if args.config:
+    if args.config:   # resolved whatever the policy, as a plan resolves its pdnrm_config
         with open(args.config) as fh:
-            pdnrm_config = json.load(fh)
+            pdnrm_config = config_from_dict(json.load(fh), instance)
+    fluid = solve_fluid(instance)
     policy = build_policy(args.policy, instance, fluid, pdnrm_config=pdnrm_config)
     record = bool(args.trace)
     trace = run_episode(instance, policy, seed=args.seed, record_periods=record)

@@ -122,18 +122,30 @@ def _require(doc: str, key: str, ok: bool, what: str, val) -> None:
         raise ValueError(f"{doc} key {key!r} must be {what}, not {shown!r}")
 
 
-def _require_object(what: str, doc) -> None:
+def _read(what: str, doc, required, optional=(), hints=None) -> None:
+    """The one key rule of every document: a JSON object with each required key and no
+    other key than the optional ones. A refusal names the key, and any hint given for it."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+        article = "an" if what[0] in "aeiou" else "a"
+        raise ValueError(f"{article} {what} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc).difference(required, optional))
+    if unknown:
+        notes = [hints[key] for key in unknown if hints and key in hints]
+        raise ValueError("; ".join([f"unknown {what} keys {unknown}", *notes]))
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} missing keys {missing}")
 
 
 def _demand_from_dict(demand, N: int) -> DemandModel:
     """The model of a document's demand object; each of its values is refused under key 'demand'."""
     _require("instance", "demand", isinstance(demand, dict), "an object", demand)
+    _read("demand object", demand, ("type",), demand)   # the type names the other keys
     kind = demand["type"]
     _require("instance", "demand", isinstance(kind, str) and kind in DEMAND_TYPES,
              "of type 'logit' or 'linear'", kind)
     model, params = DEMAND_TYPES[kind]
+    _read("demand object", demand, ("type", *params))
     for name, rows in params.items():
         val = demand[name]
         ok = (isinstance(val, list) and len(val) == N and all(_is_vector(r, N) for r in val)
@@ -148,19 +160,17 @@ def _demand_from_dict(demand, N: int) -> DemandModel:
 
 def instance_from_dict(doc: dict) -> Instance:
     """The instance a document describes; `Instance` checks what the reader need not convert."""
-    _require_object("an instance document", doc)
-    try:
-        for key in ("N", "M"):
-            _require("instance", key, _is_integral(doc[key]), "an integer", doc[key])
-        N, M = int(doc["N"]), int(doc["M"])
-        for key, n in (("A", M * N), ("gamma", M)):
-            _require("instance", key, _is_vector(doc[key], n), f"a list of {n} numbers", doc[key])
-        return Instance(_demand_from_dict(doc["demand"], N),
-                        np.asarray(doc["A"], dtype=float).reshape(M, N),
-                        np.asarray(doc["gamma"], dtype=float), doc["T"], doc["price_min"],
-                        doc["price_max"], doc.get("noise", "multinomial"))
-    except KeyError as exc:
-        raise ValueError(f"instance document missing key {exc}") from exc
+    _read("instance document", doc, ("N", "M", "A", "gamma", "T", "price_min", "price_max",
+                                     "demand"), ("noise",))
+    for key in ("N", "M"):
+        _require("instance", key, _is_integral(doc[key]), "an integer", doc[key])
+    N, M = int(doc["N"]), int(doc["M"])
+    for key, n in (("A", M * N), ("gamma", M)):
+        _require("instance", key, _is_vector(doc[key], n), f"a list of {n} numbers", doc[key])
+    return Instance(_demand_from_dict(doc["demand"], N),
+                    np.asarray(doc["A"], dtype=float).reshape(M, N),
+                    np.asarray(doc["gamma"], dtype=float), doc["T"], doc["price_min"],
+                    doc["price_max"], doc.get("noise", "multinomial"))
 
 
 def load_instance(path: str) -> Instance:

@@ -23,7 +23,7 @@ import numpy as np
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from .instance import Instance, _is_integral, _is_number, _is_vector, _require_object
+from .instance import Instance, _is_integral, _is_number, _is_vector, _read
 from .instance import _require as _require_document
 from .fluid import default_dual_set
 from .projections import FEASIBLE_TOL, feasible_point
@@ -77,6 +77,10 @@ class PdNrmConfig:
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
+# keys a document may still name, refused with what to set instead
+_HINTS = {"kappa2": "kappa2 is sqrt(kappa5); set kappa5",
+          "mode": "a config is the tuned formulas plus field overrides; for the theory "
+                  "constants pass the output of `nrmlab constants --mode theory`"}
 
 
 _require = functools.partial(_require_document, "pdnrm config")
@@ -100,10 +104,7 @@ def _dual_box(instance: Instance, lambda_max) -> np.ndarray:
 def _overrides(doc: dict) -> dict:
     """A document's keys as field values: a lambda_max list becomes a float array
     and an integral n0 an int; any other value is left for validate to reject."""
-    unknown = sorted(set(doc) - _FIELD_NAMES)
-    if unknown:
-        hint = "; kappa2 is sqrt(kappa5); set kappa5" if "kappa2" in unknown else ""
-        raise ValueError(f"unknown pdnrm config keys {unknown}{hint}")
+    _read("pdnrm config", doc, (), _FIELD_NAMES, _HINTS)
     patch = dict(doc)
     if _is_vector(patch.get("lambda_max")):
         patch["lambda_max"] = np.asarray(patch["lambda_max"], dtype=float)
@@ -215,16 +216,9 @@ def constants_theory(instance: Instance, regularity, T: int, *,
 def config_from_dict(doc: dict, instance: Instance,
                      T: Optional[int] = None) -> PdNrmConfig:
     """Resolve a JSON config document: the tuned formulas at (instance.N, T or
-    instance.T), then every other key overrides the field of its name. An
-    optional "mode" key can only say "tuned"; a theory document, as printed by
-    `nrmlab constants --mode theory`, sets every field."""
-    _require_object("a pdnrm config", doc)
-    rest = dict(doc)
-    mode = rest.pop("mode", "tuned")
-    _require("mode", mode == "tuned", "'tuned': a config is the tuned formulas plus field "
-             "overrides; for the theory constants pass the output of "
-             "`nrmlab constants --mode theory`", mode)
-    cfg = constants_tuned(instance.N, instance.T if T is None else T, **rest)
+    instance.T), then each key overrides the field of its name. A theory document,
+    as printed by `nrmlab constants --mode theory`, sets every field."""
+    cfg = constants_tuned(instance.N, instance.T if T is None else T, **_overrides(doc))
     cfg.validate(instance)
     return cfg
 

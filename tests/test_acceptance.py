@@ -36,7 +36,7 @@ LAMBDA_TEST = np.array([2.0, 0.8])
 # scaling benchmark configuration: tuned kappas with the dual step split
 # (mu, eta2) = (0.05, 1.0); the smaller mu*eta2 refines the epoch schedule
 # (more, shorter epochs) while keeping every epoch/loop bound intact
-SCALING_CONFIG = {"mode": "tuned", "mu": 0.05, "eta2": 1.0}
+SCALING_CONFIG = {"mu": 0.05, "eta2": 1.0}
 
 REPORT = []
 
@@ -238,7 +238,7 @@ def test_criterion_6_update_counts(bench_tuned, bench_scaling, bench_tail):
         for ep in summary.episodes:
             if ep.policy != "pdnrm":
                 continue
-            cfg = config_from_dict(plan.pdnrm_config or {"mode": "tuned"},
+            cfg = config_from_dict(plan.pdnrm_config or {},
                                    instance=plan.instance, T=ep.T)
             total += 1
             if ep.dual_updates > epoch_count_bound(cfg, ep.T):

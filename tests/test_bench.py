@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -62,7 +63,7 @@ class TestBenchPlan:
             plan_from_dict({"policies": ["pdnrm"]})
 
     @pytest.mark.parametrize("config, key", [
-        ({"mode": "tuned", "eta_2": 5.0}, "eta_2"),
+        ({"eta_2": 5.0}, "eta_2"),
         ({"eta2": "5"}, "eta2"),
         ({"warm_start": "false"}, "warm_start"),
         ([1, 2], "JSON object"),
@@ -75,11 +76,11 @@ class TestBenchPlan:
 
     def test_pdnrm_config_resolved_at_every_horizon(self, instance):
         # the tuned formulas need T >= 2, so this document fails at T = 1 only
-        small_plan(instance, T_grid=(2, 500), pdnrm_config={"mode": "tuned"})
+        small_plan(instance, T_grid=(2, 500), pdnrm_config={})
         with pytest.raises(ValueError, match="T >= 2"):
-            small_plan(instance, T_grid=(1, 500), pdnrm_config={"mode": "tuned"})
+            small_plan(instance, T_grid=(1, 500), pdnrm_config={})
 
-    @pytest.mark.parametrize("config", [None, {"mode": "tuned"}], ids=["no-config", "tuned"])
+    @pytest.mark.parametrize("config", [None, {}], ids=["no-config", "tuned"])
     def test_pdnrm_horizon_below_2_refused_at_load(self, instance, config):
         with pytest.raises(ValueError, match=r"'T_grid'.*T >= 2"):
             small_plan(instance, policies=("pdnrm", "etc"), T_grid=(1, 500), pdnrm_config=config)
@@ -243,6 +244,20 @@ class TestRunBench:
         reread = float(row[2])
         summary2 = run_bench(small_plan(instance))
         assert reread == summary2.rows[0]["mean_loss"]
+
+    @pytest.mark.parametrize("etc_config", [None, EtcConfig(4, 0.2)], ids=["no-etc", "etc"])
+    def test_metadata_plan_reads_back_as_the_plan(self, instance, tmp_path, etc_config):
+        # the writer emits only keys that the plan reader takes, so a run's plan block
+        # is a plan document
+        plan = small_plan(instance, tmp_path=tmp_path, policies=("pdnrm", "etc"), T_grid=(500,),
+                          replications=1, pdnrm_config={"mu": 0.5}, etc_config=etc_config)
+        run_bench(plan)
+        doc = json.loads((tmp_path / "run-metadata.json").read_text())["plan"]
+        assert doc["etc_config"] == (etc_config and dataclasses.asdict(etc_config))
+        back = plan_from_dict(doc)
+        assert back.instance.to_dict() == plan.instance.to_dict()
+        assert dataclasses.replace(back, instance=plan.instance,
+                                   output_dir=plan.output_dir) == plan
 
     @pytest.fixture
     def git_hash(self):

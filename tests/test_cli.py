@@ -95,11 +95,21 @@ class TestRunCommand:
 
     def test_unknown_config_key_exits_2(self, capsys, instance_file, tmp_path):
         config = tmp_path / "typo.json"
-        config.write_text(json.dumps({"mode": "tuned", "eta_2": 5.0}))
+        config.write_text(json.dumps({"eta_2": 5.0}))
         code, _, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
                                "--config", str(config))
         assert code == 2
         assert "eta_2" in err
+
+    @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
+    def test_config_resolved_whatever_the_policy(self, capsys, instance_file, tmp_path, policy):
+        # as a plan refuses a malformed pdnrm_config whatever its policies
+        config = tmp_path / "oops.json"
+        config.write_text(json.dumps({"eta2": "oops"}))
+        code, out, err = run_cli(capsys, "run", instance_file, policy, "--seed", "1",
+                                 "--T", "1000", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "pdnrm config key 'eta2' must be" in err
 
     @pytest.mark.parametrize("doc, key", [
         ({"eta2": "5"}, "eta2"),
@@ -152,6 +162,19 @@ class TestBenchCommand:
         assert len(doc["rows"]) == 3
         assert doc["episodes_failed"] == 0
 
+    def test_output_dir_option_overrides_the_plans(self, capsys, instance_file, tmp_path):
+        plan = {"instance": instance_file, "policies": ["clairvoyant"], "T_grid": [400],
+                "replications": 1, "base_seed": 21, "output_dir": str(tmp_path / "plan_out")}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, out, _ = run_cli(capsys, "bench", str(plan_path),
+                               "--output-dir", str(tmp_path / "cli_out"))
+        assert code == 0
+        assert json.loads(out)["output_dir"] == str(tmp_path / "cli_out")
+        assert sorted(p.name for p in (tmp_path / "cli_out").iterdir()) == [
+            "episodes.csv", "run-metadata.json", "summary.csv"]
+        assert not (tmp_path / "plan_out").exists()
+
     def test_failed_episodes_exit_1(self, capsys, instance_file, tmp_path,
                                     fail_pdnrm_episodes):
         # every pdnrm episode posts an out-of-box price
@@ -161,7 +184,7 @@ class TestBenchCommand:
             "T_grid": [400],
             "replications": 2,
             "base_seed": 21,
-            "pdnrm_config": {"mode": "tuned"},
+            "pdnrm_config": {},
         }
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
@@ -175,7 +198,7 @@ class TestBenchCommand:
         assert "2 episode(s) failed" in err and "PolicyError" in err
 
     @pytest.mark.parametrize("config, key", [
-        ({"pdnrm_config": {"mode": "tuned", "eta_2": 5.0}}, "eta_2"),
+        ({"pdnrm_config": {"eta_2": 5.0}}, "eta_2"),
         ({"pdnrm_config": {"eta2": "5"}}, "eta2"),
         ({"pdnrm_config": {"warm_start": "false"}}, "warm_start"),
         ({"etc_config": {"grid": 4}}, "grid"),
@@ -187,10 +210,13 @@ class TestBenchCommand:
         ({"workers": 1.5}, "'workers'"),
         ({"output_dir": 5}, "'output_dir'"),
         ({"T_grid": [1, 400]}, "'T_grid'"),
-        ({"T_grid": [1, 400], "pdnrm_config": {"mode": "tuned"}}, "'T_grid'"),
+        ({"T_grid": [1, 400], "pdnrm_config": {}}, "'T_grid'"),
         ({"T_grid": []}, "'T_grid'"),
         ({"policies": []}, "'policies'"),
         ({"policies": ["pdnrm", "etc", "pdnrm"]}, "'policies'"),
+        ({"pdnrm_cofig": {"mu": 0.05}}, "unknown plan keys ['pdnrm_cofig']"),
+        ({"workerz": 2}, "unknown plan keys ['workerz']"),
+        ({"pdnrm_config": {"mode": "tuned"}}, "['mode']; a config is the tuned formulas"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):
@@ -271,6 +297,14 @@ class TestConstantsCommand:
                                  "--grid-points", "9", "--T", "10000")
         assert code == 0 and json.loads(out)["n0"] > 10_000
         assert "no loop ends by T = 10000" in err
+
+    def test_theory_constants_report_loops_without_a_dual_update(self, capsys, instance_file):
+        # the theory's first epoch spans many loops: loops end by T = 1e12, no epoch does
+        code, out, err = run_cli(capsys, "constants", instance_file, "--mode", "theory",
+                                 "--grid-points", "9", "--T", str(10**12))
+        assert code == 0 and json.loads(out)["n0"] > 10_000
+        assert re.fullmatch(r"pdnrm: [1-9]\d* loops and 0 epochs end by T = 1000000000000; "
+                            r"the first loop ends at period \d+, no dual update\n", err)
 
     def test_zero_horizon_exits_2(self, capsys, instance_file):
         code, out, err = run_cli(capsys, "constants", instance_file, "--T", "0")
@@ -354,6 +388,25 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "fluid", str(bad))
         assert code == 2 and out == ""
         assert "'demand'" in err
+
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda doc: doc.update(nosie="none"), "unknown instance document keys ['nosie']"),
+        (lambda doc: doc.pop("T"), "instance document missing keys ['T']"),
+        (lambda doc: doc["demand"].update(c=[1.0, 1.0]), "unknown demand object keys ['c']"),
+        (lambda doc: doc["demand"].pop("b"), "demand object missing keys ['b']"),
+        (lambda doc: doc["demand"].pop("type"), "demand object missing keys ['type']"),
+        (lambda doc: doc["demand"].update(B=[[1.0, 0.0], [0.0, 1.0]]),
+         "unknown demand object keys ['B']"),
+    ], ids=["nosie", "no-T", "demand-c", "demand-no-b", "demand-no-type", "logit-B"])
+    def test_key_outside_the_rule_exits_2(self, capsys, tmp_path, instance, edit, refusal):
+        # a misspelled optional key is refused, not read as its default
+        doc = instance.to_dict()
+        edit(doc)
+        bad = tmp_path / "keys.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "fluid", str(bad))
+        assert code == 2 and out == ""
+        assert refusal in err
 
     def test_non_integer_horizon_exits_2(self, capsys, tmp_path, instance):
         bad = tmp_path / "bad3.json"

@@ -160,7 +160,7 @@ class TestConfigValidation:
     def test_kappa2_consistency_enforced(self):
         cfg = constants_tuned(2, 10**4)
         with pytest.raises(ValueError, match=r"kappa2 is sqrt\(kappa5\); set kappa5"):
-            config_from_dict({"mode": "tuned", "kappa2": cfg.kappa2 * 2},
+            config_from_dict({"kappa2": cfg.kappa2 * 2},
                              instance=synthetic_instance(2), T=10**4)
 
     def test_kappa5_override_derives_kappa2(self):
@@ -168,9 +168,11 @@ class TestConfigValidation:
         assert cfg.kappa5 == 100.0
         assert cfg.kappa2 == 10.0
 
-    @pytest.mark.parametrize("mode", ["theory", "explicit"])
-    def test_only_tuned_mode_accepted(self, mode):
-        with pytest.raises(ValueError, match="nrmlab constants --mode theory"):
+    @pytest.mark.parametrize("mode", ["tuned", "theory", "explicit"])
+    def test_mode_key_refused_with_its_hint(self, mode):
+        # a config is the tuned formulas plus overrides, so no document names a mode
+        with pytest.raises(ValueError, match=r"unknown pdnrm config keys \['mode'\]; .*"
+                           "nrmlab constants --mode theory"):
             config_from_dict({"mode": mode}, synthetic_instance(2))
 
     def test_theory_document_resolves_to_theory_config(self, instance, regularity):
@@ -189,8 +191,7 @@ class TestConfigValidation:
         assert back.primal_init == "center"
 
     def test_tuned_overrides(self, instance):
-        cfg = config_from_dict({"mode": "tuned", "contraction": 0.3,
-                                "lambda_max": [4.0, 4.0]}, instance=instance)
+        cfg = config_from_dict({"contraction": 0.3, "lambda_max": [4.0, 4.0]}, instance=instance)
         assert cfg.contraction == 0.3
         assert_allclose(cfg.lambda_max, [4.0, 4.0])
 
