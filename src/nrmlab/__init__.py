@@ -50,7 +50,6 @@ from .pdnrm import (
     DemandOracle,
 )
 from .baselines import (
-    EtcConfig,
     ClairvoyantPolicy,
     ExploreThenCommitPolicy,
 )

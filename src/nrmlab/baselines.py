@@ -3,30 +3,17 @@ grid policy (a transparent stand-in for the blind-pricing benchmark of the
 earlier literature, not a reimplementation of it)."""
 
 import numpy as np
-from dataclasses import dataclass
 
-from .instance import Instance, _is_integral, _is_number, _require
+from .instance import Instance
 from .fluid import FluidSolution
 from .sim import CommitPolicy, _FOREVER
 
+_GRID_POINTS = 8   # ETC's grid points per price axis, at any N and T (ROADMAP item 5)
 
-@dataclass(frozen=True)
-class EtcConfig:
-    grid_points_per_axis: int = 8
-    exploration_fraction: float = None  # None: clamp(5 T^{-1/3}, .05, .5)
 
-    def __post_init__(self):
-        n, frac = self.grid_points_per_axis, self.exploration_fraction
-        _require("etc_config", "grid_points_per_axis", _is_integral(n) and n >= 2,
-                 "an integer >= 2", n)
-        _require("etc_config", "exploration_fraction", frac is None
-                 or _is_number(frac) and 0 < frac < 1, "a number in (0, 1)", frac)
-        object.__setattr__(self, "grid_points_per_axis", int(n))
-
-    def resolve_fraction(self, T: int) -> float:
-        if self.exploration_fraction is not None:
-            return self.exploration_fraction
-        return min(0.5, max(0.05, 5.0 * T ** (-1.0 / 3.0)))
+def _exploration_fraction(T: int) -> float:
+    """The share of the horizon that ETC explores: clamp(5 T^(-1/3), 0.05, 0.5)."""
+    return min(0.5, max(0.05, 5.0 * T ** (-1.0 / 3.0)))
 
 
 class ClairvoyantPolicy(CommitPolicy):
@@ -50,14 +37,12 @@ class ExploreThenCommitPolicy(CommitPolicy):
 
     name = "etc"
 
-    def __init__(self, instance: Instance, config: EtcConfig = None):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.config = config or EtcConfig()
-        g = np.linspace(instance.price_min, instance.price_max,
-                        self.config.grid_points_per_axis)
+        g = np.linspace(instance.price_min, instance.price_max, _GRID_POINTS)
         mesh = np.meshgrid(*([g] * instance.N), indexing="ij")
         self.grid = np.stack([m.ravel() for m in mesh], axis=1)
-        frac = self.config.resolve_fraction(instance.T)
+        frac = _exploration_fraction(instance.T)
         self.n_explore = max(len(self.grid), int(round(frac * instance.T)))
         self.D_hat = np.zeros((len(self.grid), instance.N))
         self.mixture = None

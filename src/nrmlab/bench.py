@@ -22,12 +22,14 @@ from .instance import Instance, instance_from_dict, load_instance, _is_integral,
 from .fluid import solve_fluid, FluidSolution
 from .sim import run_episode, percentage_loss, mix64, fold_name
 from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict
-from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy, EtcConfig
+from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy, _GRID_POINTS
 
 POLICY_NAMES = ("pdnrm", "clairvoyant", "etc")
 SUMMARY_HEADER = ["policy", "T", "mean_loss", "stderr", "mean_revenue",
                   "mean_shutoff", "episodes_failed", "wall_ms"]
 EPISODES_HEADER = ["policy", "T", "replicate", "seed", "revenue", "loss", "shutoff"]
+_HINTS = {"etc_config": f"ETC has no options: its grid_points_per_axis is {_GRID_POINTS} and its "
+                        "exploration_fraction is clamp(5 T^(-1/3), 0.05, 0.5)"}
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class BenchPlan:
     base_seed: int
     output_dir: Optional[str] = None
     pdnrm_config: Optional[dict] = None     # JSON-style doc, resolved per horizon
-    etc_config: Optional[EtcConfig] = None
     workers: int = 1
+    etc_config = None   # not a field: perfbench/workloads.py reads it (ROADMAP 1a)
 
     def __post_init__(self):
         for key, what in (("replications", "a positive integer"), ("base_seed", "an integer"),
@@ -107,8 +109,9 @@ def episode_seed(base_seed: int, policy: str, T: int, replicate: int) -> int:
 
 
 def build_policy(name: str, instance: Instance, fluid: FluidSolution,
-                 pdnrm_config: Optional[dict] = None,
-                 etc_config: Optional[EtcConfig] = None):
+                 pdnrm_config: Optional[dict] = None, etc_config=None):
+    if etc_config is not None:   # kept for perfbench/workloads.py's call (ROADMAP 1a)
+        raise ValueError("ETC has no options: etc_config must be None")
     if name == "pdnrm":
         if pdnrm_config is not None and not isinstance(pdnrm_config, PdNrmConfig):
             pdnrm_config = config_from_dict(pdnrm_config, instance)
@@ -116,7 +119,7 @@ def build_policy(name: str, instance: Instance, fluid: FluidSolution,
     if name == "clairvoyant":
         return ClairvoyantPolicy(instance, fluid)
     if name == "etc":
-        return ExploreThenCommitPolicy(instance, etc_config)
+        return ExploreThenCommitPolicy(instance)
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -140,8 +143,7 @@ def _run_task(plan: BenchPlan, fluid: FluidSolution, configs: dict, task: tuple)
     policy_name, T, replicate, seed = task
     try:
         instance = plan.instance.with_horizon(T)
-        policy = build_policy(policy_name, instance, fluid,
-                              pdnrm_config=configs.get(T), etc_config=plan.etc_config)
+        policy = build_policy(policy_name, instance, fluid, pdnrm_config=configs.get(T))
         t0 = time.perf_counter()
         trace = run_episode(instance, policy, seed)
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -221,8 +223,6 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
                 "replications": plan.replications,
                 "base_seed": plan.base_seed,
                 "pdnrm_config": plan.pdnrm_config,
-                "etc_config": (dataclasses.asdict(plan.etc_config)
-                               if plan.etc_config is not None else None),
                 "workers": plan.workers,
             },
             "loss_denominator": "fluid upper bound T * phi(d*)",
@@ -294,16 +294,12 @@ def _git_hash() -> str:
 def plan_from_dict(doc: dict, base_dir: str = ".") -> BenchPlan:
     """A plan document's keys are BenchPlan's fields, `policies` defaulting to ["pdnrm"]."""
     _read("plan", doc, ("instance", "T_grid", "replications", "base_seed"),
-          [f.name for f in dataclasses.fields(BenchPlan)])
-    inst, etc_cfg = doc["instance"], doc.get("etc_config")
+          [f.name for f in dataclasses.fields(BenchPlan)], _HINTS)
+    inst = doc["instance"]
     _require("plan", "instance", isinstance(inst, (str, dict)), "a path or an object", inst)
     instance = (load_instance(os.path.join(base_dir, inst)) if isinstance(inst, str)
                 else instance_from_dict(inst))   # join keeps an absolute path as it is
-    if etc_cfg is not None:
-        _read("etc_config", etc_cfg, (), [f.name for f in dataclasses.fields(EtcConfig)])
-        etc_cfg = EtcConfig(**etc_cfg)
-    return BenchPlan(**{"policies": ["pdnrm"], **doc, "instance": instance,
-                        "etc_config": etc_cfg})
+    return BenchPlan(**{"policies": ["pdnrm"], **doc, "instance": instance})
 
 
 def load_plan(path: str) -> BenchPlan:

@@ -19,7 +19,7 @@ from .fluid import (
     default_dual_set,
 )
 from .sim import run_episode, Policy
-from .pdnrm import (DemandOracle, PdNrmPolicy, constants_tuned, epoch_count_bound,
+from .pdnrm import (DemandOracle, PdNrmPolicy, constants_tuned, epoch_count_bound, grad_est,
                     loop_skeleton, prox_dual_step)
 
 
@@ -184,8 +184,33 @@ def run_checks(instance: Instance) -> list:
     empty = sum(not e["balancing_feasible"] for e in loop_events)
     far = sum(max(abs(a - b) for a, b in zip(e["tilde_p"], e["p"]))
               > cfg.kappa1 * e["n_tau"] ** -0.25 + 1e-12 for e in moved)
-    check("pdnrm.balance_locality", moved and not far,
+    # each loop's verdict, remade by grad_est at the loop's price, dual and n on the
+    # instance's market, holds apart from demand_balance: a balanced x = tilde_p - p
+    # meets the band within the box, and an empty set has no such x, the least band
+    # violation over the box (an LP) being positive
+    from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
+    inst, wrong = pol.instance, 0
+    oracle = DemandOracle(inst, rng)
+    for e in loop_events:
+        p, lam, n = np.array(e["p"]), e["lambda"], e["n_tau"]
+        out = grad_est(oracle, inst, cfg, p, lam, n)
+        band, radius = cfg.kappa3 / math.sqrt(n), cfg.kappa1 * n**-0.25
+        lo, hi = np.maximum(-radius, p_lo - p), np.minimum(radius, p_hi - p)
+        floor = [g - cfg.kappa2 / (min(1.0, y) * math.sqrt(n)) - band if y > 0 else -math.inf
+                 for g, y in zip(inst.gamma, lam)]
+        use, slope = inst.A @ out.D_hat, inst.A @ out.J_hat / 2
+        G, h = np.r_[slope, -slope], np.r_[inst.gamma + band - use, use - floor]
+        G, h = G[h < math.inf], h[h < math.inf]
+        if out.balancing_feasible:
+            x = out.tilde_p - p
+            wrong += not (np.all(G @ x <= h + 1e-6) and np.all(lo - 1e-12 <= x)
+                          and np.all(x <= hi + 1e-12))
+        else:
+            res = linprog(np.r_[0 * p, 1.0], A_ub=np.c_[G, -np.ones(len(h))], b_ub=h,
+                          bounds=[*zip(lo, hi), (None, None)], method="highs")
+            wrong += not (res.status == 0 and res.fun > -1e-6)
+    check("pdnrm.balance_locality", not far and not wrong,
           f"{len(moved)} of {len(loop_events)} loops moved a price, {empty} sets empty, "
-          f"{far} moved beyond the radius")
+          f"{far} moved beyond the radius, {wrong} verdicts wrong")
 
     return results

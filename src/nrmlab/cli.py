@@ -58,8 +58,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = load_plan(args.plan)
-    if args.workers is not None:
-        plan = dataclasses.replace(plan, workers=args.workers)
     if args.output_dir:
         plan = dataclasses.replace(plan, output_dir=args.output_dir)
     summary = run_bench(plan)
@@ -103,7 +101,7 @@ def _cmd_constants(args) -> int:
         cfg = constants_tuned(instance.N, T)
     else:
         reg = estimate_regularity(instance.model, instance.price_box,
-                                  args.grid_points, instance.A, instance.gamma)
+                                  21, instance.A, instance.gamma)   # 21 points per axis
         cfg = constants_theory(instance, reg, T)
     print(json.dumps(cfg.to_dict(), indent=2))
     print(_skeleton_summary(cfg, T), file=sys.stderr)
@@ -127,6 +125,13 @@ def _skeleton_summary(cfg, T: int) -> str:
             f"ends at period {ends[0][1]}, {dual}")
 
 
+def _seed(text: str) -> int:
+    """--seed's type: a non-negative integer, as numpy's seeding needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrmlab",
@@ -141,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one episode")
     p.add_argument("instance")
     p.add_argument("policy", choices=POLICY_NAMES)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--T", type=int, default=None, help="override the instance horizon")
     p.add_argument("--trace", default=None, help="write per-period CSV here")
     p.add_argument("--events", default=None, help="write the event log as JSON lines")
@@ -150,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="execute a benchmark plan")
     p.add_argument("plan")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=_cmd_bench)
 
@@ -162,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--mode", choices=["theory", "tuned"], default="tuned")
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--grid-points", type=int, default=21)
     p.set_defaults(func=_cmd_constants)
     return parser
 

@@ -2,27 +2,29 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nrmlab.baselines
 from nrmlab import (
-    EtcConfig,
     ClairvoyantPolicy,
     ExploreThenCommitPolicy,
     run_episode,
     percentage_loss,
     solve_fluid,
 )
-from nrmlab.baselines import _FULL_MASTER, _mixture_lp
+from nrmlab.baselines import _FULL_MASTER, _exploration_fraction, _mixture_lp
 from nrmlab.demand import revenue_f
 from fingerprint_digest import _random_logit_instance
 
 
-def _assert_falls_back(points: int):
+def _assert_falls_back(monkeypatch, points: int):
     from nrmlab import example_logit_instance
     inst = example_logit_instance(T=5000, noise="none")
     # every grid point's true consumption exceeds this capacity rate, so
     # no mixture is feasible; the schedule must fall back to the highest
     # grid price
     inst = dataclasses.replace(inst, gamma=np.array([2e-4, 2e-5]))
-    pol = ExploreThenCommitPolicy(inst, EtcConfig(grid_points_per_axis=points))
+    monkeypatch.setattr(nrmlab.baselines, "_GRID_POINTS", points)
+    pol = ExploreThenCommitPolicy(inst)
+    assert len(pol.grid) == points ** 2
     pol.D_hat = inst.model.mean(pol.grid)
     prices, lengths = pol._commit_schedule()
     assert pol.mixture is None
@@ -65,22 +67,17 @@ class TestClairvoyant:
 
 
 class TestExploreThenCommit:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EtcConfig(grid_points_per_axis=1)
-        with pytest.raises(ValueError):
-            EtcConfig(exploration_fraction=1.5)
-
     def test_fraction_schedule(self):
-        cfg = EtcConfig()
-        assert cfg.resolve_fraction(1000) == 0.5
-        assert cfg.resolve_fraction(10**6) == pytest.approx(0.05)
-        assert 0.05 < cfg.resolve_fraction(10**5) < 0.5
+        assert _exploration_fraction(1000) == 0.5
+        assert _exploration_fraction(10**6) == pytest.approx(0.05)
+        assert 0.05 < _exploration_fraction(10**5) < 0.5
 
-    def test_noiseless_commit_matches_grid_restricted_fluid(self, fluid_solution):
+    def test_noiseless_commit_matches_grid_restricted_fluid(self, fluid_solution, monkeypatch):
         from nrmlab import example_logit_instance
         inst = example_logit_instance(T=40_000, noise="none")
-        pol = ExploreThenCommitPolicy(inst, EtcConfig(grid_points_per_axis=6))
+        monkeypatch.setattr(nrmlab.baselines, "_GRID_POINTS", 6)
+        pol = ExploreThenCommitPolicy(inst)
+        assert len(pol.grid) == 36
         trace = run_episode(inst, pol, seed=5)
         assert pol.mixture is not None
         # oracle: the LP over exact grid demands bounds the commit value
@@ -96,20 +93,21 @@ class TestExploreThenCommit:
         assert committed_value >= grid_value - 1e-9
         assert grid_value <= fluid_solution.value + 1e-9
 
-    def test_exploration_fraction_one_edge(self, instance):
+    def test_exploration_fraction_one_edge(self, instance, monkeypatch):
         short = instance.with_horizon(2000)
-        pol = ExploreThenCommitPolicy(short, EtcConfig(exploration_fraction=0.999))
+        monkeypatch.setattr(nrmlab.baselines, "_exploration_fraction", lambda T: 0.999)
+        pol = ExploreThenCommitPolicy(short)
         trace = run_episode(short, pol, seed=6)
         assert pol.n_explore >= 1998
         assert trace.total_revenue > 0
 
-    def test_infeasible_empirical_program_falls_back(self):
-        _assert_falls_back(points=4)
+    def test_infeasible_empirical_program_falls_back(self, monkeypatch):
+        _assert_falls_back(monkeypatch, points=4)
 
-    def test_infeasible_program_on_a_grid_past_the_full_master_falls_back(self):
+    def test_infeasible_program_on_a_grid_past_the_full_master_falls_back(self, monkeypatch):
         # 23 points per axis is 529 > _FULL_MASTER: the seed master and then
         # the full LP are infeasible
-        _assert_falls_back(points=23)
+        _assert_falls_back(monkeypatch, points=23)
 
     def test_admissible_periods_observed(self, instance):
         short = instance.with_horizon(3000)

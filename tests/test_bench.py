@@ -16,8 +16,9 @@ from nrmlab import (
     episode_seed,
     run_episode,
     PdNrmPolicy,
+    build_policy,
+    solve_fluid,
 )
-from nrmlab.baselines import EtcConfig
 from nrmlab.bench import SUMMARY_HEADER, EPISODES_HEADER
 from nrmlab.fluid import FluidSolution
 
@@ -51,12 +52,10 @@ class TestBenchPlan:
             "T_grid": [1000, 2000],
             "replications": 2,
             "base_seed": 5,
-            "etc_config": {"grid_points_per_axis": 4, "exploration_fraction": 0.2},
         }
         plan = plan_from_dict(doc)
         assert plan.instance.N == 2
         assert plan.T_grid == (1000, 2000)
-        assert plan.etc_config == EtcConfig(grid_points_per_axis=4, exploration_fraction=0.2)
 
     def test_plan_missing_key_raises(self):
         with pytest.raises(ValueError, match="missing"):
@@ -154,13 +153,12 @@ class TestBenchPlan:
 
     def test_integral_float_plan_numbers_accepted(self, instance):
         doc = {"instance": instance.to_dict(), "policies": ["clairvoyant"],
-               "T_grid": [1000.0, 2000], "replications": 2.0, "base_seed": 7.0, "workers": 1.0,
-               "etc_config": {"grid_points_per_axis": 8.0}}
+               "T_grid": [1000.0, 2000], "replications": 2.0, "base_seed": 7.0, "workers": 1.0}
         plan = plan_from_dict(doc)
-        assert (plan.T_grid, plan.replications, plan.base_seed, plan.workers,
-                plan.etc_config.grid_points_per_axis) == ((1000, 2000), 2, 7, 1, 8)
+        assert (plan.T_grid, plan.replications, plan.base_seed, plan.workers) == (
+            (1000, 2000), 2, 7, 1)
         assert all(type(v) is int for v in (*plan.T_grid, plan.replications, plan.base_seed,
-                                             plan.workers, plan.etc_config.grid_points_per_axis))
+                                             plan.workers))
 
     @pytest.mark.parametrize("etc, key", [
         ({"grid": 4}, "grid"),
@@ -171,10 +169,25 @@ class TestBenchPlan:
         ([], "etc_config"),
     ])
     def test_malformed_etc_config_rejected(self, instance, etc, key):
+        # ETC has no options: any etc_config is an unknown key, whose hint names the
+        # removed fields
         doc = {"instance": instance.to_dict(), "policies": ["etc"], "T_grid": [1000],
                "replications": 1, "base_seed": 5, "etc_config": etc}
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=r"unknown plan keys \['etc_config'\]; ETC has no"
+                                             r" options: its grid_points_per_axis is 8 and its "
+                                             r"exploration_fraction is clamp\(5 T\^\(-1/3\), "
+                                             r"0\.05, 0\.5\)$") as err:
             plan_from_dict(doc)
+        assert key in str(err.value)
+
+    def test_etc_config_left_only_as_a_shim(self, instance):
+        # perfbench reads plan.etc_config and passes it to build_policy (ROADMAP 1a)
+        assert len(dataclasses.fields(BenchPlan)) == 8
+        assert small_plan(instance).etc_config is None
+        fluid = solve_fluid(instance)
+        assert len(build_policy("etc", instance, fluid, etc_config=None).grid) == 64
+        with pytest.raises(ValueError, match="etc_config must be None"):
+            build_policy("etc", instance, fluid, etc_config={"grid_points_per_axis": 4})
 
 
 class TestRunBench:
@@ -245,15 +258,15 @@ class TestRunBench:
         summary2 = run_bench(small_plan(instance))
         assert reread == summary2.rows[0]["mean_loss"]
 
-    @pytest.mark.parametrize("etc_config", [None, EtcConfig(4, 0.2)], ids=["no-etc", "etc"])
-    def test_metadata_plan_reads_back_as_the_plan(self, instance, tmp_path, etc_config):
+    @pytest.mark.parametrize("policies", [("pdnrm",), ("pdnrm", "etc")], ids=["no-etc", "etc"])
+    def test_metadata_plan_reads_back_as_the_plan(self, instance, tmp_path, policies):
         # the writer emits only keys that the plan reader takes, so a run's plan block
         # is a plan document
-        plan = small_plan(instance, tmp_path=tmp_path, policies=("pdnrm", "etc"), T_grid=(500,),
-                          replications=1, pdnrm_config={"mu": 0.5}, etc_config=etc_config)
+        plan = small_plan(instance, tmp_path=tmp_path, policies=policies, T_grid=(500,),
+                          replications=1, pdnrm_config={"mu": 0.5})
         run_bench(plan)
         doc = json.loads((tmp_path / "run-metadata.json").read_text())["plan"]
-        assert doc["etc_config"] == (etc_config and dataclasses.asdict(etc_config))
+        assert "etc_config" not in doc
         back = plan_from_dict(doc)
         assert back.instance.to_dict() == plan.instance.to_dict()
         assert dataclasses.replace(back, instance=plan.instance,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import numpy as np
@@ -9,6 +10,7 @@ from nrmlab import (Instance, LogitDemand, PdNrmPolicy, config_from_dict, defaul
 from nrmlab.checks import run_checks
 from nrmlab.cli import cli_main
 from conftest import save_instance
+from fingerprint_digest import _random_logit_instance
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +64,7 @@ class TestRunCommand:
         assert any(e["kind"] == "dual" for e in lines)
 
     def test_theory_constants_document_runs(self, capsys, instance_file, tmp_path):
-        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory",
-                               "--grid-points", "9")
+        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory")
         assert code == 0
         assert not {"mode", "kappa2"} & json.loads(out).keys()
         config = tmp_path / "theory.json"
@@ -76,8 +77,7 @@ class TestRunCommand:
     def test_theory_document_stores_no_default_box(self, capsys, instance_file, tmp_path):
         # the default dual box is derived from the instance; an explicit copy of it, as
         # earlier theory documents stored, runs the same policy and episode
-        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory",
-                               "--grid-points", "9")
+        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory")
         assert code == 0 and "lambda_max" not in json.loads(out)
         inst = load_instance(instance_file)
         boxed = {**json.loads(out), "lambda_max": default_dual_set(inst).tolist()}
@@ -92,6 +92,15 @@ class TestRunCommand:
             assert code == 0, err
             runs.append(json.loads(run))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, capsys, instance_file, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", instance_file, "etc", "--seed", seed, "--T", "1000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --seed: expected a non-negative integer, not '{seed}'" in out.err
 
     def test_unknown_config_key_exits_2(self, capsys, instance_file, tmp_path):
         config = tmp_path / "typo.json"
@@ -217,6 +226,9 @@ class TestBenchCommand:
         ({"pdnrm_cofig": {"mu": 0.05}}, "unknown plan keys ['pdnrm_cofig']"),
         ({"workerz": 2}, "unknown plan keys ['workerz']"),
         ({"pdnrm_config": {"mode": "tuned"}}, "['mode']; a config is the tuned formulas"),
+        ({"etc_config": {"grid_points_per_axis": 8}},
+         "unknown plan keys ['etc_config']; ETC has no options: its grid_points_per_axis is 8 "
+         "and its exploration_fraction is clamp(5 T^(-1/3), 0.05, 0.5)"),
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):
@@ -239,13 +251,24 @@ class TestBenchCommand:
         monkeypatch.setattr(nrmlab.bench, "run_episode",
                             lambda *args, **kwargs: ran.append(args))
         plan = {"instance": instance_file, "policies": ["clairvoyant"], "T_grid": [400],
-                "replications": 1, "base_seed": 21}
+                "replications": 1, "base_seed": 21, "workers": 0}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
-        code, out, err = run_cli(capsys, "bench", str(plan_path), "--workers", "0")
+        code, out, err = run_cli(capsys, "bench", str(plan_path))
         assert code == 2
-        assert "'workers'" in err and out == ""
+        assert "plan key 'workers' must be a positive integer, not 0" in err and out == ""
         assert ran == []
+
+    @pytest.mark.parametrize("argv", [("bench", "plan.json", "--workers", "2"),
+                                      ("constants", "instance.json", "--grid-points", "9")],
+                             ids=["bench-workers", "constants-grid-points"])
+    def test_removed_options_refused_by_argparse(self, capsys, argv):
+        # a plan's workers key sets the workers; theory mode scans 21 points per axis
+        with pytest.raises(SystemExit) as exc:
+            cli_main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"unrecognized arguments: {' '.join(argv[2:])}" in out.err
 
 
 class TestCheckCommand:
@@ -269,6 +292,34 @@ class TestCheckCommand:
         assert "FAIL" not in out
         assert "16/16 checks passed" in out
         assert "demand.sampler_unbiased  (noiseless: exact means, nothing sampled)" in out
+
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    @pytest.mark.parametrize("N, M", [(3, 1), (4, 2)])
+    def test_balance_locality_holds_where_every_set_is_empty(self, N, M, noise):
+        # at kappa3 = 1 no balancing set of these instances has a point, so no price moves
+        inst = dataclasses.replace(_random_logit_instance(N, M), noise=noise)
+        results = {name: (ok, detail) for name, ok, detail in run_checks(inst)}
+        ok, detail = results["pdnrm.balance_locality"]
+        assert re.fullmatch(r"0 of ([1-9]\d*) loops moved a price, \1 sets empty, "
+                            r"0 moved beyond the radius, 0 verdicts wrong", detail), detail
+        assert ok and all(ok for ok, _ in results.values())
+
+    def test_balance_locality_holds_where_no_band_binds(self, instance):
+        # capacity no episode can use: every loop's start x = 0 meets the band
+        slack = dataclasses.replace(instance, gamma=np.array([5.0, 5.0]))
+        results = {name: (ok, detail) for name, ok, detail in run_checks(slack)}
+        assert results["pdnrm.balance_locality"] == (
+            True, "0 of 25 loops moved a price, 0 sets empty, 0 moved beyond the radius, "
+                  "0 verdicts wrong")
+
+    def test_balance_locality_fails_when_balancing_is_cut_out(self, instance, monkeypatch):
+        # mutant A: demand_balance keeps every price and calls its set feasible
+        monkeypatch.setattr(pdnrm, "demand_balance", lambda D, J, p, *args: (list(p), True))
+        ok, detail = {name: (ok, detail) for name, ok, detail in run_checks(instance)}[
+            "pdnrm.balance_locality"]
+        assert not ok
+        assert re.fullmatch(r"0 of 22 loops moved a price, 0 sets empty, 0 moved beyond the "
+                            r"radius, [1-9]\d* verdicts wrong", detail), detail
 
     def test_balance_locality_fails_when_no_price_moves(self, instance, monkeypatch):
         monkeypatch.setattr(pdnrm, "feasible_point", lambda G, h, x0, lo, hi: (x0, False))
@@ -294,14 +345,14 @@ class TestConstantsCommand:
 
     def test_theory_constants_report_that_no_loop_ends(self, capsys, instance_file):
         code, out, err = run_cli(capsys, "constants", instance_file, "--mode", "theory",
-                                 "--grid-points", "9", "--T", "10000")
+                                 "--T", "10000")
         assert code == 0 and json.loads(out)["n0"] > 10_000
         assert "no loop ends by T = 10000" in err
 
     def test_theory_constants_report_loops_without_a_dual_update(self, capsys, instance_file):
         # the theory's first epoch spans many loops: loops end by T = 1e12, no epoch does
         code, out, err = run_cli(capsys, "constants", instance_file, "--mode", "theory",
-                                 "--grid-points", "9", "--T", str(10**12))
+                                 "--T", str(10**12))
         assert code == 0 and json.loads(out)["n0"] > 10_000
         assert re.fullmatch(r"pdnrm: [1-9]\d* loops and 0 epochs end by T = 1000000000000; "
                             r"the first loop ends at period \d+, no dual update\n", err)
@@ -316,13 +367,12 @@ class TestConstantsCommand:
         # refused before theory mode's regularity scan
         monkeypatch.setattr(nrmlab.cli, "estimate_regularity", None)
         code, out, err = run_cli(capsys, "constants", instance_file, "--mode", mode,
-                                 "--T", T, "--grid-points", "3")
+                                 "--T", T)
         assert code == 2 and out == ""
         assert "T >= 2" in err
 
     def test_theory_constants(self, capsys, instance_file):
-        code, out, _ = run_cli(capsys, "constants", instance_file,
-                               "--mode", "theory", "--grid-points", "9")
+        code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory")
         assert code == 0
         doc = json.loads(out)
         assert doc["n0"] > 0
@@ -336,8 +386,7 @@ class TestConstantsCommand:
                             T=10_000, price_min=0.8, price_max=5.0)
         path = tmp_path / "instance3.json"
         save_instance(instance, str(path))
-        code, out, _ = run_cli(capsys, "constants", str(path), "--mode", "theory",
-                               "--grid-points", "15")
+        code, out, _ = run_cli(capsys, "constants", str(path), "--mode", "theory")
         assert code == 0
         doc = json.loads(out)
         assert doc["n0"] > 0
