@@ -66,10 +66,11 @@ class BenchPlan:
         if "pdnrm" in self.policies or self.pdnrm_config is not None:
             _require("plan", "T_grid", all(T >= 2 for T in self.T_grid),
                      "horizons of at least 2 for pdnrm, which needs T >= 2", self.T_grid)
-        if self.pdnrm_config is not None:
-            # run_bench resolves the document again, once per horizon; a malformed one fails here
+            # run_bench resolves the document again, once per horizon (none is the tuned
+            # formulas'); a malformed one, or an instance without pdnrm's boxes, fails here
+            doc = {} if self.pdnrm_config is None else self.pdnrm_config
             for T in self.T_grid:
-                config_from_dict(self.pdnrm_config, self.instance, T)
+                config_from_dict(doc, self.instance, T)
 
 
 @dataclass
@@ -172,8 +173,9 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
     tasks = sorted((policy, T, rep, episode_seed(plan.base_seed, policy, T, rep))
                    for policy in plan.policies for T in plan.T_grid
                    for rep in range(plan.replications))
-    configs = {} if plan.pdnrm_config is None or "pdnrm" not in plan.policies else {
-        T: config_from_dict(plan.pdnrm_config, plan.instance, T) for T in plan.T_grid}
+    doc = {} if plan.pdnrm_config is None else plan.pdnrm_config
+    configs = {T: config_from_dict(doc, plan.instance, T)
+               for T in plan.T_grid} if "pdnrm" in plan.policies else {}
     run_task = functools.partial(_run_task, plan, fluid, configs)
 
     wall_start = time.perf_counter()

@@ -12,7 +12,7 @@ import dataclasses
 from .instance import load_instance
 from .fluid import solve_fluid, fluid_upper_bound, FluidError
 from .sim import run_episode, percentage_loss, export_trace_csv, export_events_jsonl
-from .pdnrm import check_horizon, config_from_dict, constants_tuned, constants_theory, loop_skeleton
+from .pdnrm import config_from_dict, constants_theory, loop_skeleton
 from .demand import estimate_regularity
 from .bench import POLICY_NAMES, load_plan, run_bench, loglog_slope, build_policy
 from .checks import run_checks
@@ -96,10 +96,9 @@ def _cmd_check(args) -> int:
 def _cmd_constants(args) -> int:
     instance = load_instance(args.instance)
     T = instance.T if args.T is None else args.T
-    check_horizon(instance.N, T)
-    if args.mode == "tuned":
-        cfg = constants_tuned(instance.N, T)
-    else:
+    # the tuned config, checked against the horizon and the instance before theory mode's scan
+    cfg = config_from_dict({}, instance, T)
+    if args.mode == "theory":
         reg = estimate_regularity(instance.model, instance.price_box,
                                   21, instance.A, instance.gamma)   # 21 points per axis
         cfg = constants_theory(instance, reg, T)

@@ -189,7 +189,6 @@ class RegularityConstants:
     B_A: float
     sigma_A: float
     B_r: float
-    gamma_min: float
     gamma_max: float
 
     def __post_init__(self):
@@ -250,7 +249,6 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         prev = J[-1:]
 
     sv_A = np.linalg.svd(np.asarray(A, float), compute_uv=False)
-    gamma = np.asarray(gamma, dtype=float)
     return RegularityConstants(
         B_D=float(B_D),
         sigma_D=float(sigma_D),
@@ -261,6 +259,5 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         B_A=float(sv_A[0]),
         sigma_A=float(sv_A[-1]),
         B_r=float(p_hi),
-        gamma_min=float(gamma.min()),
-        gamma_max=float(gamma.max()),
+        gamma_max=float(np.max(gamma)),
     )

@@ -20,10 +20,10 @@ import itertools
 import math
 import operator
 import numpy as np
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
-from .instance import Instance, _is_integral, _is_number, _is_vector, _read
+from .instance import Instance, _is_integral, _is_number, _read
 from .instance import _require as _require_document
 from .fluid import default_dual_set
 from .projections import FEASIBLE_TOL, feasible_point
@@ -33,7 +33,7 @@ from .sim import CommitPolicy, _as_schedule, _averages, _serve
 @dataclass
 class PdNrmConfig:
     """Learning constants, built by constants_tuned or constants_theory.
-    kappa2 = sqrt(kappa5) is derived, not stored."""
+    kappa2 = sqrt(kappa5) is derived, not stored; the boxes come from the instance."""
 
     n0: int
     kappa1: float
@@ -44,9 +44,8 @@ class PdNrmConfig:
     eta2: float
     mu: float
     contraction: float = 0.5
-    p_margin: float = 0.05
     primal_init: str = "low"          # "low" | "center"
-    lambda_max: Optional[np.ndarray] = None  # dual box [0, lambda_max]; None: default_dual_set
+    p_margin = 0.05   # not a field: _inner_box's share; perfbench reads it (ROADMAP 1a)
 
     @property
     def kappa2(self) -> float:
@@ -62,59 +61,48 @@ class PdNrmConfig:
             _require(name, _is_number(val) and 0 < val < math.inf, "a finite positive number", val)
         c, init = self.contraction, self.primal_init
         _require("contraction", _is_number(c) and 0 < c < 1, "a number in (0, 1)", c)
-        _require_margin(instance, self.p_margin)
         _require("primal_init", isinstance(init, str) and init in ("low", "center"),
                  "'low' or 'center'", init)
-        _dual_box(instance, self.lambda_max)
+        _dual_box(instance)
 
     def to_dict(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is not None:
-                doc[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
-        return doc
+        return asdict(self)
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
 # keys a document may still name, refused with what to set instead
 _HINTS = {"kappa2": "kappa2 is sqrt(kappa5); set kappa5",
           "mode": "a config is the tuned formulas plus field overrides; for the theory "
-                  "constants pass the output of `nrmlab constants --mode theory`"}
+                  "constants pass the output of `nrmlab constants --mode theory`",
+          "lambda_max": "the dual box is the instance's [0, price_max / gamma]",
+          "p_margin": f"the inner price box is {PdNrmConfig.p_margin:.0%} in from each edge; "
+                      "regenerate theory documents with `nrmlab constants --mode theory`"}
 
 
 _require = functools.partial(_require_document, "pdnrm config")
 
 
-def _require_margin(instance: Instance, m) -> None:
-    """The one p_margin rule: the inner box is strictly inside the price box in floats."""
-    P_lo, P_hi = _inner_box(instance, m) if _is_number(m) and m < 0.5 else (math.nan,) * 2
-    _require("p_margin", instance.price_min < P_lo and P_hi < instance.price_max,
-             "a number in (0, 0.5) that moves the inner box off the price box's edges", m)
-
-
-def _dual_box(instance: Instance, lambda_max) -> np.ndarray:
-    """The checked lambda_max of the policy's dual box; None means default_dual_set's."""
-    box = default_dual_set(instance) if lambda_max is None else lambda_max
-    _require("lambda_max", _is_vector(box, instance.M) and all(0 < x < math.inf for x in box),
-             f"a list of {instance.M} finite positive numbers, one per resource", box)
-    return np.asarray(box, float)
+def _dual_box(instance: Instance) -> np.ndarray:
+    """default_dual_set's lambda_max, after the one check of the instance: the dual box
+    is positive and the inner price box is strictly inside the price box in floats."""
+    box, (P_lo, P_hi) = default_dual_set(instance), _inner_box(instance)
+    _require_document("instance", "price_max", all(0 < x < math.inf for x in box.tolist())
+                      and instance.price_min < P_lo and P_hi < instance.price_max,
+                      "positive and far enough above price_min for pdnrm's dual box [0, "
+                      f"price_max / gamma] and its inner price box, {PdNrmConfig.p_margin:.0%} "
+                      "in from each edge in floats", instance.price_max)
+    return box
 
 
 def _overrides(doc: dict) -> dict:
-    """A document's keys as field values: a lambda_max list becomes a float array
-    and an integral n0 an int; any other value is left for validate to reject."""
+    """A document's keys as field values: an integral n0 becomes an int; any other
+    value is left for validate to reject."""
     _read("pdnrm config", doc, (), _FIELD_NAMES, _HINTS)
-    patch = dict(doc)
-    if _is_vector(patch.get("lambda_max")):
-        patch["lambda_max"] = np.asarray(patch["lambda_max"], dtype=float)
-    if _is_integral(patch.get("n0")):
-        patch["n0"] = int(patch["n0"])
-    return patch
+    return {**doc, "n0": int(doc["n0"])} if _is_integral(doc.get("n0")) else doc
 
 
 def check_horizon(N: int, T: int) -> None:
-    """The one horizon check of both constants formulas (and of the constants command)."""
+    """The one horizon check of both constants formulas."""
     if N < 1 or T < 2:
         raise ValueError("need N >= 1 and T >= 2")
 
@@ -142,30 +130,28 @@ def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
     return PdNrmConfig(**{**tuned, **_overrides(overrides)})
 
 
-def constants_theory(instance: Instance, regularity, T: int, *,
-                     p_margin: float = 0.05,
-                     rho_bar: Optional[float] = None,
-                     rho_lo: Optional[float] = None,
-                     **overrides) -> PdNrmConfig:
-    """Constants from the convergence analysis for the config's dual box, with
-    grid-estimated regularity bounds. Faithful but impractical (n0 may exceed T).
-
-    rho_lo / rho_bar default to the inner-box margin and diameter; they are
-    treated as given problem constants by the analysis and can be pinned."""
-    reg = regularity
-    patch = _overrides(overrides)
+def constants_theory(instance: Instance, regularity, T: int) -> PdNrmConfig:
+    """Constants from the convergence analysis, with grid-estimated regularity
+    bounds. Faithful but impractical (n0 may exceed T). The instance sets the
+    analysis' problem constants: the dual box's l2 bound lam_bar and the inner
+    price box's margin rho_lo and diameter rho_bar."""
     check_horizon(instance.N, T)
-    _require_margin(instance, p_margin)
-    box = _dual_box(instance, patch.get("lambda_max"))
-    lam_bar = float(np.linalg.norm(box))   # an l2 bound on the box
+    lam_bar = float(np.linalg.norm(_dual_box(instance)))
+    width = instance.price_max - instance.price_min
+    rho_lo = PdNrmConfig.p_margin * width
+    cfg = _theory(instance.N, regularity, T, lam_bar, rho_lo,
+                  math.sqrt(instance.N) * (width - 2 * rho_lo))
+    cfg.validate(instance)
+    return cfg
+
+
+def _theory(N: int, reg, T: int, lam_bar: float, rho_lo: float, rho_bar: float) -> PdNrmConfig:
+    """The analysis' formulas, unchecked, at N products and horizon T for a dual box of
+    l2 bound lam_bar and an inner price box of margin rho_lo and diameter rho_bar."""
     # the analysis never bounds ||J_D|| separately, and one purchase per
     # period bounds the demand: B_J = B_D and d_bar = 1
     B_J = reg.B_D
     d_bar = 1.0
-    N = instance.N
-    width = instance.price_max - instance.price_min
-    rho_lo = p_margin * width if rho_lo is None else rho_lo
-    rho_bar = math.sqrt(N) * (width - 2 * rho_lo) if rho_bar is None else rho_bar
     ln_t = math.log(T)
     ln_2nt = math.log(2 * N * T)
 
@@ -196,7 +182,7 @@ def constants_theory(instance: Instance, regularity, T: int, *,
         1.0,  # the analysis requires kappa5 >= 1
     )
     contraction = 1.0 - eta1 * reg.sigma_D**2 * reg.sigma_phi / 2.0
-    cfg = PdNrmConfig(
+    return PdNrmConfig(
         n0=n0,
         kappa1=kappa1,
         kappa3=kappa3,
@@ -206,11 +192,7 @@ def constants_theory(instance: Instance, regularity, T: int, *,
         eta2=eta2,
         mu=mu,
         contraction=contraction,
-        p_margin=p_margin,
     )
-    cfg = replace(cfg, **patch)
-    cfg.validate(instance)
-    return cfg
 
 
 def config_from_dict(doc: dict, instance: Instance,
@@ -408,7 +390,7 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
     row held before them; a loop that ends by instance.T holds its balanced row.
     Returns (p_hat, D_hat, p_next, pending): the final loop's price, whose estimate
     feeds the dual update, the post-update iterate (the next epoch's start) and its held row."""
-    P_lo, P_hi = _inner_box(instance, cfg.p_margin)
+    P_lo, P_hi = _inner_box(instance)
     lam = np.asarray(lam, float)
     At_lam = instance.A.T @ lam
     lam, fixed, eta1 = lam.tolist(), _balance_constants(instance, cfg), cfg.eta1
@@ -467,13 +449,13 @@ def loop_skeleton(cfg: PdNrmConfig):
             yield s, tau, n_tau, end
 
 
-def _inner_box(instance: Instance, p_margin: float):
-    margin = p_margin * (instance.price_max - instance.price_min)
+def _inner_box(instance: Instance):
+    margin = PdNrmConfig.p_margin * (instance.price_max - instance.price_min)
     return instance.price_min + margin, instance.price_max - margin
 
 
 def _initial_price(instance: Instance, cfg: PdNrmConfig) -> np.ndarray:
-    P_lo, P_hi = _inner_box(instance, cfg.p_margin)
+    P_lo, P_hi = _inner_box(instance)
     return np.full(instance.N, 0.5 * (P_lo + P_hi) if cfg.primal_init == "center" else P_lo)
 
 
@@ -488,7 +470,7 @@ class PdNrmPolicy(CommitPolicy):
         config.validate(instance)
         self.instance = instance
         self.config = config
-        self.lambda_max = _dual_box(instance, config.lambda_max)
+        self.lambda_max = _dual_box(instance)
         self.events: list = []
         super().__init__()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import numpy as np
@@ -13,6 +14,17 @@ def save_instance(instance, path):
     with open(path, "w") as fh:
         json.dump(instance.to_dict(), fh, indent=2)
         fh.write("\n")
+
+
+def boxless_instances(T=100_000):
+    """The bundled instance with price boxes that leave pdnrm no boxes, by name:
+    [-0.5, 0] makes the dual box [0, price_max / gamma] zero (gamma [5, 5] keeps
+    the fluid program solvable), and [1e17, 1e17 + 64] is too narrow in floats for
+    the inner price box, 5% of the width in from each edge."""
+    base = example_logit_instance(T)
+    return {"zero-box": dataclasses.replace(base, price_min=-0.5, price_max=0.0,
+                                            gamma=[5.0, 5.0]),
+            "narrow-box": dataclasses.replace(base, price_min=1e17, price_max=1e17 + 64)}
 
 
 def loop_count_bound(cfg, T):

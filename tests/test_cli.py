@@ -9,7 +9,7 @@ from nrmlab import (Instance, LogitDemand, PdNrmPolicy, config_from_dict, defaul
                     example_logit_instance, load_instance, pdnrm)
 from nrmlab.checks import run_checks
 from nrmlab.cli import cli_main
-from conftest import save_instance
+from conftest import boxless_instances, save_instance
 from fingerprint_digest import _random_logit_instance
 
 
@@ -18,6 +18,15 @@ def instance_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "instance.json"
     save_instance(example_logit_instance(T=5000), str(path))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def boxless_files(tmp_path_factory):
+    """Instance documents of boxless_instances, by name."""
+    root = tmp_path_factory.mktemp("boxless")
+    for name, inst in boxless_instances(T=5000).items():
+        save_instance(inst, str(root / f"{name}.json"))
+    return {name: str(root / f"{name}.json") for name in boxless_instances()}
 
 
 def run_cli(capsys, *argv):
@@ -75,23 +84,38 @@ class TestRunCommand:
         assert json.loads(out)["T"] == 5000
 
     def test_theory_document_stores_no_default_box(self, capsys, instance_file, tmp_path):
-        # the default dual box is derived from the instance; an explicit copy of it, as
-        # earlier theory documents stored, runs the same policy and episode
+        # the dual box and the inner price box come from the instance, so a theory
+        # document stores neither; one from an earlier tree, which stored p_margin,
+        # is refused with what to do
         code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory")
-        assert code == 0 and "lambda_max" not in json.loads(out)
+        doc = json.loads(out)
+        assert code == 0 and not {"lambda_max", "p_margin"} & doc.keys()
         inst = load_instance(instance_file)
-        boxed = {**json.loads(out), "lambda_max": default_dual_set(inst).tolist()}
-        runs = []
-        for doc in (json.loads(out), boxed):
-            policy = PdNrmPolicy(inst, config_from_dict(doc, inst))
-            assert policy.lambda_max.tolist() == boxed["lambda_max"]
-            config = tmp_path / "theory.json"
-            config.write_text(json.dumps(doc))
-            code, run, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
-                                     "--config", str(config))
-            assert code == 0, err
-            runs.append(json.loads(run))
-        assert runs[0] == runs[1]
+        policy = PdNrmPolicy(inst, config_from_dict(doc, inst))
+        assert policy.lambda_max.tolist() == default_dual_set(inst).tolist()
+        config = tmp_path / "theory.json"
+        config.write_text(json.dumps({**doc, "p_margin": 0.05}))
+        code, run, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
+                                 "--config", str(config))
+        assert code == 2 and run == ""
+        assert ("unknown pdnrm config keys ['p_margin']; the inner price box is 5% in from "
+                "each edge; regenerate theory documents with `nrmlab constants --mode theory`"
+                in err)
+
+    @pytest.mark.parametrize("config", [False, True], ids=["no-config", "config"])
+    def test_pdnrm_refuses_an_instance_without_its_boxes(self, capsys, boxless_files,
+                                                         tmp_path, config):
+        # price_max = 0 leaves pdnrm no dual box, and no other policy needs one
+        path = boxless_files["zero-box"]
+        doc = tmp_path / "config.json"
+        doc.write_text("{}")
+        argv = ("run", path, "pdnrm", "--seed", "1", *(("--config", str(doc)) if config else ()))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: instance key 'price_max' must be positive" in err
+        code, out, err = run_cli(capsys, "run", path, "clairvoyant", "--seed", "1")
+        assert code == 0, err
+        assert json.loads(out)["T"] == 5000
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_seed_must_be_a_non_negative_integer(self, capsys, instance_file, seed):
@@ -229,6 +253,11 @@ class TestBenchCommand:
         ({"etc_config": {"grid_points_per_axis": 8}},
          "unknown plan keys ['etc_config']; ETC has no options: its grid_points_per_axis is 8 "
          "and its exploration_fraction is clamp(5 T^(-1/3), 0.05, 0.5)"),
+        # a plan that runs pdnrm is refused on an instance without its boxes, whether
+        # or not it names a pdnrm_config
+        *[({"instance": boxless_instances(T=5000)["zero-box"].to_dict(),
+            "policies": ["pdnrm", "clairvoyant"], **doc}, "'price_max'")
+          for doc in ({}, {"pdnrm_config": {}})],
     ])
     def test_malformed_plan_config_exits_2(self, capsys, instance_file, tmp_path,
                                            monkeypatch, config, key):
@@ -370,6 +399,17 @@ class TestConstantsCommand:
                                  "--T", T)
         assert code == 2 and out == ""
         assert "T >= 2" in err
+
+    @pytest.mark.parametrize("mode", ["tuned", "theory"])
+    @pytest.mark.parametrize("name", ["zero-box", "narrow-box"])
+    def test_an_instance_without_pdnrm_boxes_exits_2(self, capsys, boxless_files, monkeypatch,
+                                                     mode, name):
+        # both modes print a document only for an instance pdnrm runs on, and theory
+        # mode refuses before its regularity scan
+        monkeypatch.setattr(nrmlab.cli, "estimate_regularity", None)
+        code, out, err = run_cli(capsys, "constants", boxless_files[name], "--mode", mode)
+        assert code == 2 and out == ""
+        assert "error: instance key 'price_max' must be" in err
 
     def test_theory_constants(self, capsys, instance_file):
         code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory")

@@ -310,12 +310,11 @@ def reference_regularity(model, price_box, grid_points, A, gamma):
         norms = np.linalg.norm(jacs[tuple(hi)] - jacs[tuple(lo)], ord=2, axis=(-2, -1))
         L_D = max(L_D, float(norms.max()) / spacing)
     sv_A = np.linalg.svd(np.asarray(A, float), compute_uv=False)
-    gamma = np.asarray(gamma, dtype=float)
     return RegularityConstants(
         B_D=float(B_D), sigma_D=float(sigma_D), L_D=float(max(L_D, 1e-12)),
         B_f=float(B_f), B_phi=float(B_phi), sigma_phi=float(sigma_phi),
         B_A=float(sv_A[0]), sigma_A=float(sv_A[-1]), B_r=float(p_hi),
-        gamma_min=float(gamma.min()), gamma_max=float(gamma.max()))
+        gamma_max=float(np.max(gamma)))
 
 
 def regularity_cases():

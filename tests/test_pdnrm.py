@@ -1,6 +1,7 @@
 import itertools
 import math
 import json
+import re
 from dataclasses import replace
 import numpy as np
 import pytest
@@ -31,13 +32,17 @@ from nrmlab.demand import grad_revenue_f, revenue_f
 from nrmlab.pdnrm import epoch_count_bound
 from nrmlab.projections import FEASIBLE_TOL, feasible_point, max_violation
 from nrmlab.sim import _as_schedule, _serve
-from conftest import estimation_ends, loop_count_bound
+from conftest import boxless_instances, estimation_ends, loop_count_bound
 
 
 def unit_regularity():
     return RegularityConstants(B_D=1, sigma_D=1, L_D=1, B_f=1, B_phi=1,
-                               sigma_phi=1, B_A=1, sigma_A=1, B_r=1,
-                               gamma_min=1, gamma_max=1)
+                               sigma_phi=1, B_A=1, sigma_A=1, B_r=1, gamma_max=1)
+
+
+def unit_box_bound(N):
+    """lam_bar, the l2 bound, of the dual box [0, 1/sqrt(N)]^N: 1 up to rounding."""
+    return float(np.linalg.norm(np.full(N, 1.0 / math.sqrt(N))))
 
 
 def synthetic_instance(N):
@@ -91,24 +96,20 @@ class TestConstantsTheory:
         assert 0 < cfg.contraction < 1
         assert cfg.kappa5 >= 1.0
 
-    @pytest.mark.parametrize("margin", [0.0, 1e-16])
-    def test_margin_without_room_to_probe_is_refused(self, instance, regularity, margin):
-        # checked by the config's own rule before rho_lo = p_margin * width is
+    @pytest.mark.parametrize("name", ["zero-box", "narrow-box"])
+    def test_margin_without_room_to_probe_is_refused(self, regularity, name):
+        # the instance is checked before rho_lo, the inner box's margin, is
         # computed, whose fourth power n0 divides by
-        with pytest.raises(ValueError, match="pdnrm config key 'p_margin' must be"):
-            constants_theory(instance, regularity, instance.T, p_margin=margin)
+        inst = boxless_instances()[name]
+        with pytest.raises(ValueError, match="instance key 'price_max' must be"):
+            constants_theory(inst, regularity, inst.T)
 
     def test_asymptotic_orders_in_n(self):
         # slopes of ln(constant) vs ln(N) with smoothness, dual and radius
         # parameters held at 1, matching the asymptotic-order accounting
         reg = unit_regularity()
         Ns = [4, 8, 16, 32]
-        cfgs = [
-            constants_theory(synthetic_instance(N), reg, 10**6,
-                             lambda_max=np.full(N, 1.0 / math.sqrt(N)),
-                             rho_bar=1.0, rho_lo=1.0)
-            for N in Ns
-        ]
+        cfgs = [pdnrm._theory(N, reg, 10**6, unit_box_bound(N), 1.0, 1.0) for N in Ns]
         assert 3.5 <= log_slope(Ns, [c.n0 for c in cfgs]) <= 4.5
         # kappa3 = 4 d L kappa1 sqrt(N^3 ln) + 3 L kappa1^2 with kappa1 ~ N:
         # the quadratic term (slope 2) carries desk-scale N; the sqrt(N^3)
@@ -116,40 +117,27 @@ class TestConstantsTheory:
         assert 0.9 <= log_slope(Ns, [c.kappa1 for c in cfgs]) <= 1.2
         assert 1.8 <= log_slope(Ns, [c.kappa3 for c in cfgs]) <= 3.0
         big = [64, 256]
-        cfg_big = [
-            constants_theory(synthetic_instance(N), reg, 10**6,
-                             lambda_max=np.full(N, 1.0 / math.sqrt(N)),
-                             rho_bar=1.0, rho_lo=1.0)
-            for N in big
-        ]
+        cfg_big = [pdnrm._theory(N, reg, 10**6, unit_box_bound(N), 1.0, 1.0) for N in big]
         assert 0.35 <= log_slope(big, [c.kappa6 for c in cfg_big]) <= 0.65
 
     def test_polylog_in_horizon(self):
         reg = unit_regularity()
-        inst = synthetic_instance(2)
         Ts = [10**6, 10**9, 10**12]
-        cfgs = [constants_theory(inst, reg, T, lambda_max=np.full(2, 0.7),
-                                 rho_bar=1.0, rho_lo=1.0) for T in Ts]
+        cfgs = [pdnrm._theory(2, reg, T, float(np.linalg.norm(np.full(2, 0.7))), 1.0, 1.0)
+                for T in Ts]
         assert log_slope(Ts, [c.n0 for c in cfgs]) <= 0.5
         assert log_slope(Ts, [c.kappa3 for c in cfgs]) <= 0.3
 
-    def test_sized_for_the_lambda_max_override(self, instance, regularity):
-        # the box the config runs in is the box its constants are sized for
-        lam = np.array([1.0, 1.5])
-        cfg = constants_theory(instance, regularity, instance.T, lambda_max=lam)
-        assert_allclose(cfg.lambda_max, lam)
-        lam_bar = float(np.linalg.norm(lam))
+    def test_sized_for_the_default_dual_box(self, instance, regularity):
+        # the box the policy steps in is the box its constants are sized for,
+        # derived from the instance and not stored
+        cfg = constants_theory(instance, regularity, instance.T)
+        box = default_dual_set(instance)
+        assert PdNrmPolicy(instance, cfg).lambda_max.tolist() == box.tolist()
+        lam_bar = float(np.linalg.norm(box))
         reg = regularity
         assert cfg.eta1 == 1.0 / (8.0 * (reg.B_f + reg.B_A * reg.B_D * lam_bar))
-        default = constants_theory(instance, regularity, instance.T)
-        assert cfg.n0 < default.n0 and cfg.kappa5 < default.kappa5
-        # the default box is derived, not stored; given explicitly it sizes the same constants
-        assert default.lambda_max is None
-        same = constants_theory(instance, regularity, instance.T,
-                                lambda_max=default_dual_set(instance).tolist())
-        assert replace(same, lambda_max=None).to_dict() == default.to_dict()
-        with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
-            constants_theory(instance, regularity, instance.T, lambda_max=[1.0, 1.0, 1.0])
+        assert not {"lambda_max", "p_margin"} & cfg.to_dict().keys()
 
 
 class TestConfigValidation:
@@ -191,9 +179,8 @@ class TestConfigValidation:
         assert back.primal_init == "center"
 
     def test_tuned_overrides(self, instance):
-        cfg = config_from_dict({"contraction": 0.3, "lambda_max": [4.0, 4.0]}, instance=instance)
+        cfg = config_from_dict({"contraction": 0.3}, instance=instance)
         assert cfg.contraction == 0.3
-        assert_allclose(cfg.lambda_max, [4.0, 4.0])
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object, not list"):
@@ -233,9 +220,9 @@ class TestConfigValidation:
             ('{"primal_init": [0.5, -Infinity]}', "primal_init")]],
     ])
     def test_wrong_typed_override_names_its_key(self, doc, key):
-        # warm_start and lambda0 are no fields: a document naming either is refused whatever
-        # its value
-        removed = key in ("warm_start", "lambda0")
+        # warm_start, lambda0 and lambda_max are no fields: a document naming one is refused
+        # whatever its value
+        removed = key in ("warm_start", "lambda0", "lambda_max")
         with pytest.raises(ValueError, match=rf"unknown pdnrm config keys \['{key}'\]" if removed
                            else f"pdnrm config key '{key}' must be"):
             config_from_dict(doc, synthetic_instance(2), T=10**4)
@@ -252,17 +239,26 @@ class TestConfigValidation:
             config_from_dict(doc, synthetic_instance(2), T=10**4)
 
     def test_well_typed_overrides_resolve_as_before(self):
-        cfg = config_from_dict({"n0": 1000.0, "eta2": 5, "mu": 0.5, "lambda_max": [4, 4.5],
-                                "primal_init": "center"}, synthetic_instance(2), T=10**4)
+        cfg = config_from_dict({"n0": 1000.0, "eta2": 5, "mu": 0.5, "primal_init": "center"},
+                               synthetic_instance(2), T=10**4)
         assert cfg.n0 == 1000 and isinstance(cfg.n0, int)
         assert cfg.primal_init == "center"
         assert cfg.eta2 == 5 and cfg.mu == 0.5
-        assert cfg.lambda_max.dtype == float
-        assert_allclose(cfg.lambda_max, [4.0, 4.5])
-        kw = constants_tuned(2, 10**4, n0=np.int64(1000), eta2=np.float64(5.0),
-                             lambda_max=np.array([4.0, 4.5]))
+        kw = constants_tuned(2, 10**4, n0=np.int64(1000), eta2=np.float64(5.0))
         assert (kw.n0, kw.eta2) == (1000, 5.0)
-        assert_allclose(kw.lambda_max, [4.0, 4.5])
+
+    @pytest.mark.parametrize("key, value, hint", [
+        ("p_margin", 0.05, "the inner price box is 5% in from each edge; regenerate theory "
+                           "documents with `nrmlab constants --mode theory`"),
+        ("lambda_max", [4.0, 4.0], "the dual box is the instance's [0, price_max / gamma]"),
+    ], ids=["p_margin", "lambda_max"])
+    def test_removed_key_refused_with_its_hint(self, instance, key, value, hint):
+        # the boxes come from the instance, so a document or keyword naming either is refused
+        match = re.escape(f"unknown pdnrm config keys ['{key}']; {hint}")
+        with pytest.raises(ValueError, match=match):
+            config_from_dict({key: value}, instance)
+        with pytest.raises(ValueError, match=match):
+            constants_tuned(2, instance.T, **{key: value})
 
     @pytest.mark.parametrize("field, value", [("primal_init", [0.5, 1.0]),
                                               ("primal_init", "middle"),
@@ -290,24 +286,32 @@ class TestConfigValidation:
         *[(name, math.inf) for name in ("kappa1", "kappa3", "kappa5", "kappa6", "eta1",
                                         "eta2", "mu")],
         ("primal_init", [math.nan, 2.0]), ("primal_init", [2.0, math.inf]),
-        # the inner box stays on the edges of the bundled box [0.8, 5] in floats
         ("p_margin", 0.0), ("p_margin", 1e-16), ("p_margin", math.nan),
     ])
     def test_validate_names_every_bad_field(self, instance, field, value):
-        # a directly built config is checked like a document, against N = M = 2
-        cfg = replace(constants_tuned(2, instance.T), **{field: value})
+        # a directly built config is checked like a document, against N = M = 2; the
+        # boxes come from the instance, so neither p_margin nor lambda_max can be set,
+        # and a document naming either is refused by the key rule whatever its value
+        cfg = constants_tuned(2, instance.T)
+        if field in ("p_margin", "lambda_max"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+                replace(cfg, **{field: value})
+            with pytest.raises(ValueError, match=rf"unknown pdnrm config keys \['{field}'\]"):
+                config_from_dict({field: value}, instance)
+            return
+        cfg = replace(cfg, **{field: value})
         with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
             cfg.validate(instance)
         with pytest.raises(ValueError, match=f"pdnrm config key '{field}' must be"):
             PdNrmPolicy(instance, cfg)
 
-    def test_default_box_must_be_positive(self, instance):
+    def test_default_box_must_be_positive(self):
         # price_max = 0 makes default_dual_set's lambda_max zero: there is no box to step in
-        flat = replace(instance, price_min=-1.0, price_max=0.0)
-        with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
+        flat = boxless_instances()["zero-box"]
+        with pytest.raises(ValueError, match="instance key 'price_max' must be positive"):
             PdNrmPolicy(flat)
-        # validate checks the default box too, so a document is refused at load
-        with pytest.raises(ValueError, match="pdnrm config key 'lambda_max' must be"):
+        # validate checks the instance too, so a document is refused at load
+        with pytest.raises(ValueError, match="instance key 'price_max' must be positive"):
             config_from_dict({}, flat)
 
 
@@ -670,10 +674,10 @@ class TestPrimalOpt:
         assert lengths[31] == lengths[-1] == 2**62 * cfg.n0
 
     def test_noiseless_zero_dual_finds_revenue_max(self, noiseless_instance):
-        inst = noiseless_instance
-        # margin small enough that the zero-dual maximizer lies inside the
-        # inner box, as the primal-dual set assumption requires
-        cfg = constants_tuned(2, inst.T, p_margin=0.02)
+        # a price box whose inner box [0.725, 4.775] holds the zero-dual maximizer
+        # ~[1.06, 0.89], as the primal-dual set assumption requires
+        inst = replace(noiseless_instance, price_min=0.5)
+        cfg = constants_tuned(2, inst.T)
         p_hat, _ = primal_opt(DemandOracle(inst), inst, cfg, np.zeros(2),
                               eps_bar=2e-4)
         # grid-search oracle for the unconstrained revenue maximum

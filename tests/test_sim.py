@@ -22,7 +22,7 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
-from conftest import estimation_ends, serve_one
+from conftest import boxless_instances, estimation_ends, serve_one
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -958,20 +958,18 @@ class TestPdNrmRequests:
         assert shut >= 3
 
     def test_a_margin_without_room_to_probe_is_refused(self, instance):
-        # on the box [0.8, 5], 5 - 1e-16 * 4.2 rounds to 5, so a margin of
-        # 1e-16 leaves the inner box on the price box's edge, as 0 does; 1e-15
-        # moves both edges off, and then every loop probes
+        # an instance whose inner price box has no room inside its price box in
+        # floats, or whose dual box is zero, is refused; on any other, every loop probes
         from nrmlab import PdNrmPolicy, config_from_dict
-        for margin in (0.0, 1e-16):
-            with pytest.raises(ValueError, match="pdnrm config key 'p_margin' must be"):
-                config_from_dict({"p_margin": margin}, instance)
-        cfg = config_from_dict({"p_margin": 1e-15}, instance)
+        for inst in boxless_instances().values():
+            with pytest.raises(ValueError, match="instance key 'price_max' must be"):
+                config_from_dict({}, inst)
+        cfg = config_from_dict({}, instance)
         trace = run_episode(instance, PdNrmPolicy(instance, cfg), seed=1)
         loops = [e for e in trace.events if e["kind"] == "loop"]
         assert event_keys(trace.events) == pdnrm_event_keys(
             cfg, instance.T, instance.N, trace.shutoff_period)
-        # the first loop starts 4.2e-15 off the box edge, which caps its u
-        assert len(loops) >= 20 and 0 < loops[0]["u"] < 1e-14
+        assert len(loops) >= 20
         assert all(e["u"] > 0 and not e["degraded"] for e in loops)
 
     def test_theory_constants_learn_nothing_at_1e4(self, instance, regularity):
