@@ -35,6 +35,8 @@ def _cmd_run(args) -> int:
     if args.config:   # resolved whatever the policy, as a plan resolves its pdnrm_config
         with open(args.config) as fh:
             pdnrm_config = config_from_dict(json.load(fh), instance)
+    elif args.policy == "pdnrm":   # checked against the instance before the solve
+        pdnrm_config = config_from_dict({}, instance)
     fluid = solve_fluid(instance)
     policy = build_policy(args.policy, instance, fluid, pdnrm_config=pdnrm_config)
     record = bool(args.trace)

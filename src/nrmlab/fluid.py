@@ -5,18 +5,19 @@ Lagrangians L(lam, p) / H(lam, d), the dual function Q(lam) with its
 derivatives, and certifies strong duality. Every maximization is one SLSQP
 solve in price space with the price box as bounds: D maps the box one-to-one
 onto the demand image, where phi is concave, so the KKT point SLSQP returns
-is the global optimum. Used by benchmarks and tests; never by the learning
-policy's data path.
+is the global optimum. Each point SLSQP visits costs one evaluation of D
+(and of J_D where a derivative is asked for), shared by the objective, the
+capacity rows and their derivatives; the one LP, the Chebyshev start, goes
+to HiGHS through scipy's milp. Used by benchmarks and tests; never by the
+learning policy's data path.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .demand import (
-    revenue_f,
     revenue_phi,
     grad_revenue_phi,  # no caller here; perfbench/tracer.py counts calls through this name
-    grad_revenue_f,
 )
 from .instance import Instance
 
@@ -49,9 +50,8 @@ class FluidSolution:
 
 def lagrangian_L(instance: Instance, lam, p) -> float:
     """L(lam, p) = f(p) - <lam, A D(p) - gamma>."""
-    lam = np.asarray(lam, float)
-    slack = instance.A @ instance.model.mean(np.asarray(p, float)) - instance.gamma
-    return revenue_f(instance.model, p) - float(lam @ slack)
+    p = np.asarray(p, float)
+    return _lagrangian(instance, np.asarray(lam, float), p, instance.model.mean(p))
 
 
 def lagrangian_H(instance: Instance, lam, d) -> float:
@@ -64,8 +64,17 @@ def lagrangian_H(instance: Instance, lam, d) -> float:
 def grad_lagrangian_L(instance: Instance, lam, p) -> np.ndarray:
     """d/dp L(lam, p) = grad f(p) - J_D(p)^T A^T lam."""
     p = np.asarray(p, float)
-    return grad_revenue_f(instance.model, p) - instance.model.jacobian(p).T @ (
-        instance.A.T @ np.asarray(lam, float))
+    model = instance.model
+    return _lagrangian(instance, np.asarray(lam, float), p, model.mean(p), model.jacobian(p))
+
+
+def _lagrangian(instance: Instance, lam, p, d, J=None):
+    """L(lam, p) from d = D(p), or with J = J_D(p) its gradient in p,
+    grad f(p) - J^T A^T lam with grad f(p) = d + J^T p: the one definition of
+    both, which the public functions and _maximize's callbacks share."""
+    if J is None:
+        return float(p @ d) - float(lam @ (instance.A @ d - instance.gamma))
+    return d + J.T @ p - J.T @ (instance.A.T @ lam)
 
 
 def _maximize(instance: Instance, lam, p0, capacity: bool = False):
@@ -74,22 +83,35 @@ def _maximize(instance: Instance, lam, p0, capacity: bool = False):
 
     Returns (p, multipliers of the capacity rows clipped at 0). The box is
     passed as bounds, so D and D^{-1} are only evaluated where they are
-    defined. SLSQP's success flag is not read: at this ftol it often reports a
-    failed line search at a point that certifies, so solve_fluid gates on the
-    duality certificate instead.
+    defined. SLSQP asks for the objective, its gradient, the capacity rows and
+    their Jacobian at each point it visits; D(p) is evaluated once per point
+    and J_D(p) once per point that needs a derivative, and all four callbacks
+    read that evaluation. SLSQP's success flag is not read: at this ftol it
+    often reports a failed line search at a point that certifies, so
+    solve_fluid gates on the duality certificate instead.
     """
     from scipy.optimize import minimize   # deferred: `import nrmlab` stays scipy-free
-    model = instance.model
+    model, A, gamma = instance.model, instance.A, instance.gamma
+    at = [None, None, None]   # SLSQP's last point (as bytes), D there, J_D there
+
+    def evaluated(p, jacobian=False):
+        key = p.tobytes()
+        if at[0] != key:
+            at[:] = key, model.mean(p), None
+        if jacobian and at[2] is None:
+            at[2] = model.jacobian(p)
+        return at[1], at[2]
+
     constraints = ()
     if capacity:
         constraints = ({"type": "ineq",
-                        "fun": lambda p: instance.gamma - instance.A @ model.mean(p),
-                        "jac": lambda p: -instance.A @ model.jacobian(p)},)
-    res = minimize(lambda p: -lagrangian_L(instance, lam, p),
+                        "fun": lambda p: gamma - A @ evaluated(p)[0],
+                        "jac": lambda p: -A @ evaluated(p, True)[1]},)
+    res = minimize(lambda p: -_lagrangian(instance, lam, p, evaluated(p)[0]),
                    np.clip(p0, instance.price_min, instance.price_max),
-                   jac=lambda p: -grad_lagrangian_L(instance, lam, p), method="SLSQP",
-                   bounds=[instance.price_box] * instance.N, constraints=constraints,
-                   options={"ftol": 1e-15, "maxiter": 1000})
+                   jac=lambda p: -_lagrangian(instance, lam, p, *evaluated(p, True)),
+                   method="SLSQP", bounds=[instance.price_box] * instance.N,
+                   constraints=constraints, options={"ftol": 1e-15, "maxiter": 1000})
     p = np.clip(res.x, instance.price_min, instance.price_max)
     return p, np.maximum(res.multipliers, 0.0)
 
@@ -121,15 +143,20 @@ def grad_Q(instance: Instance, lam) -> np.ndarray:
 def _chebyshev_center(instance: Instance) -> np.ndarray:
     """Center of the largest ball in {G d <= h, A d <= gamma}, the demand
     vectors that the price box and the capacity allow (G, h from
-    image_halfspaces). Raises FluidError when that set has no interior."""
-    from scipy.optimize import linprog   # deferred: `import nrmlab` stays scipy-free
+    image_halfspaces). Raises FluidError when that set has no interior.
+    The LP goes to HiGHS through scipy's milp with no integer variables, as
+    only x and the status are read: milp checks its inputs at a fraction of
+    linprog's cost, and returns linprog's x."""
+    # deferred: `import nrmlab` stays scipy-free
+    from scipy.optimize import Bounds, LinearConstraint, milp
     G_img, h_img = instance.model.image_halfspaces(instance.price_min, instance.price_max)
     G = np.vstack([G_img, instance.A])
     h = np.concatenate([h_img, instance.gamma])
     # maximize r s.t. G_k d + r ||G_k|| <= h_k
-    res = linprog(np.r_[np.zeros(instance.N), -1.0],
-                  A_ub=np.hstack([G, np.linalg.norm(G, axis=1)[:, None]]), b_ub=h,
-                  bounds=[(None, None)] * (instance.N + 1), method="highs")
+    res = milp(np.r_[np.zeros(instance.N), -1.0],
+               constraints=LinearConstraint(np.hstack([G, np.linalg.norm(G, axis=1)[:, None]]),
+                                            -np.inf, h),
+               bounds=Bounds(-np.inf, np.inf))
     if res.status != 0 or res.x[-1] <= 0:
         raise FluidError("no feasible demand vector: instance appears infeasible")
     return res.x[:-1]
@@ -179,9 +206,10 @@ def solve_fluid(instance: Instance) -> FluidSolution:
     """Solve the fluid program and its dual; populate a duality certificate.
 
     Primal: one SLSQP solve of max f(p) s.t. A D(p) <= gamma over the price
-    box, started at the Chebyshev center of the feasible demand set, then
-    moved inside the capacity rows exactly. Dual: lambda* is SLSQP's
-    multiplier on the capacity rows; one dual_Q(lambda*) call certifies it.
+    box, started at the Chebyshev center of the feasible demand set (one
+    HiGHS LP), then moved inside the capacity rows exactly. Dual: lambda* is
+    SLSQP's multiplier on the capacity rows; one dual_Q(lambda*) call
+    certifies it. Both SLSQP solves evaluate D once per point they visit.
     Raises FluidError when infeasible or when the certificate fails.
     """
     center = _chebyshev_center(instance)

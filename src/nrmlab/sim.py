@@ -40,6 +40,7 @@ _FEW = 32  # up to this many values are checked in Python, and tallied without m
 _FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
 _EXACT_K = 1 << 51  # rows shorter than this keep _fits' rounding argument
 _ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
+_ROW_LIMIT = 1 << 29  # longer sampled rows are served as sub-rows; _split's draw needs totals < 1e9
 
 
 def mix64(*parts) -> int:
@@ -238,7 +239,8 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     as one draw per row does. Inside that row, halving finds the first
     unservable period: given a segment's counts, the counts of its first h
     periods are multivariate hypergeometric, so each split is exact in
-    distribution. A one-row schedule never touches the bit generator.
+    distribution. A one-row schedule never touches the bit generator. A
+    schedule with a row longer than _ROW_LIMIT is served by `_serve_parts`.
     Noiseless: the same scan; a schedule that `_fits` serves every row whole,
     and any other takes one `_noiseless_served` call, which gives every
     row's periods from the inventory before it; the first row that serves
@@ -262,6 +264,8 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
         after[r] = (after[r - 1] if r else remaining) - served[r] * cons[r]
         return served[:r + 1], means[:r + 1], after
 
+    if max(lengths.tolist()) > _ROW_LIMIT:
+        return _serve_parts(model, A, prices, lengths, remaining, rng)
     # no purchase takes 1 - sum D(p); a linear D can be -1e-17 at a box corner
     pvals = np.zeros((K, means.shape[1] + 1))
     np.maximum(means, 0.0, out=pvals[:, :-1])
@@ -283,6 +287,25 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     after = after[:r + 1]
     after[r] = before - A.dot(counts[r, :-1])
     return served, counts, after
+
+
+def _serve_parts(model, A, prices, lengths, remaining, rng):
+    """`_serve` of a sampled schedule with a row longer than _ROW_LIMIT: every
+    row is served as consecutive sub-rows of at most _ROW_LIMIT periods at its
+    price, each drawn before the fit is known (one multinomial per row is the
+    sum of its sub-rows' draws in law), and the sub-rows' periods and counts
+    are summed back into their rows. So the halving inside the row that runs
+    out splits at most _ROW_LIMIT periods."""
+    parts = -(-lengths // _ROW_LIMIT)
+    ends = np.cumsum(parts)
+    sub = np.full(ends[-1], _ROW_LIMIT, dtype=np.int64)
+    sub[ends - 1] = lengths - (parts - 1) * _ROW_LIMIT
+    served, counts, after = _serve(model, A, prices.repeat(parts, axis=0), sub, remaining, rng)
+    r = int(np.searchsorted(ends, len(served)))   # the row of the last sub-row served
+    starts = ends[:r + 1] - parts[:r + 1]
+    if after is not None:
+        after = after[np.append(ends[:r] - 1, len(served) - 1)]
+    return np.add.reduceat(served, starts), np.add.reduceat(counts, starts), after
 
 
 def _averages(demand, lengths, noiseless: bool) -> np.ndarray:

@@ -117,6 +117,18 @@ class TestRunCommand:
         assert code == 0, err
         assert json.loads(out)["T"] == 5000
 
+    @pytest.mark.parametrize("name", ["zero-box", "narrow-box"])
+    def test_pdnrm_refuses_an_instance_without_its_boxes_before_the_solve(
+            self, capsys, boxless_files, monkeypatch, name):
+        # the narrow box's fluid program has no feasible demand vector either, so
+        # a solve before the refusal would exit 1 and name no key
+        solves = []
+        monkeypatch.setattr(nrmlab.cli, "solve_fluid", lambda *args: solves.append(args))
+        code, out, err = run_cli(capsys, "run", boxless_files[name], "pdnrm", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "error: instance key 'price_max' must be" in err
+        assert solves == []
+
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_seed_must_be_a_non_negative_integer(self, capsys, instance_file, seed):
         with pytest.raises(SystemExit) as exc:

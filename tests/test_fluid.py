@@ -1,9 +1,11 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 import nrmlab.fluid
 from nrmlab import (
@@ -19,10 +21,12 @@ from nrmlab import (
     lagrangian_H,
     fluid_upper_bound,
     default_dual_set,
+    example_logit_instance,
     FluidError,
+    FluidSolution,
 )
-from nrmlab.demand import revenue_f, revenue_phi, grad_revenue_phi
-from nrmlab.fluid import grad_lagrangian_L
+from nrmlab.demand import revenue_f, revenue_phi, grad_revenue_f, grad_revenue_phi
+from nrmlab.fluid import CERTIFICATE_TOL, grad_lagrangian_L
 from nrmlab.instance import instance_from_dict
 
 # frozen from an exact KKT solve of the example instance (stationarity on the
@@ -326,16 +330,30 @@ def assert_certified(instance):
     return sol
 
 
+def hard_instance(doc):
+    return instance_from_dict({**doc, "T": 100_000, "price_min": 0.8, "price_max": 5.0})
+
+
+def random_families():
+    """The random members of TestCertifiesAtAnySize; the second family's tight
+    capacities make some draws infeasible."""
+    return (random_network_family(7, 40, (0.3, 2.0))
+            + random_network_family(11, 30, (0.02, 0.2)))
+
+
+def linear_instance():
+    return Instance(model=LinearDemand([0.5, 0.6], [[0.1, 0.02], [0.02, 0.1]]),
+                    A=np.array([[1.0, 1.0]]), gamma=np.array([0.2]), T=1000,
+                    price_min=0.5, price_max=4.0)
+
+
 class TestCertifiesAtAnySize:
     @pytest.mark.parametrize("doc", HARD_INSTANCES, ids=lambda d: f"N{d['N']}M{d['M']}")
     def test_former_failures(self, doc):
-        assert_certified(instance_from_dict({**doc, "T": 100_000, "price_min": 0.8,
-                                             "price_max": 5.0}))
+        assert_certified(hard_instance(doc))
 
     def test_random_families(self):
-        # the second family's tight capacities make some draws infeasible
-        family = (random_network_family(7, 40, (0.3, 2.0))
-                  + random_network_family(11, 30, (0.02, 0.2)))
+        family = random_families()
         verdicts = [lp_feasible(inst) for inst in family]
         assert any(verdicts) and not all(verdicts)
         for inst, feasible in zip(family, verdicts):
@@ -346,11 +364,123 @@ class TestCertifiesAtAnySize:
                     solve_fluid(inst)
 
     def test_linear_demand_exact_multiplier(self):
-        inst = Instance(model=LinearDemand([0.5, 0.6], [[0.1, 0.02], [0.02, 0.1]]),
-                        A=np.array([[1.0, 1.0]]), gamma=np.array([0.2]), T=1000,
-                        price_min=0.5, price_max=4.0)
-        sol = assert_certified(inst)
+        sol = assert_certified(linear_instance())
         assert sol.lambda_star[0] == pytest.approx(3.0, abs=1e-9)
+
+
+def reference_maximize(instance, lam, p0, capacity=False):
+    """fluid._maximize with each SLSQP callback evaluating the model afresh."""
+    model, A, gamma = instance.model, instance.A, instance.gamma
+    constraints = ()
+    if capacity:
+        constraints = ({"type": "ineq", "fun": lambda p: gamma - A @ model.mean(p),
+                        "jac": lambda p: -A @ model.jacobian(p)},)
+    res = minimize(lambda p: -(revenue_f(model, p) - float(lam @ (A @ model.mean(p) - gamma))),
+                   np.clip(p0, instance.price_min, instance.price_max),
+                   jac=lambda p: -(grad_revenue_f(model, p) - model.jacobian(p).T @ (A.T @ lam)),
+                   method="SLSQP", bounds=[instance.price_box] * instance.N,
+                   constraints=constraints, options={"ftol": 1e-15, "maxiter": 1000})
+    return np.clip(res.x, instance.price_min, instance.price_max), np.maximum(res.multipliers, 0.0)
+
+
+def reference_solve_fluid(instance):
+    """solve_fluid as it was before it shared one model evaluation per SLSQP
+    point and solved the Chebyshev LP through milp: the center by linprog,
+    and the callbacks of reference_maximize."""
+    model = instance.model
+    G_img, h_img = model.image_halfspaces(instance.price_min, instance.price_max)
+    G = np.vstack([G_img, instance.A])
+    h = np.concatenate([h_img, instance.gamma])
+    res = linprog(np.r_[np.zeros(instance.N), -1.0],
+                  A_ub=np.hstack([G, np.linalg.norm(G, axis=1)[:, None]]), b_ub=h,
+                  bounds=[(None, None)] * (instance.N + 1), method="highs")
+    if res.status != 0 or res.x[-1] <= 0:
+        raise FluidError("no feasible demand vector: instance appears infeasible")
+    center = res.x[:-1]
+    p, lam = reference_maximize(instance, np.zeros(instance.M), model.inverse(center), True)
+    p_star, d_star = nrmlab.fluid._inside_capacity(instance, p, center)
+    value = revenue_phi(model, d_star)
+    p_lam, _ = reference_maximize(instance, lam, model.inverse(d_star))
+    gap = lagrangian_H(instance, lam, model.mean(p_lam)) - value
+    slack = instance.gamma - instance.A @ d_star
+    if abs(gap) > CERTIFICATE_TOL or abs(float(lam @ slack)) > CERTIFICATE_TOL:
+        raise FluidError("dual certificate out of tolerance")
+    return FluidSolution(
+        d_star=d_star, p_star=p_star, lambda_star=lam, value=value,
+        binding_mask=slack <= 10 * CERTIFICATE_TOL * np.maximum(instance.gamma, 1.0),
+        duality_gap=float(gap))
+
+
+def outcome(solve, instance):
+    """Each FluidSolution field's dtype and bytes, or the FluidError's type."""
+    try:
+        sol = solve(instance)
+    except FluidError:
+        return FluidError
+    return [(np.asarray(v).dtype, np.asarray(v).tobytes())
+            for v in dataclasses.astuple(sol)]
+
+
+class TestReferenceSolver:
+    def test_every_field_equals_the_reference_bit_for_bit(self, instance):
+        members = ([instance, linear_instance()] + [hard_instance(doc) for doc in HARD_INSTANCES]
+                   + random_families())
+        outcomes = [(outcome(solve_fluid, inst), outcome(reference_solve_fluid, inst))
+                    for inst in members]
+        assert sum(new == FluidError for new, _ in outcomes) >= 1
+        for new, ref in outcomes:
+            assert new == ref
+
+    def test_one_model_evaluation_per_slsqp_point(self, monkeypatch):
+        # D(p) once per point SLSQP visits, and J_D(p) at most once; the
+        # evaluation of D inside J_D's own is not counted
+        instance = example_logit_instance(T=100_000)
+        model = instance.model
+        mean, jacobian, slsqp = model.mean, model.jacobian, scipy.optimize.minimize
+        runs, active, in_jacobian = [], [], []   # active: the run SLSQP is inside
+
+        def counted_mean(p):
+            if active and not in_jacobian:
+                active[0]["mean"] += 1
+            return mean(p)
+
+        def counted_jacobian(p):
+            if active:
+                active[0]["jacobian"] += 1
+            in_jacobian.append(1)
+            try:
+                return jacobian(p)
+            finally:
+                in_jacobian.pop()
+
+        def recorded_minimize(fun, x0, jac, constraints, **kwargs):
+            run = {"mean": 0, "jacobian": 0, "points": set()}
+
+            def at_point(f):
+                def g(p):
+                    run["points"].add(p.tobytes())
+                    return f(p)
+                return g
+
+            runs.append(run)
+            active.append(run)
+            try:
+                return slsqp(at_point(fun), x0, jac=at_point(jac), constraints=[
+                    {**c, "fun": at_point(c["fun"]), "jac": at_point(c["jac"])}
+                    for c in constraints], **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(model, "mean", counted_mean)
+        monkeypatch.setattr(model, "jacobian", counted_jacobian)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
+        sol = solve_fluid(instance)
+        assert len(runs) == 2   # the capacitated solve and dual_Q's certificate
+        for run in runs:
+            assert run["mean"] == len(run["points"])
+            assert 1 <= run["jacobian"] <= len(run["points"])
+        assert len(runs[0]["points"]) >= 5
+        assert outcome(lambda _: sol, instance) == outcome(reference_solve_fluid, instance)
 
 
 class TestFluidUpperBound:

@@ -449,6 +449,22 @@ def reference_balance(D_hat, J_hat, p, lam, n, gamma, A, kappa1, kappa2, kappa3,
     return (p + x, True) if ok else (p.copy(), False)
 
 
+def linprog_feasible_point(G, h, x0, lo, hi):
+    """feasible_point's LP, for a start that fails and finite rows, solved by
+    scipy's linprog: the reference whose x and verdict milp's must equal."""
+    from scipy.optimize import linprog
+    G, h = G[h != np.inf], h[h != np.inf]
+    n = len(x0)
+    eye, t = np.eye(n), -np.ones((n, 1))
+    res = linprog(np.r_[np.zeros(n), 1.0],
+                  A_ub=np.block([[G, np.zeros((len(h), 1))], [eye, t], [-eye, t]]),
+                  b_ub=np.r_[h, x0, -x0],
+                  bounds=[*zip(np.broadcast_to(lo, n), np.broadcast_to(hi, n)), (0.0, None)],
+                  method="highs")
+    assert res.status in (0, 2)
+    return (res.x[:-1], True) if res.status == 0 else (np.minimum(np.maximum(x0, lo), hi), False)
+
+
 def balance_inputs(rng, case):
     """Seeded demand_balance arguments on the box [0.8, 5] for N in 1..4."""
     N = int(rng.integers(1, 5))
@@ -551,7 +567,7 @@ class TestDemandBalance:
     def test_non_finite_input_is_empty_without_the_lp(self, G, h, lo, hi, monkeypatch):
         import scipy.optimize
         calls = []
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: calls.append(1))
         x0 = np.array([0.5])
         x, ok = feasible_point(np.array(G), np.array(h), x0, np.array(lo), np.array(hi))
         assert not ok
@@ -560,7 +576,7 @@ class TestDemandBalance:
 
     def test_other_lp_status_raises(self, monkeypatch):
         import scipy.optimize
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: scipy.optimize.OptimizeResult(
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: scipy.optimize.OptimizeResult(
             status=4, message="numerical difficulties"))
         with pytest.raises(RuntimeError, match="HiGHS status 4"):
             feasible_point(np.array([[-1.0]]), np.array([-0.5]), np.zeros(1),
@@ -584,6 +600,27 @@ class TestDemandBalance:
         for G, h, lo, hi, x in solved:
             assert max_violation(G, h, x) <= FEASIBLE_TOL
             assert np.all((lo <= x) & (x <= hi))
+
+    @pytest.mark.parametrize("case", ["binding band", "box edge"])
+    def test_lp_equals_the_linprog_reference(self, case, monkeypatch):
+        # feasible_point's LP through milp against the same LP through linprog:
+        # the same x, bit for bit, and the same verdict
+        solved = []
+
+        def recorded(G, h, x0, lo, hi):
+            x, ok = feasible_point(G, h, x0, lo, hi)
+            solved.append((G, h, x0, lo, hi, x, ok))
+            return x, ok
+
+        monkeypatch.setattr(pdnrm, "feasible_point", recorded)
+        rng = np.random.default_rng([29, sum(case.encode())])
+        for _ in range(200):
+            demand_balance(*balance_inputs(rng, case))
+        assert sum(ok for *_, ok in solved) >= 20 and not all(ok for *_, ok in solved)
+        for G, h, x0, lo, hi, x, ok in solved:
+            ref_x, ref_ok = linprog_feasible_point(G, h, x0, lo, hi)
+            assert ok == ref_ok
+            assert x.tobytes() == ref_x.tobytes()
 
     def test_already_feasible_returns_p(self, instance, fluid_solution):
         inst = instance

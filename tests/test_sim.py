@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import time
 import dataclasses
 import numpy as np
 import pytest
@@ -453,6 +454,25 @@ def assert_same_distributions(stats_a, stats_b):
     assert min(pvalues.values()) >= GATE_P_MIN, pvalues
 
 
+@pytest.fixture(scope="module")
+def reference_stats(instance, fluid_solution):
+    """episode_stats of a policy's per-period reference episodes on the tight
+    instance over REFERENCE_SEEDS, by policy name, each sample made once."""
+    from nrmlab import build_policy
+    tight, samples = tight_instance(instance), {}
+
+    def stats(policy):
+        if policy not in samples:
+            samples[policy] = []
+            for seed in REFERENCE_SEEDS:
+                shutoff, _, demand, _ = reference_episode(
+                    tight, build_policy(policy, tight, fluid_solution), seed)
+                samples[policy].append(episode_stats(shutoff=shutoff, demand=demand))
+        return samples[policy]
+
+    return stats
+
+
 class TestReferenceSimulator:
     """The schedule kernel against the per-period reference, in distribution:
     the random streams differ, so episodes are compared as samples. Kernel
@@ -461,19 +481,15 @@ class TestReferenceSimulator:
     1,992 of 2,000 ETC episodes); the reference posts them period by period."""
 
     @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
-    def test_matches_per_period_reference(self, policy, instance, fluid_solution):
+    def test_matches_per_period_reference(self, policy, instance, fluid_solution,
+                                          reference_stats):
         from nrmlab import build_policy
         tight = tight_instance(instance)
         # the clairvoyant policy posts the loose instance's p*, which overspends
         kernel = [episode_stats(run_episode(tight, build_policy(policy, tight, fluid_solution),
                                             seed, record_periods=True)) for seed in GATE_SEEDS]
-        reference = []
-        for seed in REFERENCE_SEEDS:
-            shutoff, _, demand, _ = reference_episode(
-                tight, build_policy(policy, tight, fluid_solution), seed)
-            reference.append(episode_stats(shutoff=shutoff, demand=demand))
         assert np.mean([s[-2] <= tight.T for s in kernel]) >= 0.9
-        assert_same_distributions(kernel, reference)
+        assert_same_distributions(kernel, reference_stats(policy))
 
     def test_reference_answers_each_row_with_its_mean_demand(self, instance):
         # a loose instance keeps the market open, so the answer is read: the
@@ -490,17 +506,14 @@ class TestReferenceSimulator:
         np.testing.assert_array_equal(policy.answers[0], means)
 
     @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant"])
-    def test_gate_catches_a_biased_shutoff(self, policy, instance, fluid_solution, monkeypatch):
+    def test_gate_catches_a_biased_shutoff(self, policy, instance, fluid_solution,
+                                           reference_stats, monkeypatch):
         # A mutant kernel whose halving puts a segment's no-purchase periods
         # first: its counts stay consistent, but sales and the shutoff come
         # late. Fixed in advance: 300 seeds per side from the gate's ranges.
         from nrmlab import build_policy
         tight = tight_instance(instance)
-        reference = []
-        for seed in REFERENCE_SEEDS[:300]:
-            shutoff, _, demand, _ = reference_episode(
-                tight, build_policy(policy, tight, fluid_solution), seed)
-            reference.append(episode_stats(shutoff=shutoff, demand=demand))
+        reference = reference_stats(policy)[:300]
         split = sim._split
         monkeypatch.setattr(sim, "_split", lambda A, seg, k, remaining, rng:
                             split(A, seg, k, remaining, IdleFirst(rng)))
@@ -510,6 +523,77 @@ class TestReferenceSimulator:
             assert_same_distributions(mutant, reference)
         shutoffs = [np.array(stats)[:, -2] for stats in (mutant, reference)]
         assert homogeneity_pvalue(*shutoffs) < GATE_P_MIN
+
+
+class TestLongRows:
+    """A sampled row longer than sim._ROW_LIMIT is served as consecutive
+    sub-rows at its price, each drawn before the fit is known, so the halving
+    inside the row that runs out never splits more periods than the limit."""
+
+    def test_a_row_of_3e9_periods_sells_out_inside_it(self, instance, fluid_solution):
+        # the bundled p* overspends a 0.1% smaller capacity, so the one row,
+        # cut at the horizon, runs out near its end
+        long = dataclasses.replace(instance.with_horizon(3 * 10**9), gamma=instance.gamma * 0.999)
+        for seed in (1, 2, 3):
+            t0 = time.perf_counter()
+            trace = run_episode(long, FixedCommitPolicy(fluid_solution.p_star), seed)
+            assert time.perf_counter() - t0 < 0.5
+            assert 0.99 * long.T < trace.shutoff_period <= long.T
+            assert trace.min_inventory >= 0.0 and min(trace.final_inventory) >= 0.0
+
+    def test_a_long_row_that_fits_draws_as_without_a_limit(self, instance):
+        # the estimation oracle serves rows without an inventory limit, so a
+        # row that fits draws the same counts and leaves the same stream
+        price, k = np.array([[1.5, 1.5]]), np.array([3 * 10**9 + 7])
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        _, free, _ = sim._serve(instance.model, instance.A, price, k, None, a)
+        served, counts, after = sim._serve(instance.model, instance.A, price, k,
+                                           np.array([1e12, 1e12]), b)
+        assert served.tolist() == k.tolist() and counts.sum() == k[0]
+        np.testing.assert_array_equal(free, counts)
+        np.testing.assert_array_equal(after[-1], 1e12 - instance.A @ counts[0, :-1])
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("K", [1, 3, 9])
+    def test_sub_rows_keep_one_call_equal_to_row_by_row(self, instance, K, monkeypatch):
+        # with every row longer than 7 periods served as sub-rows, a schedule in
+        # one call is still its rows one at a time, and each row's counts, served
+        # periods and inventory after it add up
+        monkeypatch.setattr(sim, "_ROW_LIMIT", 7)
+        A = TestScheduleKernel.A
+        rng = np.random.default_rng(K)
+        prices, lengths = 0.8 + 4.2 * rng.random((K, 2)) ** 2, rng.integers(5, 60, size=K)
+        short = 0
+        for seed in range(50):
+            remaining = np.random.default_rng([seed, 9]).uniform(0.0, 0.1 * lengths.sum(), 2)
+            a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            served, counts, after = sim._serve(instance.model, A, prices, lengths,
+                                               remaining.copy(), a)
+            ref_served, ref_counts, ref_after = serve_row_by_row(
+                instance.model, A, prices, lengths, remaining.copy(), b, False)
+            assert served.tolist() == ref_served
+            np.testing.assert_array_equal(counts, ref_counts)
+            np.testing.assert_array_equal(after[-1], ref_after)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert counts.sum(axis=1).tolist() == served.tolist()
+            np.testing.assert_allclose(after, remaining - np.cumsum(counts[:, :-1] @ A.T, axis=0))
+            short += served[-1] < lengths[len(served) - 1]
+        assert short >= 25
+
+    @pytest.mark.parametrize("policy", ["clairvoyant", "pdnrm"])
+    def test_sub_rows_match_per_period_reference(self, policy, instance, fluid_solution,
+                                                 reference_stats, monkeypatch):
+        # the reference gate's rule on the law of sales, the shutoff and the
+        # gap, with every row longer than 3 periods served as sub-rows
+        from nrmlab import build_policy
+        tight = tight_instance(instance)
+        parts, real = [], sim._serve_parts
+        monkeypatch.setattr(sim, "_ROW_LIMIT", 3)
+        monkeypatch.setattr(sim, "_serve_parts", lambda *args: parts.append(1) or real(*args))
+        kernel = [episode_stats(run_episode(tight, build_policy(policy, tight, fluid_solution),
+                                            seed, record_periods=True)) for seed in GATE_SEEDS]
+        assert len(parts) >= len(GATE_SEEDS)
+        assert_same_distributions(kernel, reference_stats(policy))
 
 
 class IdleFirst:
