@@ -22,14 +22,12 @@ from .instance import Instance, instance_from_dict, load_instance, _is_integral,
 from .fluid import solve_fluid, FluidSolution
 from .sim import run_episode, percentage_loss, mix64, fold_name
 from .pdnrm import PdNrmPolicy, PdNrmConfig, config_from_dict
-from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy, _GRID_POINTS
+from .baselines import ClairvoyantPolicy, ExploreThenCommitPolicy
 
 POLICY_NAMES = ("pdnrm", "clairvoyant", "etc")
 SUMMARY_HEADER = ["policy", "T", "mean_loss", "stderr", "mean_revenue",
                   "mean_shutoff", "episodes_failed", "wall_ms"]
 EPISODES_HEADER = ["policy", "T", "replicate", "seed", "revenue", "loss", "shutoff"]
-_HINTS = {"etc_config": f"ETC has no options: its grid_points_per_axis is {_GRID_POINTS} and its "
-                        "exploration_fraction is clamp(5 T^(-1/3), 0.05, 0.5)"}
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,7 @@ def _git_hash() -> str:
 def plan_from_dict(doc: dict, base_dir: str = ".") -> BenchPlan:
     """A plan document's keys are BenchPlan's fields, `policies` defaulting to ["pdnrm"]."""
     _read("plan", doc, ("instance", "T_grid", "replications", "base_seed"),
-          [f.name for f in dataclasses.fields(BenchPlan)], _HINTS)
+          [f.name for f in dataclasses.fields(BenchPlan)])
     inst = doc["instance"]
     _require("plan", "instance", isinstance(inst, (str, dict)), "a path or an object", inst)
     instance = (load_instance(os.path.join(base_dir, inst)) if isinstance(inst, str)

@@ -210,13 +210,16 @@ def solve_fluid(instance: Instance) -> FluidSolution:
     HiGHS LP), then moved inside the capacity rows exactly. Dual: lambda* is
     SLSQP's multiplier on the capacity rows; one dual_Q(lambda*) call
     certifies it. Both SLSQP solves evaluate D once per point they visit.
-    Raises FluidError when infeasible or when the certificate fails.
+    Raises FluidError when infeasible, when the fluid value is not positive
+    (every loss divides by it) or when the certificate fails.
     """
     center = _chebyshev_center(instance)
     p, lam = _maximize(instance, np.zeros(instance.M), instance.model.inverse(center),
                        capacity=True)
     p_star, d_star = _inside_capacity(instance, p, center)
     value_star = revenue_phi(instance.model, d_star)
+    if not value_star > 0:
+        raise FluidError(f"fluid value {value_star:.3e} is not positive: no loss can divide by it")
 
     gap = dual_Q(instance, lam, start=d_star) - value_star
     slack = instance.gamma - instance.A @ d_star

@@ -122,16 +122,15 @@ def _require(doc: str, key: str, ok: bool, what: str, val) -> None:
         raise ValueError(f"{doc} key {key!r} must be {what}, not {shown!r}")
 
 
-def _read(what: str, doc, required, optional=(), hints=None) -> None:
+def _read(what: str, doc, required, optional=()) -> None:
     """The one key rule of every document: a JSON object with each required key and no
-    other key than the optional ones. A refusal names the key, and any hint given for it."""
+    other key than the optional ones. A refusal names the key."""
     if not isinstance(doc, dict):
         article = "an" if what[0] in "aeiou" else "a"
         raise ValueError(f"{article} {what} must be a JSON object, not {type(doc).__name__}")
     unknown = sorted(set(doc).difference(required, optional))
     if unknown:
-        notes = [hints[key] for key in unknown if hints and key in hints]
-        raise ValueError("; ".join([f"unknown {what} keys {unknown}", *notes]))
+        raise ValueError(f"unknown {what} keys {unknown}")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ValueError(f"{what} missing keys {missing}")

@@ -70,13 +70,6 @@ class PdNrmConfig:
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(PdNrmConfig))
-# keys a document may still name, refused with what to set instead
-_HINTS = {"kappa2": "kappa2 is sqrt(kappa5); set kappa5",
-          "mode": "a config is the tuned formulas plus field overrides; for the theory "
-                  "constants pass the output of `nrmlab constants --mode theory`",
-          "lambda_max": "the dual box is the instance's [0, price_max / gamma]",
-          "p_margin": f"the inner price box is {PdNrmConfig.p_margin:.0%} in from each edge; "
-                      "regenerate theory documents with `nrmlab constants --mode theory`"}
 
 
 _require = functools.partial(_require_document, "pdnrm config")
@@ -97,7 +90,7 @@ def _dual_box(instance: Instance) -> np.ndarray:
 def _overrides(doc: dict) -> dict:
     """A document's keys as field values: an integral n0 becomes an int; any other
     value is left for validate to reject."""
-    _read("pdnrm config", doc, (), _FIELD_NAMES, _HINTS)
+    _read("pdnrm config", doc, (), _FIELD_NAMES)
     return {**doc, "n0": int(doc["n0"])} if _is_integral(doc.get("n0")) else doc
 
 
@@ -467,10 +460,10 @@ class PdNrmPolicy(CommitPolicy):
     def __init__(self, instance: Instance, config: Optional[PdNrmConfig] = None):
         if config is None:
             config = constants_tuned(instance.N, instance.T)
-        config.validate(instance)
+        config.validate(instance)   # checks the instance's boxes too
         self.instance = instance
         self.config = config
-        self.lambda_max = _dual_box(instance)
+        self.lambda_max = default_dual_set(instance)
         self.events: list = []
         super().__init__()
 

@@ -76,12 +76,15 @@ def rng():
 
 
 class OutOfBoxPolicy(Policy):
-    """Posts a price outside every price box, so its episode fails."""
+    """Posts one price in every period; a price outside the price box fails its episode."""
 
     name = "broken"
 
+    def __init__(self, price):
+        self.price = np.asarray(price, float)
+
     def next_price(self, period):
-        return np.full(2, 1e6)
+        return self.price
 
     def observe(self, period, y):
         pass
@@ -93,6 +96,6 @@ def fail_pdnrm_episodes(monkeypatch):
     real = nrmlab.bench.build_policy
 
     def build(name, *args, **kwargs):
-        return OutOfBoxPolicy() if name == "pdnrm" else real(name, *args, **kwargs)
+        return OutOfBoxPolicy([1e6, 1e6]) if name == "pdnrm" else real(name, *args, **kwargs)
 
     monkeypatch.setattr(nrmlab.bench, "build_policy", build)

@@ -169,16 +169,13 @@ class TestBenchPlan:
         ([], "etc_config"),
     ])
     def test_malformed_etc_config_rejected(self, instance, etc, key):
-        # ETC has no options: any etc_config is an unknown key, whose hint names the
-        # removed fields
+        # ETC has no options: whatever it holds, etc_config is one unknown key, and the
+        # refusal names it alone, not the removed option (key) that the value set
         doc = {"instance": instance.to_dict(), "policies": ["etc"], "T_grid": [1000],
                "replications": 1, "base_seed": 5, "etc_config": etc}
-        with pytest.raises(ValueError, match=r"unknown plan keys \['etc_config'\]; ETC has no"
-                                             r" options: its grid_points_per_axis is 8 and its "
-                                             r"exploration_fraction is clamp\(5 T\^\(-1/3\), "
-                                             r"0\.05, 0\.5\)$") as err:
+        with pytest.raises(ValueError) as err:
             plan_from_dict(doc)
-        assert key in str(err.value)
+        assert str(err.value) == "unknown plan keys ['etc_config']"
 
     def test_etc_config_left_only_as_a_shim(self, instance):
         # perfbench reads plan.etc_config and passes it to build_policy (ROADMAP 1a)

@@ -86,7 +86,7 @@ class TestRunCommand:
     def test_theory_document_stores_no_default_box(self, capsys, instance_file, tmp_path):
         # the dual box and the inner price box come from the instance, so a theory
         # document stores neither; one from an earlier tree, which stored p_margin,
-        # is refused with what to do
+        # is refused by the key rule
         code, out, _ = run_cli(capsys, "constants", instance_file, "--mode", "theory")
         doc = json.loads(out)
         assert code == 0 and not {"lambda_max", "p_margin"} & doc.keys()
@@ -98,14 +98,13 @@ class TestRunCommand:
         code, run, err = run_cli(capsys, "run", instance_file, "pdnrm", "--seed", "1",
                                  "--config", str(config))
         assert code == 2 and run == ""
-        assert ("unknown pdnrm config keys ['p_margin']; the inner price box is 5% in from "
-                "each edge; regenerate theory documents with `nrmlab constants --mode theory`"
-                in err)
+        assert err.endswith("error: unknown pdnrm config keys ['p_margin']\n")
 
     @pytest.mark.parametrize("config", [False, True], ids=["no-config", "config"])
     def test_pdnrm_refuses_an_instance_without_its_boxes(self, capsys, boxless_files,
                                                          tmp_path, config):
-        # price_max = 0 leaves pdnrm no dual box, and no other policy needs one
+        # price_max = 0 leaves pdnrm no dual box; the other policies need none, but the
+        # fluid value on that box is not positive, so no loss can be reported
         path = boxless_files["zero-box"]
         doc = tmp_path / "config.json"
         doc.write_text("{}")
@@ -114,8 +113,8 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert "error: instance key 'price_max' must be positive" in err
         code, out, err = run_cli(capsys, "run", path, "clairvoyant", "--seed", "1")
-        assert code == 0, err
-        assert json.loads(out)["T"] == 5000
+        assert code == 1 and out == ""
+        assert "error: fluid value" in err and "is not positive" in err
 
     @pytest.mark.parametrize("name", ["zero-box", "narrow-box"])
     def test_pdnrm_refuses_an_instance_without_its_boxes_before_the_solve(
@@ -246,8 +245,9 @@ class TestBenchCommand:
         ({"pdnrm_config": {"eta_2": 5.0}}, "eta_2"),
         ({"pdnrm_config": {"eta2": "5"}}, "eta2"),
         ({"pdnrm_config": {"warm_start": "false"}}, "warm_start"),
-        ({"etc_config": {"grid": 4}}, "grid"),
-        ({"etc_config": {"grid_points_per_axis": "8"}}, "grid_points_per_axis"),
+        # ETC's removed options, set on pdnrm
+        ({"pdnrm_config": {"grid": 4}}, "grid"),
+        ({"pdnrm_config": {"grid_points_per_axis": "8"}}, "grid_points_per_axis"),
         ({"pdnrm_config": {"lambda_max": [4, 4, 4]}}, "'lambda_max'"),
         ({"pdnrm_config": {"lambda0": [0.1]}}, "'lambda0'"),
         ({"replications": [1]}, "'replications'"),
@@ -261,10 +261,8 @@ class TestBenchCommand:
         ({"policies": ["pdnrm", "etc", "pdnrm"]}, "'policies'"),
         ({"pdnrm_cofig": {"mu": 0.05}}, "unknown plan keys ['pdnrm_cofig']"),
         ({"workerz": 2}, "unknown plan keys ['workerz']"),
-        ({"pdnrm_config": {"mode": "tuned"}}, "['mode']; a config is the tuned formulas"),
-        ({"etc_config": {"grid_points_per_axis": 8}},
-         "unknown plan keys ['etc_config']; ETC has no options: its grid_points_per_axis is 8 "
-         "and its exploration_fraction is clamp(5 T^(-1/3), 0.05, 0.5)"),
+        ({"pdnrm_config": {"mode": "tuned"}}, "unknown pdnrm config keys ['mode']"),
+        ({"etc_config": {"grid_points_per_axis": 8}}, "unknown plan keys ['etc_config']"),
         # a plan that runs pdnrm is refused on an instance without its boxes, whether
         # or not it names a pdnrm_config
         *[({"instance": boxless_instances(T=5000)["zero-box"].to_dict(),

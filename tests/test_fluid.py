@@ -231,6 +231,14 @@ class TestSolveFluid:
         with pytest.raises(FluidError):
             solve_fluid(bad)
 
+    @pytest.mark.parametrize("box", [(-0.5, 0.0), (-5.0, -1.0)], ids=["zero-box", "negative-box"])
+    def test_a_value_that_is_not_positive_raises(self, instance, box):
+        # every loss divides by the fluid value; on these boxes the program
+        # certifies, at -2.6e-17 and -0.96, so only the sign refuses them
+        bad = dataclasses.replace(instance, price_min=box[0], price_max=box[1], gamma=[5.0, 5.0])
+        with pytest.raises(FluidError, match=r"^fluid value -\S+ is not positive"):
+            solve_fluid(bad)
+
 
 def random_logit_family(seed, sizes):
     """Logit instances with one resource whose capacity is 1-2x its

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nrmlab import Instance, LogitDemand, LinearDemand, example_logit_instance
+from nrmlab import (Instance, LogitDemand, LinearDemand, config_from_dict, constants_tuned,
+                    example_logit_instance, plan_from_dict)
 from nrmlab.instance import instance_from_dict, load_instance
 from conftest import save_instance
 
@@ -164,3 +165,35 @@ class TestSerialization:
                             "demand", "noise"}
         assert doc["demand"]["type"] == "logit"
         assert len(doc["A"]) == 4  # row-major flattening
+
+
+# Every key a document once held and holds no longer, with a value it took. The key rule
+# refuses each as it refuses a typo, so retiring one more key only adds a row here.
+RETIRED_KEYS = [("pdnrm config", "kappa2", 1.0),
+                ("pdnrm config", "mode", "tuned"),
+                ("pdnrm config", "warm_start", True),
+                ("pdnrm config", "lambda0", [0.0, 0.0]),
+                ("pdnrm config", "lambda_max", [4.0, 4.0]),
+                ("pdnrm config", "p_margin", 0.05),
+                ("plan", "etc_config", {"grid_points_per_axis": 8})]
+
+
+@pytest.mark.parametrize("what, key, value", RETIRED_KEYS, ids=[k for _, k, _ in RETIRED_KEYS])
+def test_a_retired_key_is_refused_as_any_unknown_key(instance, what, key, value):
+    # one line that names the key, with nothing after it, from every reader of the
+    # document; the config dataclass has no such field either
+    if what == "plan":
+        doc = {"instance": instance.to_dict(), "T_grid": [1000], "replications": 1,
+               "base_seed": 1}
+        reads = [lambda: plan_from_dict({**doc, key: value})]
+        built = plan_from_dict(doc)
+    else:
+        reads = [lambda: config_from_dict({key: value}, instance),
+                 lambda: constants_tuned(instance.N, instance.T, **{key: value})]
+        built = constants_tuned(instance.N, instance.T)
+    for read in reads:
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == f"unknown {what} keys {[key]}"
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+        dataclasses.replace(built, **{key: value})

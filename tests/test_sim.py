@@ -23,7 +23,7 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
-from conftest import boxless_instances, estimation_ends, serve_one
+from conftest import OutOfBoxPolicy, boxless_instances, estimation_ends, serve_one
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,10 +70,6 @@ class RecordingPolicy(Policy):
 
     def observe(self, period, y):
         self.calls.append(("obs", period, y.copy()))
-
-
-class OutOfBoxPolicy(FixedPricePolicy):
-    pass
 
 
 def plain_calls(T, shutoff):
