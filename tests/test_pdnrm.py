@@ -156,6 +156,13 @@ class TestConfigValidation:
         assert cfg.kappa5 == 100.0
         assert cfg.kappa2 == 10.0
 
+    @pytest.mark.parametrize("mode", ["tuned", "theory", "explicit"])
+    def test_mode_key_refused_with_its_hint(self, mode):
+        # a config is the tuned formulas plus overrides, so no document names a mode; the
+        # key gets the plain refusal, whose hint is the key's name and nothing after it
+        with pytest.raises(ValueError, match=r"^unknown pdnrm config keys \['mode'\]$"):
+            config_from_dict({"mode": mode}, synthetic_instance(2))
+
     def test_theory_document_resolves_to_theory_config(self, instance, regularity):
         cfg = constants_theory(instance, regularity, instance.T)
         back = config_from_dict(json.loads(json.dumps(cfg.to_dict())), instance)
