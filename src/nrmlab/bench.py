@@ -216,15 +216,9 @@ def run_bench(plan: BenchPlan) -> BenchSummary:
             "wall_seconds": time.perf_counter() - wall_start,
             "episode_errors": errors,
             "fluid": fluid.to_dict(),
-            "plan": {
-                "instance": plan.instance.to_dict(),
-                "policies": list(plan.policies),
-                "T_grid": list(plan.T_grid),
-                "replications": plan.replications,
-                "base_seed": plan.base_seed,
-                "pdnrm_config": plan.pdnrm_config,
-                "workers": plan.workers,
-            },
+            "plan": {**{f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)},
+                     "instance": plan.instance.to_dict(),
+                     "output_dir": os.fspath(plan.output_dir)},
             "loss_denominator": "fluid upper bound T * phi(d*)",
         }
         with open(os.path.join(plan.output_dir, "run-metadata.json"), "w") as fh:

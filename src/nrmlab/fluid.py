@@ -13,7 +13,7 @@ learning policy's data path.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .demand import (
     revenue_phi,
@@ -38,14 +38,8 @@ class FluidSolution:
     duality_gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "d_star": self.d_star.tolist(),
-            "p_star": self.p_star.tolist(),
-            "lambda_star": self.lambda_star.tolist(),
-            "value": self.value,
-            "binding_mask": self.binding_mask.tolist(),
-            "duality_gap": self.duality_gap,
-        }
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values}
 
 
 def lagrangian_L(instance: Instance, lam, p) -> float:

@@ -322,9 +322,9 @@ class DemandOracle:
     """Environment handle: the instance's own market without inventory, in its
     noise mode. One call of the market kernel serves a schedule's rows, and
     each row gets the answer run_episode gives it, bit for bit: its exact mean
-    demand (noise "none") or its count draw over its length (noise
-    "multinomial", which needs rng). So a grad_est call costs two model
-    evaluations or draws, not n periods."""
+    demand, below zero counting as none (noise "none"), or its count draw over
+    its length (noise "multinomial", which needs rng). So a grad_est call
+    costs two model evaluations or draws, not n periods."""
 
     def __init__(self, instance: Instance, rng: Optional[np.random.Generator] = None):
         if instance.noise != "none" and rng is None:

@@ -4,18 +4,17 @@ One episode is strictly sequential; distinct episodes may run concurrently,
 each owning its RNG. Every request is a schedule: rows of (price, periods)
 posted in order with no feedback read in between, a price held for k periods
 being the one-row schedule and a plain policy's price the one-period one.
-One kernel (`_serve`) serves a whole schedule with stacked numpy calls: in a
-sampled market one draw gives every row's outcome counts, and only the row in
-which inventory runs out costs O(log k) more draws. Every step is exact in
+One kernel (`_serve`) serves a whole schedule with stacked numpy calls: one
+draw gives every row's outcome counts in a sampled market, and a noiseless
+market sells each row's mean demand every period, a mean below zero selling
+nothing. One scan finds the row in which inventory runs out, and only that
+row is cut: a sampled one by halving, in O(log k) more draws, and a
+noiseless one by the exact rule `_noiseless_served`. Every step is exact in
 distribution, and a schedule is the same episode, bit for bit, as its rows
-served one at a time. A noiseless market sells each row's mean demand every
-period, and one rule (`_noiseless_served`) gives the periods every row can
-serve; a schedule that leaves each row at least two periods' consumption
-(`_fits`) provably serves whole, and skips the rule. A served row is
-answered with its average demand per period (`_averages`), in the
-simulator as in the estimation oracle. Per-period rows
-are made only when recording; the per-period semantics are unchanged. The
-first purchase that inventory cannot serve shuts the market for good and
+served one at a time. A served row is answered with its average demand per
+period (`_averages`), in the simulator as in the estimation oracle. Per-period
+rows are made only when recording; the per-period semantics are unchanged.
+The first purchase that inventory cannot serve shuts the market for good and
 ends the episode.
 """
 
@@ -38,7 +37,6 @@ _LEDGER_ROWS = 4096  # served requests buffered, and served rows tallied and has
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _FEW = 32  # up to this many values are checked in Python, and tallied without merging
 _FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
-_EXACT_K = 1 << 51  # rows shorter than this keep _fits' rounding argument
 _ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
 _ROW_LIMIT = 1 << 29  # longer sampled rows are served as sub-rows; _split's draw needs totals < 1e9
 
@@ -229,64 +227,59 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     rest go unserved): the periods each served, its outcome counts (N products,
     then no purchase) or, noiseless, its mean demand per period, and the
     inventory after it (None without a limit). `_averages` turns either
-    into the rows' answer.
+    into the rows' answer. A mean below zero (a linear D can be -1e-17 at a
+    box corner) sells nothing in either mode, so inventory only falls.
 
-    Sampled: one stacked model.mean and one row-wise count draw, then one
-    scan of cumulative consumption (np.subtract.accumulate rounds as row-by-row
-    subtraction does) finds the first row that does not fit. Only then are
-    the draws after it taken back: the generator state saved before the draw
-    is restored and the rows up to it drawn again, which consumes the stream
-    as one draw per row does. Inside that row, halving finds the first
-    unservable period: given a segment's counts, the counts of its first h
-    periods are multivariate hypergeometric, so each split is exact in
-    distribution. A one-row schedule never touches the bit generator. A
-    schedule with a row longer than _ROW_LIMIT is served by `_serve_parts`.
-    Noiseless: the same scan; a schedule that `_fits` serves every row whole,
-    and any other takes one `_noiseless_served` call, which gives every
-    row's periods from the inventory before it; the first row that serves
-    fewer than its length is the one cut short."""
+    One stacked model.mean, then each row's demand: a row-wise count draw, or
+    the mean itself if noiseless. One scan of cumulative consumption
+    (np.subtract.accumulate rounds as row-by-row subtraction does) finds the
+    first row that does not fit, and only that row is cut, by
+    `_noiseless_served` if noiseless. Sampled, the draws after it are then
+    taken back: the generator state saved before the draw is restored and the
+    rows up to it drawn again, which consumes the stream as one draw per row
+    does. Inside that row, halving finds the first unservable period: given a
+    segment's counts, the counts of its first h periods are multivariate
+    hypergeometric, so each split is exact in distribution. A one-row schedule
+    never touches the bit generator. A sampled schedule with a row longer than
+    _ROW_LIMIT is served by `_serve_parts`."""
     K = len(lengths)
+    if not noiseless and max(lengths.tolist()) > _ROW_LIMIT:
+        return _serve_parts(model, A, prices, lengths, remaining, rng)
     # a single row takes the vector call, which costs less than a one-row stack
     means = model.mean(prices[0])[None] if K == 1 else model.mean(prices)
     if noiseless:
-        if remaining is None:
-            return lengths, means, None
-        cons = _on_vectors(np.matmul, A, means)
-        after = _scan(remaining, lengths[:, None] * cons)
-        if _fits(after, cons, lengths):
-            return lengths, means, after
-        served = _noiseless_served(np.concatenate((remaining[None], after[:-1])), cons, lengths)
-        short = np.flatnonzero(served < lengths)
-        if not len(short):
-            return lengths, means, after
-        r = int(short[0])
-        after = after[:r + 1]
-        after[r] = (after[r - 1] if r else remaining) - served[r] * cons[r]
-        return served[:r + 1], means[:r + 1], after
-
-    if max(lengths.tolist()) > _ROW_LIMIT:
-        return _serve_parts(model, A, prices, lengths, remaining, rng)
-    # no purchase takes 1 - sum D(p); a linear D can be -1e-17 at a box corner
-    pvals = np.zeros((K, means.shape[1] + 1))
-    np.maximum(means, 0.0, out=pvals[:, :-1])
-    state = rng.bit_generator.state if K > 1 and remaining is not None else None
-    counts = _draw(rng, lengths, pvals)
+        demand = np.maximum(means, 0.0)
+    else:
+        # no purchase takes 1 - sum D(p)
+        pvals = np.zeros((K, means.shape[1] + 1))
+        np.maximum(means, 0.0, out=pvals[:, :-1])
+        state = rng.bit_generator.state if K > 1 and remaining is not None else None
+        demand = _draw(rng, lengths, pvals)
     if remaining is None:
-        return lengths, counts, None
-    after = _scan(remaining, _on_vectors(np.matmul, A, counts[:, :-1]))
-    # sampled inventory only falls, so the last row fits if every row does
+        return lengths, demand, None
+    if noiseless:
+        cons = _on_vectors(np.matmul, A, demand)
+        used = lengths[:, None] * cons
+    else:
+        used = _on_vectors(np.matmul, A, demand[:, :-1])
+    after = _scan(remaining, used)
+    # inventory only falls, so the last row fits if every row does
     if min(after[-1].tolist()) >= 0.0:
-        return lengths, counts, after
+        return lengths, demand, after
     r = int(np.flatnonzero((after < 0.0).any(axis=1))[0])
-    if K > 1:
-        rng.bit_generator.state = state
-        counts = _draw(rng, lengths[:r + 1], pvals[:r + 1])
     before = after[r - 1] if r else remaining
     served = lengths[:r + 1].copy()
-    served[r], counts[r] = _split(A, counts[r], int(lengths[r]), before, rng)
-    after = after[:r + 1]
-    after[r] = before - A.dot(counts[r, :-1])
-    return served, counts, after
+    if noiseless:
+        served[r] = _noiseless_served(before, cons[r], int(lengths[r]))
+        used = served[r] * cons[r]
+    else:
+        if K > 1:
+            rng.bit_generator.state = state
+            demand = _draw(rng, lengths[:r + 1], pvals[:r + 1])
+        served[r], demand[r] = _split(A, demand[r], int(lengths[r]), before, rng)
+        used = A.dot(demand[r, :-1])
+    after[r] = before - used
+    return served, demand[:r + 1], after[:r + 1]
 
 
 def _serve_parts(model, A, prices, lengths, remaining, rng):
@@ -345,43 +338,25 @@ def _split(A, seg, k, remaining, rng):
     return served, kept
 
 
-def _fits(after, cons, lengths) -> bool:
-    """Whether `_noiseless_served` would give every row of a noiseless
-    schedule its whole length k, shown without running it: every k is below
-    2**51 and every (row, resource) pair has cons <= 0, which never limits
-    the row, or after >= 2 cons, where after = fl(before - fl(k cons)) is the
-    scan's inventory after the row. Then, with u = 2**-53:
-    - after > 0, so fl(k cons) < before and the rule lowers nothing;
-    - before >= (k + 2) cons (1 - 2u) up to rounding, so fl(before / cons)
-      >= k + 1 for k < 2**51, and the rule's floor, bounded by k, is k.
-    A NaN fails the check, so such a schedule takes the rule, as does any row
-    that may run short. Up to _FEW values it is checked in Python."""
-    if after.size > _FEW:
-        return bool(lengths.max() < _EXACT_K and ((cons <= 0.0) | (after >= 2.0 * cons)).all())
-    return (max(lengths.tolist()) < _EXACT_K
-            and all(c <= 0.0 or a >= 2.0 * c
-                    for a, c in zip(after.ravel().tolist(), cons.ravel().tolist())))
-
-
-def _noiseless_served(before, cons, lengths) -> np.ndarray:
-    """The periods, at most its length k, that each row of a noiseless
-    schedule can serve from the inventory `before` it (below zero counting
-    as none): for each resource the row uses (cons > 0), s = min(k,
-    floor(before / cons + 1e-12)), lowered while s * cons > before; a
-    resource with cons <= 0 never limits the row. Bounded by k first, s is
-    lowered a step or two at most, whatever before / cons is. The floor can
-    serve one period less than a row whose k periods the inventory covers
-    exactly (fl(k cons) == before) when before / cons rounds below k: with
-    cons uniform on [0, 1) and k on 1..1e7, 9,658 of 200,000 such rows serve
-    k - 1 (tests/test_sim.py pins one, the `floor` case)."""
-    before = np.maximum(before, 0.0)
-    s = np.divide(before, cons, out=np.full(cons.shape, np.inf), where=cons > 0)
-    s += 1e-12
-    np.floor(s, out=s)
-    np.minimum(s, lengths[:, None], out=s)
-    while (s * cons > before).any():
-        s -= s * cons > before
-    return s.min(axis=1).astype(np.int64)
+def _noiseless_served(before, cons, k: int) -> int:
+    """The periods a noiseless row of length k serves from the inventory
+    `before` it, consuming cons a period: the largest s <= k with
+    fl(s cons_j) <= before_j for every resource, or 0 if none. A resource
+    with cons_j <= 0 never limits the row. For each resource that does, s
+    starts from fl(before_j / cons_j), which is within a step or two of the
+    answer below 2**52, and steps down, then up, to it."""
+    s = k
+    for b, c in zip(before.tolist(), cons.tolist()):
+        if c <= 0.0 or s * c <= b:
+            continue
+        q = b / c
+        t = int(q) if 0.0 <= q < s else (s - 1 if q >= s else 0)   # a NaN takes 0
+        while t > 0 and t * c > b:
+            t -= 1
+        while t + 1 < s and (t + 1) * c <= b:
+            t += 1
+        s = t
+    return s
 
 
 def _cut(prices, lengths, left: int) -> tuple:
@@ -460,7 +435,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     hasher = hashlib.blake2b(digest_size=16)
     sold: list = []   # tallies of units by price; noiseless: of periods by revenue per period
     ledger = []   # served requests not yet tallied and hashed
-    min_inventory = float(remaining.min())
     shutoff_period: Optional[int] = None
     periods = None
     if record_periods:
@@ -489,9 +463,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         ledger.append((prices[:len(served)].copy(), demand, served.copy()))
         if len(ledger) >= _LEDGER_ROWS:
             _fold(ledger, sold, hasher, noiseless)
-        if noiseless:
-            # a negative mean demand restocks, so any row may hold the minimum
-            min_inventory = min(min_inventory, min(after.ravel().tolist()))
 
         if record_periods:
             start = t
@@ -524,8 +495,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     _fold(ledger, sold, hasher, noiseless)
     if periods is not None:   # the periods after the episode ended
         periods["inventory"][t:] = remaining
-    if not noiseless:   # sampled inventory only falls
-        min_inventory = min(min_inventory, min(remaining.tolist()))
 
     return EpisodeTrace(
         T=T,
@@ -535,7 +504,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         shutoff_period=shutoff_period,
         final_inventory=remaining,
         fingerprint=hasher.hexdigest(),
-        min_inventory=min_inventory,
+        min_inventory=min(remaining.tolist()),   # inventory only falls
         periods=periods,
         events=list(getattr(policy, "events", [])),
     )

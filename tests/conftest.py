@@ -75,10 +75,11 @@ def rng():
     return np.random.default_rng(20240715)
 
 
-class OutOfBoxPolicy(Policy):
-    """Posts one price in every period; a price outside the price box fails its episode."""
+class FixedPricePolicy(Policy):
+    """The plain policy that posts one price in every period; a price outside
+    the price box fails its episode."""
 
-    name = "broken"
+    name = "fixed"
 
     def __init__(self, price):
         self.price = np.asarray(price, float)
@@ -96,6 +97,6 @@ def fail_pdnrm_episodes(monkeypatch):
     real = nrmlab.bench.build_policy
 
     def build(name, *args, **kwargs):
-        return OutOfBoxPolicy([1e6, 1e6]) if name == "pdnrm" else real(name, *args, **kwargs)
+        return FixedPricePolicy([1e6, 1e6]) if name == "pdnrm" else real(name, *args, **kwargs)
 
     monkeypatch.setattr(nrmlab.bench, "build_policy", build)

@@ -266,8 +266,7 @@ class TestRunBench:
         assert "etc_config" not in doc
         back = plan_from_dict(doc)
         assert back.instance.to_dict() == plan.instance.to_dict()
-        assert dataclasses.replace(back, instance=plan.instance,
-                                   output_dir=plan.output_dir) == plan
+        assert dataclasses.replace(back, instance=plan.instance) == plan
 
     @pytest.fixture
     def git_hash(self):

@@ -23,22 +23,9 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
-from conftest import OutOfBoxPolicy, boxless_instances, estimation_ends, serve_one
+from conftest import FixedPricePolicy, boxless_instances, estimation_ends, serve_one
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-class FixedPricePolicy(Policy):
-    name = "fixed"
-
-    def __init__(self, price):
-        self.price = np.asarray(price, float)
-
-    def next_price(self, period):
-        return self.price
-
-    def observe(self, period, y):
-        pass
 
 
 class FixedCommitPolicy(CommitPolicy):
@@ -118,7 +105,7 @@ class TestRunEpisode:
 
     def test_out_of_box_price_rejected(self, instance):
         with pytest.raises(PolicyError):
-            run_episode(instance.with_horizon(10), OutOfBoxPolicy(np.array([0.1, 1.0])),
+            run_episode(instance.with_horizon(10), FixedPricePolicy(np.array([0.1, 1.0])),
                         seed=3)
 
     def test_a_none_price_is_refused(self, instance):
@@ -623,6 +610,16 @@ class FixedCounts:
         return self.rng.multivariate_hypergeometric(colors, n)
 
 
+class FixedMean:
+    """Demand model stand-in with one mean demand at every price."""
+
+    def __init__(self, d):
+        self.d = np.asarray(d, float)
+
+    def mean(self, p):
+        return np.broadcast_to(self.d, np.shape(p)).copy()
+
+
 def split_schedules(policy_class):
     """policy_class with every schedule its driver yields posted as single
     commitments, one row after another: the simulator serves each as a
@@ -730,14 +727,14 @@ class TestScheduleKernel:
             model, A, prices = AlwaysBuys(), np.array([[0.1]]), np.ones((2, 1))
             lengths, remaining = np.array([3, 7]), np.array([1.0])
         elif case == "floor":
-            # noiseless: row 2 would leave 2048.1 - 20481 * 0.1 == 0, but
-            # 2048.1 / 0.1 is 20480.999999999996, so it serves 20,480 periods
+            # noiseless: row 2 leaves 2048.1 - 20481 * 0.1 == 0, so it serves
+            # whole, though 2048.1 / 0.1 is 20480.999999999996; row 3 serves none
             model, A, prices = AlwaysBuys(), np.array([[0.1]]), np.ones((3, 1))
             lengths, remaining = np.array([5, 20481, 7]), np.array([2048.6])
         elif case == "restock":
             # noiseless: D_1 is 0 at the corner (5, 0.8) but evaluates to
-            # -5.6e-17, so resource 1 is restocked; resource 2 runs out in row 2,
-            # and row 3, which D_2 = 0 leaves unlimited, starts below zero
+            # -5.6e-17, which sells nothing, so resource 1 stays at 0;
+            # resource 2 runs out in row 2
             B = np.array([[0.1, -0.01], [-0.01, 0.1]])
             model = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
             A, prices = np.eye(2), np.array([[5.0, 0.8], [5.0, 0.8], [0.8, 5.0]])
@@ -750,7 +747,7 @@ class TestScheduleKernel:
         ref_served, ref_demand, ref_after = serve_row_by_row(model, A, prices, lengths,
                                                              remaining.copy(), b, noiseless)
         if noiseless:
-            assert served.tolist() == {"floor": [5, 20480], "restock": [3, 3]}[case]
+            assert served.tolist() == {"floor": [5, 20481, 0], "restock": [3, 3]}[case]
         assert served.tolist() == ref_served
         np.testing.assert_array_equal(demand, ref_demand)
         np.testing.assert_array_equal(after[-1], ref_after)
@@ -765,53 +762,53 @@ class TestScheduleKernel:
         allows and leaves remaining - served * consumption."""
         from nrmlab import LinearDemand
 
-        class Fixed:
-            def __init__(self, d):
-                self.d = np.asarray(d, float)
-
-            def mean(self, p):
-                return np.broadcast_to(self.d, np.shape(p)).copy()
-
         # B's demand at the corner (5, 0.8) is 0 for product 1 but rounds to -5.6e-17
         B = np.array([[0.1, -0.01], [-0.01, 0.1]])
         corner = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
         model, A, remaining = {
-            "exact": (Fixed([0.25, 0.25]), self.A, [4.0, 4.0]),       # uses (0.5, 0.5)
-            "one_short": (Fixed([0.25, 0.25]), self.A, [3.75, 4.0]),  # 7.5 periods fit
-            "unused": (Fixed([0.25, 0.0]), self.A, [2.0, 0.0]),       # resource 2 is empty
-            "below_zero": (corner, np.eye(2), [0.0, 3.0]),            # 0.462 per period
+            "exact": (FixedMean([0.25, 0.25]), self.A, [4.0, 4.0]),       # uses (0.5, 0.5)
+            "one_short": (FixedMean([0.25, 0.25]), self.A, [3.75, 4.0]),  # 7.5 periods fit
+            "unused": (FixedMean([0.25, 0.0]), self.A, [2.0, 0.0]),       # resource 2 is empty
+            "below_zero": (corner, np.eye(2), [0.0, 3.0]),                # 0.462 per period
             # resource 2 would cover about 1e25 periods, resource 1 covers 6.7
-            "barely_used": (Fixed([0.3, 1.3307881755738656e-22]), np.eye(2),
+            "barely_used": (FixedMean([0.3, 1.3307881755738656e-22]), np.eye(2),
                             [2.0, 1428.5714285714287]),
             # 4.55 / 0.65 rounds to 6.999999999999999, but 7 * 0.65 == 4.55
-            "quotient_rounds_down": (Fixed([0.65, 0.0]), self.A, [4.55, 1.0]),
-            # 0.3 / 0.1 + 1e-12 floors to 3, but 3 * 0.1 rounds above 0.3
-            "product_rounds_up": (Fixed([0.1, 0.0]), self.A, [0.3, 1.0]),
+            "quotient_rounds_down": (FixedMean([0.65, 0.0]), self.A, [4.55, 1.0]),
+            # 0.3 / 0.1 rounds to 2.9999999999999996, and 3 * 0.1 rounds above 0.3
+            "product_rounds_up": (FixedMean([0.1, 0.0]), self.A, [0.3, 1.0]),
         }[case]
         price, remaining = np.array([5.0, 0.8]), np.array(remaining)
-        cons = A.dot(model.mean(price))
-        assert (cons[0] < 0) == (case == "below_zero")
+        mean = model.mean(price)
+        assert (mean[0] < 0) == (case == "below_zero")
+        sold = np.maximum(mean, 0.0)   # a mean below zero sells nothing
+        cons = A.dot(sold)
         served, demand, after = sim._serve(model, A, price[None], np.array([8]),
                                            remaining.copy(), None, noiseless=True)
-        rule = sim._noiseless_served(remaining[None], cons[None], np.array([8]))
-        assert served.tolist() == [expected] == rule.tolist()
-        np.testing.assert_array_equal(demand, model.mean(price)[None])
+        assert served.tolist() == [expected] == [sim._noiseless_served(remaining, cons, 8)]
+        np.testing.assert_array_equal(demand, sold[None])
         np.testing.assert_array_equal(after, [remaining - expected * cons])
+        if case == "below_zero":
+            assert after[0, 0] == 0.0
+
+    @staticmethod
+    def largest_fit(before, c, k):
+        """The largest s in 0..k with fl(s c) <= before, 0 if none, by
+        bisection; c <= 0 never limits."""
+        if c <= 0:
+            return k
+        lo, hi = -1, k   # fl(lo c) <= before or lo == -1; the answer is at most hi
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid * c <= before else (lo, mid - 1)
+        return max(lo, 0)
 
     def test_noiseless_rule_equals_a_loop_over_resources(self):
-        """_noiseless_served against its rule written one resource at a time,
-        on inventories of a whole number of periods' consumption, some one ulp
-        less, and on resources used barely, not at all or restocked."""
-        def served_by_loop(before, cons, k):
-            served = k
-            for c, left in zip(cons.tolist(), before.tolist()):
-                if c > 0:
-                    s = min(k, math.floor(left / c + 1e-12))
-                    while s > 0 and s * c > left:
-                        s -= 1
-                    served = min(served, s)
-            return served
-
+        """_noiseless_served against the largest fit of each resource found
+        by bisection, on inventories of a whole number of periods'
+        consumption, some one ulp less, and on resources used barely or not
+        at all. Its start, the floor of the quotient, lies below the answer on
+        exact fits and above it where the product rounds up."""
         rng = np.random.default_rng(27)
         K, M = 2_000, 3
         cons = rng.random((K, M)) * rng.choice([1.0, 1e-22, 0.0, -1e-17], size=(K, M),
@@ -820,31 +817,30 @@ class TestScheduleKernel:
         before = rng.integers(0, 6_000, size=(K, M)) * cons
         before = np.where(rng.random((K, M)) < 0.5, np.nextafter(before, 0.0), before)
         before[cons <= 0] = rng.random(np.count_nonzero(cons <= 0))
-        served = sim._noiseless_served(before, cons, lengths)
-        assert served.dtype == np.int64
-        assert served.tolist() == [served_by_loop(b, c, k) for b, c, k
-                                   in zip(before, cons, lengths.tolist())]
-        # the 1e-12 lifts some floors, and the lifted floor's product exceeds
-        # the inventory on some of them and not on others
-        q = before / np.where(cons > 0, cons, 1.0)
-        lifted = (cons > 0) & (np.floor(q + 1e-12) > np.floor(q))
-        over = np.floor(q + 1e-12) * cons > before
-        assert (lifted & over).any() and (lifted & ~over).any()
+        below = above = 0
+        for b, c, k in zip(before, cons, lengths.tolist()):
+            each = [self.largest_fit(x, y, k) for x, y in zip(b.tolist(), c.tolist())]
+            served = sim._noiseless_served(b, c, k)
+            assert type(served) is int and served == min(each)
+            for x, y, s in zip(b.tolist(), c.tolist(), each):
+                if y > 0 and s < k:
+                    below += math.floor(x / y) < s
+                    above += math.floor(x / y) > s
+        assert below >= 10 and above >= 10
 
     @staticmethod
     def fits_by_condition(before, cons, lengths):
-        """Per row, the shortcut's condition written out: k < 2**51 and each
-        resource has cons <= 0 or after >= 2 cons, after being the scan's
-        inventory after the row."""
+        """Per row, the scan's inventory after it and whether it leaves two
+        periods' margin: k < 2**51 and each resource has cons <= 0 or
+        after >= 2 cons."""
         after = before - lengths[:, None] * cons
         with np.errstate(invalid="ignore"):
             pairs = (cons <= 0.0) | (after >= 2.0 * cons)
         return after, (lengths < 2**51) & pairs.all(axis=1)
 
     def test_rows_that_fit_serve_their_whole_length(self):
-        """Wherever the shortcut's condition holds, _noiseless_served serves
-        the row whole, so skipping it changes nothing; and _fits is the
-        condition over every row, on both its Python and its numpy path."""
+        """Any row whose scan leaves every resource at 0 or more serves its
+        whole length, margin or none."""
         rng = np.random.default_rng(32)
         held = near = 0
         for _ in range(400):
@@ -861,13 +857,12 @@ class TestScheduleKernel:
                 for _ in range(int(rng.integers(0, 4))):
                     before = np.nextafter(before, rng.choice([-np.inf, np.inf], size=(K, M)))
                 before = np.where(rng.random((K, M)) < 0.05, -rng.random((K, M)), before)
-                after, ok = self.fits_by_condition(before, cons, lengths)
-                served = sim._noiseless_served(before, cons, lengths)
-                assert sim._fits(after, cons, lengths) == ok.all()
-                for r in range(K):   # one row alone, so the check sees every row
-                    assert sim._fits(after[r:r + 1], cons[r:r + 1], lengths[r:r + 1]) == ok[r]
-                near += int((ok[:, None] & (cons > 0) & (after < 2.000001 * cons)).sum())
-            assert served[ok].tolist() == lengths[ok].tolist()
+                after = before - lengths[:, None] * cons
+                ok = (after >= 0.0).all(axis=1)
+                near += int((ok[:, None] & (cons > 0) & (after < cons)).sum())
+            served = [sim._noiseless_served(b, c, k)
+                      for b, c, k in zip(before, cons, lengths.tolist())]
+            assert np.array(served)[ok].tolist() == lengths[ok].tolist()
             held += int(ok.sum())
         assert held >= 2_000 and near >= 200
 
@@ -877,7 +872,7 @@ class TestScheduleKernel:
         (np.nextafter(2.5, 0.0), 0.25, 8, False),
         (0.0, 0.0, 8, True),                   # cons 0.0 and -0.0 never limit a row
         (0.0, -0.0, 8, True),
-        (-1.0, -0.0, 8, True),                 # nor does a restock, from below zero too
+        (-1.0, -0.0, 8, True),                 # nor does a negative one, from below zero too
         (-1.0, -1e-17, 8, True),
         (1.0, -np.inf, 8, True),
         (1.0, np.inf, 8, False),
@@ -885,48 +880,68 @@ class TestScheduleKernel:
         (1.0, np.nan, 8, False),
         (np.nan, 0.25, 8, False),
         (-1.0, 0.25, 8, False),                # below zero, with the resource used
-        (2048.1, 0.1, 20481, False),           # the pinned `floor` case's row 2
+        (2048.1, 0.1, 20481, False),           # the `floor` case's row 2, an exact fit
         (2048.6, 0.1, 5, True),                # ... and its row 1
-        (float(2**51 + 2), 1.0, 2**51, False),  # too long for the argument
+        (float(2**51 + 2), 1.0, 2**51, False),  # too long for a margin argument
         (float(2**50 + 2), 1.0, 2**50, True),
     ])
     def test_the_shortcuts_edge_cases(self, before, c, k, fits):
-        before, cons, lengths = np.array([[before]]), np.array([[c]]), np.array([k])
+        """fits: the row has two periods' margin. A margin implies a whole
+        row, and the row serves whole exactly when c <= 0 or fl(k c) <= before."""
         with np.errstate(invalid="ignore"):
-            after, ok = self.fits_by_condition(before, cons, lengths)
-            assert sim._fits(after, cons, lengths) == ok[0] == fits
-            # past _FEW values the check runs in numpy
-            tiled = (np.tile(a, (sim._FEW + 1, 1)) for a in (after, cons))
-            assert sim._fits(*tiled, np.tile(lengths, sim._FEW + 1)) == fits
-            served = sim._noiseless_served(before, cons, lengths)
-        if fits:
-            assert served.tolist() == [k]
-        if (before[0, 0], c, k) == (2048.1, 0.1, 20481):
-            assert served.tolist() == [20480]   # the rule's answer stands
+            _, margin = self.fits_by_condition(np.array([[before]]), np.array([[c]]),
+                                               np.array([k]))
+        served = sim._noiseless_served(np.array([before]), np.array([c]), k)
+        assert margin[0] == fits
+        assert served == k or not fits
+        assert (served == k) == (c <= 0 or k * c <= before)
+        assert 0 <= served <= k
+
+    def test_exact_fits_serve_their_whole_length(self):
+        """A row whose k periods the inventory covers exactly, fl(k cons) ==
+        before, serves k through the kernel and leaves 0, at k in [2**14,
+        2**50], where fl(before / cons) often rounds below k."""
+        rng = np.random.default_rng(0)
+        lengths = np.exp2(rng.uniform(14.0, 50.0, size=2_000)).astype(np.int64)
+        cons = rng.random(2_000)
+        befores = lengths * cons
+        for k, c, before in zip(lengths.tolist(), cons.tolist(), befores.tolist()):
+            served, _, after = sim._serve(FixedMean([c]), np.eye(1), np.ones((1, 1)), np.array([k]),
+                                          np.array([before]), None, noiseless=True)
+            assert served.tolist() == [k] and after.tolist() == [[0.0]]
+        assert all(sim._noiseless_served(np.array([b]), np.array([c]), k) == k
+                   for k, c, b in zip(lengths.tolist(), cons.tolist(), befores.tolist()))
+        assert (np.floor(befores / cons) < lengths).sum() >= 50
 
     def test_a_noiseless_episode_runs_the_rule_only_near_its_shutoff(self, monkeypatch):
         """The bundled instance without noise, plan_scaling's constants, T = 1e6:
-        only a request that may run short takes _noiseless_served, and the
-        episode is the one the rule alone gives."""
+        only a request that runs short takes _noiseless_served, and every row
+        served is the one the rule gives from the inventory before it."""
         from nrmlab import PdNrmPolicy, config_from_dict, load_plan
         plan = load_plan(os.path.join(ROOT, "configs", "plan_scaling.json"))
         inst = dataclasses.replace(plan.instance.with_horizon(10**6), noise="none")
         cfg = config_from_dict(plan.pdnrm_config, inst)
-        calls, rule = [], sim._noiseless_served
+        calls, rule, serve, rows = [], sim._noiseless_served, sim._serve, []
 
         def counted(*args):
             calls.append(1)
             return rule(*args)
 
+        def spy(model, A, prices, lengths, remaining, *args):
+            served, demand, after = serve(model, A, prices, lengths, remaining, *args)
+            befores = [remaining] + list(after[:-1])
+            rows.extend(zip(befores, demand, lengths.tolist(), served.tolist(), after))
+            return served, demand, after
+
         monkeypatch.setattr(sim, "_noiseless_served", counted)
-        trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
+        monkeypatch.setattr(sim, "_serve", spy)
+        run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
         assert len(calls) <= 2
-        calls.clear()
-        monkeypatch.setattr(sim, "_fits", lambda *args: False)
-        ruled = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
-        assert len(calls) > 300   # every request
-        assert (trace.fingerprint, trace.total_revenue, trace.shutoff_period) == (
-            ruled.fingerprint, ruled.total_revenue, ruled.shutoff_period)
+        assert len(rows) > 300
+        for before, mean, k, s, after in rows:
+            cons = inst.A.dot(mean)
+            assert s == rule(before, cons, k)
+            np.testing.assert_array_equal(after, before - s * cons)
 
     def test_a_barely_used_resource_does_not_stall_a_noiseless_episode(self):
         """At (0.8, 5.0) product 2 sells 1.3e-22 a period, so its resource
@@ -1137,6 +1152,28 @@ class TestServeBlock:
         inst = Instance(model=model, A=np.eye(2), gamma=np.array([0.1, 0.1]), T=10_000,
                         price_min=0.8, price_max=5.0)
         assert run_episode(inst, ExploreThenCommitPolicy(inst), seed=1).inventory_ok
+
+    def test_a_negative_noiseless_mean_sells_nothing(self):
+        """Noiseless, the mean -5.6e-17 at the corner sells nothing, as the
+        sampled market's clipped probability does: the episode leaves
+        resource 1 where it started and answers 0, and so does DemandOracle."""
+        from nrmlab import Instance, LinearDemand, DemandOracle
+        B = np.array([[0.1, -0.01], [-0.01, 0.1]])
+        model = LinearDemand(np.maximum(B * 0.8, B * 5.0).sum(axis=1), B)
+        corner = np.array([5.0, 0.8])
+        d = model.mean(corner)
+        assert d[0] < 0
+        # resource 1 holds 0.001 units, so a gain of 5.6e-15 would show
+        inst = Instance(model=model, A=np.eye(2), gamma=np.array([1e-6, 1.0]), T=1_000,
+                        price_min=0.8, price_max=5.0, noise="none")
+        policy = FixedCommitPolicy(corner, 100)
+        trace = run_episode(inst, policy, seed=1)
+        assert trace.shutoff_period is None and len(policy.answers) == 10
+        assert trace.final_inventory[0] == inst.capacity[0] == trace.min_inventory
+        assert all(answer.tolist() == [[0.0, d[1]]] for answer in policy.answers)
+        assert trace.total_revenue == pytest.approx(1_000 * d[1] * corner[1], rel=1e-12)
+        answer = DemandOracle(inst).commit(np.array([corner, corner]), np.array([3, 4]))
+        assert answer.tolist() == [[0.0, d[1]]] * 2
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     @pytest.mark.parametrize("policy", ["pdnrm", "clairvoyant", "etc"])
