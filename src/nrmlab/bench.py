@@ -82,10 +82,10 @@ class EpisodeResult:
     shutoff: int          # shutoff period, or T when the market stayed open
     fingerprint: str
     inventory_ok: bool
-    shutoff_ok: bool
     dual_updates: int
     max_loops_per_epoch: int
     wall_ms: float
+    shutoff_ok = True   # as EpisodeTrace's; perfbench reads it (ROADMAP 1a)
 
 
 @dataclass
@@ -154,7 +154,6 @@ def _run_task(plan: BenchPlan, fluid: FluidSolution, configs: dict, task: tuple)
             shutoff=trace.shutoff_period if trace.shutoff_period is not None else T,
             fingerprint=trace.fingerprint,
             inventory_ok=trace.inventory_ok,
-            shutoff_ok=trace.shutoff_ok,
             dual_updates=duals,
             max_loops_per_epoch=max_loops,
             wall_ms=wall_ms,

@@ -19,7 +19,7 @@ from .fluid import (
     default_dual_set,
 )
 from .sim import run_episode, Policy
-from .pdnrm import (DemandOracle, PdNrmPolicy, constants_tuned, epoch_count_bound, grad_est,
+from .pdnrm import (DemandOracle, PdNrmPolicy, config_from_dict, epoch_count_bound, grad_est,
                     loop_skeleton, prox_dual_step)
 
 
@@ -133,7 +133,7 @@ def run_checks(instance: Instance) -> list:
     check("sim.deterministic", tr_a.fingerprint == tr_b.fingerprint
           and tr_a.total_revenue == tr_b.total_revenue)
     check("sim.inventory_nonnegative", tr_a.inventory_ok,
-          f"min inventory {tr_a.min_inventory:.3e}")
+          f"min inventory {min(tr_a.final_inventory.tolist()):.3e}")
     # Starve the resource the fewest products use: the first purchase of one
     # that uses it shuts the market while the others could still sell.
     j = int(np.argmin((instance.A > 0).sum(axis=1)))
@@ -161,7 +161,7 @@ def run_checks(instance: Instance) -> list:
     check("pdnrm.prox", np.allclose(out, [0.5, 0.5]))
     # kappa3 = 1 narrows the band kappa3/sqrt(n) until balancing binds; at the
     # tuned kappa3 the start x = 0 passes every loop and no price moves
-    cfg = constants_tuned(instance.N, 20_000, kappa3=1.0)
+    cfg = config_from_dict({"kappa3": 1.0}, instance, 20_000)
     pol = PdNrmPolicy(instance.with_horizon(20_000), cfg)
     trace = run_episode(instance.with_horizon(20_000), pol, seed=11)
     # the episode logs the loops that end by T and whose estimation rows (the first

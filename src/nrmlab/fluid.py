@@ -55,17 +55,10 @@ def lagrangian_H(instance: Instance, lam, d) -> float:
     return revenue_phi(instance.model, d) - float(lam @ (instance.A @ d - instance.gamma))
 
 
-def grad_lagrangian_L(instance: Instance, lam, p) -> np.ndarray:
-    """d/dp L(lam, p) = grad f(p) - J_D(p)^T A^T lam."""
-    p = np.asarray(p, float)
-    model = instance.model
-    return _lagrangian(instance, np.asarray(lam, float), p, model.mean(p), model.jacobian(p))
-
-
 def _lagrangian(instance: Instance, lam, p, d, J=None):
     """L(lam, p) from d = D(p), or with J = J_D(p) its gradient in p,
     grad f(p) - J^T A^T lam with grad f(p) = d + J^T p: the one definition of
-    both, which the public functions and _maximize's callbacks share."""
+    both, which lagrangian_L and _maximize's callbacks share."""
     if J is None:
         return float(p @ d) - float(lam @ (instance.A @ d - instance.gamma))
     return d + J.T @ p - J.T @ (instance.A.T @ lam)

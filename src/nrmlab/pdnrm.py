@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 import numpy as np
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from .instance import Instance, _is_integral, _is_number, _read
@@ -87,30 +87,24 @@ def _dual_box(instance: Instance) -> np.ndarray:
     return box
 
 
-def _overrides(doc: dict) -> dict:
-    """A document's keys as field values: an integral n0 becomes an int; any other
-    value is left for validate to reject."""
-    _read("pdnrm config", doc, (), _FIELD_NAMES)
-    return {**doc, "n0": int(doc["n0"])} if _is_integral(doc.get("n0")) else doc
-
-
 def check_horizon(N: int, T: int) -> None:
     """The one horizon check of both constants formulas."""
     if N < 1 or T < 2:
         raise ValueError("need N >= 1 and T >= 2")
 
 
-def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
+def constants_tuned(N: int, T: int) -> PdNrmConfig:
     """Hand-tuned constants: n0 = ceil(0.1 N^4 ln^2(NT)); kappa1 = n0^.25;
     kappa5 = (2/3)e-8 (N^5.5 ln^3(NT) + N^4 ln^6(NT)); kappa2 = sqrt(kappa5);
     kappa3 = 8 kappa1 sqrt(N^3 ln(2NT)) + 12 kappa1^2; kappa6 = sqrt(N);
-    eta1 = eta2 = mu = 1. Each keyword overrides its field; validate checks them."""
+    eta1 = eta2 = mu = 1. The formulas only: a document overrides them through
+    config_from_dict."""
     check_horizon(N, T)
     ln_nt = math.log(N * T)
     ln_2nt = math.log(2 * N * T)
     n0 = max(int(math.ceil(0.1 * N**4 * ln_nt**2)), 4 * N)
     kappa1 = n0**0.25
-    tuned = dict(
+    return PdNrmConfig(
         n0=n0,
         kappa1=kappa1,
         kappa3=8.0 * kappa1 * math.sqrt(N**3 * ln_2nt) + 12.0 * kappa1**2,
@@ -120,7 +114,6 @@ def constants_tuned(N: int, T: int, **overrides) -> PdNrmConfig:
         eta2=1.0,
         mu=1.0,
     )
-    return PdNrmConfig(**{**tuned, **_overrides(overrides)})
 
 
 def constants_theory(instance: Instance, regularity, T: int) -> PdNrmConfig:
@@ -190,10 +183,15 @@ def _theory(N: int, reg, T: int, lam_bar: float, rho_lo: float, rho_bar: float) 
 
 def config_from_dict(doc: dict, instance: Instance,
                      T: Optional[int] = None) -> PdNrmConfig:
-    """Resolve a JSON config document: the tuned formulas at (instance.N, T or
-    instance.T), then each key overrides the field of its name. A theory document,
-    as printed by `nrmlab constants --mode theory`, sets every field."""
-    cfg = constants_tuned(instance.N, instance.T if T is None else T, **_overrides(doc))
+    """Resolve a JSON config document, the one way to override the tuned formulas:
+    the key rule refuses an unknown key, an integral n0 becomes an int, then each
+    key replaces its field of constants_tuned(instance.N, T or instance.T) and
+    validate checks the result. A theory document, as printed by `nrmlab constants
+    --mode theory`, sets every field."""
+    _read("pdnrm config", doc, (), _FIELD_NAMES)
+    if _is_integral(doc.get("n0")):
+        doc = {**doc, "n0": int(doc["n0"])}
+    cfg = replace(constants_tuned(instance.N, instance.T if T is None else T), **doc)
     cfg.validate(instance)
     return cfg
 

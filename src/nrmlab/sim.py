@@ -33,10 +33,12 @@ from .instance import Instance
 _MASK64 = (1 << 64) - 1
 _EXPORT_BLOCK = 4096  # trace CSV rows formatted and written at a time
 _THOUSANDS = ["%03d," % i for i in range(1000)]  # period t's CSV cell after str(t // 1000)
-_LEDGER_ROWS = 4096  # served requests buffered, and served rows tallied and hashed, at a time
+_LEDGER_ROWS = 4096  # served requests buffered before one tally and hash of their rows
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
 _FEW = 32  # up to this many values are checked in Python, and tallied without merging
-_FOREVER = 1 << 62  # the length of a commitment that outlasts any horizon
+# a commitment's length, which the horizon cuts only while T - t < 2**62: a sampled row
+# is served as length / _ROW_LIMIT sub-rows, so an uncut one asks for 2**33 (64 GiB)
+_FOREVER = 1 << 62
 _ONE_PERIOD = np.broadcast_to(np.int64(1), 1)  # a one-period request's lengths, read-only
 _ROW_LIMIT = 1 << 29  # longer sampled rows are served as sub-rows; _split's draw needs totals < 1e9
 
@@ -194,6 +196,9 @@ class CommitPolicy(Policy):
 
 @dataclass
 class EpisodeTrace:
+    """One episode's facts; what follows from them is derived, not stored:
+    inventory only falls, so inventory_ok reads the final inventory."""
+
     T: int
     seed: int
     policy_name: str
@@ -201,19 +206,13 @@ class EpisodeTrace:
     shutoff_period: Optional[int]
     final_inventory: np.ndarray
     fingerprint: str
-    min_inventory: float
     periods: Optional[dict] = None
     events: list = field(default_factory=list)
+    shutoff_ok = True   # an episode ends when its market shuts; perfbench reads it (ROADMAP 1a)
 
     @property
     def inventory_ok(self) -> bool:
-        return self.min_inventory >= 0.0
-
-    @property
-    def shutoff_ok(self) -> bool:
-        """Always True, as an episode ends when its market shuts; kept for
-        perfbench/workloads.py until the benchmark refresh (ROADMAP item 1a)."""
-        return True
+        return min(self.final_inventory.tolist()) >= 0.0
 
 
 class PolicyError(RuntimeError):
@@ -377,19 +376,17 @@ def _in_box(prices: np.ndarray, lo: float, hi: float) -> bool:
 
 def _fold(ledger: list, sold: list, hasher, noiseless: bool) -> None:
     """Tally and hash the buffered (prices, outcomes, served) of served
-    requests, _LEDGER_ROWS rows at a time, and empty the buffer. The hash
-    streams and the revenue is one fsum of exact products, so where a chunk
-    ends changes neither."""
+    requests, one tally and one hash update for the whole batch, and empty the
+    buffer. The hash streams and the revenue is one fsum of exact products, so
+    where a batch ends changes neither."""
     if not ledger:
         return
     prices, outcomes, served = (ledger[0] if len(ledger) == 1
                                 else (np.concatenate(col) for col in zip(*ledger)))
     ledger.clear()
-    for s in range(0, len(served), _LEDGER_ROWS):
-        e = s + _LEDGER_ROWS
-        p, y, k = prices[s:e], outcomes[s:e], served[s:e]
-        sold.append(_tally(_dot(y, p), k) if noiseless else _tally(p, y[:, :-1]))
-        hasher.update(_outcomes(p, None if noiseless else y, k))
+    sold.append(_tally(_dot(outcomes, prices), served) if noiseless
+                else _tally(prices, outcomes[:, :-1]))
+    hasher.update(_outcomes(prices, None if noiseless else outcomes, served))
 
 
 def _outcomes(prices, counts, served) -> bytes:
@@ -419,7 +416,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     unrecorded run of one seed are the same episode; the periods after the
     episode ended record NaN prices, no demand and the final inventory.
     Served requests are buffered and folded into the fingerprint and a tally
-    of the units sold at each price, _LEDGER_ROWS rows at a time. The revenue
+    of the units sold at each price, _LEDGER_ROWS requests at a time. The revenue
     is one fsum of exact products of units and prices: in both modes it
     equals the fsum of the recorded per-period revenues.
     """
@@ -504,7 +501,6 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
         shutoff_period=shutoff_period,
         final_inventory=remaining,
         fingerprint=hasher.hexdigest(),
-        min_inventory=min(remaining.tolist()),   # inventory only falls
         periods=periods,
         events=list(getattr(policy, "events", [])),
     )

@@ -188,8 +188,7 @@ def test_a_retired_key_is_refused_as_any_unknown_key(instance, what, key, value)
         reads = [lambda: plan_from_dict({**doc, key: value})]
         built = plan_from_dict(doc)
     else:
-        reads = [lambda: config_from_dict({key: value}, instance),
-                 lambda: constants_tuned(instance.N, instance.T, **{key: value})]
+        reads = [lambda: config_from_dict({key: value}, instance)]
         built = constants_tuned(instance.N, instance.T)
     for read in reads:
         with pytest.raises(ValueError) as err:

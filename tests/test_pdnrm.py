@@ -142,7 +142,7 @@ class TestConstantsTheory:
 class TestConfigValidation:
     def test_n0_floor_enforced(self):
         with pytest.raises(ValueError):
-            constants_tuned(2, 10**4, n0=4).validate(synthetic_instance(2))
+            replace(constants_tuned(2, 10**4), n0=4).validate(synthetic_instance(2))
 
     def test_kappa2_consistency_enforced(self):
         # kappa2 = sqrt(kappa5) is derived, so a document cannot set it
@@ -152,7 +152,7 @@ class TestConfigValidation:
                              instance=synthetic_instance(2), T=10**4)
 
     def test_kappa5_override_derives_kappa2(self):
-        cfg = constants_tuned(2, 10**4, kappa5=100.0)
+        cfg = config_from_dict({"kappa5": 100.0}, synthetic_instance(2), T=10**4)
         assert cfg.kappa5 == 100.0
         assert cfg.kappa2 == 10.0
 
@@ -170,7 +170,7 @@ class TestConfigValidation:
         assert back.kappa2 == cfg.kappa2
 
     def test_json_round_trip(self):
-        cfg = constants_tuned(2, 10**5, primal_init="center", contraction=0.4)
+        cfg = replace(constants_tuned(2, 10**5), primal_init="center", contraction=0.4)
         doc = json.loads(json.dumps(cfg.to_dict()))
         back = config_from_dict(doc, synthetic_instance(2))
         assert back.n0 == cfg.n0
@@ -181,6 +181,17 @@ class TestConfigValidation:
     def test_tuned_overrides(self, instance):
         cfg = config_from_dict({"contraction": 0.3}, instance=instance)
         assert cfg.contraction == 0.3
+
+    def test_a_document_is_the_one_override_path(self, monkeypatch):
+        # constants_tuned gives the formulas alone, and config_from_dict reads a
+        # document's keys once
+        with pytest.raises(TypeError, match="unexpected keyword argument 'kappa3'"):
+            constants_tuned(2, 10**4, kappa3=1.0)
+        reads = []
+        monkeypatch.setattr(pdnrm, "_read", lambda *args: reads.append(args))
+        cfg = config_from_dict({"kappa3": 1.0}, synthetic_instance(2), T=10**4)
+        assert len(reads) == 1
+        assert cfg == replace(constants_tuned(2, 10**4), kappa3=1.0)
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object, not list"):
@@ -244,8 +255,9 @@ class TestConfigValidation:
         assert cfg.n0 == 1000 and isinstance(cfg.n0, int)
         assert cfg.primal_init == "center"
         assert cfg.eta2 == 5 and cfg.mu == 0.5
-        kw = constants_tuned(2, 10**4, n0=np.int64(1000), eta2=np.float64(5.0))
-        assert (kw.n0, kw.eta2) == (1000, 5.0)
+        kw = config_from_dict({"n0": np.int64(1000), "eta2": np.float64(5.0)},
+                              synthetic_instance(2), T=10**4)
+        assert (kw.n0, kw.eta2) == (1000, 5.0) and isinstance(kw.n0, int)
 
     @pytest.mark.parametrize("field, value", [("primal_init", [0.5, 1.0]),
                                               ("primal_init", "middle"),
@@ -671,7 +683,7 @@ class TestDemandBalance:
 class TestPrimalOpt:
     def test_stopping_rule(self, noiseless_instance):
         inst = noiseless_instance
-        cfg = constants_tuned(2, inst.T, kappa5=100.0)
+        cfg = replace(constants_tuned(2, inst.T), kappa5=100.0)
         events = []
         primal_opt(DemandOracle(inst), inst, cfg, np.zeros(2), eps_bar=1.0,
                    events=events)
@@ -682,7 +694,7 @@ class TestPrimalOpt:
     @pytest.mark.parametrize("eps_bar", [1.0, 0.05, 2e-4])
     def test_logged_loops_are_the_loop_lengths(self, noiseless_instance, eps_bar):
         inst = noiseless_instance
-        cfg = constants_tuned(2, inst.T, kappa5=100.0)
+        cfg = replace(constants_tuned(2, inst.T), kappa5=100.0)
         env, events = DemandOracle(inst), []
         primal_opt(env, inst, cfg, np.zeros(2), eps_bar=eps_bar, events=events)
         lengths = list(pdnrm._loop_lengths(cfg, eps_bar))
@@ -715,7 +727,7 @@ class TestPrimalOpt:
                                                   fluid_solution):
         inst = noiseless_instance
         # slower loop growth buys enough gradient steps for one call to converge
-        cfg = constants_tuned(2, inst.T, contraction=0.8)
+        cfg = replace(constants_tuned(2, inst.T), contraction=0.8)
         lam = fluid_solution.lambda_star
         p_opt, _ = solve_inner_max(inst, lam)
         events = []
@@ -873,7 +885,7 @@ class TestNoiselessTwin:
         # gamma x 50: the market never shuts, so every request that fits is answered
         base = example_logit_instance(T=10**6, noise="none")
         inst = replace(base, gamma=50 * base.gamma)
-        cfg = constants_tuned(inst.N, inst.T, **overrides)
+        cfg = config_from_dict(overrides, inst)
         trace = run_episode(inst, PdNrmPolicy(inst, cfg), seed=1)
         assert trace.shutoff_period is None
         events = self.oracle_events(inst, cfg)
@@ -886,8 +898,8 @@ class TestNoiselessTwin:
         # and 1.36
         inst = example_logit_instance(T=10**6, noise="none")
         fluid = solve_fluid(inst)
-        trace = run_episode(inst, PdNrmPolicy(inst, constants_tuned(
-            inst.N, inst.T, **SCALING_OVERRIDES)), seed=1)
+        trace = run_episode(inst, PdNrmPolicy(inst, config_from_dict(SCALING_OVERRIDES, inst)),
+                            seed=1)
         lam = [e["lambda_next"] for e in trace.events if e["kind"] == "dual"][-1]
         assert percentage_loss(inst, trace, fluid.value) <= 0.01
         assert np.max(np.abs(np.array(lam) - fluid.lambda_star)) <= 0.05

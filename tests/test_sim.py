@@ -128,6 +128,15 @@ class TestRunEpisode:
             assert trace.inventory_ok
             assert np.all(trace.final_inventory >= 0)
 
+    def test_inventory_ok_reads_the_final_inventory(self):
+        # inventory only falls, so the final inventory is its minimum: a trace whose
+        # final inventory has a negative entry fails the check, whatever came before
+        inventory = np.array([[1.0, 2.0], [0.5, 1.0], [0.5, -0.25]])
+        price, demand, revenue = np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3)
+        assert not hand_built_trace(price, demand, revenue, inventory).inventory_ok
+        assert hand_built_trace(price, demand, revenue, abs(inventory)).inventory_ok
+        assert hand_built_trace(price, demand, revenue, 0 * inventory).inventory_ok
+
     def test_shutoff_permanence(self, instance):
         # At this price resource 2 runs out first, so product 1 could still sell
         # in the blocks that follow the shutoff.
@@ -239,8 +248,9 @@ class TestShutoff:
 
 
 class TestLedger:
-    """run_episode tallies and hashes served rows in chunks of at most
-    sim._LEDGER_ROWS rows; the result must not depend on where chunks end."""
+    """run_episode buffers sim._LEDGER_ROWS served requests, then tallies and
+    hashes their rows once, however many rows they hold; the result must not
+    depend on where a batch ends."""
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])
     def test_chunks_fold_as_rows_served_alone(self, instance, noise):
@@ -251,7 +261,7 @@ class TestLedger:
         per_period = run_episode(inst, FixedPricePolicy(p), seed=5, record_periods=True)
         assert sim._LEDGER_ROWS + 1000 < per_period.shutoff_period < T - 1000
         assert math.fsum(per_period.periods["revenue"]) == per_period.total_revenue
-        for rows in (1000, 5000):   # requests that fill a chunk, and overfill it
+        for rows in (1000, 5000):   # a few requests, all folded in one batch at the end
             scheduled = run_episode(inst, OnePeriodRows(p, rows), seed=5)
             assert scheduled.fingerprint == per_period.fingerprint
             assert scheduled.total_revenue == per_period.total_revenue
@@ -522,7 +532,7 @@ class TestLongRows:
             trace = run_episode(long, FixedCommitPolicy(fluid_solution.p_star), seed)
             assert time.perf_counter() - t0 < 0.5
             assert 0.99 * long.T < trace.shutoff_period <= long.T
-            assert trace.min_inventory >= 0.0 and min(trace.final_inventory) >= 0.0
+            assert trace.inventory_ok
 
     def test_a_long_row_that_fits_draws_as_without_a_limit(self, instance):
         # the estimation oracle serves rows without an inventory limit, so a
@@ -1169,7 +1179,7 @@ class TestServeBlock:
         policy = FixedCommitPolicy(corner, 100)
         trace = run_episode(inst, policy, seed=1)
         assert trace.shutoff_period is None and len(policy.answers) == 10
-        assert trace.final_inventory[0] == inst.capacity[0] == trace.min_inventory
+        assert trace.final_inventory[0] == inst.capacity[0] == min(trace.final_inventory)
         assert all(answer.tolist() == [[0.0, d[1]]] for answer in policy.answers)
         assert trace.total_revenue == pytest.approx(1_000 * d[1] * corner[1], rel=1e-12)
         answer = DemandOracle(inst).commit(np.array([corner, corner]), np.array([3, 4]))
@@ -1255,7 +1265,7 @@ def hand_built_trace(price, demand, revenue, inventory):
     """An unrecorded episode's trace around the given per-period arrays."""
     return sim.EpisodeTrace(
         T=len(revenue), seed=0, policy_name="hand-built", total_revenue=0.0,
-        shutoff_period=None, final_inventory=inventory[-1], fingerprint="", min_inventory=0.0,
+        shutoff_period=None, final_inventory=inventory[-1], fingerprint="",
         periods={"price": price, "demand": demand, "revenue": revenue, "inventory": inventory})
 
 
