@@ -9,15 +9,7 @@ import math
 import numpy as np
 
 from .instance import Instance
-from .fluid import (
-    CERTIFICATE_TOL,
-    solve_fluid,
-    dual_Q,
-    grad_Q,
-    lagrangian_L,
-    lagrangian_H,
-    default_dual_set,
-)
+from .fluid import solve_fluid, dual_Q, grad_Q, lagrangian_L, lagrangian_H, default_dual_set
 from .sim import run_episode, Policy
 from .pdnrm import (DemandOracle, PdNrmPolicy, config_from_dict, epoch_count_bound, grad_est,
                     loop_skeleton, prox_dual_step)
@@ -91,12 +83,8 @@ def run_checks(instance: Instance) -> list:
         ok = ok and bool(np.all(np.abs(freq - probs) <= 6 * se + 1e-12))
         check("demand.sampler_unbiased", ok)
 
-    # fluid: certificate + weak duality + H/L consistency
+    # fluid: weak duality + H/L consistency (solve_fluid raises on a failed certificate)
     sol = solve_fluid(instance)
-    check("fluid.certificate",
-          np.all(instance.A @ sol.d_star <= instance.gamma)
-          and abs(sol.duality_gap) <= CERTIFICATE_TOL,
-          f"gap {sol.duality_gap:.2e}")
     box = default_dual_set(instance)
     ok = True
     for _ in range(5):
@@ -145,6 +133,9 @@ def run_checks(instance: Instance) -> list:
           and not tr_s.periods["demand"][tr_s.shutoff_period:].any()
           and np.isnan(tr_s.periods["price"][tr_s.shutoff_period:]).all(),
           f"shutoff at {tr_s.shutoff_period}")
+    # a loop of 1-D dots on purpose: a noiseless ledger sums the stacked _dot, and
+    # only here, on the user's own numpy build, does anything check that both round
+    # alike (the pytest suite's TestBroadcast checks it where the suite runs)
     per = tr_a.periods
     terms = []
     for t in range(per["price"].shape[0]):

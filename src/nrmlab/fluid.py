@@ -198,7 +198,8 @@ def solve_fluid(instance: Instance) -> FluidSolution:
     SLSQP's multiplier on the capacity rows; one dual_Q(lambda*) call
     certifies it. Both SLSQP solves evaluate D once per point they visit.
     Raises FluidError when infeasible, when the fluid value is not positive
-    (every loss divides by it) or when the certificate fails.
+    (every loss divides by it) or when the certificate fails, as a NaN gap
+    or multiplier does.
     """
     center = _chebyshev_center(instance)
     p, lam = _maximize(instance, np.zeros(instance.M), instance.model.inverse(center),
@@ -212,7 +213,7 @@ def solve_fluid(instance: Instance) -> FluidSolution:
     slack = instance.gamma - instance.A @ d_star
     binding = slack <= 10 * CERTIFICATE_TOL * np.maximum(instance.gamma, 1.0)
     comp = abs(float(lam @ slack))
-    if abs(gap) > CERTIFICATE_TOL or comp > CERTIFICATE_TOL:
+    if not (abs(gap) <= CERTIFICATE_TOL and comp <= CERTIFICATE_TOL):
         raise FluidError(
             f"dual certificate out of tolerance: gap={gap:.3e}, comp. slackness={comp:.3e}")
     return FluidSolution(

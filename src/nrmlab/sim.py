@@ -83,10 +83,8 @@ def _tally(prices: np.ndarray, units: np.ndarray) -> tuple:
 
 
 def _revenue(sold: list) -> float:
-    """The revenue of a list of (prices, units) tallies: one fsum of the
-    exact products, so it is rounded once, whatever the order or grouping."""
-    if not sold:
-        return 0.0
+    """The revenue of a non-empty list of (prices, units) tallies: one fsum of
+    the exact products, so it is rounded once, whatever the order or grouping."""
     prices, units = _tally(*(sold[0] if len(sold) == 1
                              else (np.concatenate(col) for col in zip(*sold))))
     if units.size <= _FEW:

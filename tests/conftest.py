@@ -6,6 +6,7 @@ import pytest
 
 import nrmlab.bench
 from nrmlab import Policy, example_logit_instance, loop_skeleton, solve_fluid, estimate_regularity
+from nrmlab.demand import _dot
 from nrmlab.sim import _serve
 
 
@@ -39,6 +40,14 @@ def estimation_ends(cfg, N):
     end the request that carries them."""
     for s, tau, n_tau, end in loop_skeleton(cfg):
         yield s, tau, n_tau, end, end - n_tau + 2 * N * (n_tau // (4 * N))
+
+
+def recorded_revenue(trace):
+    """The fsum of p_t . y_t over a recorded episode's periods that post a
+    price: after a shutoff the price is NaN and nothing sells."""
+    price, demand = trace.periods["price"], trace.periods["demand"]
+    posted = np.isfinite(price).all(axis=1)
+    return math.fsum(_dot(price[posted], demand[posted]).tolist())
 
 
 def serve_one(model, A, p, k, remaining, rng):

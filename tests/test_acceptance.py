@@ -26,7 +26,7 @@ from nrmlab import (
 )
 from nrmlab.demand import grad_revenue_f
 from nrmlab.pdnrm import epoch_count_bound, config_from_dict
-from conftest import loop_count_bound
+from conftest import loop_count_bound, recorded_revenue
 
 # dual box satisfying the interior-optimizer requirement on this instance
 # (every sampled dual keeps the Lagrangian maximizer inside the price box)
@@ -318,12 +318,7 @@ def test_criterion_10_simulator_invariants(instance, bench_tuned, bench_scaling,
         policy = build_policy(name, short, fluid,
                               pdnrm_config=SCALING_CONFIG if name == "pdnrm" else None)
         trace = run_episode(short, policy, seed=99, record_periods=True)
-        per = trace.periods
-        terms = []
-        for t in range(per["price"].shape[0]):
-            p = per["price"][t]
-            terms.append(float(p @ per["demand"][t]) if np.all(np.isfinite(p)) else 0.0)
-        if math.fsum(terms) != trace.total_revenue:
+        if recorded_revenue(trace) != trace.total_revenue:
             violations += 1
         if not (trace.inventory_ok and trace.shutoff_ok):
             violations += 1

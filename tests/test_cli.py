@@ -329,7 +329,7 @@ class TestCheckCommand:
         code, out, err = run_cli(capsys, "check", str(path))
         assert code == 0, err
         assert "FAIL" not in out
-        assert "16/16 checks passed" in out
+        assert "15/15 checks passed" in out
         assert "demand.sampler_unbiased  (noiseless: exact means, nothing sampled)" in out
 
     @pytest.mark.parametrize("noise", ["multinomial", "none"])

@@ -241,6 +241,22 @@ class TestSolveFluid:
         with pytest.raises(FluidError, match=r"^fluid value -\S+ is not positive"):
             solve_fluid(bad)
 
+    def test_a_nan_gap_raises(self, instance, monkeypatch):
+        monkeypatch.setattr(nrmlab.fluid, "dual_Q", lambda *args, **kwargs: float("nan"))
+        with pytest.raises(FluidError, match="^dual certificate out of tolerance: gap=nan"):
+            solve_fluid(instance)
+
+    def test_nan_multipliers_raise(self, instance, monkeypatch):
+        real = nrmlab.fluid._maximize
+
+        def maximize(instance, lam, p0, capacity=False):
+            p, mult = real(instance, lam, p0, capacity)
+            return p, np.full_like(mult, np.nan) if capacity else mult
+
+        monkeypatch.setattr(nrmlab.fluid, "_maximize", maximize)
+        with pytest.raises(FluidError, match="^dual certificate out of tolerance"):
+            solve_fluid(instance)
+
 
 def random_logit_family(seed, sizes):
     """Logit instances with one resource whose capacity is 1-2x its

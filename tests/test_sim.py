@@ -23,7 +23,8 @@ from nrmlab import (
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
-from conftest import FixedPricePolicy, boxless_instances, estimation_ends, serve_one
+from conftest import (FixedPricePolicy, boxless_instances, estimation_ends, recorded_revenue,
+                      serve_one)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,15 +67,6 @@ def plain_calls(T, shutoff):
     last = T if shutoff is None else shutoff
     calls = [(kind, t) for t in range(1, last + 1) for kind in ("ask", "obs")]
     return calls if shutoff is None else calls[:-1]
-
-
-def recompute_revenue(trace):
-    per = trace.periods
-    terms = []
-    for t in range(per["price"].shape[0]):
-        p = per["price"][t]
-        terms.append(float(p @ per["demand"][t]) if np.all(np.isfinite(p)) else 0.0)
-    return math.fsum(terms)
 
 
 class TestRunEpisode:
@@ -154,7 +146,7 @@ class TestRunEpisode:
         short = instance.with_horizon(10_000)
         trace = run_episode(short, FixedCommitPolicy(np.array([0.9, 1.0])), seed=5,
                             record_periods=True)
-        assert recompute_revenue(trace) == trace.total_revenue
+        assert recorded_revenue(trace) == trace.total_revenue
 
     def test_inventory_trajectory_monotone_and_exact(self, instance):
         short = instance.with_horizon(5_000)
