@@ -46,8 +46,9 @@ class DemandModel(ABC):
         """Expected demand D(p), shape (..., N)."""
 
     @abstractmethod
-    def jacobian(self, p: np.ndarray) -> np.ndarray:
-        """J_D(p) = dD/dp, shape (..., N, N)."""
+    def jacobian(self, p: np.ndarray, d=None) -> np.ndarray:
+        """J_D(p) = dD/dp, shape (..., N, N); d, if given, is D(p), which is
+        then not evaluated again."""
 
     @abstractmethod
     def inverse(self, d: np.ndarray) -> np.ndarray:
@@ -74,8 +75,8 @@ class LogitDemand(DemandModel):
         s = 1.0 + np.add.reduce(w, -1)   # w.sum(-1) without its Python wrapper
         return w / (s if p.ndim == 1 else s[..., None])
 
-    def jacobian(self, p):
-        d = self.mean(p)
+    def jacobian(self, p, d=None):
+        d = self.mean(p) if d is None else d
         J = self.b * d[..., :, None] * d[..., None, :]
         # every (N+1)-th entry of a flat (N, N) block is on its diagonal
         J.reshape(d.shape[:-1] + (-1,))[..., ::self.n_products + 1] = -self.b * d * (1.0 - d)
@@ -119,7 +120,7 @@ class LinearDemand(DemandModel):
     def mean(self, p):
         return self.a - _on_vectors(np.matmul, self.B, _as_vector(p, self.n_products))
 
-    def jacobian(self, p):
+    def jacobian(self, p, d=None):
         shape = _as_vector(p, self.n_products).shape[:-1] + self.B.shape
         return np.broadcast_to(-self.B, shape).copy()
 

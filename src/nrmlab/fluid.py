@@ -6,10 +6,10 @@ derivatives, and certifies strong duality. Every maximization is one SLSQP
 solve in price space with the price box as bounds: D maps the box one-to-one
 onto the demand image, where phi is concave, so the KKT point SLSQP returns
 is the global optimum. Each point SLSQP visits costs one evaluation of D
-(and of J_D where a derivative is asked for), shared by the objective, the
-capacity rows and their derivatives; the one LP, the Chebyshev start, goes
-to HiGHS through scipy's milp. Used by benchmarks and tests; never by the
-learning policy's data path.
+(and of J_D, built from that D, where a derivative is asked for), shared by
+the objective, the capacity rows and their derivatives; the one LP, the
+Chebyshev start, goes to HiGHS through scipy's milp. Used by benchmarks and
+tests; never by the learning policy's data path.
 """
 
 import numpy as np
@@ -72,10 +72,10 @@ def _maximize(instance: Instance, lam, p0, capacity: bool = False):
     passed as bounds, so D and D^{-1} are only evaluated where they are
     defined. SLSQP asks for the objective, its gradient, the capacity rows and
     their Jacobian at each point it visits; D(p) is evaluated once per point
-    and J_D(p) once per point that needs a derivative, and all four callbacks
-    read that evaluation. SLSQP's success flag is not read: at this ftol it
-    often reports a failed line search at a point that certifies, so
-    solve_fluid gates on the duality certificate instead.
+    and J_D(p), from that D(p), once per point that needs a derivative, and
+    all four callbacks read that evaluation. SLSQP's success flag is not
+    read: at this ftol it often reports a failed line search at a point that
+    certifies, so solve_fluid gates on the duality certificate instead.
     """
     from scipy.optimize import minimize   # deferred: `import nrmlab` stays scipy-free
     model, A, gamma = instance.model, instance.A, instance.gamma
@@ -86,7 +86,7 @@ def _maximize(instance: Instance, lam, p0, capacity: bool = False):
         if at[0] != key:
             at[:] = key, model.mean(p), None
         if jacobian and at[2] is None:
-            at[2] = model.jacobian(p)
+            at[2] = model.jacobian(p, at[1])
         return at[1], at[2]
 
     constraints = ()

@@ -12,8 +12,14 @@ The feedback of a balanced price is never read, so a loop's balanced row and
 the next loop's 2N probes are one schedule, one kernel call, even across
 epochs. A balanced row that would end after the horizon is served alone: a
 loop is logged once its balanced row is served whole, as when rows are served
-one at a time. A loop's arithmetic is on Python floats, rounded as numpy rounds
-it; its matrix products stay numpy's, whose BLAS rounding is the contract."""
+one at a time.
+
+The loop's float rule: elementwise arithmetic is on Python floats, which round
+as numpy rounds it, and every matrix product stays numpy's, whose BLAS
+rounding is the contract: the probes' revenues (demand._dot), A D_hat, J_hat^T
+(A^T lam) and, per epoch, A^T lam. So a loop makes arrays only for its
+schedule, its probe answers and those products; the rest are lists and floats.
+What no loop or epoch changes is derived once per run (_constants)."""
 
 import functools
 import itertools
@@ -218,29 +224,34 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
       <a_j, D_hat + J_hat x / 2> >= gamma_j - kappa2/((1 ^ lam_j) sqrt(n)) - kappa3/sqrt(n).
     Solved by projections.feasible_point from x = 0, an LP for the point nearest
     p in the max norm; (p, False) when HiGHS proves that no such point exists.
-    The price comes back as a list of floats. The vectors may be arrays or
-    lists; lam and gamma given as lists of floats are used as they are.
+    The start x = 0 is decided first from A D_hat and floats alone: it passes
+    when p is in the price box, every band row holds at D_hat, and the bound
+    sum|J_hat| sum|A| on the entries of J_hat^T A^T shows them finite. Only a
+    start that fails builds J_hat^T A^T, the box and the LP. The price comes back as a list of
+    floats. The vectors may be arrays or lists; lam and gamma given as lists of
+    floats are used as they are.
     """
-    ps = list(map(float, p))
     A = np.asarray(A)
     root_n = math.sqrt(n)
     radius = kappa1 * n**-0.25
+    band = kappa3 / root_n
+    # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j, C = J_hat^T A^T / 2: h
+    # holds ub_j - <a_j, D_hat> and -(lb_j - <a_j, D_hat>) for each resource j
+    h = [v for g, l, base in zip(_floats(gamma), _floats(lam), (A @ D_hat).tolist())
+         for v in (g + band - base,
+                   -(g - kappa2 / (min(1.0, l) * root_n) - band - base) if l > 0 else math.inf)]
+    ps = _floats(p)
+    # x = 0 is in the box when radius >= 0 and p in the price box, and G x - h is -h
+    # there when G is finite; min and max pass over a NaN, which the sums keep
+    if (radius >= 0 and price_box[0] <= min(ps) and max(ps) <= price_box[1]
+            and min(h) >= -FEASIBLE_TOL and not math.isnan(sum(ps) + sum(h))
+            and sum(map(abs, np.asarray(J_hat).ravel("K").tolist()))
+            * sum(map(abs, A.ravel("K").tolist())) < 2.0**1000):
+        return [x + 0.0 for x in ps], True
+    ps = list(map(float, ps))
     lo = [_maximum(-radius, price_box[0] - x) for x in ps]
     hi = [_minimum(radius, price_box[1] - x) for x in ps]
-    JA = np.asarray(J_hat).T @ A.T  # column j: 2 d<a_j, model>/dx
-    band = kappa3 / root_n
-    # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j, C = JA / 2
-    h = []
-    for g, l, base in zip(_floats(gamma), _floats(lam), (A @ D_hat).tolist()):
-        lb = g - kappa2 / (min(1.0, l) * root_n) - band - base if l > 0 else -math.inf
-        h += (g + band - base, -lb)
-    # feasible_point's first test, made without building G: with G finite,
-    # G x - h is -h at the clipped start x = +-0; a NaN fails every comparison
-    start = [_minimum(_maximum(0.0, a), b) for a, b in zip(lo, hi)]
-    if (not any(start) and all(v >= -FEASIBLE_TOL for v in h)
-            and math.isfinite(sum(JA.ravel().tolist()))):
-        return [x + d for x, d in zip(ps, start)], True
-    G = (0.5 * JA).T.repeat(2, axis=0)
+    G = (0.5 * (np.asarray(J_hat).T @ A.T)).T.repeat(2, axis=0)
     G[1::2] *= -1.0
     x, ok = feasible_point(G, np.array(h), np.zeros(len(ps)), np.array(lo), np.array(hi))
     return ([a + d for a, d in zip(ps, x.tolist())], True) if ok else (ps, False)
@@ -251,53 +262,15 @@ def _floats(v) -> list:
     return v if type(v) is list else np.asarray(v, float).tolist()
 
 
-def _balance_constants(instance: Instance, cfg: PdNrmConfig) -> tuple:
-    """demand_balance's arguments after n, which no loop changes:
-    (gamma, A, kappa1, kappa2, kappa3, price_box)."""
-    return (instance.gamma.tolist(), instance.A, cfg.kappa1, cfg.kappa2, cfg.kappa3,
-            instance.price_box)
-
-
-def _grad_est_gen(instance: Instance, p: list, lam: list, n, fixed: tuple,
-                  head=None, hold=False):
-    """Generator: yields schedules, receives their rows' average demand,
-    returns ((D_hat, J_hat, grad_f, tilde_p, balancing_feasible, u), held row),
-    J_hat an array and the vectors lists. Consumes exactly n periods. A head
-    row, a balanced (price, length) row held by the previous loop, goes first
-    in this call's first request, its answer dropped. With hold, this call's
-    balanced row is held, not served alone, and returned. fixed holds
-    demand_balance's arguments after n (_balance_constants). It raises
-    ValueError at n < 4N or a p not strictly inside the price box: no valid
-    config's loop has one."""
-    N, K = instance.N, 2 * instance.N
-    m = n // (4 * N)
-    if m < 1:
-        raise ValueError(f"grad_est needs n >= 4N = {4 * N}, not n = {n}")
-    # rounding is monotone, so min(p) - price_min is min(p - price_min)
-    u = min(functools.reduce(_minimum, p) - instance.price_min,
-            instance.price_max - functools.reduce(_maximum, p), math.sqrt(N) / n**0.25)
-    if not u > 0:   # a NaN price too: min returns a NaN first argument
-        raise ValueError(f"grad_est needs p strictly inside the price box, not p = {p}")
-    # the 2N two-point probes p + u e_i, p - u e_i read no feedback until the
-    # last one, so they are one schedule
-    rows = u * _probe_signs(N) + p
-    lengths = np.array([m] * (K + 1))
-    if head is not None:
-        rows[0], lengths[0] = head
-    avgs = (yield (rows, lengths) if head is not None else (rows[1:], lengths[1:]))[-K:]
-    rev, avgs = _dot(rows[1:], avgs).tolist(), avgs.tolist()
-    plus, minus = avgs[0::2], avgs[1::2]
-    # np.add.reduce sums each column as a fold from its first row
-    D_hat = [(functools.reduce(operator.add, a) + functools.reduce(operator.add, b)) / K
-             for a, b in zip(zip(*plus), zip(*minus))]
-    J_hat = np.array([[(a - b) / (2 * u) for a, b in zip(*pair)] for pair in zip(plus, minus)]).T
-    grad_f = [(a - b) / (2 * u) for a, b in zip(rev[0::2], rev[1::2])]
-
-    tilde_p, feasible = demand_balance(D_hat, J_hat, p, lam, n, *fixed)
-    balanced = (tilde_p, n - 2 * N * m)
-    if not hold:
-        yield balanced
-    return (D_hat, J_hat, grad_f, tilde_p, feasible, u), balanced if hold else None
+def _constants(instance: Instance, cfg: PdNrmConfig) -> tuple:
+    """What no loop or epoch of a run changes, derived once: (N, price_min,
+    price_max, sqrt(N), the (2N + 1, N) probe directions 0, e_i and -e_i,
+    demand_balance's arguments after n, the inner box's edges, A^T, eta1, T)."""
+    N = instance.N
+    return (N, instance.price_min, instance.price_max, math.sqrt(N),
+            np.vstack([np.zeros(N), np.kron(np.eye(N), [[1.0], [-1.0]])]),
+            (instance.gamma.tolist(), instance.A, cfg.kappa1, cfg.kappa2, cfg.kappa3,
+             instance.price_box), *_inner_box(instance), instance.A.T, cfg.eta1, instance.T)
 
 
 def _maximum(a: float, b: float) -> float:
@@ -308,12 +281,6 @@ def _maximum(a: float, b: float) -> float:
 def _minimum(a: float, b: float) -> float:
     """np.minimum(a, b) on floats: a NaN wins, and of equal values b."""
     return a if a < b or a != a else b
-
-
-@functools.lru_cache(maxsize=None)
-def _probe_signs(N: int) -> np.ndarray:
-    """The (2N + 1, N) probe directions: 0, then e_i and -e_i for each product i."""
-    return np.vstack([np.zeros(N), np.kron(np.eye(N), [[1.0], [-1.0]])])
 
 
 class DemandOracle:
@@ -353,11 +320,11 @@ def _drive(gen, env):
 
 
 def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOutput:
-    """Run the estimation-and-balancing routine against an environment handle
-    with a commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
-    gen = _grad_est_gen(instance, np.asarray(p, float).tolist(), _floats(lam), n,
-                        _balance_constants(instance, cfg))
-    D_hat, J_hat, grad_f, tilde_p, feasible, u = _drive(gen, env)[0]
+    """Run the estimation-and-balancing routine, one loop of n periods whose
+    balanced row is served alone, against an environment handle with a
+    commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
+    _, D_hat, _, _, (J_hat, grad_f, tilde_p, feasible, u) = _drive(
+        _primal_gen(instance, cfg, lam, ((0, 0, n, math.inf),), p), env)
     return GradEstOutput(D_hat=np.array(D_hat), J_hat=J_hat, grad_f=np.array(grad_f),
                          tilde_p=np.array(tilde_p), balancing_feasible=feasible,
                          periods_consumed=n, u=u)
@@ -370,26 +337,67 @@ def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
     With grad_h = grad_q - mu lam_s, as the policy passes it, the shrinkage
     cancels and this is the projected step
     clip(lam_s - eta2/(1 + mu eta2) grad_q, 0, lambda_max)."""
-    lam_s, grad_h, lam_max = (np.asarray(a, float).tolist() for a in (lam_s, grad_h, lambda_max))
-    return np.array([_minimum(_maximum((x - eta2 * g) / (1.0 + mu * eta2), 0.0), b)
-                     for x, g, b in zip(lam_s, grad_h, lam_max)])
+    return np.array(_dual_step(_floats(lam_s), _floats(grad_h), mu, eta2, _floats(lambda_max)))
+
+
+def _dual_step(lam_s: list, grad_h: list, mu, eta2, lam_max: list) -> list:
+    """prox_dual_step on lists of floats."""
+    return [_minimum(_maximum((x - eta2 * g) / (1.0 + mu * eta2), 0.0), b)
+            for x, g, b in zip(lam_s, grad_h, lam_max)]
 
 
 def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
-                events: Optional[list] = None, pending=None):
-    """One PrimalOpt run over an epoch's (s, tau, n_tau, end) loops, after a pending
-    row held before them; a loop that ends by instance.T holds its balanced row.
-    Returns (p_hat, D_hat, p_next, pending): the final loop's price, whose estimate
-    feeds the dual update, the post-update iterate (the next epoch's start) and its held row."""
-    P_lo, P_hi = _inner_box(instance)
-    lam = np.asarray(lam, float)
-    At_lam = instance.A.T @ lam
-    lam, fixed, eta1 = lam.tolist(), _balance_constants(instance, cfg), cfg.eta1
-    p = np.asarray(p_start, float).tolist()
+                events: Optional[list] = None, pending=None, const=None):
+    """Generator: one PrimalOpt run over an epoch's (s, tau, n_tau, end) loops,
+    after a pending (price, length) row held before them. A loop of n periods
+    posts the 2N two-point probes p + u e_i, p - u e_i for n // 4N periods
+    each; they read no feedback until the last one, so they are one schedule,
+    after the held row, whose answer goes unread. Their average demand gives
+    D_hat, J_hat and grad_f, then demand_balance's price for the loop's other
+    periods: held for the next schedule if the loop ends by instance.T, else
+    served alone. Then the primal step. Returns (p_hat, D_hat, p_next, pending,
+    (J_hat, grad_f, tilde_p, feasible, u)): the final loop's price, whose
+    estimate feeds the dual update, the post-update iterate (the next epoch's
+    start), the held row and the rest of the final loop's estimate; J_hat is
+    an array, the vectors lists. const is _constants(instance, cfg), passed by
+    a caller that runs several epochs. It raises ValueError at n < 4N or a p
+    not strictly inside the price box: no valid config's loop has one."""
+    N, p_min, p_max, root_N, signs, fixed, P_lo, P_hi, At, eta1, T = (
+        const or _constants(instance, cfg))
+    K = 2 * N
+    lam = _floats(lam)
+    At_lam = At @ lam
+    p = _floats(p_start)
     for s, tau, n_tau, end in loops:
-        (D_hat, J_hat, grad_f, tilde_p, feasible, u), pending = yield from _grad_est_gen(
-            instance, p, lam, n_tau, fixed, pending, end <= instance.T)
-        raw = [x + eta1 * (g - v) for x, g, v in zip(p, grad_f, (J_hat.T @ At_lam).tolist())]
+        m = n_tau // (2 * K)
+        if m < 1:
+            raise ValueError(f"grad_est needs n >= 4N = {2 * K}, not n = {n_tau}")
+        # rounding is monotone, so min(p) - price_min is min(p - price_min)
+        u = min(functools.reduce(_minimum, p) - p_min, p_max - functools.reduce(_maximum, p),
+                root_N / n_tau**0.25)
+        if not u > 0:   # a NaN price too: min returns a NaN first argument
+            raise ValueError(f"grad_est needs p strictly inside the price box, not p = {p}")
+        rows = u * signs + p   # row 0 is p, for the held row
+        if pending is None:
+            rows, lengths = rows[1:], np.array([m] * K)
+        else:
+            rows[0], lengths = pending[0], np.array([pending[1]] + [m] * K)
+        avgs = yield rows, lengths
+        rev, avgs = _dot(rows, avgs).tolist(), avgs.tolist()
+        h, two_u = len(avgs) - K, 2 * u   # h = 1 after a held row
+        plus, minus = avgs[h::2], avgs[h + 1::2]
+        # np.add.reduce sums each column as a fold from its first row
+        D_hat = [(functools.reduce(operator.add, a) + functools.reduce(operator.add, b)) / K
+                 for a, b in zip(zip(*plus), zip(*minus))]
+        J_T = np.array([(a - b) / two_u for pm in zip(plus, minus)
+                        for a, b in zip(*pm)]).reshape(N, N)   # J_hat^T, C-ordered
+        grad_f = [(a - b) / two_u for a, b in zip(rev[h::2], rev[h + 1::2])]
+        tilde_p, feasible = demand_balance(D_hat, J_T.T, p, lam, n_tau, *fixed)
+        pending = (tilde_p, n_tau - K * m)
+        if end > T:
+            yield pending
+            pending = None
+        raw = [x + eta1 * (g - v) for x, g, v in zip(p, grad_f, (J_T @ At_lam).tolist())]
         p_hat, p = p, [_minimum(_maximum(r, P_lo), P_hi) for r in raw]
         if events is not None:
             events.append({
@@ -397,9 +405,9 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
                 "lambda": lam, "p": p_hat, "u": u, "tilde_p": tilde_p,
                 "balancing_feasible": bool(feasible),
                 "degraded": False,   # every loop probes; perfbench reads it (ROADMAP 1a)
-                "clipped": any(r != q for r, q in zip(raw, p)),
+                "clipped": raw != p,
             })
-    return np.array(p_hat), np.array(D_hat), np.array(p), pending
+    return p_hat, D_hat, p, pending, (J_T.T, grad_f, tilde_p, feasible, u)
 
 
 def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
@@ -408,7 +416,8 @@ def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
     logged as epoch 0, each balanced row served alone; returns (p_hat, D_hat)."""
     loops = ((0, tau, n_tau, math.inf) for tau, n_tau in enumerate(_loop_lengths(cfg, eps_bar)))
     start = _initial_price(instance, cfg)
-    return _drive(_primal_gen(instance, cfg, lam, loops, start, events), env)[:2]
+    p_hat, D_hat = _drive(_primal_gen(instance, cfg, lam, loops, start, events), env)[:2]
+    return np.array(p_hat), np.array(D_hat)
 
 
 def _loop_lengths(cfg: PdNrmConfig, eps_bar: float):
@@ -467,21 +476,19 @@ class PdNrmPolicy(CommitPolicy):
 
     def _driver(self):
         instance, cfg = self.instance, self.config
-        lam = np.zeros(instance.M)
+        const, A, gamma = _constants(instance, cfg), instance.A, instance.gamma.tolist()
+        mu, eta2, lam_max = cfg.mu, cfg.eta2, self.lambda_max.tolist()
+        lam = [0.0] * instance.M
         p = _initial_price(instance, cfg)   # each epoch starts where the last one ended
         pending = None   # the held balanced row, carried across loops and epochs
         for s, loops in itertools.groupby(loop_skeleton(cfg), operator.itemgetter(0)):
-            self.events.append({
-                "kind": "epoch", "s": s, "lambda": lam.tolist(), "eps_bar": _eps_bar(cfg, s),
-            })
-            p_hat, D_hat, p, pending = yield from _primal_gen(
-                instance, cfg, lam, loops, p, self.events, pending)
-            grad_q = instance.gamma - instance.A @ D_hat
-            lam = prox_dual_step(lam, grad_q - cfg.mu * lam, cfg.mu, cfg.eta2,
-                                 self.lambda_max)
-            self.events.append({
-                "kind": "dual", "s": s, "grad_q": grad_q.tolist(), "lambda_next": lam.tolist(),
-            })
+            self.events.append({"kind": "epoch", "s": s, "lambda": lam,
+                                "eps_bar": _eps_bar(cfg, s)})
+            _, D_hat, p, pending, _ = yield from _primal_gen(
+                instance, cfg, lam, loops, p, self.events, pending, const)
+            grad_q = [g - x for g, x in zip(gamma, (A @ D_hat).tolist())]
+            lam = _dual_step(lam, [g - mu * x for g, x in zip(grad_q, lam)], mu, eta2, lam_max)
+            self.events.append({"kind": "dual", "s": s, "grad_q": grad_q, "lambda_next": lam})
 
 
 def epoch_count_bound(cfg: PdNrmConfig, T: int) -> float:

@@ -217,7 +217,7 @@ class PolicyError(RuntimeError):
     """Policy emitted an out-of-box, non-shutoff price."""
 
 
-def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
+def _serve(model, A, prices, lengths, remaining, rng, noiseless=False, fits=False):
     """Serve a schedule, prices[r] for lengths[r] periods row after row, until
     the first purchase that `remaining` cannot cover (None: no limit).
     Returns (served, demand, after) for the rows up to the one cut short (the
@@ -234,7 +234,8 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
     `_noiseless_served` if noiseless. Sampled, the draws after it are then
     taken back: the generator state saved before the draw is restored and the
     rows up to it drawn again, which consumes the stream as one draw per row
-    does. Inside that row, halving finds the first unservable period: given a
+    does; a caller that has shown the schedule to fit (fits) saves no state.
+    Inside that row, halving finds the first unservable period: given a
     segment's counts, the counts of its first h periods are multivariate
     hypergeometric, so each split is exact in distribution. A one-row schedule
     never touches the bit generator. A sampled schedule with a row longer than
@@ -250,7 +251,7 @@ def _serve(model, A, prices, lengths, remaining, rng, noiseless=False):
         # no purchase takes 1 - sum D(p)
         pvals = np.zeros((K, means.shape[1] + 1))
         np.maximum(means, 0.0, out=pvals[:, :-1])
-        state = rng.bit_generator.state if K > 1 and remaining is not None else None
+        state = None if K == 1 or remaining is None or fits else rng.bit_generator.state
         demand = _draw(rng, lengths, pvals)
     if remaining is None:
         return lengths, demand, None
@@ -369,7 +370,9 @@ def _in_box(prices: np.ndarray, lo: float, hi: float) -> bool:
     flat = prices.ravel()
     if flat.size > _FEW:
         return bool(lo <= flat.min() and flat.max() <= hi)   # a NaN fails both
-    return all(lo <= x <= hi for x in flat.tolist())
+    # min and max can pass over a NaN, which their sum keeps
+    values = flat.tolist()
+    return lo <= min(values) and max(values) <= hi and not math.isnan(sum(values))
 
 
 def _fold(ledger: list, sold: list, hasher, noiseless: bool) -> None:
@@ -426,6 +429,10 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
     noiseless = instance.noise == "none"
     eps = 1e-9 * max(1.0, abs(instance.price_max))
     p_lo, p_hi = instance.price_min - eps, instance.price_max + eps
+    # twice the most of a resource that one period can use: a sampled request of
+    # span periods with span * dearest <= min(remaining) cannot run out, whatever
+    # is drawn, and the factor 2 leaves room for any rounding of the scan
+    dearest = 2.0 * max(A.ravel().tolist())
 
     hasher = hashlib.blake2b(digest_size=16)
     sold: list = []   # tallies of units by price; noiseless: of periods by revenue per period
@@ -453,7 +460,8 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
             shown = prices[0] if len(prices) == 1 else "of a schedule"
             raise PolicyError(f"price {shown} outside [{instance.price_min}, {instance.price_max}]")
 
-        served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless)
+        fits = not noiseless and span * dearest <= min(remaining.tolist())
+        served, demand, after = _serve(model, A, prices, lengths, remaining, rng, noiseless, fits)
         # copies: a policy may reuse its arrays for its next request
         ledger.append((prices[:len(served)].copy(), demand, served.copy()))
         if len(ledger) >= _LEDGER_ROWS:
@@ -476,7 +484,7 @@ def run_episode(instance: Instance, policy: Policy, seed: int,
                     periods["inventory"][start + s - 1] = after[i]
                     periods["revenue"][start:start + s] = y_rows @ prices[i]
                 start += k
-        remaining = after[-1].copy()
+        remaining = after[-1]   # no kernel call writes to it
 
         if sum(served.tolist()) < span:
             # the first unservable purchase shuts the market for good

@@ -458,26 +458,22 @@ class TestReferenceSolver:
             assert new == ref
 
     def test_one_model_evaluation_per_slsqp_point(self, monkeypatch):
-        # D(p) once per point SLSQP visits, and J_D(p) at most once; the
-        # evaluation of D inside J_D's own is not counted
+        # D(p) once per point SLSQP visits, and J_D(p) at most once, built
+        # from that D(p): J_D evaluates no D of its own
         instance = example_logit_instance(T=100_000)
         model = instance.model
         mean, jacobian, slsqp = model.mean, model.jacobian, scipy.optimize.minimize
-        runs, active, in_jacobian = [], [], []   # active: the run SLSQP is inside
+        runs, active = [], []   # active: the run SLSQP is inside
 
         def counted_mean(p):
-            if active and not in_jacobian:
+            if active:
                 active[0]["mean"] += 1
             return mean(p)
 
-        def counted_jacobian(p):
+        def counted_jacobian(p, d=None):
             if active:
                 active[0]["jacobian"] += 1
-            in_jacobian.append(1)
-            try:
-                return jacobian(p)
-            finally:
-                in_jacobian.pop()
+            return jacobian(p, d)
 
         def recorded_minimize(fun, x0, jac, constraints, **kwargs):
             run = {"mean": 0, "jacobian": 0, "points": set()}

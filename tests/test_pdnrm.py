@@ -490,6 +490,8 @@ def balance_inputs(rng, case):
         gamma[-1] = np.nan
     elif case == "bad J":
         J.flat[rng.integers(N * N)] = rng.choice([np.inf, -np.inf, np.nan])
+    elif case == "huge J":   # finite, but J^T A^T overflows for most draws
+        J = np.sign(J) * rng.uniform(1e307, 1.7e308, size=(N, N))
     return D, J, p, lam, n, gamma, A, kappa1, kappa2, kappa3, (0.8, 5.0)
 
 
@@ -498,11 +500,11 @@ class TestDemandBalance:
         self.inst = None
 
     @pytest.mark.parametrize("case", ["start passes", "binding band", "box edge", "nan p",
-                                      "nan h", "bad J"])
+                                      "nan h", "bad J", "huge J"])
     def test_shortcut_matches_the_full_path(self, case, monkeypatch):
-        # the start x = 0 is tested from h alone; the result must be the one
+        # the start x = 0 is tested without G; the result must be the one
         # that building G and h and calling feasible_point gives
-        calls = []
+        calls, refused = [], 0
 
         def counted(*args, **kwargs):
             calls.append(1)
@@ -512,9 +514,11 @@ class TestDemandBalance:
         rng = np.random.default_rng([17, sum(case.encode())])
         for _ in range(200 if case == "start passes" else 30):
             args = balance_inputs(rng, case)
-            with np.errstate(invalid="ignore"):   # inf * 0 in G x, on both paths
+            # inf * 0 in G x, on both paths, and J^T A^T's overflow
+            with np.errstate(invalid="ignore", over="ignore"):
                 tilde, ok = demand_balance(*args)
                 ref, ref_ok = reference_balance(*args)
+            refused += not ref_ok
             assert ok == ref_ok
             assert np.array_equal(tilde, ref, equal_nan=True)
             assert np.array_equal(np.signbit(tilde), np.signbit(ref))
@@ -523,6 +527,8 @@ class TestDemandBalance:
             assert not calls
         elif case in ("binding band", "nan p", "nan h", "bad J"):
             assert len(calls) >= 15
+        elif case == "huge J":   # where J^T A^T overflows, the start must not pass
+            assert refused >= 10 and len(calls) >= refused
 
     def test_set_the_sweep_cap_called_empty_balances(self):
         # recorded from a bundled kappa3 = 1 episode: 500 cyclic-projection
@@ -846,7 +852,7 @@ class TestDualOptPolicy:
         def recorded(instance, cfg, lam, loops, p_start, *args):
             starts.append(np.array(p_start))
             out = yield from real(instance, cfg, lam, loops, p_start, *args)
-            ends.append(out[2])
+            ends.append(np.array(out[2]))
             return out
 
         monkeypatch.setattr(pdnrm, "_primal_gen", recorded)
