@@ -19,7 +19,10 @@ as numpy rounds it, and every matrix product stays numpy's, whose BLAS
 rounding is the contract: the probes' revenues (demand._dot), A D_hat, J_hat^T
 (A^T lam) and, per epoch, A^T lam. So a loop makes arrays only for its
 schedule, its probe answers and those products; the rest are lists and floats.
-What no loop or epoch changes is derived once per run (_constants)."""
+What no loop or epoch changes is derived once per run (_constants), and what
+a loop's length alone sets once per length: its probe offset's cap, the probe
+directions scaled by it and a schedule's lengths (memos in _constants), and
+the length itself, the same in every epoch (loop_skeleton)."""
 
 import functools
 import itertools
@@ -224,37 +227,42 @@ def demand_balance(D_hat, J_hat, p, lam, n, gamma, A,
       <a_j, D_hat + J_hat x / 2> >= gamma_j - kappa2/((1 ^ lam_j) sqrt(n)) - kappa3/sqrt(n).
     Solved by projections.feasible_point from x = 0, an LP for the point nearest
     p in the max norm; (p, False) when HiGHS proves that no such point exists.
-    The start x = 0 is decided first from A D_hat and floats alone: it passes
-    when p is in the price box, every band row holds at D_hat, and the bound
-    sum|J_hat| sum|A| on the entries of J_hat^T A^T shows them finite. Only a
-    start that fails builds J_hat^T A^T, the box and the LP. The price comes back as a list of
-    floats. The vectors may be arrays or lists; lam and gamma given as lists of
-    floats are used as they are.
+    The start x = 0 is decided first, by _start_passes, from A D_hat and floats
+    alone; only a start that fails builds J_hat^T A^T, the box and the LP. The
+    price comes back as a list of floats. The vectors may be arrays or lists;
+    lam and gamma given as lists of floats are used as they are.
     """
-    A = np.asarray(A)
+    A, J_hat = np.asarray(A), np.asarray(J_hat)
     root_n = math.sqrt(n)
-    radius = kappa1 * n**-0.25
     band = kappa3 / root_n
     # rows interleaved as C_j x <= ub_j, -C_j x <= -lb_j, C = J_hat^T A^T / 2: h
     # holds ub_j - <a_j, D_hat> and -(lb_j - <a_j, D_hat>) for each resource j
-    h = [v for g, l, base in zip(_floats(gamma), _floats(lam), (A @ D_hat).tolist())
-         for v in (g + band - base,
-                   -(g - kappa2 / (min(1.0, l) * root_n) - band - base) if l > 0 else math.inf)]
-    ps = _floats(p)
-    # x = 0 is in the box when radius >= 0 and p in the price box, and G x - h is -h
-    # there when G is finite; min and max pass over a NaN, which the sums keep
-    if (radius >= 0 and price_box[0] <= min(ps) and max(ps) <= price_box[1]
-            and min(h) >= -FEASIBLE_TOL and not math.isnan(sum(ps) + sum(h))
-            and sum(map(abs, np.asarray(J_hat).ravel("K").tolist()))
-            * sum(map(abs, A.ravel("K").tolist())) < 2.0**1000):
+    h = []
+    for g, l, base in zip(_floats(gamma), _floats(lam), (A @ D_hat).tolist()):
+        h += (g + band - base,
+              -(g - kappa2 / (min(1.0, l) * root_n) - band - base) if l > 0 else math.inf)
+    ps, radius = _floats(p), kappa1 * n**-0.25
+    if _start_passes(ps, h, radius, price_box, J_hat, A):
         return [x + 0.0 for x in ps], True
     ps = list(map(float, ps))
     lo = [_maximum(-radius, price_box[0] - x) for x in ps]
     hi = [_minimum(radius, price_box[1] - x) for x in ps]
-    G = (0.5 * (np.asarray(J_hat).T @ A.T)).T.repeat(2, axis=0)
+    G = (0.5 * (J_hat.T @ A.T)).T.repeat(2, axis=0)
     G[1::2] *= -1.0
     x, ok = feasible_point(G, np.array(h), np.zeros(len(ps)), np.array(lo), np.array(hi))
     return ([a + d for a, d in zip(ps, x.tolist())], True) if ok else (ps, False)
+
+
+def _start_passes(ps: list, h: list, radius: float, price_box, J_hat: np.ndarray,
+                  A: np.ndarray) -> bool:
+    """Whether demand_balance's start x = 0 is its answer: x = 0 is in the box
+    when the radius is >= 0 and p in the price box, and G x - h is -h there
+    when G = J_hat^T A^T / 2 is finite, which sum|J_hat| sum|A| < 2^1000 shows;
+    min and max pass over a NaN, which the sums keep."""
+    return (radius >= 0 and price_box[0] <= min(ps) and max(ps) <= price_box[1]
+            and min(h) >= -FEASIBLE_TOL and not math.isnan(sum(ps) + sum(h))
+            and sum(map(abs, J_hat.ravel("K").tolist()))
+            * sum(map(abs, A.ravel("K").tolist())) < 2.0**1000)
 
 
 def _floats(v) -> list:
@@ -265,12 +273,36 @@ def _floats(v) -> list:
 def _constants(instance: Instance, cfg: PdNrmConfig) -> tuple:
     """What no loop or epoch of a run changes, derived once: (N, price_min,
     price_max, sqrt(N), the (2N + 1, N) probe directions 0, e_i and -e_i,
-    demand_balance's arguments after n, the inner box's edges, A^T, eta1, T)."""
+    demand_balance's arguments after n, the inner box's edges, A^T, eta1, T,
+    and two memos that the run fills: per loop length n, (n // 4N, the probe
+    offset's cap sqrt(N) n^(-1/4), the cap times the directions), and per
+    (held row's length, n // 4N), a schedule's read-only lengths)."""
     N = instance.N
     return (N, instance.price_min, instance.price_max, math.sqrt(N),
             np.vstack([np.zeros(N), np.kron(np.eye(N), [[1.0], [-1.0]])]),
             (instance.gamma.tolist(), instance.A, cfg.kappa1, cfg.kappa2, cfg.kappa3,
-             instance.price_box), *_inner_box(instance), instance.A.T, cfg.eta1, instance.T)
+             instance.price_box), *_inner_box(instance), instance.A.T, cfg.eta1, instance.T,
+            {}, {})
+
+
+def _probe_constants(memo: dict, n: int, K: int, root_N: float, signs: np.ndarray) -> tuple:
+    """memo[n], derived on its first use: (m = n // 2K, root_N n^(-1/4), root_N
+    n^(-1/4) signs); a budget below 2K refused."""
+    m = n // (2 * K)
+    if m < 1:
+        raise ValueError(f"grad_est needs n >= 4N = {2 * K}, not n = {n}")
+    cap = root_N / n**0.25
+    memo[n] = m, cap, cap * signs
+    return memo[n]
+
+
+def _probe_lengths(memo: dict, held: int, m: int, K: int) -> np.ndarray:
+    """memo[held, m], made on its first use: a schedule's lengths, the held
+    row's first if held, then m for each of the K probes, read-only, so that
+    every request of a run with them can share the array."""
+    lengths = memo[held, m] = np.array(([held] if held else []) + [m] * K)
+    lengths.flags.writeable = False
+    return lengths
 
 
 def _maximum(a: float, b: float) -> float:
@@ -362,26 +394,29 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
     an array, the vectors lists. const is _constants(instance, cfg), passed by
     a caller that runs several epochs. It raises ValueError at n < 4N or a p
     not strictly inside the price box: no valid config's loop has one."""
-    N, p_min, p_max, root_N, signs, fixed, P_lo, P_hi, At, eta1, T = (
-        const or _constants(instance, cfg))
+    (N, p_min, p_max, root_N, signs, fixed, P_lo, P_hi, At, eta1, T, per_n,
+     per_lengths) = const or _constants(instance, cfg)
     K = 2 * N
+    P_low = _minimum(P_lo, P_hi)   # np.minimum(np.maximum(r, P_lo), P_hi) at r <= P_lo
     lam = _floats(lam)
     At_lam = At @ lam
     p = _floats(p_start)
     for s, tau, n_tau, end in loops:
-        m = n_tau // (2 * K)
-        if m < 1:
-            raise ValueError(f"grad_est needs n >= 4N = {2 * K}, not n = {n_tau}")
-        # rounding is monotone, so min(p) - price_min is min(p - price_min)
-        u = min(functools.reduce(_minimum, p) - p_min, p_max - functools.reduce(_maximum, p),
-                root_N / n_tau**0.25)
-        if not u > 0:   # a NaN price too: min returns a NaN first argument
+        m, cap, steps = per_n.get(n_tau) or _probe_constants(per_n, n_tau, K, root_N, signs)
+        # rounding is monotone, so min(p) - price_min is min(p - price_min); a NaN in p,
+        # which min and max can pass over, makes the sum NaN
+        u = min(min(p) - p_min, p_max - max(p), cap)
+        if not u > 0 or math.isnan(sum(p)):
             raise ValueError(f"grad_est needs p strictly inside the price box, not p = {p}")
-        rows = u * signs + p   # row 0 is p, for the held row
-        if pending is None:
-            rows, lengths = rows[1:], np.array([m] * K)
+        rows = (steps if u == cap else u * signs) + p   # row 0 is p, for the held row
+        held = 0 if pending is None else pending[1]
+        lengths = per_lengths.get((held, m))
+        if lengths is None:
+            lengths = _probe_lengths(per_lengths, held, m, K)
+        if held:
+            rows[0] = pending[0]
         else:
-            rows[0], lengths = pending[0], np.array([pending[1]] + [m] * K)
+            rows = rows[1:]
         avgs = yield rows, lengths
         rev, avgs = _dot(rows, avgs).tolist(), avgs.tolist()
         h, two_u = len(avgs) - K, 2 * u   # h = 1 after a held row
@@ -398,7 +433,7 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
             yield pending
             pending = None
         raw = [x + eta1 * (g - v) for x, g, v in zip(p, grad_f, (J_T @ At_lam).tolist())]
-        p_hat, p = p, [_minimum(_maximum(r, P_lo), P_hi) for r in raw]
+        p_hat, p = p, [P_low if r <= P_lo else P_hi if r >= P_hi else r for r in raw]
         if events is not None:
             events.append({
                 "kind": "loop", "s": s, "tau": tau, "n_tau": n_tau,
@@ -423,7 +458,7 @@ def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
 def _loop_lengths(cfg: PdNrmConfig, eps_bar: float):
     """n_tau = ceil(min(contraction^(-2 tau), 2^62) n0), tau = 0, 1, ... up to the first
     over kappa5 / eps_bar^2; a capped growth is not raised again, as that would overflow."""
-    threshold = cfg.kappa5 / eps_bar**2 if eps_bar > 0 else math.inf
+    threshold = _threshold(cfg, eps_bar)
     grow = 0.0
     for tau in itertools.count():
         grow = grow if grow == 2.0**62 else min(cfg.contraction ** (-2 * tau), 2.0**62)
@@ -431,6 +466,12 @@ def _loop_lengths(cfg: PdNrmConfig, eps_bar: float):
         yield n_tau
         if n_tau > threshold:
             return
+
+
+def _threshold(cfg: PdNrmConfig, eps_bar: float) -> float:
+    """kappa5 / eps_bar^2, the loop length past which an epoch of target accuracy
+    eps_bar ends; no end at eps_bar = 0."""
+    return cfg.kappa5 / eps_bar**2 if eps_bar > 0 else math.inf
 
 
 def _eps_bar(cfg: PdNrmConfig, s: int) -> float:
@@ -441,12 +482,34 @@ def _eps_bar(cfg: PdNrmConfig, s: int) -> float:
 def loop_skeleton(cfg: PdNrmConfig):
     """Lazily, (epoch s, tau, n_tau, end) for every loop of an episode in order,
     end being the periods served by the loop's end. The config alone sets it:
-    an episode of horizon T logs the loops with end <= T."""
-    end = 0
+    an episode of horizon T logs the loops with end <= T. Every epoch's loop
+    lengths start the same sequence, each cut at its own threshold, so each
+    length is derived once."""
+    lengths, grow, end = [], _loop_lengths(cfg, 0.0), 0
     for s in itertools.count():
-        for tau, n_tau in enumerate(_loop_lengths(cfg, _eps_bar(cfg, s))):
+        threshold = _threshold(cfg, _eps_bar(cfg, s))
+        for tau in itertools.count():
+            if tau == len(lengths):
+                lengths.append(next(grow))
+            n_tau = lengths[tau]
             end += n_tau
             yield s, tau, n_tau, end
+            if n_tau > threshold:
+                break
+
+
+def _epochs(cfg: PdNrmConfig, T: int):
+    """loop_skeleton's loops as one list per epoch, up to the first loop that
+    ends after T: an episode of horizon T posts no request after it."""
+    loops = []
+    for loop in loop_skeleton(cfg):
+        if loops and not loop[1]:
+            yield loops
+            loops = []
+        loops.append(loop)
+        if loop[3] > T:
+            break
+    yield loops
 
 
 def _inner_box(instance: Instance):
@@ -481,7 +544,8 @@ class PdNrmPolicy(CommitPolicy):
         lam = [0.0] * instance.M
         p = _initial_price(instance, cfg)   # each epoch starts where the last one ended
         pending = None   # the held balanced row, carried across loops and epochs
-        for s, loops in itertools.groupby(loop_skeleton(cfg), operator.itemgetter(0)):
+        for loops in _epochs(cfg, instance.T):
+            s = loops[0][0]
             self.events.append({"kind": "epoch", "s": s, "lambda": lam,
                                 "eps_bar": _eps_bar(cfg, s)})
             _, D_hat, p, pending, _ = yield from _primal_gen(

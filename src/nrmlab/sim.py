@@ -84,9 +84,10 @@ def _tally(prices: np.ndarray, units: np.ndarray) -> tuple:
 
 def _revenue(sold: list) -> float:
     """The revenue of a non-empty list of (prices, units) tallies: one fsum of
-    the exact products, so it is rounded once, whatever the order or grouping."""
-    prices, units = _tally(*(sold[0] if len(sold) == 1
-                             else (np.concatenate(col) for col in zip(*sold))))
+    the exact products, so it is rounded once, whatever the order or grouping.
+    A single tally is summed as it is, since tallying it again changes nothing."""
+    prices, units = (sold[0] if len(sold) == 1
+                     else _tally(*(np.concatenate(col) for col in zip(*sold))))
     if units.size <= _FEW:
         return math.fsum(x for u, q in zip(units.tolist(), prices.tolist()) if u
                          for x in _exact_product(u, q))

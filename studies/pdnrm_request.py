@@ -1,4 +1,4 @@
-"""pdnrm's cost per request: the whole episode and the policy alone.
+"""pdnrm's cost per request: the whole episode, the policy alone and the kernel alone.
 
 Run from any directory; it imports nrmlab from its own checkout's src/:
 
@@ -13,13 +13,20 @@ policy posts, so one pdnrm loop. Each cell prints:
   episode's requests;
 - policy: the wall of a fresh policy that replays the episode's own answers
   through schedule() and observe_block(), over the same requests;
-- rest: whole less policy, the market kernel and run_episode's glue.
+- kernel: the wall of run_episode with a generator policy that does no work:
+  it posts the episode's own schedules in order and reads no answer, so the
+  market kernel, run_episode's glue and the generator hand-off are all it
+  times. Its trace must carry the episode's fingerprint;
+- rest: whole less policy less kernel, what the policy costs inside an
+  episode beyond its cost alone. whole less kernel is the policy's cost in
+  the episode.
 
 Each figure is the median over the runs of the cell's wall summed over its
-seeds. The answers come from one more run of each episode through a policy
-that passes every call on and keeps what observe_block is given; a seeded
-episode is the same with or without it. Like perfbench/run.py, the script pins
-BLAS to one thread before numpy loads. It uses nrmlab's public API only.
+seeds. The answers and schedules come from one more run of each episode
+through a policy that passes every call on and keeps what it posts and what
+observe_block is given; a seeded episode is the same with or without it. Like
+perfbench/run.py, the script pins BLAS to one thread before numpy loads. It
+uses nrmlab's public API only.
 """
 
 import os
@@ -43,16 +50,19 @@ SEEDS = {"multinomial": (1, 2, 3), "none": (1,)}
 
 
 class Recorder(nrmlab.Policy):
-    """Passes every call on to a policy and keeps the answers it is given."""
+    """Passes every call on to a policy and keeps the schedules it posts and
+    the answers it is given."""
 
     def __init__(self, policy):
-        self.policy, self.name, self.answers = policy, policy.name, []
+        self.policy, self.name, self.schedules, self.answers = policy, policy.name, [], []
 
     def next_price(self, period):
         return self.policy.next_price(period)
 
     def schedule(self):
-        return self.policy.schedule()
+        prices, lengths = self.policy.schedule()
+        self.schedules.append((prices.copy(), lengths.copy()))
+        return prices, lengths
 
     def observe(self, period, y):
         raise AssertionError("pdnrm's requests are answered whole")
@@ -62,18 +72,35 @@ class Recorder(nrmlab.Policy):
         self.policy.observe_block(period, y_avgs, lengths)
 
 
+class Replay(nrmlab.CommitPolicy):
+    """Posts recorded schedules in order and reads no answer."""
+
+    name = "replay"
+
+    def __init__(self, schedules):
+        self.schedules = schedules
+        super().__init__()
+
+    def _driver(self):
+        for schedule in self.schedules:
+            yield schedule
+
+
 def cell(plan, noise: str, T: int, runs: int) -> tuple:
-    """(requests, whole us, policy us) per request of one (noise, T) cell."""
+    """(requests, whole us, policy us, kernel us) per request of one (noise, T) cell."""
     inst = dataclasses.replace(plan.instance.with_horizon(T), noise=noise)
     cfg = nrmlab.config_from_dict(plan.pdnrm_config, inst)
-    answers = []
+    answers, schedules = [], []
     for seed in SEEDS[noise]:
         recorder = Recorder(nrmlab.PdNrmPolicy(inst, cfg))
-        nrmlab.run_episode(inst, recorder, seed)
+        trace = nrmlab.run_episode(inst, recorder, seed)
         answers.append(recorder.answers)
+        schedules.append(recorder.schedules)
+        replayed = nrmlab.run_episode(inst, Replay(recorder.schedules), seed)
+        assert replayed.fingerprint == trace.fingerprint, (noise, T, seed)
     # the request that the horizon cuts or the market shuts goes unanswered
     requests = sum(len(a) + 1 for a in answers)
-    whole, alone = [], []
+    whole, alone, kernel = [], [], []
     for _ in range(runs):
         wall = 0.0
         for seed in SEEDS[noise]:
@@ -92,8 +119,14 @@ def cell(plan, noise: str, T: int, runs: int) -> tuple:
             policy.schedule()
             wall += time.perf_counter() - t0
         alone.append(wall)
-    return (requests, statistics.median(whole) / requests * 1e6,
-            statistics.median(alone) / requests * 1e6)
+        wall = 0.0
+        for seed, posted in zip(SEEDS[noise], schedules):
+            policy = Replay(posted)
+            t0 = time.perf_counter()
+            nrmlab.run_episode(inst, policy, seed)
+            wall += time.perf_counter() - t0
+        kernel.append(wall)
+    return requests, *(statistics.median(w) / requests * 1e6 for w in (whole, alone, kernel))
 
 
 def main(argv=None) -> int:
@@ -105,13 +138,13 @@ def main(argv=None) -> int:
     print(f"# pdnrm_request: bundled instance, plan_scaling config {plan.pdnrm_config}, "
           f"median of {args.runs} runs")
     print(f"{'noise':12s} {'T':>9s} {'seeds':>6s} {'requests':>9s} {'whole':>9s} "
-          f"{'policy':>9s} {'rest':>9s}   (us per request)")
+          f"{'policy':>9s} {'kernel':>9s} {'rest':>9s}   (us per request)")
     for noise in SEEDS:
         for T in HORIZONS:
-            requests, whole, alone = cell(plan, noise, T, args.runs)
+            requests, whole, alone, kernel = cell(plan, noise, T, args.runs)
             seeds = ",".join(map(str, SEEDS[noise]))
             print(f"{noise:12s} {T:9.0e} {seeds:>6s} {requests:9d} {whole:9.1f} "
-                  f"{alone:9.1f} {whole - alone:9.1f}")
+                  f"{alone:9.1f} {kernel:9.1f} {whole - alone - kernel:9.1f}")
     print(f"# wall {time.perf_counter() - start:.1f} s")
     return 0
 

@@ -28,7 +28,10 @@ the importing process.
 The full set: the bundled instance and the seeded random logit instances
 N = 3 (M = 1) and N = 4 (M = 2) of perfbench/inputs.py; pdnrm with the tuned
 default, plan_scaling's config and the centre start, clairvoyant and ETC;
-multinomial and noiseless; seeds 1-3; T = 1e4 and 2e5.
+multinomial and noiseless; seeds 1-3; T = 1e4 and 2e5. Then, after the oracle
+cases, pdnrm with kappa3 = 1 on the bundled instance and the N = 3 instance,
+multinomial and noiseless, seeds 1-3, T = 1e5: the band binds there, so these
+episodes reach the balancing LP, which the tuned constants never do.
 """
 
 import os
@@ -53,9 +56,10 @@ from nrmlab import (DemandOracle, build_policy, config_from_dict, grad_est,  # n
                     load_instance, primal_opt, run_episode, solve_fluid)
 
 PDNRM_CONFIGS = {"pdnrm": {}, "pdnrm_scaling": {"mu": 0.05, "eta2": 1.0},
-                 "pdnrm_center": {"primal_init": "center"}}
-POLICIES = tuple(PDNRM_CONFIGS) + ("clairvoyant", "etc")
+                 "pdnrm_center": {"primal_init": "center"}, "pdnrm_kappa3": {"kappa3": 1.0}}
+POLICIES = ("pdnrm", "pdnrm_scaling", "pdnrm_center", "clairvoyant", "etc")
 RECORD_T = 10_000   # periods are recorded up to this horizon
+BALANCING_T = 100_000   # the horizon of the kappa3 = 1 cases
 
 
 def _random_logit_instance(N: int, M: int):
@@ -84,6 +88,19 @@ def episode_cases(quick: bool):
                 for policy in POLICIES:
                     for seed in seeds:
                         yield f"{name}/{noise}/T={T}/{policy}/{seed}", inst, policy, seed
+
+
+def balancing_cases(quick: bool):
+    """(label, instance, policy name, seed) of the kappa3 = 1 episodes, none if quick."""
+    if quick:
+        return
+    for name, base in instances(quick).items():
+        if name == "n4m2":
+            continue
+        for noise in ("multinomial", "none"):
+            inst = dataclasses.replace(base, T=BALANCING_T, noise=noise)
+            for seed in (1, 2, 3):
+                yield f"{name}/{noise}/T={BALANCING_T}/pdnrm_kappa3/{seed}", inst, "pdnrm_kappa3", seed
 
 
 def _episode(inst, policy: str, seed: int, fluid) -> list:
@@ -133,6 +150,8 @@ def cases(quick: bool = False):
         yield label, "\n".join([label] + _episode(inst, policy, seed, fluids[key])).encode()
     for name, inst in instances(quick).items():
         yield f"{name}/oracle", "\n".join([name] + _oracle_calls(inst)).encode()
+    for label, inst, policy, seed in balancing_cases(quick):   # pdnrm reads no fluid solution
+        yield label, "\n".join([label] + _episode(inst, policy, seed, None)).encode()
 
 
 def digest(quick: bool = False, on_case=None) -> tuple:

@@ -686,6 +686,34 @@ class TestDemandBalance:
             assert np.max(np.abs(out.tilde_p - p)) <= cfg.kappa1 * n**-0.25 + 1e-12
 
 
+class TestBalancingInEpisodes:
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    def test_a_start_forced_to_fail_gives_the_same_episode(self, noise, monkeypatch):
+        # at kappa3 = 1 the band binds: the LP moves some prices and finds some sets
+        # empty. With the start test forced to fail, every loop's balancing goes to
+        # feasible_point, and the episode must be the one that the start test shortens
+        inst = example_logit_instance(T=100_000, noise=noise)
+        cfg = config_from_dict({"kappa3": 1.0}, inst)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return feasible_point(*args)
+
+        monkeypatch.setattr(pdnrm, "feasible_point", counted)
+        normal = run_episode(inst, PdNrmPolicy(inst, cfg), seed=7)
+        solved = len(calls)
+        monkeypatch.setattr(pdnrm, "_start_passes", lambda *args: False)
+        forced = run_episode(inst, PdNrmPolicy(inst, cfg), seed=7)
+        loops = [e for e in normal.events if e["kind"] == "loop"]
+        assert any(e["balancing_feasible"] and e["tilde_p"] != e["p"] for e in loops)
+        assert not all(e["balancing_feasible"] for e in loops)
+        assert 0 < solved < len(loops) <= len(calls) - solved
+        assert forced.fingerprint == normal.fingerprint
+        assert forced.total_revenue == normal.total_revenue
+        assert forced.events == normal.events
+
+
 class TestPrimalOpt:
     def test_stopping_rule(self, noiseless_instance):
         inst = noiseless_instance
