@@ -19,10 +19,11 @@ as numpy rounds it, and every matrix product stays numpy's, whose BLAS
 rounding is the contract: the probes' revenues (demand._dot), A D_hat, J_hat^T
 (A^T lam) and, per epoch, A^T lam. So a loop makes arrays only for its
 schedule, its probe answers and those products; the rest are lists and floats.
-What no loop or epoch changes is derived once per run (_constants), and what
-a loop's length alone sets once per length: its probe offset's cap, the probe
-directions scaled by it and a schedule's lengths (memos in _constants), and
-the length itself, the same in every epoch (loop_skeleton)."""
+What no loop or epoch changes is derived once per run (_constants, the run's
+record), and what a loop's length and the held row's length set once per such
+pair, in the record's one memo (_probe): the probe offset's cap, the probe
+directions scaled by it and the schedule's lengths. The loop lengths, the same
+in every epoch, are derived once per run (loop_skeleton)."""
 
 import functools
 import itertools
@@ -271,38 +272,32 @@ def _floats(v) -> list:
 
 
 def _constants(instance: Instance, cfg: PdNrmConfig) -> tuple:
-    """What no loop or epoch of a run changes, derived once: (N, price_min,
-    price_max, sqrt(N), the (2N + 1, N) probe directions 0, e_i and -e_i,
-    demand_balance's arguments after n, the inner box's edges, A^T, eta1, T,
-    and two memos that the run fills: per loop length n, (n // 4N, the probe
-    offset's cap sqrt(N) n^(-1/4), the cap times the directions), and per
-    (held row's length, n // 4N), a schedule's read-only lengths)."""
+    """A run's record: what no loop or epoch of the run changes, derived once
+    (N, price_min, price_max, sqrt(N), the (2N + 1, N) probe directions 0, e_i
+    and -e_i, demand_balance's arguments after n, the inner box's edges, A^T,
+    eta1, T), and the one memo that the run fills, _probe's."""
     N = instance.N
     return (N, instance.price_min, instance.price_max, math.sqrt(N),
             np.vstack([np.zeros(N), np.kron(np.eye(N), [[1.0], [-1.0]])]),
             (instance.gamma.tolist(), instance.A, cfg.kappa1, cfg.kappa2, cfg.kappa3,
              instance.price_box), *_inner_box(instance), instance.A.T, cfg.eta1, instance.T,
-            {}, {})
+            {})
 
 
-def _probe_constants(memo: dict, n: int, K: int, root_N: float, signs: np.ndarray) -> tuple:
-    """memo[n], derived on its first use: (m = n // 2K, root_N n^(-1/4), root_N
-    n^(-1/4) signs); a budget below 2K refused."""
+def _probe(memo: dict, n: int, held: int, K: int, root_N: float, signs: np.ndarray) -> tuple:
+    """memo[n, held], derived on its first use by a loop of n periods after a held
+    row of held periods: (m = n // 2K, the probe offset's cap root_N n^(-1/4), the
+    cap times signs, the schedule's lengths: held's first if held, then m for each
+    of the K probes, read-only, so that every request with them shares the array);
+    a budget below 2K refused."""
     m = n // (2 * K)
     if m < 1:
         raise ValueError(f"grad_est needs n >= 4N = {2 * K}, not n = {n}")
     cap = root_N / n**0.25
-    memo[n] = m, cap, cap * signs
-    return memo[n]
-
-
-def _probe_lengths(memo: dict, held: int, m: int, K: int) -> np.ndarray:
-    """memo[held, m], made on its first use: a schedule's lengths, the held
-    row's first if held, then m for each of the K probes, read-only, so that
-    every request of a run with them can share the array."""
-    lengths = memo[held, m] = np.array(([held] if held else []) + [m] * K)
+    lengths = np.array(([held] if held else []) + [m] * K)
     lengths.flags.writeable = False
-    return lengths
+    memo[n, held] = m, cap, cap * signs, lengths
+    return memo[n, held]
 
 
 def _maximum(a: float, b: float) -> float:
@@ -356,7 +351,7 @@ def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOut
     balanced row is served alone, against an environment handle with a
     commit(prices (K, N), lengths (K,)) -> (K, N) average-demand method."""
     _, D_hat, _, _, (J_hat, grad_f, tilde_p, feasible, u) = _drive(
-        _primal_gen(instance, cfg, lam, ((0, 0, n, math.inf),), p), env)
+        _primal_gen(_constants(instance, cfg), lam, ((0, 0, n, math.inf),), p), env)
     return GradEstOutput(D_hat=np.array(D_hat), J_hat=J_hat, grad_f=np.array(grad_f),
                          tilde_p=np.array(tilde_p), balancing_feasible=feasible,
                          periods_consumed=n, u=u)
@@ -378,8 +373,8 @@ def _dual_step(lam_s: list, grad_h: list, mu, eta2, lam_max: list) -> list:
             for x, g, b in zip(lam_s, grad_h, lam_max)]
 
 
-def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
-                events: Optional[list] = None, pending=None, const=None):
+def _primal_gen(const: tuple, lam, loops, p_start, events: Optional[list] = None,
+                pending=None):
     """Generator: one PrimalOpt run over an epoch's (s, tau, n_tau, end) loops,
     after a pending (price, length) row held before them. A loop of n periods
     posts the 2N two-point probes p + u e_i, p - u e_i for n // 4N periods
@@ -387,32 +382,30 @@ def _primal_gen(instance: Instance, cfg: PdNrmConfig, lam, loops, p_start,
     after the held row, whose answer goes unread. Their average demand gives
     D_hat, J_hat and grad_f, then demand_balance's price for the loop's other
     periods: held for the next schedule if the loop ends by instance.T, else
-    served alone. Then the primal step. Returns (p_hat, D_hat, p_next, pending,
-    (J_hat, grad_f, tilde_p, feasible, u)): the final loop's price, whose
-    estimate feeds the dual update, the post-update iterate (the next epoch's
-    start), the held row and the rest of the final loop's estimate; J_hat is
-    an array, the vectors lists. const is _constants(instance, cfg), passed by
-    a caller that runs several epochs. It raises ValueError at n < 4N or a p
-    not strictly inside the price box: no valid config's loop has one."""
-    (N, p_min, p_max, root_N, signs, fixed, P_lo, P_hi, At, eta1, T, per_n,
-     per_lengths) = const or _constants(instance, cfg)
+    served alone. Then the primal step. const is the run's record,
+    _constants(instance, cfg), whose one memo every epoch of the run shares.
+    Returns (p_hat, D_hat, p_next, pending, (J_hat, grad_f, tilde_p, feasible,
+    u)): the final loop's price, whose estimate feeds the dual update, the
+    post-update iterate (the next epoch's start), the held row and the rest of
+    the final loop's estimate; J_hat is an array, the vectors lists. It raises
+    ValueError at n < 4N or a p not strictly inside the price box: no valid
+    config's loop has one."""
+    N, p_min, p_max, root_N, signs, fixed, P_lo, P_hi, At, eta1, T, memo = const
     K = 2 * N
     P_low = _minimum(P_lo, P_hi)   # np.minimum(np.maximum(r, P_lo), P_hi) at r <= P_lo
     lam = _floats(lam)
     At_lam = At @ lam
     p = _floats(p_start)
     for s, tau, n_tau, end in loops:
-        m, cap, steps = per_n.get(n_tau) or _probe_constants(per_n, n_tau, K, root_N, signs)
+        held = 0 if pending is None else pending[1]
+        m, cap, steps, lengths = (memo.get((n_tau, held))
+                                  or _probe(memo, n_tau, held, K, root_N, signs))
         # rounding is monotone, so min(p) - price_min is min(p - price_min); a NaN in p,
         # which min and max can pass over, makes the sum NaN
         u = min(min(p) - p_min, p_max - max(p), cap)
         if not u > 0 or math.isnan(sum(p)):
             raise ValueError(f"grad_est needs p strictly inside the price box, not p = {p}")
         rows = (steps if u == cap else u * signs) + p   # row 0 is p, for the held row
-        held = 0 if pending is None else pending[1]
-        lengths = per_lengths.get((held, m))
-        if lengths is None:
-            lengths = _probe_lengths(per_lengths, held, m, K)
         if held:
             rows[0] = pending[0]
         else:
@@ -450,8 +443,8 @@ def primal_opt(env, instance: Instance, cfg: PdNrmConfig, lam, eps_bar,
     """Standalone PrimalOpt from the initial price against an environment handle,
     logged as epoch 0, each balanced row served alone; returns (p_hat, D_hat)."""
     loops = ((0, tau, n_tau, math.inf) for tau, n_tau in enumerate(_loop_lengths(cfg, eps_bar)))
-    start = _initial_price(instance, cfg)
-    p_hat, D_hat = _drive(_primal_gen(instance, cfg, lam, loops, start, events), env)[:2]
+    const, start = _constants(instance, cfg), _initial_price(instance, cfg)
+    p_hat, D_hat = _drive(_primal_gen(const, lam, loops, start, events), env)[:2]
     return np.array(p_hat), np.array(D_hat)
 
 
@@ -498,20 +491,6 @@ def loop_skeleton(cfg: PdNrmConfig):
                 break
 
 
-def _epochs(cfg: PdNrmConfig, T: int):
-    """loop_skeleton's loops as one list per epoch, up to the first loop that
-    ends after T: an episode of horizon T posts no request after it."""
-    loops = []
-    for loop in loop_skeleton(cfg):
-        if loops and not loop[1]:
-            yield loops
-            loops = []
-        loops.append(loop)
-        if loop[3] > T:
-            break
-    yield loops
-
-
 def _inner_box(instance: Instance):
     margin = PdNrmConfig.p_margin * (instance.price_max - instance.price_min)
     return instance.price_min + margin, instance.price_max - margin
@@ -544,12 +523,11 @@ class PdNrmPolicy(CommitPolicy):
         lam = [0.0] * instance.M
         p = _initial_price(instance, cfg)   # each epoch starts where the last one ended
         pending = None   # the held balanced row, carried across loops and epochs
-        for loops in _epochs(cfg, instance.T):
-            s = loops[0][0]
+        for s, loops in itertools.groupby(loop_skeleton(cfg), operator.itemgetter(0)):
             self.events.append({"kind": "epoch", "s": s, "lambda": lam,
                                 "eps_bar": _eps_bar(cfg, s)})
             _, D_hat, p, pending, _ = yield from _primal_gen(
-                instance, cfg, lam, loops, p, self.events, pending, const)
+                const, lam, loops, p, self.events, pending)
             grad_q = [g - x for g, x in zip(gamma, (A @ D_hat).tolist())]
             lam = _dual_step(lam, [g - mu * x for g, x in zip(grad_q, lam)], mu, eta2, lam_max)
             self.events.append({"kind": "dual", "s": s, "grad_q": grad_q, "lambda_next": lam})

@@ -22,9 +22,11 @@ policy posts, so one pdnrm loop. Each cell prints:
   the episode.
 
 Each figure is the median over the runs of the cell's wall summed over its
-seeds. The answers and schedules come from one more run of each episode
-through a policy that passes every call on and keeps what it posts and what
-observe_block is given; a seeded episode is the same with or without it. Like
+seeds; rest is the median of the differences taken within each run, so it
+is not the difference of the three medians that the row prints. The answers
+and schedules come from one more run of each episode through a policy that
+passes every call on and keeps what it posts and what observe_block is
+given; a seeded episode is the same with or without it. Like
 perfbench/run.py, the script pins BLAS to one thread before numpy loads. It
 uses nrmlab's public API only.
 """
@@ -87,7 +89,8 @@ class Replay(nrmlab.CommitPolicy):
 
 
 def cell(plan, noise: str, T: int, runs: int) -> tuple:
-    """(requests, whole us, policy us, kernel us) per request of one (noise, T) cell."""
+    """(requests, whole us, policy us, kernel us, rest us) per request of one (noise, T)
+    cell."""
     inst = dataclasses.replace(plan.instance.with_horizon(T), noise=noise)
     cfg = nrmlab.config_from_dict(plan.pdnrm_config, inst)
     answers, schedules = [], []
@@ -126,7 +129,9 @@ def cell(plan, noise: str, T: int, runs: int) -> tuple:
             nrmlab.run_episode(inst, policy, seed)
             wall += time.perf_counter() - t0
         kernel.append(wall)
-    return requests, *(statistics.median(w) / requests * 1e6 for w in (whole, alone, kernel))
+    rest = [w - a - k for w, a, k in zip(whole, alone, kernel)]
+    return requests, *(statistics.median(w) / requests * 1e6
+                       for w in (whole, alone, kernel, rest))
 
 
 def main(argv=None) -> int:
@@ -141,10 +146,10 @@ def main(argv=None) -> int:
           f"{'policy':>9s} {'kernel':>9s} {'rest':>9s}   (us per request)")
     for noise in SEEDS:
         for T in HORIZONS:
-            requests, whole, alone, kernel = cell(plan, noise, T, args.runs)
+            requests, whole, alone, kernel, rest = cell(plan, noise, T, args.runs)
             seeds = ",".join(map(str, SEEDS[noise]))
             print(f"{noise:12s} {T:9.0e} {seeds:>6s} {requests:9d} {whole:9.1f} "
-                  f"{alone:9.1f} {kernel:9.1f} {whole - alone - kernel:9.1f}")
+                  f"{alone:9.1f} {kernel:9.1f} {rest:9.1f}")
     print(f"# wall {time.perf_counter() - start:.1f} s")
     return 0
 

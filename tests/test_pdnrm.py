@@ -877,9 +877,9 @@ class TestDualOptPolicy:
         # iterate that the previous epoch returned
         starts, ends, real = [], [], pdnrm._primal_gen
 
-        def recorded(instance, cfg, lam, loops, p_start, *args):
+        def recorded(const, lam, loops, p_start, *args):
             starts.append(np.array(p_start))
-            out = yield from real(instance, cfg, lam, loops, p_start, *args)
+            out = yield from real(const, lam, loops, p_start, *args)
             ends.append(np.array(out[2]))
             return out
 
@@ -895,6 +895,45 @@ class TestDualOptPolicy:
 
 # plan_scaling's constants: the dual step split (mu, eta2) = (0.05, 1.0)
 SCALING_OVERRIDES = {"mu": 0.05, "eta2": 1.0}
+
+
+class TestRequestSchedule:
+    @pytest.mark.parametrize("noise", ["multinomial", "none"])
+    def test_each_request_is_the_held_row_then_the_probes(self, noise):
+        # a loop of n periods posts 2N probes p + u e_i, p - u e_i of n // 4N periods
+        # each after the previous loop's balanced row, held for the rest of that
+        # loop, across epochs too; a loop that ends after T serves its row alone
+        inst = example_logit_instance(T=100_000, noise=noise)
+        cfg = config_from_dict(SCALING_OVERRIDES, inst)
+        requests = []
+
+        class Recorded(PdNrmPolicy):
+            def schedule(self):
+                prices, lengths = super().schedule()
+                requests.append((prices.tolist(), lengths.tolist()))
+                return prices, lengths
+
+        policy = Recorded(inst, cfg)
+        run_episode(inst, policy, seed=1)
+        K, loops = 2 * inst.N, [e for e in policy.events if e["kind"] == "loop"]
+        skeleton, held, end, epochs_crossed = pdnrm.loop_skeleton(cfg), 0, 0, 0
+        for i, (prices, lengths) in enumerate(requests):
+            if len(lengths) == 1:   # the balanced row alone
+                assert (i, lengths, end > inst.T) == (len(requests) - 1, [held], True)
+                break
+            s, tau, n, end = next(skeleton)
+            assert lengths == [held] * bool(held) + [n // (2 * K)] * K
+            epochs_crossed += bool(held) and tau == 0
+            if held:
+                assert prices[0] == loops[i - 1]["tilde_p"]
+            if i < len(loops):
+                e = loops[i]
+                assert (e["s"], e["tau"], e["n_tau"]) == (s, tau, n)
+                assert prices[bool(held):] == [
+                    [x + (e["u"] if k % 2 == 0 else -e["u"]) if j == k // 2 else x
+                     for j, x in enumerate(e["p"])] for k in range(K)]
+            held = n - K * (n // (2 * K))
+        assert len(requests) > 200 and epochs_crossed > 50
 
 
 class TestNoiselessTwin:
