@@ -7,9 +7,10 @@ solve in price space with the price box as bounds: D maps the box one-to-one
 onto the demand image, where phi is concave, so the KKT point SLSQP returns
 is the global optimum. Each point SLSQP visits costs one evaluation of D
 (and of J_D, built from that D, where a derivative is asked for), shared by
-the objective, the capacity rows and their derivatives; the one LP, the
-Chebyshev start, goes to HiGHS through scipy's milp. Used by benchmarks and
-tests; never by the learning policy's data path.
+the objective, the capacity rows and their derivatives. No LP is solved:
+every solve starts at the mid price, and an instance whose capacity no
+demand vector meets is caught by an exact check of SLSQP's answer. Used by
+benchmarks and tests; never by the learning policy's data path.
 """
 
 import numpy as np
@@ -22,6 +23,15 @@ from .demand import (
 from .instance import Instance
 
 CERTIFICATE_TOL = 1e-5  # solve_fluid certifies a duality gap and complementary slackness within it
+# SLSQP meets its capacity rows only to about 1e-11 gamma, and in a few random
+# instances in 10,000 to about 6e-10 gamma, while a d* outside the capacity
+# would shut noiseless play at p* off in its last period. So solve_fluid's rows
+# are gamma (1 - margin), and its answer must meet A D(p*) <= gamma exactly.
+# The second margin serves only an answer that missed the first by less than
+# _RETRY_BAND gamma: 1e-9 alone would move the bundled phi* by 1.4e-10, and on
+# the infeasible instances measured the answer misses by about 1e-3 gamma or more.
+_CAPACITY_MARGINS = (1e-10, 1e-9)
+_RETRY_BAND = 1e-6
 
 
 class FluidError(RuntimeError):
@@ -64,9 +74,13 @@ def _lagrangian(instance: Instance, lam, p, d, J=None):
     return d + J.T @ p - J.T @ (instance.A.T @ lam)
 
 
-def _maximize(instance: Instance, lam, p0, capacity: bool = False):
+def _mid_price(instance: Instance) -> np.ndarray:
+    return np.full(instance.N, 0.5 * (instance.price_min + instance.price_max))
+
+
+def _maximize(instance: Instance, lam, p0, rows=None):
     """Maximize L(lam, .) over the price box by SLSQP in price space, subject
-    to A D(p) <= gamma when capacity is set.
+    to A D(p) <= rows when rows is given.
 
     Returns (p, multipliers of the capacity rows clipped at 0). The box is
     passed as bounds, so D and D^{-1} are only evaluated where they are
@@ -78,7 +92,7 @@ def _maximize(instance: Instance, lam, p0, capacity: bool = False):
     certifies, so solve_fluid gates on the duality certificate instead.
     """
     from scipy.optimize import minimize   # deferred: `import nrmlab` stays scipy-free
-    model, A, gamma = instance.model, instance.A, instance.gamma
+    model, A = instance.model, instance.A
     at = [None, None, None]   # SLSQP's last point (as bytes), D there, J_D there
 
     def evaluated(p, jacobian=False):
@@ -90,9 +104,9 @@ def _maximize(instance: Instance, lam, p0, capacity: bool = False):
         return at[1], at[2]
 
     constraints = ()
-    if capacity:
+    if rows is not None:
         constraints = ({"type": "ineq",
-                        "fun": lambda p: gamma - A @ evaluated(p)[0],
+                        "fun": lambda p: rows - A @ evaluated(p)[0],
                         "jac": lambda p: -A @ evaluated(p, True)[1]},)
     res = minimize(lambda p: -_lagrangian(instance, lam, p, evaluated(p)[0]),
                    np.clip(p0, instance.price_min, instance.price_max),
@@ -109,9 +123,8 @@ def solve_inner_max(instance: Instance, lam, start=None):
     Returns (p_star_lam, d_star_lam). start is a demand vector; by default the
     solve starts at the mid price.
     """
-    mid = np.full(instance.N, 0.5 * (instance.price_min + instance.price_max))
     p, _ = _maximize(instance, np.asarray(lam, float),
-                     mid if start is None else instance.model.inverse(start))
+                     _mid_price(instance) if start is None else instance.model.inverse(start))
     return p, instance.model.mean(p)
 
 
@@ -125,49 +138,6 @@ def grad_Q(instance: Instance, lam) -> np.ndarray:
     """grad Q(lam) = gamma - A d_star_lam."""
     _, d = solve_inner_max(instance, lam)
     return instance.gamma - instance.A @ d
-
-
-def _chebyshev_center(instance: Instance) -> np.ndarray:
-    """Center of the largest ball in {G d <= h, A d <= gamma}, the demand
-    vectors that the price box and the capacity allow (G, h from
-    image_halfspaces). Raises FluidError when that set has no interior.
-    The LP goes to HiGHS through scipy's milp with no integer variables, as
-    only x and the status are read: milp checks its inputs at a fraction of
-    linprog's cost, and returns linprog's x."""
-    # deferred: `import nrmlab` stays scipy-free
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    G_img, h_img = instance.model.image_halfspaces(instance.price_min, instance.price_max)
-    G = np.vstack([G_img, instance.A])
-    h = np.concatenate([h_img, instance.gamma])
-    # maximize r s.t. G_k d + r ||G_k|| <= h_k
-    res = milp(np.r_[np.zeros(instance.N), -1.0],
-               constraints=LinearConstraint(np.hstack([G, np.linalg.norm(G, axis=1)[:, None]]),
-                                            -np.inf, h),
-               bounds=Bounds(-np.inf, np.inf))
-    if res.status != 0 or res.x[-1] <= 0:
-        raise FluidError("no feasible demand vector: instance appears infeasible")
-    return res.x[:-1]
-
-
-def _inside_capacity(instance: Instance, p, center):
-    """(p, D(p)) with A D(p) <= gamma exactly.
-
-    SLSQP meets the capacity rows only to about 1e-11 gamma; a d* outside
-    them would make noiseless play at p* shut off in the last period. So d*
-    moves toward the interior point center in doubling steps from 1e-14 of
-    the way until the recomputed mean passes.
-    """
-    model = instance.model
-    d_opt = d = model.mean(p)
-    t = 1e-14
-    while np.any(instance.A @ d > instance.gamma):
-        if t > 1.0:
-            raise FluidError("could not place d* inside the capacity constraints")
-        p = np.clip(model.inverse(d_opt + t * (center - d_opt)),
-                    instance.price_min, instance.price_max)
-        d = model.mean(p)
-        t *= 2.0
-    return p, d
 
 
 def default_dual_set(instance: Instance) -> np.ndarray:
@@ -192,19 +162,28 @@ def default_dual_set(instance: Instance) -> np.ndarray:
 def solve_fluid(instance: Instance) -> FluidSolution:
     """Solve the fluid program and its dual; populate a duality certificate.
 
-    Primal: one SLSQP solve of max f(p) s.t. A D(p) <= gamma over the price
-    box, started at the Chebyshev center of the feasible demand set (one
-    HiGHS LP), then moved inside the capacity rows exactly. Dual: lambda* is
-    SLSQP's multiplier on the capacity rows; one dual_Q(lambda*) call
-    certifies it. Both SLSQP solves evaluate D once per point they visit.
-    Raises FluidError when infeasible, when the fluid value is not positive
-    (every loss divides by it) or when the certificate fails, as a NaN gap
-    or multiplier does.
+    Primal: one SLSQP solve of max f(p) s.t. A D(p) <= gamma (1 - 1e-10)
+    over the price box, started at the mid price. Its answer must meet
+    A D(p*) <= gamma exactly, which no answer does on an infeasible instance
+    (p* lies in the box). An answer that misses by less than 1e-6 gamma is
+    solved once more from the mid price against gamma (1 - 1e-9). Dual:
+    lambda* is SLSQP's multiplier on the capacity rows; one dual_Q(lambda*)
+    call certifies it. Every SLSQP solve evaluates D once per point it visits.
+    Raises FluidError when d* exceeds a capacity row (naming the row with the
+    largest excess), when the fluid value is not positive (every loss divides
+    by it) or when the certificate fails, as a NaN gap or multiplier does.
     """
-    center = _chebyshev_center(instance)
-    p, lam = _maximize(instance, np.zeros(instance.M), instance.model.inverse(center),
-                       capacity=True)
-    p_star, d_star = _inside_capacity(instance, p, center)
+    for margin in _CAPACITY_MARGINS:
+        p_star, lam = _maximize(instance, np.zeros(instance.M), _mid_price(instance),
+                                instance.gamma * (1.0 - margin))
+        d_star = instance.model.mean(p_star)
+        excess = instance.A @ d_star - instance.gamma
+        if not np.any(excess > 0) or np.any(excess > _RETRY_BAND * instance.gamma):
+            break
+    worst = int(np.argmax(excess))
+    if excess[worst] > 0:
+        raise FluidError(f"A d* exceeds gamma in row {worst} by {excess[worst]:.3e}: "
+                         "the instance appears infeasible")
     value_star = revenue_phi(instance.model, d_star)
     if not value_star > 0:
         raise FluidError(f"fluid value {value_star:.3e} is not positive: no loss can divide by it")

@@ -9,6 +9,7 @@ from scipy.optimize import linprog, minimize
 
 import nrmlab.fluid
 from nrmlab import (
+    ClairvoyantPolicy,
     Instance,
     LinearDemand,
     LogitDemand,
@@ -24,10 +25,12 @@ from nrmlab import (
     example_logit_instance,
     FluidError,
     FluidSolution,
+    run_episode,
 )
 from nrmlab.demand import revenue_f, revenue_phi, grad_revenue_f, grad_revenue_phi
 from nrmlab.fluid import CERTIFICATE_TOL
 from nrmlab.instance import instance_from_dict
+from fingerprint_digest import _random_logit_instance
 
 # frozen from an exact KKT solve of the example instance (stationarity on the
 # binding face d_1 + d_2 = gamma_1, verified independently by the grid oracle)
@@ -230,8 +233,59 @@ class TestSolveFluid:
         import dataclasses
         # demand image lower corner exceeds a tiny capacity: infeasible
         bad = dataclasses.replace(instance, gamma=np.array([1e-6, 1e-6]))
-        with pytest.raises(FluidError):
+        with pytest.raises(FluidError, match=r"^A d\* exceeds gamma in row [01] by \d"):
             solve_fluid(bad)
+
+    def test_solves_no_lp(self, instance, fluid_solution, monkeypatch):
+        # SLSQP starts at the mid price and the capacity check is exact, so
+        # neither a certified nor an infeasible instance needs an LP
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_fluid must not solve an LP")
+
+        monkeypatch.setattr(scipy.optimize, "milp", no_lp)
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        assert outcome(solve_fluid, instance) == outcome(lambda _: fluid_solution, instance)
+        with pytest.raises(FluidError, match=r"^A d\* exceeds gamma in row"):
+            solve_fluid(dataclasses.replace(instance, gamma=np.array([1e-6, 1e-6])))
+
+    def test_an_answer_outside_the_capacity_is_solved_once_more(self, instance, monkeypatch):
+        # SLSQP now and then ends a little outside its rows: here the first
+        # solve's rows sit 1e-9 above gamma, so its answer misses, and the
+        # second solve, against gamma (1 - 1e-9), must place d* inside
+        real, calls = nrmlab.fluid._maximize, []
+
+        def maximize(instance, lam, p0, rows=None):
+            if rows is not None:
+                calls.append(rows)
+                if len(calls) == 1:
+                    rows = instance.gamma * (1 + 1e-9)
+            return real(instance, lam, p0, rows)
+
+        monkeypatch.setattr(nrmlab.fluid, "_maximize", maximize)
+        sol = solve_fluid(instance)
+        assert_allclose(calls, [instance.gamma * (1 - 1e-10), instance.gamma * (1 - 1e-9)],
+                        rtol=0, atol=0)
+        assert np.all(instance.A @ sol.d_star <= instance.gamma)
+        assert sol.value == pytest.approx(PHI_STAR, abs=1e-9)
+        # an answer that misses by more than 1e-6 gamma, as on an infeasible
+        # instance, is refused after the one solve
+        calls.clear()
+        with pytest.raises(FluidError, match=r"^A d\* exceeds gamma"):
+            solve_fluid(dataclasses.replace(instance, gamma=np.array([1e-6, 1e-6])))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["bundled", "n3m1", "n4m2"])
+    def test_noiseless_play_at_p_star_never_shuts_off(self, name):
+        # A D(p*) <= gamma exactly, so a market that sells D(p*) every period
+        # keeps T gamma of capacity open to the horizon, however long
+        inst = {"bundled": lambda: example_logit_instance(T=10**9),
+                "n3m1": lambda: _random_logit_instance(3, 1),
+                "n4m2": lambda: _random_logit_instance(4, 2)}[name]()
+        inst = dataclasses.replace(inst, T=10**9, noise="none")
+        sol = solve_fluid(inst)
+        trace = run_episode(inst, ClairvoyantPolicy(inst, sol), seed=1)
+        assert trace.shutoff_period is None
+        assert np.all(trace.final_inventory >= 0)
 
     @pytest.mark.parametrize("box", [(-0.5, 0.0), (-5.0, -1.0)], ids=["zero-box", "negative-box"])
     def test_a_value_that_is_not_positive_raises(self, instance, box):
@@ -249,9 +303,9 @@ class TestSolveFluid:
     def test_nan_multipliers_raise(self, instance, monkeypatch):
         real = nrmlab.fluid._maximize
 
-        def maximize(instance, lam, p0, capacity=False):
-            p, mult = real(instance, lam, p0, capacity)
-            return p, np.full_like(mult, np.nan) if capacity else mult
+        def maximize(instance, lam, p0, rows=None):
+            p, mult = real(instance, lam, p0, rows)
+            return p, mult if rows is None else np.full_like(mult, np.nan)
 
         monkeypatch.setattr(nrmlab.fluid, "_maximize", maximize)
         with pytest.raises(FluidError, match="^dual certificate out of tolerance"):
@@ -386,7 +440,7 @@ class TestCertifiesAtAnySize:
             if feasible:
                 assert_certified(inst)
             else:
-                with pytest.raises(FluidError):
+                with pytest.raises(FluidError, match=r"^A d\* exceeds gamma in row"):
                     solve_fluid(inst)
 
     def test_linear_demand_exact_multiplier(self):
@@ -394,12 +448,12 @@ class TestCertifiesAtAnySize:
         assert sol.lambda_star[0] == pytest.approx(3.0, abs=1e-9)
 
 
-def reference_maximize(instance, lam, p0, capacity=False):
+def reference_maximize(instance, lam, p0, rows=None):
     """fluid._maximize with each SLSQP callback evaluating the model afresh."""
     model, A, gamma = instance.model, instance.A, instance.gamma
     constraints = ()
-    if capacity:
-        constraints = ({"type": "ineq", "fun": lambda p: gamma - A @ model.mean(p),
+    if rows is not None:
+        constraints = ({"type": "ineq", "fun": lambda p: rows - A @ model.mean(p),
                         "jac": lambda p: -A @ model.jacobian(p)},)
     res = minimize(lambda p: -(revenue_f(model, p) - float(lam @ (A @ model.mean(p) - gamma))),
                    np.clip(p0, instance.price_min, instance.price_max),
@@ -410,21 +464,21 @@ def reference_maximize(instance, lam, p0, capacity=False):
 
 
 def reference_solve_fluid(instance):
-    """solve_fluid as it was before it shared one model evaluation per SLSQP
-    point and solved the Chebyshev LP through milp: the center by linprog,
-    and the callbacks of reference_maximize."""
+    """solve_fluid with the callbacks of reference_maximize: capacitated
+    solves from the mid price against each margin until an answer meets the
+    capacity exactly or misses it by more than 1e-6 gamma, and the
+    certificate from one inner maximization at lambda*."""
     model = instance.model
-    G_img, h_img = model.image_halfspaces(instance.price_min, instance.price_max)
-    G = np.vstack([G_img, instance.A])
-    h = np.concatenate([h_img, instance.gamma])
-    res = linprog(np.r_[np.zeros(instance.N), -1.0],
-                  A_ub=np.hstack([G, np.linalg.norm(G, axis=1)[:, None]]), b_ub=h,
-                  bounds=[(None, None)] * (instance.N + 1), method="highs")
-    if res.status != 0 or res.x[-1] <= 0:
-        raise FluidError("no feasible demand vector: instance appears infeasible")
-    center = res.x[:-1]
-    p, lam = reference_maximize(instance, np.zeros(instance.M), model.inverse(center), True)
-    p_star, d_star = nrmlab.fluid._inside_capacity(instance, p, center)
+    mid = np.full(instance.N, 0.5 * (instance.price_min + instance.price_max))
+    for margin in nrmlab.fluid._CAPACITY_MARGINS:
+        p_star, lam = reference_maximize(instance, np.zeros(instance.M), mid,
+                                         instance.gamma * (1.0 - margin))
+        d_star = model.mean(p_star)
+        excess = instance.A @ d_star - instance.gamma
+        if np.all(excess <= 0) or np.any(excess > nrmlab.fluid._RETRY_BAND * instance.gamma):
+            break
+    if np.any(excess > 0):
+        raise FluidError("A d* exceeds gamma")
     value = revenue_phi(model, d_star)
     p_lam, _ = reference_maximize(instance, lam, model.inverse(d_star))
     gap = lagrangian_H(instance, lam, model.mean(p_lam)) - value
