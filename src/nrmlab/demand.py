@@ -151,7 +151,8 @@ def revenue_phi(model: DemandModel, d):
 def grad_revenue_f(model: DemandModel, p) -> np.ndarray:
     """grad f(p) = D(p) + J_D(p)^T p."""
     p = _as_vector(p, model.n_products)
-    return model.mean(p) + _on_vectors(np.matmul, model.jacobian(p).swapaxes(-1, -2), p)
+    d = model.mean(p)
+    return d + _on_vectors(np.matmul, model.jacobian(p, d).swapaxes(-1, -2), p)
 
 
 def grad_revenue_phi(model: DemandModel, d) -> np.ndarray:
@@ -174,6 +175,18 @@ def hessian_fd(grad, model: DemandModel, X) -> np.ndarray:
 
 
 _SCAN_BLOCK = 2 ** 14   # grid points per batched pass of estimate_regularity
+_SCREEN_MARGIN = 1e-9   # on ||X||_F, far above the rounding of it and of LAPACK's ||X||_2
+
+
+def _max_spectral_norm(X, floor: float) -> float:
+    """max(floor, max_k ||X_k||_2) over a stack X of shape (K, m, n). Only the
+    matrices whose Frobenius norm can reach the larger of floor and the
+    Frobenius-largest matrix's ||.||_2 are decomposed, since ||X||_2 <= ||X||_F;
+    the maximum is the same float as np.linalg.norm(X, 2, axis=(1, 2)).max()."""
+    fro = np.sqrt(np.einsum("kij,kij->k", X, X))
+    top = max(floor, np.linalg.svd(X[fro.argmax()], compute_uv=False)[0])
+    keep = fro * (1.0 + _SCREEN_MARGIN) >= top
+    return float(np.linalg.svd(X[keep], compute_uv=False)[:, 0].max(initial=floor))
 
 
 @dataclass(frozen=True)
@@ -214,6 +227,14 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
     sigma_phi: gradient norms and finite-difference Hessians of f and phi;
     B_A / sigma_A: extreme singular values of A; B_r = p_hi (at most one unit
     sold per period).
+
+    The two spectral-norm maxima, ||H_f||_2 in B_f and the differences behind
+    L_D, are screened: a block decomposes only the matrices whose Frobenius
+    norm, times 1 + 1e-9, reaches the largest ||.||_2 known so far (the
+    running maximum, or the block's Frobenius-largest matrix). Since
+    ||X||_2 <= ||X||_F and the margin is far above the rounding of both norms,
+    no skipped matrix holds the maximum, and the maximum is the float that
+    decomposing every matrix gives: the constants equal a per-point scan's.
     """
     if grid_points < 2:
         raise ValueError("grid must have at least 2 points per axis")
@@ -224,7 +245,7 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
     # a block is whole axis-0 slices of the grid; the last slice of a block is
     # kept to difference against the first of the next one
     width = max(1, _SCAN_BLOCK // grid_points ** (n - 1))
-    B_D = B_f = B_phi = L_D = 0.0
+    B_D = B_f = B_phi = dJ = 0.0   # dJ: the largest ||J(p') - J(p)||_2 so far
     sigma_D = sigma_phi = np.inf
     prev = None
     for s in range(0, grid_points, width):
@@ -235,8 +256,8 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         B_D = max(B_D, sv[:, 0].max())
         sigma_D = min(sigma_D, sv[:, -1].min())
         H_f = hessian_fd(grad_revenue_f, model, P)
-        B_f = max(B_f, np.linalg.norm(grad_revenue_f(model, P), axis=1).max(),
-                  np.linalg.norm(H_f, 2, axis=(1, 2)).max())
+        grad_f = np.linalg.norm(grad_revenue_f(model, P), axis=1).max()
+        B_f = _max_spectral_norm(H_f, max(B_f, grad_f))
         D = model.mean(P)
         eig = np.linalg.eigvalsh(-hessian_fd(grad_revenue_phi, model, D))
         B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi(model, D), axis=1).max(),
@@ -246,14 +267,14 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         for k in range(n):
             diff = np.diff(J if k or prev is None else np.concatenate((prev, J)), axis=k)
             if diff.size:
-                L_D = max(L_D, float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max()) / spacing)
+                dJ = _max_spectral_norm(diff.reshape(-1, n, n), dJ)
         prev = J[-1:]
 
     sv_A = np.linalg.svd(np.asarray(A, float), compute_uv=False)
     return RegularityConstants(
         B_D=float(B_D),
         sigma_D=float(sigma_D),
-        L_D=float(max(L_D, 1e-12)),
+        L_D=max(dJ / spacing, 1e-12),
         B_f=float(B_f),
         B_phi=float(B_phi),
         sigma_phi=float(sigma_phi),

@@ -1,11 +1,12 @@
-"""The fluid oracle by N: solve_fluid's wall, and a census of what it certifies.
+"""The fluid oracle by N: solve_fluid's wall, a census of what it certifies,
+and the wall and work of the regularity scan.
 
 Run from any directory; it imports nrmlab from its own checkout's src/ and
 loads perfbench/inputs.py by path for its random instances:
 
     python studies/fluid_oracle.py
 
-It prints two parts.
+It prints three parts.
 
 - Solve ms: the median wall of 5 solve_fluid calls after one warm-up, on the
   bundled instance and on perfbench/inputs.py's random_logit_instance with
@@ -19,6 +20,12 @@ It prints two parts.
   slackness within 1e-9), as LP-infeasible and refused with FluidError, or
   as other, which is listed with its k and what happened. The census prints
   its wall and the slowest solve of each verdict.
+- Regularity scan: estimate_regularity's median wall of 5 runs after one
+  warm-up (one run where the warm-up takes over a second), and the matrices
+  that it hands to np.linalg.svd and np.linalg.eigvalsh, counted in the
+  warm-up by wrapping both. The cases are the bundled instance at 41 and 21
+  points per axis (perfbench's oracle scan and theory mode's grid) and the
+  N = 3 and N = 4 instances of the first part at 21 points per axis.
 
 Like perfbench/run.py, the script pins BLAS to one thread before numpy loads.
 Apart from image_halfspaces it uses nrmlab's public API only. It is a report
@@ -44,6 +51,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import nrmlab  # noqa: E402
 
 SOLVE_SIZES = (3, 4, 6, 8)
+SCAN_GRIDS = ((2, 41), (2, 21), (3, 21), (4, 21))   # (N, grid points per axis)
 CENSUS_SEED, CENSUS_MEMBERS = 77, 240
 GATE = 1e-9   # tests/test_fluid.py's assert_certified gates
 
@@ -65,6 +73,36 @@ def solve_ms(inst) -> float:
         nrmlab.solve_fluid(inst)
         walls.append(time.perf_counter() - t0)
     return statistics.median(walls) * 1e3
+
+
+def scan(inst, grid: int) -> tuple:
+    """(median ms, svd matrices, eigvalsh matrices) of estimate_regularity:
+    the count comes from the warm-up, the median from 5 timed runs, or from
+    one where the warm-up took over a second."""
+    counts = {"svd": 0, "eigvalsh": 0}
+    real = {name: getattr(np.linalg, name) for name in counts}
+
+    def counting(name):
+        def call(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))   # matrices in the stack
+            return real[name](a, *args, **kwargs)
+        return call
+
+    for name in counts:
+        setattr(np.linalg, name, counting(name))
+    try:
+        t0 = time.perf_counter()
+        nrmlab.estimate_regularity(inst.model, inst.price_box, grid, inst.A, inst.gamma)
+        warm = time.perf_counter() - t0
+    finally:
+        for name in counts:
+            setattr(np.linalg, name, real[name])
+    walls = []
+    for _ in range(5 if warm < 1.0 else 1):
+        t0 = time.perf_counter()
+        nrmlab.estimate_regularity(inst.model, inst.price_box, grid, inst.A, inst.gamma)
+        walls.append(time.perf_counter() - t0)
+    return statistics.median(walls) * 1e3, counts["svd"], counts["eigvalsh"]
 
 
 def lp_feasible(inst) -> bool:
@@ -132,6 +170,15 @@ def main() -> int:
     print("slowest solve ms: " + ", ".join(f"{name} {slowest[name]:.1f}" for name in counts))
     for line in others:
         print(line)
+
+    print("# regularity scan: estimate_regularity ms, median of 5 after one warm-up "
+          "(1 where it takes over 1 s), and the matrices decomposed")
+    print(f"{'':22s} {'grid':>4s} {'ms':>8s} {'svd':>8s} {'eigvalsh':>8s}")
+    instances = {inst.N: (label, inst) for label, inst in cases}
+    for N, grid in SCAN_GRIDS:
+        label, inst = instances[N]
+        ms, svd, eig = scan(inst, grid)
+        print(f"{label:22s} {grid:4d} {ms:8.1f} {svd:8d} {eig:8d}")
     return 0
 
 

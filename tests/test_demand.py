@@ -7,6 +7,7 @@ import nrmlab.demand
 from nrmlab import LogitDemand, LinearDemand, DomainError, estimate_regularity
 from nrmlab.demand import (
     RegularityConstants,
+    _max_spectral_norm,
     revenue_f,
     revenue_phi,
     grad_revenue_f,
@@ -332,6 +333,59 @@ def regularity_cases():
     return cases
 
 
+def screen_stacks():
+    """Stacks (K, m, n) meant to break the Frobenius screen of _max_spectral_norm."""
+    rng = np.random.default_rng(46)
+    P = random_prices(rng, 2, count=50)
+    R = rng.normal(size=(200, 3, 1)) * rng.normal(size=(200, 1, 3))
+    return {
+        # Frobenius-largest 0.75 I (||.||_F 1.06, ||.||_2 0.75) against diag(1, 0),
+        # whose two norms are equal
+        "fro-largest-not-spectral": np.stack([0.75 * np.eye(2), np.diag([1.0, 0.0])]
+                                             + [0.1 * rng.normal(size=(2, 2)) for _ in range(8)]),
+        # linear demand's constant Jacobian: every matrix ties
+        "all-equal": LinearDemand([3.0, 3.0], [[1.0, 0.2], [0.1, 0.8]]).jacobian(P),
+        # ||x||_F == |x| == ||x||_2 for each 1 x 1 matrix
+        "one-by-one": rng.normal(size=(200, 1, 1)),
+        # ||.||_2 == ||.||_F at rank one: the rank-one matrices whose LAPACK
+        # ||.||_2 exceeds their rounded ||.||_F, the rounding the margin covers
+        "rank-one": R[np.linalg.svd(R, compute_uv=False)[:, 0]
+                      > np.sqrt(np.einsum("kij,kij->k", R, R))],
+        "logit-hessians": hessian_fd(grad_revenue_f, LogitDemand([0.4, 0.8], [1.5, 2.0]), P),
+    }
+
+
+class TestMaxSpectralNorm:
+    """The screened maximum is the float of the unscreened one."""
+
+    @pytest.mark.parametrize("name", sorted(screen_stacks()))
+    def test_equals_unscreened_maximum(self, name):
+        X = screen_stacks()[name]
+        norms = np.linalg.norm(X, 2, axis=(1, 2))
+        top = norms.max()
+        assert _max_spectral_norm(X, 0.0) == top
+        # a floor below the maximum but above most matrices, and one above every matrix
+        assert _max_spectral_norm(X, float(np.median(norms))) == top
+        assert _max_spectral_norm(X, 2.0 * top) == 2.0 * top
+
+    def test_decomposes_only_what_can_reach_the_maximum(self, monkeypatch):
+        decomposed = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        X = 0.1 * np.random.default_rng(46).random((1000, 3, 3))
+        X[617] = np.eye(3)
+        assert _max_spectral_norm(X, 0.0) == 1.0
+        assert sum(decomposed) == 2   # the Frobenius-largest, then the one kept
+        decomposed.clear()
+        assert _max_spectral_norm(X, 2.0) == 2.0
+        assert sum(decomposed) == 1
+
+
 class TestEstimateRegularity:
     def test_bundled_equals_per_point_scan(self, instance, regularity):
         ref = reference_regularity(instance.model, instance.price_box, 41,
@@ -363,6 +417,24 @@ class TestEstimateRegularity:
         whole = estimate_regularity(*args)
         monkeypatch.setattr(nrmlab.demand, "_SCAN_BLOCK", block)
         assert estimate_regularity(*args) == whole
+
+    def test_one_product_equals_per_point_scan(self):
+        args = (LogitDemand([0.6], [1.7]), (0.8, 5.0), 41, np.ones((1, 1)), np.array([0.3]))
+        assert estimate_regularity(*args) == reference_regularity(*args)
+
+    def test_largest_jacobian_change_in_the_ragged_last_block(self, monkeypatch):
+        # product 0 saturates at low prices, so its Jacobian changes most between
+        # the last two axis-0 slices; blocks of two slices of the 9 x 9 grid leave
+        # the last slice alone in a ragged last block
+        model = LogitDemand([9.0, 0.5], [1.5, 1.0])
+        args = (model, (0.8, 5.0), 9, np.ones((1, 2)), np.array([0.3]))
+        axis = np.linspace(0.8, 5.0, 9)
+        J = model.jacobian(np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1))
+        steps = [np.linalg.norm(np.diff(J, axis=k), 2, axis=(-2, -1)) for k in (0, 1)]
+        assert steps[0].max() > steps[1].max()
+        assert np.unravel_index(steps[0].argmax(), steps[0].shape)[0] == 7
+        monkeypatch.setattr(nrmlab.demand, "_SCAN_BLOCK", 18)
+        assert estimate_regularity(*args) == reference_regularity(*args)
 
     def test_identity_demand(self):
         # D(p) = c - p: constant Jacobian -I
