@@ -16,13 +16,8 @@ from .instance import Instance, load_instance, example_logit_instance
 from .fluid import (
     FluidSolution,
     FluidError,
-    lagrangian_L,
-    lagrangian_H,
     solve_inner_max,
-    dual_Q,
-    grad_Q,
     solve_fluid,
-    fluid_upper_bound,
     default_dual_set,
 )
 from .sim import (
@@ -34,7 +29,6 @@ from .sim import (
     percentage_loss,
     export_trace_csv,
     export_events_jsonl,
-    mix64,
 )
 from .pdnrm import (
     PdNrmConfig,
@@ -46,7 +40,6 @@ from .pdnrm import (
     demand_balance,
     primal_opt,
     loop_skeleton,
-    prox_dual_step,
     DemandOracle,
 )
 from .baselines import (
@@ -60,7 +53,6 @@ from .bench import (
     loglog_slope,
     plan_from_dict,
     load_plan,
-    episode_seed,
     build_policy,
 )
 

@@ -96,12 +96,6 @@ class BenchSummary:
     episodes: list = field(default_factory=list)   # EpisodeResult, sorted
     errors: list = field(default_factory=list)     # failed episodes, recorded not fatal
 
-    def row(self, policy: str, T: int) -> dict:
-        for r in self.rows:
-            if r["policy"] == policy and r["T"] == int(T):
-                return r
-        raise KeyError(f"no summary row for ({policy}, {T})")
-
 
 def episode_seed(base_seed: int, policy: str, T: int, replicate: int) -> int:
     return mix64(fold_name(base_seed, policy), T, replicate)

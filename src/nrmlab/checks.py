@@ -12,7 +12,7 @@ from .instance import Instance
 from .fluid import solve_fluid, dual_Q, grad_Q, lagrangian_L, lagrangian_H, default_dual_set
 from .sim import run_episode, Policy
 from .pdnrm import (DemandOracle, PdNrmPolicy, config_from_dict, epoch_count_bound, grad_est,
-                    loop_skeleton, prox_dual_step)
+                    loop_skeleton, _dual_step)
 
 
 class _RecordingPolicy(Policy):
@@ -148,7 +148,7 @@ def run_checks(instance: Instance) -> list:
     check("sim.admissible", pol_a.ordered and len(pol_a.observations) == observed)
 
     # pdnrm: prox closed form and a short stochastic run
-    out = prox_dual_step(np.array([1.0, 1.0]), np.zeros(2), 1.0, 1.0, np.array([10.0, 10.0]))
+    out = _dual_step([1.0, 1.0], [0.0, 0.0], 1.0, 1.0, [10.0, 10.0])
     check("pdnrm.prox", np.allclose(out, [0.5, 0.5]))
     # kappa3 = 1 narrows the band kappa3/sqrt(n) until balancing binds; at the
     # tuned kappa3 the start x = 0 passes every loop and no price moves

@@ -251,14 +251,15 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
     for s in range(0, grid_points, width):
         mesh = np.meshgrid(axis[s:s + width], *[axis] * (n - 1), indexing="ij")
         P = np.stack([m.ravel() for m in mesh], axis=1)
-        J = model.jacobian(P)
+        D = model.mean(P)
+        J = model.jacobian(P, D)
         sv = np.linalg.svd(J, compute_uv=False)
         B_D = max(B_D, sv[:, 0].max())
         sigma_D = min(sigma_D, sv[:, -1].min())
         H_f = hessian_fd(grad_revenue_f, model, P)
-        grad_f = np.linalg.norm(grad_revenue_f(model, P), axis=1).max()
+        # grad_revenue_f(model, P) from this block's D and J
+        grad_f = np.linalg.norm(D + _on_vectors(np.matmul, J.swapaxes(-1, -2), P), axis=1).max()
         B_f = _max_spectral_norm(H_f, max(B_f, grad_f))
-        D = model.mean(P)
         eig = np.linalg.eigvalsh(-hessian_fd(grad_revenue_phi, model, D))
         B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi(model, D), axis=1).max(),
                     np.abs(eig).max())

@@ -203,8 +203,3 @@ def solve_fluid(instance: Instance) -> FluidSolution:
         binding_mask=binding,
         duality_gap=float(gap),
     )
-
-
-def fluid_upper_bound(instance: Instance, solution: FluidSolution) -> float:
-    """T * phi(d*): upper bound on any admissible policy's expected revenue."""
-    return instance.T * solution.value

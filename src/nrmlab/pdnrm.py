@@ -357,18 +357,14 @@ def grad_est(env, instance: Instance, cfg: PdNrmConfig, p, lam, n) -> GradEstOut
                          periods_consumed=n, u=u)
 
 
-def prox_dual_step(lam_s, grad_h, mu, eta2, lambda_max) -> np.ndarray:
-    """Exact minimizer over the box of
-    <grad_h, lam> + (mu/2)||lam||^2 + (1/(2 eta2))||lam - lam_s||^2.
+def _dual_step(lam_s: list, grad_h: list, mu, eta2, lam_max: list) -> list:
+    """Exact minimizer over the box [0, lam_max] of
+    <grad_h, lam> + (mu/2)||lam||^2 + (1/(2 eta2))||lam - lam_s||^2, on lists
+    of floats.
 
     With grad_h = grad_q - mu lam_s, as the policy passes it, the shrinkage
     cancels and this is the projected step
-    clip(lam_s - eta2/(1 + mu eta2) grad_q, 0, lambda_max)."""
-    return np.array(_dual_step(_floats(lam_s), _floats(grad_h), mu, eta2, _floats(lambda_max)))
-
-
-def _dual_step(lam_s: list, grad_h: list, mu, eta2, lam_max: list) -> list:
-    """prox_dual_step on lists of floats."""
+    clip(lam_s - eta2/(1 + mu eta2) grad_q, 0, lam_max)."""
     return [_minimum(_maximum((x - eta2 * g) / (1.0 + mu * eta2), 0.0), b)
             for x, g, b in zip(lam_s, grad_h, lam_max)]
 

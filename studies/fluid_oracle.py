@@ -21,11 +21,14 @@ It prints three parts.
   as other, which is listed with its k and what happened. The census prints
   its wall and the slowest solve of each verdict.
 - Regularity scan: estimate_regularity's median wall of 5 runs after one
-  warm-up (one run where the warm-up takes over a second), and the matrices
-  that it hands to np.linalg.svd and np.linalg.eigvalsh, counted in the
-  warm-up by wrapping both. The cases are the bundled instance at 41 and 21
-  points per axis (perfbench's oracle scan and theory mode's grid) and the
-  N = 3 and N = 4 instances of the first part at 21 points per axis.
+  warm-up (one run where the warm-up takes over a second), the matrices that
+  it hands to np.linalg.svd and np.linalg.eigvalsh, and its calls of the
+  model's mean D and jacobian J, counted in the warm-up by wrapping the two
+  numpy functions and the two methods of the model's class (the mean count
+  includes the calls that jacobian makes when it is not handed D). The cases
+  are the bundled instance at 41 and 21 points per axis (perfbench's oracle
+  scan and theory mode's grid) and the N = 3 and N = 4 instances of the
+  first part at 21 points per axis.
 
 Like perfbench/run.py, the script pins BLAS to one thread before numpy loads.
 Apart from image_halfspaces it uses nrmlab's public API only. It is a report
@@ -75,34 +78,43 @@ def solve_ms(inst) -> float:
     return statistics.median(walls) * 1e3
 
 
-def scan(inst, grid: int) -> tuple:
-    """(median ms, svd matrices, eigvalsh matrices) of estimate_regularity:
-    the count comes from the warm-up, the median from 5 timed runs, or from
-    one where the warm-up took over a second."""
-    counts = {"svd": 0, "eigvalsh": 0}
-    real = {name: getattr(np.linalg, name) for name in counts}
+def matrices(a, *args, **kwargs) -> int:
+    return int(np.prod(np.shape(a)[:-2]))   # matrices in the stack
 
-    def counting(name):
-        def call(a, *args, **kwargs):
-            counts[name] += int(np.prod(np.shape(a)[:-2]))   # matrices in the stack
-            return real[name](a, *args, **kwargs)
+
+def scan(inst, grid: int) -> tuple:
+    """(median ms, counts) of estimate_regularity: counts holds the matrices
+    handed to np.linalg.svd and np.linalg.eigvalsh and the calls of the
+    model's mean and jacobian, from the warm-up; the median comes from 5
+    timed runs, or from one where the warm-up took over a second."""
+    model = type(inst.model)
+    units = {(np.linalg, "svd"): matrices, (np.linalg, "eigvalsh"): matrices,
+             (model, "mean"): lambda *args, **kwargs: 1,
+             (model, "jacobian"): lambda *args, **kwargs: 1}
+    counts = {name: 0 for _, name in units}
+    real = {name: getattr(owner, name) for owner, name in units}
+
+    def counting(name, unit):
+        def call(*args, **kwargs):
+            counts[name] += unit(*args, **kwargs)
+            return real[name](*args, **kwargs)
         return call
 
-    for name in counts:
-        setattr(np.linalg, name, counting(name))
+    for (owner, name), unit in units.items():
+        setattr(owner, name, counting(name, unit))
     try:
         t0 = time.perf_counter()
         nrmlab.estimate_regularity(inst.model, inst.price_box, grid, inst.A, inst.gamma)
         warm = time.perf_counter() - t0
     finally:
-        for name in counts:
-            setattr(np.linalg, name, real[name])
+        for owner, name in units:
+            setattr(owner, name, real[name])
     walls = []
     for _ in range(5 if warm < 1.0 else 1):
         t0 = time.perf_counter()
         nrmlab.estimate_regularity(inst.model, inst.price_box, grid, inst.A, inst.gamma)
         walls.append(time.perf_counter() - t0)
-    return statistics.median(walls) * 1e3, counts["svd"], counts["eigvalsh"]
+    return statistics.median(walls) * 1e3, counts
 
 
 def lp_feasible(inst) -> bool:
@@ -172,13 +184,15 @@ def main() -> int:
         print(line)
 
     print("# regularity scan: estimate_regularity ms, median of 5 after one warm-up "
-          "(1 where it takes over 1 s), and the matrices decomposed")
-    print(f"{'':22s} {'grid':>4s} {'ms':>8s} {'svd':>8s} {'eigvalsh':>8s}")
+          "(1 where it takes over 1 s), the matrices decomposed and the D and J calls")
+    print(f"{'':22s} {'grid':>4s} {'ms':>8s} {'svd':>8s} {'eigvalsh':>8s} {'mean':>5s} "
+          f"{'jacobian':>8s}")
     instances = {inst.N: (label, inst) for label, inst in cases}
     for N, grid in SCAN_GRIDS:
         label, inst = instances[N]
-        ms, svd, eig = scan(inst, grid)
-        print(f"{label:22s} {grid:4d} {ms:8.1f} {svd:8d} {eig:8d}")
+        ms, counts = scan(inst, grid)
+        print(f"{label:22s} {grid:4d} {ms:8.1f} {counts['svd']:8d} {counts['eigvalsh']:8d} "
+              f"{counts['mean']:5d} {counts['jacobian']:8d}")
     return 0
 
 

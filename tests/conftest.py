@@ -42,6 +42,12 @@ def estimation_ends(cfg, N):
         yield s, tau, n_tau, end, end - n_tau + 2 * N * (n_tau // (4 * N))
 
 
+def summary_row(summary, policy, T):
+    """The row of a BenchSummary for (policy, T)."""
+    (row,) = [r for r in summary.rows if r["policy"] == policy and r["T"] == T]
+    return row
+
+
 def recorded_revenue(trace):
     """The fsum of p_t . y_t over a recorded episode's periods that post a
     price: after a shutoff the price is NaN and nothing sells."""

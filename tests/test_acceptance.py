@@ -12,11 +12,7 @@ from nrmlab import (
     BenchSummary,
     DemandOracle,
     constants_tuned,
-    dual_Q,
-    grad_Q,
     grad_est,
-    lagrangian_H,
-    lagrangian_L,
     loglog_slope,
     run_bench,
     run_episode,
@@ -25,8 +21,9 @@ from nrmlab import (
     build_policy,
 )
 from nrmlab.demand import grad_revenue_f
+from nrmlab.fluid import dual_Q, grad_Q, lagrangian_H, lagrangian_L
 from nrmlab.pdnrm import epoch_count_bound, config_from_dict
-from conftest import loop_count_bound, recorded_revenue
+from conftest import loop_count_bound, recorded_revenue, summary_row
 
 # dual box satisfying the interior-optimizer requirement on this instance
 # (every sampled dual keeps the Lagrangian maximizer inside the price box)
@@ -252,7 +249,7 @@ def test_criterion_6_update_counts(bench_tuned, bench_scaling, bench_tail):
 
 def test_criterion_7_experiment_trend(bench_tuned):
     plan, summary = bench_tuned
-    losses = {T: summary.row("pdnrm", T)["mean_loss"] for T in plan.T_grid}
+    losses = {T: summary_row(summary, "pdnrm", T)["mean_loss"] for T in plan.T_grid}
     decreasing = all(losses[a] > losses[b]
                      for a, b in zip(plan.T_grid, plan.T_grid[1:]))
     ok = decreasing and losses[10**5] <= 0.25 and losses[10**6] <= 0.15 \
@@ -283,9 +280,9 @@ def test_criterion_9_policy_ordering(bench_scaling):
     ok = True
     details = []
     for T in (10**5, 10**6):
-        pd = summary.row("pdnrm", T)
-        et = summary.row("etc", T)
-        cl = summary.row("clairvoyant", T)
+        pd = summary_row(summary, "pdnrm", T)
+        et = summary_row(summary, "etc", T)
+        cl = summary_row(summary, "clairvoyant", T)
         margin_pe = et["mean_loss"] - pd["mean_loss"] \
             - 2 * math.hypot(et["stderr"], pd["stderr"])
         margin_cp = pd["mean_loss"] - cl["mean_loss"] \

@@ -13,14 +13,14 @@ from nrmlab import (
     run_bench,
     loglog_slope,
     plan_from_dict,
-    episode_seed,
     run_episode,
     PdNrmPolicy,
     build_policy,
     solve_fluid,
 )
-from nrmlab.bench import SUMMARY_HEADER, EPISODES_HEADER
+from nrmlab.bench import SUMMARY_HEADER, EPISODES_HEADER, episode_seed
 from nrmlab.fluid import FluidSolution
+from conftest import summary_row
 
 
 def small_plan(instance, tmp_path=None, **kw):
@@ -192,7 +192,7 @@ class TestRunBench:
         plan = small_plan(instance, policies=("clairvoyant",), T_grid=(1500,),
                           replications=1)
         summary = run_bench(plan)
-        row = summary.row("clairvoyant", 1500)
+        row = summary_row(summary, "clairvoyant", 1500)
         ep = summary.episodes[0]
         assert row["mean_loss"] == ep.loss
         assert row["mean_revenue"] == ep.revenue
@@ -325,11 +325,11 @@ class TestRunBench:
         summary = run_bench(plan)
         assert len(summary.errors) == 2
         assert all("PolicyError" in e["error"] for e in summary.errors)
-        failed = summary.row("pdnrm", 600)
+        failed = summary_row(summary, "pdnrm", 600)
         assert failed["episodes_failed"] == 2
         assert all(failed[k] is None for k in SUMMARY_HEADER if k not in
                    ("policy", "T", "episodes_failed"))
-        assert summary.row("clairvoyant", 600)["episodes_failed"] == 0
+        assert summary_row(summary, "clairvoyant", 600)["episodes_failed"] == 0
         lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
         assert lines[1] == "pdnrm,600,,,,,2,"
         assert lines[2].split(",")[:2] == ["clairvoyant", "600"]

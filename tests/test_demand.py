@@ -212,6 +212,21 @@ class TestLinearDemand:
             LinearDemand([1.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("kind", ["linear", "logit"])
+def test_image_halfspaces_hold_the_box_image_and_nothing_past_an_edge(kind, instance, rng):
+    # the bundled logit model, or a linear one whose demand stays positive on its box
+    model, (lo, hi) = ((instance.model, instance.price_box) if kind == "logit" else
+                       (LinearDemand([0.5, 0.55], [[0.15, 0.03], [0.03, 0.15]]), (0.5, 2.7)))
+    G, h = model.image_halfspaces(lo, hi)
+    inside = model.mean(rng.uniform(lo, hi, size=(1000, 2)))
+    assert (inside @ G.T - h).max() <= 0.0
+    for i in range(2):
+        for edge in (lo - 0.1, hi + 0.1):
+            p = np.full(2, 0.5 * (lo + hi))
+            p[i] = edge
+            assert (G @ model.mean(p) - h).max() > 1e-6, (i, edge)
+
+
 # operation name -> (call, whether it takes prices rather than demands)
 OPERATIONS = {
     "mean": (lambda model, x: model.mean(x), True),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -16,11 +17,6 @@ from nrmlab import (
     PdNrmPolicy,
     solve_fluid,
     solve_inner_max,
-    dual_Q,
-    grad_Q,
-    lagrangian_L,
-    lagrangian_H,
-    fluid_upper_bound,
     default_dual_set,
     example_logit_instance,
     FluidError,
@@ -28,8 +24,10 @@ from nrmlab import (
     run_episode,
 )
 from nrmlab.demand import revenue_f, revenue_phi, grad_revenue_f, grad_revenue_phi
-from nrmlab.fluid import CERTIFICATE_TOL
+from nrmlab.cli import cli_main
+from nrmlab.fluid import CERTIFICATE_TOL, dual_Q, grad_Q, lagrangian_L, lagrangian_H
 from nrmlab.instance import instance_from_dict
+from conftest import save_instance
 from fingerprint_digest import _random_logit_instance
 
 # frozen from an exact KKT solve of the example instance (stationarity on the
@@ -560,16 +558,25 @@ class TestReferenceSolver:
 
 
 class TestFluidUpperBound:
-    def test_value_and_scaling(self, instance, fluid_solution):
-        bound = fluid_upper_bound(instance, fluid_solution)
+    """The upper_bound that `nrmlab fluid` prints: T phi(d*)."""
+
+    @staticmethod
+    def printed_bound(instance, tmp_path, capsys):
+        path = tmp_path / f"instance_{instance.T}.json"
+        save_instance(instance, str(path))
+        assert cli_main(["fluid", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)["upper_bound"]
+
+    def test_value_and_scaling(self, instance, fluid_solution, tmp_path, capsys):
+        bound = self.printed_bound(instance, tmp_path, capsys)
         assert bound == pytest.approx(instance.T * fluid_solution.value, rel=1e-15)
-        double = fluid_upper_bound(instance.with_horizon(2 * instance.T), fluid_solution)
+        double = self.printed_bound(instance.with_horizon(2 * instance.T), tmp_path, capsys)
         assert double == pytest.approx(2 * bound, rel=1e-15)
 
-    def test_dominates_simulated_policies(self, instance, fluid_solution):
+    def test_dominates_simulated_policies(self, instance, fluid_solution, tmp_path, capsys):
         from nrmlab import run_episode, build_policy
         short = instance.with_horizon(5000)
-        bound = fluid_upper_bound(short, fluid_solution)
+        bound = self.printed_bound(short, tmp_path, capsys)
         revs = []
         for rep in range(50):
             pol = build_policy("clairvoyant", short, fluid_solution)

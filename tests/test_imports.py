@@ -3,8 +3,11 @@ scipy.optimize is imported by the calls that solve (the fluid oracle and ETC's
 mixture LP), so a process that never solves never loads it. Each check runs
 in a fresh interpreter: this test process imported scipy long ago."""
 
+import glob
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -69,3 +72,18 @@ def test_first_solve_loads_scipy_and_certifies():
         f"print(json.dumps([before, 'scipy.optimize' in sys.modules, sol.duality_gap]))\n")
     assert before == [] and after
     assert abs(gap) <= 1e-5
+
+
+def test_every_export_has_a_user():
+    """Each public name that nrmlab exports, modules aside, is named as a whole
+    word by the README, a study, perfbench or CI; a name that only tests use is
+    imported from its module."""
+    root = os.path.dirname(SRC)
+    paths = [os.path.join(root, "README.md")] + [
+        path for pattern in ("studies/*.py", "perfbench/*.py", ".github/workflows/*.yml")
+        for path in glob.glob(os.path.join(root, pattern))]
+    text = "\n".join(open(path).read() for path in paths)
+    unused = [name for name, value in vars(nrmlab).items()
+              if not name.startswith("_") and not inspect.ismodule(value)
+              and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unused == []

@@ -18,7 +18,6 @@ from nrmlab import (
     demand_balance,
     default_dual_set,
     primal_opt,
-    prox_dual_step,
     DemandOracle,
     example_logit_instance,
     percentage_loss,
@@ -28,7 +27,7 @@ from nrmlab import (
 )
 from nrmlab import pdnrm
 from nrmlab.demand import grad_revenue_f, revenue_f
-from nrmlab.pdnrm import epoch_count_bound
+from nrmlab.pdnrm import _dual_step, epoch_count_bound
 from nrmlab.projections import FEASIBLE_TOL, feasible_point, max_violation
 from nrmlab.sim import _as_schedule, _serve
 from conftest import boxless_instances, estimation_ends, loop_count_bound
@@ -778,14 +777,14 @@ class TestPrimalOpt:
 
 
 class TestProxDualStep:
+    """The policy's dual step, _dual_step, on lists of floats."""
+
     def test_shrinkage_example(self):
-        out = prox_dual_step(np.array([1.0, 1.0]), np.zeros(2), 1.0, 1.0,
-                             np.array([10.0, 10.0]))
+        out = _dual_step([1.0, 1.0], [0.0, 0.0], 1.0, 1.0, [10.0, 10.0])
         assert_allclose(out, [0.5, 0.5])
 
     def test_projection_example(self):
-        out = prox_dual_step(np.array([0.0, 0.0]), np.array([-1.0, 2.0]), 1.0, 1.0,
-                             np.array([10.0, 10.0]))
+        out = _dual_step([0.0, 0.0], [-1.0, 2.0], 1.0, 1.0, [10.0, 10.0])
         assert_allclose(out, [0.5, 0.0])
 
     def test_minimizes_prox_objective(self, rng):
@@ -793,7 +792,7 @@ class TestProxDualStep:
         g = np.array([0.6, -0.9])
         mu, eta2 = 0.7, 1.4
         lam_max = np.array([2.0, 2.0])
-        out = prox_dual_step(lam_s, g, mu, eta2, lam_max)
+        out = np.array(_dual_step(lam_s.tolist(), g.tolist(), mu, eta2, lam_max.tolist()))
 
         def objective(lam):
             return (g @ lam + 0.5 * mu * lam @ lam

@@ -18,11 +18,11 @@ from nrmlab import (
     Policy,
     CommitPolicy,
     PolicyError,
-    mix64,
     loop_skeleton,
 )
 from nrmlab.demand import revenue_f
 from nrmlab import sim
+from nrmlab.sim import mix64
 from conftest import (FixedPricePolicy, boxless_instances, estimation_ends, recorded_revenue,
                       serve_one)
 
