@@ -58,6 +58,16 @@ class DemandModel(ABC):
     def image_halfspaces(self, p_lo: float, p_hi: float):
         """(G, h) with image of [p_lo, p_hi]^N equal to {d : G d <= h}."""
 
+    @abstractmethod
+    def grad_phi(self, d: np.ndarray) -> np.ndarray:
+        """grad phi(d) of the revenue phi(d) = <d, D^{-1}(d)>, in closed form,
+        shape (..., N); raises DomainError outside the image."""
+
+    @abstractmethod
+    def hessian_phi(self, d: np.ndarray) -> np.ndarray:
+        """The Hessian of phi at d, in closed form, shape (..., N, N); raises
+        DomainError outside the image."""
+
 
 class LogitDemand(DemandModel):
     """Multinomial-logit demand: D_i(p) = exp(a_i - b_i p_i) / (1 + sum_j exp(a_j - b_j p_j))."""
@@ -82,12 +92,35 @@ class LogitDemand(DemandModel):
         J.reshape(d.shape[:-1] + (-1,))[..., ::self.n_products + 1] = -self.b * d * (1.0 - d)
         return J
 
-    def inverse(self, d):
-        d = _as_vector(d, self.n_products)
-        rest = 1.0 - d.sum(-1)
+    def _rest(self, d):
+        """1 - sum(d), shape (..., 1), for d in the image; DomainError elsewhere."""
+        rest = 1.0 - d.sum(-1, keepdims=True)
         if (d <= 0).any() or (rest <= 0.0).any():
             raise DomainError("demand must be componentwise positive with sum < 1")
-        return (self.a - np.log(d / (rest if d.ndim == 1 else rest[..., None]))) / self.b
+        return rest
+
+    def inverse(self, d):
+        d = _as_vector(d, self.n_products)
+        return (self.a - np.log(d / self._rest(d))) / self.b
+
+    # With s = sum(d) and S = sum(d_i / b_i), p = D^{-1}(d) has
+    # dp_j/dd_k = -(delta_jk / d_j + 1 / (1 - s)) / b_j, so
+    #   dphi/dd_j = p_j - 1/b_j - S/(1 - s)
+    #   d2phi/dd_j dd_k = -delta_jk/(b_j d_j) - (1/b_j + 1/b_k)/(1 - s) - S/(1 - s)^2
+    def grad_phi(self, d):
+        d = _as_vector(d, self.n_products)
+        rest = self._rest(d)
+        S = (d / self.b).sum(-1, keepdims=True)
+        return (self.a - np.log(d / rest) - 1.0) / self.b - S / rest
+
+    def hessian_phi(self, d):
+        d = _as_vector(d, self.n_products)
+        rest = self._rest(d)[..., None]
+        S = (d / self.b).sum(-1, keepdims=True)[..., None]
+        inv_b = 1.0 / self.b
+        H = -(inv_b[:, None] + inv_b) / rest - S / (rest * rest)
+        H.reshape(d.shape[:-1] + (-1,))[..., ::self.n_products + 1] -= inv_b / d
+        return H
 
     def image_halfspaces(self, p_lo, p_hi):
         # d in image  <=>  w_lo_i <= d_i/(1-sum d) <= w_hi_i, which is linear in d:
@@ -116,6 +149,7 @@ class LinearDemand(DemandModel):
             raise DomainError("linear demand needs finite intercepts and a finite "
                               "positive-definite slope matrix")
         self._B_inv = np.linalg.inv(self.B)
+        self._hessian_phi = -(self._B_inv + self._B_inv.T)
 
     def mean(self, p):
         return self.a - _on_vectors(np.matmul, self.B, _as_vector(p, self.n_products))
@@ -126,6 +160,15 @@ class LinearDemand(DemandModel):
 
     def inverse(self, d):
         return _on_vectors(np.matmul, self._B_inv, self.a - _as_vector(d, self.n_products))
+
+    def grad_phi(self, d):
+        # phi(d) = <d, B^{-1}(a - d)>
+        d = _as_vector(d, self.n_products)
+        return self.inverse(d) - _on_vectors(np.matmul, self._B_inv.T, d)
+
+    def hessian_phi(self, d):
+        shape = _as_vector(d, self.n_products).shape[:-1] + self.B.shape
+        return np.broadcast_to(self._hessian_phi, shape).copy()
 
     def image_halfspaces(self, p_lo, p_hi):
         # p(d) = B^{-1}(a - d) within the price box, linear in d.
@@ -156,26 +199,27 @@ def grad_revenue_f(model: DemandModel, p) -> np.ndarray:
 
 
 def grad_revenue_phi(model: DemandModel, d) -> np.ndarray:
-    """grad phi(d) = p + (J_D(p)^{-1})^T d  at p = D^{-1}(d)."""
-    d = _as_vector(d, model.n_products)
-    p = model.inverse(d)
-    return p + _on_vectors(np.linalg.solve, model.jacobian(p).swapaxes(-1, -2), d)
+    """grad phi(d), the model's closed form (for logit, p_j - 1/b_j - S/(1 - sum d)
+    with p = D^{-1}(d) and S = sum d_i/b_i; for linear, B^{-1}(a - d) - B^{-T} d)."""
+    return model.grad_phi(d)
 
 
 def hessian_fd(grad, model: DemandModel, X) -> np.ndarray:
     """Central finite-difference Hessians (symmetrized, step 1e-6), shape (..., N, N),
-    at X of shape (..., N), of the revenue function whose gradient is grad(model, X)."""
+    at X of shape (..., N), of the revenue function whose gradient is grad(model, X):
+    one grad call on the stack of the 2N shifted copies of X. The scan uses it for
+    f only; phi's Hessian is the model's closed form, hessian_phi."""
     n = X.shape[-1]
-    H = np.empty(X.shape + (n,))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1e-6
-        H[..., i, :] = (grad(model, X + e) - grad(model, X - e)) / 2e-6
+    step = np.concatenate([np.eye(n), -np.eye(n)]) * 1e-6
+    G = grad(model, X + step.reshape((2 * n,) + (1,) * (X.ndim - 1) + (n,)))
+    H = np.moveaxis((G[:n] - G[n:]) / 2e-6, 0, -2)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 _SCAN_BLOCK = 2 ** 14   # grid points per batched pass of estimate_regularity
-_SCREEN_MARGIN = 1e-9   # on ||X||_F, far above the rounding of it and of LAPACK's ||X||_2
+# on ||X||_F, and times ||J||_F on the determinant bound: far above the rounding of
+# both norms, of the determinant and of LAPACK's singular values
+_SCREEN_MARGIN = 1e-9
 
 
 def _max_spectral_norm(X, floor: float) -> float:
@@ -187,6 +231,24 @@ def _max_spectral_norm(X, floor: float) -> float:
     top = max(floor, np.linalg.svd(X[fro.argmax()], compute_uv=False)[0])
     keep = fro * (1.0 + _SCREEN_MARGIN) >= top
     return float(np.linalg.svd(X[keep], compute_uv=False)[:, 0].max(initial=floor))
+
+
+def _min_singular_value(J, floor: float) -> float:
+    """min(floor, min_k sigma_min(J_k)) over a stack J of shape (K, n, n). By AM-GM,
+    sigma_1 ... sigma_{n-1} <= r^(n-1) with r = ||J||_F / sqrt(n - 1), so
+    sigma_min = |det J| / (sigma_1 ... sigma_{n-1}) >= |det J| / r^(n-1). Only the
+    matrices whose bound (|det J| - 1e-9 ||J||_F r^(n-1)) / r^(n-1) can reach the
+    smaller of floor and the lowest-bound matrix's sigma_min are decomposed (a bound
+    <= 0 or nan always is); the minimum is the same float as
+    np.linalg.svd(J, compute_uv=False)[:, -1].min()."""
+    n = J.shape[-1]
+    fro = np.sqrt(np.einsum("kij,kij->k", J, J))
+    r_pow = (fro / np.sqrt(max(n - 1, 1))) ** (n - 1)   # r^(n-1) >= sigma_1 ... sigma_{n-1}
+    with np.errstate(divide="ignore", invalid="ignore"):   # a zero J's bound is nan
+        low = (np.abs(np.linalg.det(J)) - _SCREEN_MARGIN * fro * r_pow) / r_pow
+    top = min(floor, np.linalg.svd(J[low.argmin()], compute_uv=False)[-1])
+    keep = ~(low > top)
+    return float(np.linalg.svd(J[keep], compute_uv=False)[:, -1].min(initial=top))
 
 
 @dataclass(frozen=True)
@@ -223,18 +285,21 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
     """Scan a uniform price grid to bound the demand-curve and revenue regularity.
 
     B_D / sigma_D: extreme singular values of J_D; L_D: max operator-norm
-    difference over axis-adjacent grid pairs divided by spacing; B_f, B_phi,
-    sigma_phi: gradient norms and finite-difference Hessians of f and phi;
-    B_A / sigma_A: extreme singular values of A; B_r = p_hi (at most one unit
-    sold per period).
+    difference over axis-adjacent grid pairs divided by spacing; B_f: norms of
+    grad f and of its finite-difference Hessian; B_phi / sigma_phi: the norm of
+    grad phi and the extreme eigenvalues of -Hessian(phi), both in the model's
+    closed form (grad_phi, hessian_phi) at the grid's demands; B_A / sigma_A:
+    extreme singular values of A; B_r = p_hi (at most one unit sold per period).
 
-    The two spectral-norm maxima, ||H_f||_2 in B_f and the differences behind
-    L_D, are screened: a block decomposes only the matrices whose Frobenius
-    norm, times 1 + 1e-9, reaches the largest ||.||_2 known so far (the
-    running maximum, or the block's Frobenius-largest matrix). Since
-    ||X||_2 <= ||X||_F and the margin is far above the rounding of both norms,
-    no skipped matrix holds the maximum, and the maximum is the float that
-    decomposing every matrix gives: the constants equal a per-point scan's.
+    The three spectral-norm maxima, B_D, ||H_f||_2 in B_f and the differences
+    behind L_D, are screened: a block decomposes only the matrices whose
+    Frobenius norm, times 1 + 1e-9, reaches the largest ||.||_2 known so far
+    (the running maximum, or the block's Frobenius-largest matrix). sigma_D is
+    screened from below by |det J| / ||J||_F^(N-1) <= sigma_min(J), less a
+    margin of 1e-9 ||J||_F (see _min_singular_value). Each margin is far above
+    the rounding of the norms, the determinant and LAPACK's singular values, so
+    no skipped matrix holds the extremum, which is the float that decomposing
+    every matrix gives: the constants equal a per-point scan's.
     """
     if grid_points < 2:
         raise ValueError("grid must have at least 2 points per axis")
@@ -253,14 +318,16 @@ def estimate_regularity(model: DemandModel, price_box, grid_points: int,
         P = np.stack([m.ravel() for m in mesh], axis=1)
         D = model.mean(P)
         J = model.jacobian(P, D)
-        sv = np.linalg.svd(J, compute_uv=False)
-        B_D = max(B_D, sv[:, 0].max())
-        sigma_D = min(sigma_D, sv[:, -1].min())
-        H_f = hessian_fd(grad_revenue_f, model, P)
+        B_D = _max_spectral_norm(J, B_D)
+        sigma_D = _min_singular_value(J, sigma_D)
+        # hessian_fd stacks 2N shifted copies of its points: at most _SCAN_BLOCK at a
+        # time, since one axis-0 slice of the grid exceeds that from N = 5 on
+        H_f = np.concatenate([hessian_fd(grad_revenue_f, model, P[i:i + _SCAN_BLOCK])
+                              for i in range(0, len(P), _SCAN_BLOCK)])
         # grad_revenue_f(model, P) from this block's D and J
         grad_f = np.linalg.norm(D + _on_vectors(np.matmul, J.swapaxes(-1, -2), P), axis=1).max()
         B_f = _max_spectral_norm(H_f, max(B_f, grad_f))
-        eig = np.linalg.eigvalsh(-hessian_fd(grad_revenue_phi, model, D))
+        eig = np.linalg.eigvalsh(-model.hessian_phi(D))
         B_phi = max(B_phi, np.linalg.norm(grad_revenue_phi(model, D), axis=1).max(),
                     np.abs(eig).max())
         sigma_phi = min(sigma_phi, eig[:, 0].min())

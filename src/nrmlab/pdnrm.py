@@ -137,6 +137,11 @@ def constants_theory(instance: Instance, regularity, T: int) -> PdNrmConfig:
     rho_lo = PdNrmConfig.p_margin * width
     cfg = _theory(instance.N, regularity, T, lam_bar, rho_lo,
                   math.sqrt(instance.N) * (width - 2 * rho_lo))
+    if not 0 < cfg.contraction < 1:
+        raise ValueError(
+            f"theory constants: sigma_D = {regularity.sigma_D:.3g} makes the contraction "
+            f"1 - eta1 sigma_D^2 sigma_phi / 2 = {cfg.contraction!r} in floats, outside "
+            "(0, 1), so the analysis gives pdnrm no rate on this price box")
     cfg.validate(instance)
     return cfg
 

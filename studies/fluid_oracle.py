@@ -22,10 +22,11 @@ It prints three parts.
   its wall and the slowest solve of each verdict.
 - Regularity scan: estimate_regularity's median wall of 5 runs after one
   warm-up (one run where the warm-up takes over a second), the matrices that
-  it hands to np.linalg.svd and np.linalg.eigvalsh, and its calls of the
-  model's mean D and jacobian J, counted in the warm-up by wrapping the two
-  numpy functions and the two methods of the model's class (the mean count
-  includes the calls that jacobian makes when it is not handed D). The cases
+  it hands to np.linalg.svd, np.linalg.eigvalsh, np.linalg.solve and
+  np.linalg.det, and its calls of the model's mean D and jacobian J, counted
+  in the warm-up by wrapping the four numpy functions and the two methods of
+  the model's class (the mean count includes the calls that jacobian makes
+  when it is not handed D). The cases
   are the bundled instance at 41 and 21 points per axis (perfbench's oracle
   scan and theory mode's grid) and the N = 3 and N = 4 instances of the
   first part at 21 points per axis.
@@ -84,11 +85,12 @@ def matrices(a, *args, **kwargs) -> int:
 
 def scan(inst, grid: int) -> tuple:
     """(median ms, counts) of estimate_regularity: counts holds the matrices
-    handed to np.linalg.svd and np.linalg.eigvalsh and the calls of the
+    handed to np.linalg.svd, eigvalsh, solve and det and the calls of the
     model's mean and jacobian, from the warm-up; the median comes from 5
     timed runs, or from one where the warm-up took over a second."""
     model = type(inst.model)
     units = {(np.linalg, "svd"): matrices, (np.linalg, "eigvalsh"): matrices,
+             (np.linalg, "solve"): matrices, (np.linalg, "det"): matrices,
              (model, "mean"): lambda *args, **kwargs: 1,
              (model, "jacobian"): lambda *args, **kwargs: 1}
     counts = {name: 0 for _, name in units}
@@ -184,15 +186,14 @@ def main() -> int:
         print(line)
 
     print("# regularity scan: estimate_regularity ms, median of 5 after one warm-up "
-          "(1 where it takes over 1 s), the matrices decomposed and the D and J calls")
-    print(f"{'':22s} {'grid':>4s} {'ms':>8s} {'svd':>8s} {'eigvalsh':>8s} {'mean':>5s} "
-          f"{'jacobian':>8s}")
+          "(1 where it takes over 1 s), the matrices decomposed or solved and the D and J calls")
+    columns = ("svd", "eigvalsh", "solve", "det", "mean", "jacobian")
+    print(f"{'':22s} {'grid':>4s} {'ms':>8s} " + " ".join(f"{c:>8s}" for c in columns))
     instances = {inst.N: (label, inst) for label, inst in cases}
     for N, grid in SCAN_GRIDS:
         label, inst = instances[N]
         ms, counts = scan(inst, grid)
-        print(f"{label:22s} {grid:4d} {ms:8.1f} {counts['svd']:8d} {counts['eigvalsh']:8d} "
-              f"{counts['mean']:5d} {counts['jacobian']:8d}")
+        print(f"{label:22s} {grid:4d} {ms:8.1f} " + " ".join(f"{counts[c]:8d}" for c in columns))
     return 0
 
 

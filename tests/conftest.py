@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nrmlab.bench
-from nrmlab import Policy, example_logit_instance, loop_skeleton, solve_fluid, estimate_regularity
+from nrmlab import (Instance, LogitDemand, Policy, example_logit_instance, loop_skeleton,
+                    solve_fluid, estimate_regularity)
 from nrmlab.demand import _dot
 from nrmlab.sim import _serve
 
@@ -26,6 +27,15 @@ def boxless_instances(T=100_000):
     return {"zero-box": dataclasses.replace(base, price_min=-0.5, price_max=0.0,
                                             gamma=[5.0, 5.0]),
             "narrow-box": dataclasses.replace(base, price_min=1e17, price_max=1e17 + 64)}
+
+
+def corner_instance(price_max, T=100_000):
+    """N = 2, M = 1 logit instance whose first product's demand at the top
+    corner of the box [0.8, price_max] is below 1e-6, a finite-difference step
+    of phi: 1.3e-7 at price_max 6.5, where the theory constants exist, and
+    3.1e-9 at 8.0, where sigma_D = 5.3e-9 rounds their contraction to 1."""
+    return Instance(model=LogitDemand([0.4, 0.8], [2.5, 2.0]), A=np.ones((1, 2)),
+                    gamma=np.array([0.1]), T=T, price_min=0.8, price_max=price_max)
 
 
 def loop_count_bound(cfg, T):

@@ -9,7 +9,7 @@ from nrmlab import (Instance, LogitDemand, PdNrmPolicy, config_from_dict, defaul
                     example_logit_instance, load_instance, pdnrm)
 from nrmlab.checks import run_checks
 from nrmlab.cli import cli_main
-from conftest import boxless_instances, save_instance
+from conftest import boxless_instances, corner_instance, save_instance
 from fingerprint_digest import _random_logit_instance
 
 
@@ -427,6 +427,28 @@ class TestConstantsCommand:
         doc = json.loads(out)
         assert doc["n0"] > 0
         assert doc["kappa5"] >= 1.0
+
+    def test_theory_constants_where_demand_is_below_a_difference_step(self, capsys, tmp_path):
+        # the corner demand, 1.3e-7, is below the 1e-6 step of a finite-difference
+        # Hessian of phi; the fluid program and the checks hold on this instance
+        path = tmp_path / "corner.json"
+        save_instance(corner_instance(6.5), str(path))
+        assert run_cli(capsys, "fluid", str(path))[0] == 0
+        assert run_cli(capsys, "check", str(path))[0] == 0
+        code, out, err = run_cli(capsys, "constants", str(path), "--mode", "theory")
+        assert code == 0 and 0 < json.loads(out)["contraction"] < 1
+        assert re.fullmatch(r"pdnrm: \d+ loops and \d+ epochs end by T = 100000; .*\n", err)
+
+    def test_theory_contraction_that_rounds_to_one_exits_2(self, capsys, tmp_path):
+        # sigma_D = 5.3e-9 on the box [0.8, 8.0] rounds 1 - eta1 sigma_D^2 sigma_phi / 2
+        # to 1.0: refused for the theory, not for a config key the user never set
+        path = tmp_path / "corner.json"
+        save_instance(corner_instance(8.0), str(path))
+        code, out, err = run_cli(capsys, "constants", str(path), "--mode", "theory")
+        assert code == 2 and out == ""
+        assert err.startswith("error: theory constants: sigma_D = 5.3e-09 makes the "
+                              "contraction 1 - eta1 sigma_D^2 sigma_phi / 2 = 1.0 in floats")
+        assert "config key" not in err
 
     def test_theory_constants_three_products(self, capsys, tmp_path):
         rng = np.random.default_rng(303)

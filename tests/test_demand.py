@@ -8,6 +8,7 @@ from nrmlab import LogitDemand, LinearDemand, DomainError, estimate_regularity
 from nrmlab.demand import (
     RegularityConstants,
     _max_spectral_norm,
+    _min_singular_value,
     revenue_f,
     revenue_phi,
     grad_revenue_f,
@@ -15,7 +16,7 @@ from nrmlab.demand import (
     hessian_fd,
 )
 from nrmlab.fluid import solve_fluid
-from conftest import serve_one
+from conftest import corner_instance, serve_one
 
 A_EXAMPLE = np.array([[1.0, 1.0], [0.0, 2.0]])
 
@@ -131,9 +132,9 @@ class TestRevenue:
             0.38967620068922554, rel=1e-12)
 
     def test_phi_strongly_concave_on_image(self, logit, rng):
-        # numeric Hessians of phi are negative definite over the demand image
+        # the Hessians of phi are negative definite over the demand image
         D = logit.mean(random_prices(rng, 2, count=25))
-        H = hessian_fd(grad_revenue_phi, logit, D)
+        H = logit.hessian_phi(D)
         assert np.all(np.linalg.eigvalsh(H) < 0)
 
     def test_grad_phi_matches_finite_differences(self, logit, rng):
@@ -236,6 +237,7 @@ OPERATIONS = {
     "revenue_phi": (revenue_phi, False),
     "grad_revenue_f": (grad_revenue_f, True),
     "grad_revenue_phi": (grad_revenue_phi, False),
+    "hessian_phi": (lambda model, x: model.hessian_phi(x), False),
 }
 
 
@@ -280,6 +282,52 @@ class TestBroadcast:
         assert type(doc["value"]) is float
 
 
+def richardson(fun, x, h):
+    """Richardson-extrapolated central differences of fun at x, one row per
+    coordinate: (4 c(h/2) - c(h)) / 3 with c(t) = (fun(x + t e_i) - fun(x - t e_i)) / 2t."""
+    rows = []
+    for i in range(x.shape[0]):
+        e = np.zeros(x.shape[0])
+        e[i] = 1.0
+
+        def c(t):
+            return (fun(x + t * e) - fun(x - t * e)) / (2 * t)
+        rows.append((4 * c(h / 2) - c(h)) / 3)
+    return np.array(rows)
+
+
+class TestPhiClosedForms:
+    """Each model's grad_phi and hessian_phi are phi's derivatives."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("kind", ["logit", "linear"])
+    def test_match_richardson_differences(self, kind, N):
+        model, (lo, hi) = broadcast_model(kind, N)
+        P = lo + (hi - lo) * (0.05 + 0.9 * np.random.default_rng(N).random((20, N)))
+        for d in model.mean(P):
+            h = 1e-3 * d.min()   # d +- h stays in the image
+            g, H = model.grad_phi(d), model.hessian_phi(d)
+            assert_allclose(richardson(lambda x: revenue_phi(model, x), d, h), g,
+                            rtol=0, atol=1e-8 * np.abs(g).max())
+            assert_allclose(richardson(model.grad_phi, d, h), H,
+                            rtol=0, atol=1e-8 * np.abs(H).max())
+            assert np.array_equal(H, H.T)
+
+    def test_linear_hessian_is_minus_both_inverses(self):
+        B = np.array([[1.0, 0.2], [0.1, 0.8]])
+        model = LinearDemand([3.0, 3.0], B)
+        B_inv = np.linalg.inv(B)
+        H = model.hessian_phi(model.mean(np.full((5, 2), 1.0)))
+        assert H.shape == (5, 2, 2)
+        assert (H == -(B_inv + B_inv.T)).all()
+
+    def test_outside_the_logit_image_is_refused(self, logit):
+        for d in ([0.6, 0.5], [-0.1, 0.2], [0.0, 0.2]):
+            for call in (logit.grad_phi, logit.hessian_phi):
+                with pytest.raises(DomainError):
+                    call(np.array(d))
+
+
 def fd_hessian(grad, x, h=1e-6):
     n = x.shape[0]
     H = np.empty((n, n))
@@ -290,10 +338,23 @@ def fd_hessian(grad, x, h=1e-6):
     return 0.5 * (H + H.T)
 
 
+@pytest.mark.parametrize("kind", ["logit", "linear"])
+@pytest.mark.parametrize("N", [1, 3])
+def test_hessian_fd_rows_equal_pointwise_differences(N, kind):
+    # one grad call on the 2N shifted stacks rounds like 2N calls on each point
+    model, (lo, hi) = broadcast_model(kind, N)
+    P = lo + (hi - lo) * np.random.default_rng(N).random((12, N))
+    want = [fd_hessian(lambda x: grad_revenue_f(model, x), p) for p in P]
+    for stack in (P, P.reshape(3, 4, N)):
+        got = hessian_fd(grad_revenue_f, model, stack).reshape(12, N, N)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def reference_regularity(model, price_box, grid_points, A, gamma):
-    """Per-point grid scan: the Jacobian, gradients and finite-difference
-    Hessians of f and phi evaluated one price at a time with the pointwise
-    model and revenue functions."""
+    """Per-point grid scan: the Jacobian, the gradients of f and phi, the
+    finite-difference Hessian of f and the closed-form Hessian of phi
+    evaluated one price at a time with the pointwise model and revenue
+    functions."""
     p_lo, p_hi = float(price_box[0]), float(price_box[1])
     n = model.n_products
     mesh = np.meshgrid(*[np.linspace(p_lo, p_hi, grid_points)] * n, indexing="ij")
@@ -312,7 +373,7 @@ def reference_regularity(model, price_box, grid_points, A, gamma):
         B_f = max(B_f, float(np.linalg.norm(H, 2)))
         d = model.mean(p)
         B_phi = max(B_phi, float(np.linalg.norm(grad_revenue_phi(model, d))))
-        eig = np.linalg.eigvalsh(-fd_hessian(lambda x: grad_revenue_phi(model, x), d))
+        eig = np.linalg.eigvalsh(-model.hessian_phi(d))
         B_phi = max(B_phi, float(np.max(np.abs(eig))))
         sigma_phi = min(sigma_phi, float(eig.min()))
     spacing = (p_hi - p_lo) / (grid_points - 1)
@@ -401,6 +462,73 @@ class TestMaxSpectralNorm:
         assert sum(decomposed) == 1
 
 
+def singular_value_stacks():
+    """Stacks (K, n, n) meant to break the determinant screen of _min_singular_value."""
+    rng = np.random.default_rng(48)
+    R = rng.normal(size=(200, 3, 1)) * rng.normal(size=(200, 1, 3))
+    singular = rng.normal(size=(50, 3, 3))
+    singular[:, 2] = singular[:, 0] + singular[:, 1]   # det 0 up to rounding
+    singular[7] = 0.0                                  # a zero matrix: its bound is nan
+    model = LogitDemand([0.4, 0.8, 0.6], [1.5, 2.0, 1.2])
+    # near-rank-one 2 x 2 matrices whose rounded |det| / ||.||_F exceeds LAPACK's
+    # sigma_min by over 1%, the rounding the margin covers, and a multiple of I just
+    # above their minimum whose bound is lower: the screen must still keep the minimum
+    C = rng.normal(size=(400, 2, 1)) * rng.normal(size=(400, 1, 2)) \
+        + 1e-14 * rng.normal(size=(400, 2, 2))
+    C = C[np.abs(np.linalg.det(C)) / np.sqrt(np.einsum("kij,kij->k", C, C))
+          > 1.01 * np.linalg.svd(C, compute_uv=False)[:, -1]]
+    decoy = 1.005 * np.linalg.svd(C, compute_uv=False)[:, -1].min() * np.eye(2)
+    return {
+        "det-overstated": np.concatenate([C, decoy[None]]),
+        "det-zero": singular,
+        # linear demand's constant Jacobian: every matrix ties
+        "all-equal": LinearDemand([3.0, 3.0], [[1.0, 0.2], [0.1, 0.8]]).jacobian(
+            random_prices(rng, 2, count=50)),
+        # |det x| == ||x||_F == sigma_min for each 1 x 1 matrix
+        "one-by-one": rng.normal(size=(200, 1, 1)),
+        # rank one plus 1e-12: sigma_min near the rounding of det and of LAPACK
+        "near-rank-one": R + 1e-12 * rng.normal(size=R.shape),
+        "logit-n3": model.jacobian(random_prices(rng, 3, count=500)),
+        # the corner instance's Jacobians, sigma_min down to 5.3e-9
+        "logit-corner": corner_instance(8.0).model.jacobian(random_prices(rng, 2, hi=8.0)),
+    }
+
+
+class TestMinSingularValue:
+    """The screened minimum is the float of the unscreened one."""
+
+    @pytest.mark.parametrize("name", sorted(singular_value_stacks()))
+    def test_equals_unscreened_minimum(self, name):
+        J = singular_value_stacks()[name]
+        smallest = np.linalg.svd(J, compute_uv=False)[:, -1]
+        low = smallest.min()
+        assert _min_singular_value(J, np.inf) == low
+        # a floor above the minimum but below most matrices, and one below every matrix
+        assert _min_singular_value(J, float(np.median(smallest))) == low
+        assert _min_singular_value(J, 0.5 * low) == 0.5 * low
+
+    def test_bundled_scan_decomposes_two_jacobians(self, instance, regularity, monkeypatch):
+        # the 41 x 41 grid is one block: its lowest-bound Jacobian, then the one kept
+        decomposed = []
+        svd, screen = np.linalg.svd, nrmlab.demand._min_singular_value
+
+        def counted(a, *args, **kwargs):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        def screened(J, floor):
+            monkeypatch.setattr(np.linalg, "svd", counted)
+            try:
+                return screen(J, floor)
+            finally:
+                monkeypatch.setattr(np.linalg, "svd", svd)
+
+        monkeypatch.setattr(nrmlab.demand, "_min_singular_value", screened)
+        assert estimate_regularity(instance.model, instance.price_box, 41,
+                                   instance.A, instance.gamma) == regularity
+        assert sum(decomposed) == 2
+
+
 class TestEstimateRegularity:
     def test_bundled_equals_per_point_scan(self, instance, regularity):
         ref = reference_regularity(instance.model, instance.price_box, 41,
@@ -471,6 +599,15 @@ class TestEstimateRegularity:
         assert regularity.sigma_D <= regularity.B_D
         assert regularity.sigma_phi <= regularity.B_phi
         assert regularity.B_r == 5.0
+
+    def test_corner_demand_below_a_difference_step(self):
+        # demand reaches 1.3e-7 at the box's top corner, below the 1e-6 step that
+        # a finite-difference Hessian of phi would take out of the demand image
+        inst = corner_instance(6.5)
+        assert inst.model.mean(np.full(2, 6.5)).min() < 1e-6
+        reg = estimate_regularity(inst.model, inst.price_box, 21, inst.A, inst.gamma)
+        assert np.isfinite([getattr(reg, k) for k in reg.__dataclass_fields__]).all()
+        assert reg == reference_regularity(inst.model, inst.price_box, 21, inst.A, inst.gamma)
 
     def test_degenerate_grid_rejected(self, instance):
         with pytest.raises(ValueError):
